@@ -769,9 +769,8 @@ func clusterPoints(records []ghsom.Record) (artifact, error) {
 		urls := make([]string, n)
 		for i := 0; i < n; i++ {
 			regs[i] = serve.NewRegistry(serve.Config{
-				Instance:   fmt.Sprintf("bench-replica-%d", i),
-				MaxBatch:   256,
-				FlushEvery: time.Millisecond,
+				Instance: fmt.Sprintf("bench-replica-%d", i),
+				MaxBatch: 256,
 			})
 			if _, _, err := regs[i].Swap(serve.DefaultModelName, pipe); err != nil {
 				return nil, nil, nil, err

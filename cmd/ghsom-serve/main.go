@@ -1,10 +1,10 @@
 // Command ghsom-serve serves trained pipelines as a line-rate detection
 // service: NDJSON over HTTP, or NDJSON stdin→stdout. Concurrent requests
-// are accumulated into micro-batches — flushed when the batch reaches
-// -batch records or the -flush deadline expires, whichever comes first —
-// and each micro-batch runs through the pipeline's zero-allocation
-// DetectBatch dataplane on the parallel worker pool, so many small
-// requests cost close to what one large request does.
+// are coalesced into micro-batches — flushed as soon as the dataplane is
+// free, up to -batch records, so requests that arrive during a flush
+// share the next one — and each micro-batch runs through the pipeline's
+// zero-allocation DetectBatch dataplane on the parallel worker pool, so
+// many small requests cost close to what one large request does.
 //
 // The server hosts a registry of named models with atomic hot-swap:
 // POST /model loads a new envelope (binary v3 or legacy JSON) under a
@@ -125,7 +125,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	addr := fs.String("addr", ":8741", "HTTP listen address")
 	instance := fs.String("instance", "", "stable instance identity surfaced in X-GHSOM-Instance and /stats (default hostname:port)")
 	maxBatch := fs.Int("batch", 256, "micro-batch flush size (records)")
-	flushEvery := fs.Duration("flush", 2*time.Millisecond, "micro-batch flush deadline")
 	par := fs.Int("parallelism", 0, "detection worker bound (0 = GOMAXPROCS)")
 	bmuPrec := fs.String("bmu-precision", "auto", "BMU candidate-generation precision: f64, f32, i8, or auto (verdicts are identical at every setting)")
 	useStdin := fs.Bool("stdin", false, "serve NDJSON records from stdin to stdout instead of HTTP")
@@ -150,9 +149,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *maxBatch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", *maxBatch)
-	}
-	if *flushEvery <= 0 {
-		return fmt.Errorf("-flush must be positive, got %v", *flushEvery)
 	}
 	if *maxBody < 1 || *maxModel < 1 {
 		return fmt.Errorf("-max-body and -max-model must be >= 1 byte")
@@ -200,7 +196,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	reg := serve.NewRegistry(serve.Config{
 		Instance:       *instance,
 		MaxBatch:       *maxBatch,
-		FlushEvery:     *flushEvery,
 		Parallelism:    *par,
 		Precision:      prec,
 		QueueCap:       *queueCap,
@@ -228,8 +223,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "ghsom-serve: %s listening on %s (batch=%d flush=%v queue=%d timeout=%v)\n",
-		*instance, *addr, *maxBatch, *flushEvery, *queueCap, *defaultTimeout)
+	fmt.Fprintf(os.Stderr, "ghsom-serve: %s listening on %s (batch=%d queue=%d timeout=%v)\n",
+		*instance, *addr, *maxBatch, *queueCap, *defaultTimeout)
 	select {
 	case err := <-errCh:
 		reg.Close()

@@ -131,9 +131,6 @@ func TestRunExampleAndFlagValidation(t *testing.T) {
 	if err := run([]string{"-batch", "0", "-model", "nope.json"}, nil, io.Discard); err == nil {
 		t.Error("batch 0 accepted")
 	}
-	if err := run([]string{"-flush", "-1ms", "-model", "nope.json"}, nil, io.Discard); err == nil {
-		t.Error("negative flush accepted")
-	}
 	if err := run([]string{"-model", "/nonexistent/model.json"}, nil, io.Discard); err == nil {
 		t.Error("missing model accepted")
 	}

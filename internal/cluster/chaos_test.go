@@ -94,11 +94,14 @@ func wantBytes(t *testing.T, preds []ghsom.Prediction) []byte {
 // member is one in-process fleet replica: a real serve.Registry behind
 // an httptest server whose connections can be severed abruptly — the
 // down flag makes every new request hijack its connection and slam it
-// shut, indistinguishable from the process dying mid-exchange.
+// shut, indistinguishable from the process dying mid-exchange. An armed
+// dieOnDetect kills the member as its next detect arrives, so a drill
+// can kill it mid-stream without racing the stream against a clock.
 type member struct {
-	reg  *serve.Registry
-	srv  *httptest.Server
-	down atomic.Bool
+	reg         *serve.Registry
+	srv         *httptest.Server
+	down        atomic.Bool
+	dieOnDetect atomic.Bool
 }
 
 func (m *member) kill()   { m.down.Store(true); m.srv.CloseClientConnections() }
@@ -113,7 +116,6 @@ func startFleet(t *testing.T, n int, pipe *ghsom.Pipeline) []*member {
 		m.reg = serve.NewRegistry(serve.Config{
 			Instance:    fmt.Sprintf("replica-%d", i),
 			MaxBatch:    64,
-			FlushEvery:  2 * time.Millisecond,
 			Parallelism: 2,
 		})
 		if _, _, err := m.reg.Swap(serve.DefaultModelName, pipe); err != nil {
@@ -121,6 +123,9 @@ func startFleet(t *testing.T, n int, pipe *ghsom.Pipeline) []*member {
 		}
 		inner := m.reg.Mux()
 		m.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/detect" && m.dieOnDetect.CompareAndSwap(true, false) {
+				m.kill()
+			}
 			if m.down.Load() {
 				if hj, ok := w.(http.Hijacker); ok {
 					if conn, _, err := hj.Hijack(); err == nil {
@@ -294,16 +299,10 @@ func TestClusterKillReviveMidStream(t *testing.T) {
 	// Phase 1: whole fleet up.
 	streamPhase(t, client, front.URL, chunks[:12], wants[:12], 3)
 
-	// Phase 2: kill the primary while requests are in flight.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(5 * time.Millisecond)
-		victim.kill()
-	}()
+	// Phase 2: kill the primary as the first detect of the phase reaches
+	// it, with the other streams in flight.
+	victim.dieOnDetect.Store(true)
 	streamPhase(t, client, front.URL, chunks[12:24], wants[12:24], 3)
-	wg.Wait()
 
 	// The death was absorbed: retries happened, the victim's breaker
 	// opened, and the checker marked it dead.
@@ -399,13 +398,21 @@ func TestClusterShardDegradationAndModelFanOut(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{}}
 	defer client.CloseIdleConnections()
 
-	// Distribute a second model through the gateway and verify the
+	// Pick a second model name whose single-owner shard differs from the
+	// default model's owner, so one shard can die while the other serves.
+	defOwner := g.ring.shard(serve.DefaultModelName, 1)[0]
+	alt := "secondary"
+	for i := 1; g.ring.shard(alt, 1)[0] == defOwner; i++ {
+		alt = fmt.Sprintf("secondary-%d", i)
+	}
+
+	// Distribute the second model through the gateway and verify the
 	// fan-out reached (and was verified on) every replica.
 	var envelope bytes.Buffer
 	if err := pipe.Save(&envelope); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post(front.URL+"/model?name=secondary", "application/octet-stream", bytes.NewReader(envelope.Bytes()))
+	resp, err := client.Post(front.URL+"/model?name="+alt, "application/octet-stream", bytes.NewReader(envelope.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,17 +425,9 @@ func TestClusterShardDegradationAndModelFanOut(t *testing.T) {
 		t.Fatalf("fan-out push: status %d, summary %+v", resp.StatusCode, sum)
 	}
 	for _, pr := range sum.Replicas {
-		if !pr.Verified || pr.View == nil || pr.View.Name != "secondary" {
+		if !pr.Verified || pr.View == nil || pr.View.Name != alt {
 			t.Errorf("replica %s push not verified: %+v", pr.Replica, pr)
 		}
-	}
-
-	// Pick a second model name whose single-owner shard differs from the
-	// default model's owner, so one shard can die while the other serves.
-	defOwner := g.ring.shard(serve.DefaultModelName, 1)[0]
-	altOwner := g.ring.shard("secondary", 1)[0]
-	if defOwner == altOwner {
-		t.Skipf("default and secondary hash to the same owner; shard isolation not observable here")
 	}
 
 	eval := recs[100:130]
@@ -454,7 +453,7 @@ func TestClusterShardDegradationAndModelFanOut(t *testing.T) {
 	}
 	// The other shard is untouched: same fleet, same gateway, different
 	// model — byte-identical verdicts keep flowing.
-	status, raw, _ = detectOnce(t, client, front.URL, "secondary", body, 5000)
+	status, raw, _ = detectOnce(t, client, front.URL, alt, body, 5000)
 	if status != http.StatusOK || !bytes.Equal(raw, want) {
 		t.Errorf("surviving shard: status %d, identical=%v — degradation leaked across shards", status, bytes.Equal(raw, want))
 	}

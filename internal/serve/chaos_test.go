@@ -72,7 +72,7 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := testConfig(64, 2*time.Millisecond, 0)
+	cfg := testConfig(64, 0)
 	cfg.QueueCap = 2 // tiny: overload must shed, not queue
 	cfg.DefaultTimeout = 5 * time.Second
 	reg := NewRegistry(cfg)
@@ -207,7 +207,7 @@ func TestSwapUnderDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry(testConfig(64, 2*time.Millisecond, 0))
+	reg := NewRegistry(testConfig(64, 0))
 	defer reg.Close()
 	if _, _, err := reg.Swap(DefaultModelName, pipeA); err != nil {
 		t.Fatal(err)
@@ -333,9 +333,10 @@ func TestSwapUnderDrain(t *testing.T) {
 
 // TestPoisonStormIsolation co-batches poison requests (undecodable
 // symbols on the NDJSON path, NaN payloads on the columnar path) with
-// valid ones: valid clients always get their exact verdicts, poison
-// clients get a 422 naming their own record, and the quarantine counter
-// records the storm.
+// valid ones: each round queues two valid and one poison request behind
+// a held flush, so all three share the next flush. Valid clients always
+// get their exact verdicts, poison clients get a 422 naming their own
+// record, and the quarantine counter records the storm.
 func TestPoisonStormIsolation(t *testing.T) {
 	leakcheck.CheckSlack(t, 2)
 	pipe, recs := testPipeline(t)
@@ -344,8 +345,7 @@ func TestPoisonStormIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Big batch and slow flush so poison and valid jobs share flushes.
-	b := newBatcher(pipe, testConfig(1024, 10*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(1024, 0))
 	defer b.close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /detect", b.handleDetect)
@@ -380,6 +380,7 @@ func TestPoisonStormIsolation(t *testing.T) {
 		}
 	}
 	for r := 0; r < rounds; r++ {
+		lead := holdFlush(t, b, good[:1])
 		wg.Add(3)
 		go post(goodBody, func(status int, raw []byte) string {
 			if status != http.StatusOK {
@@ -402,13 +403,17 @@ func TestPoisonStormIsolation(t *testing.T) {
 			}
 			return ""
 		})
+		waitQueued(t, b, 3)
+		if err := <-lead; err != nil {
+			t.Fatalf("round %d: held job: %v", r, err)
+		}
 		wg.Wait()
 	}
 	for _, f := range fails {
 		t.Error(f)
 	}
-	if q := b.stats.snapshot().Quarantined; q < rounds {
-		t.Errorf("quarantined = %d, want >= %d", q, rounds)
+	if q := b.stats.snapshot().Quarantined; q != rounds {
+		t.Errorf("quarantined = %d, want %d", q, rounds)
 	}
 
 	// Columnar storm: a frame with a raw NaN (inexpressible in JSON,
@@ -439,7 +444,7 @@ func TestPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(pipe, testConfig(64, 2*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(64, 0))
 	defer b.close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /detect", b.handleDetect)
@@ -495,7 +500,7 @@ func TestPanicIsolation(t *testing.T) {
 // throughout.
 func TestHealthzLifecycle(t *testing.T) {
 	pipe, _ := testPipeline(t)
-	reg := NewRegistry(testConfig(64, 2*time.Millisecond, 0))
+	reg := NewRegistry(testConfig(64, 0))
 	defer reg.Close()
 	srv := httptest.NewServer(reg.Mux())
 	defer srv.Close()
@@ -550,7 +555,7 @@ func TestFaultInjectionSmoke(t *testing.T) {
 		window = d
 	}
 	eval := recs[:16]
-	cfg := testConfig(64, 2*time.Millisecond, 0)
+	cfg := testConfig(64, 0)
 	cfg.DefaultTimeout = 5 * time.Second
 	reg := NewRegistry(cfg)
 	defer reg.Close()

@@ -72,8 +72,11 @@ type Config struct {
 	// Instance is the server's stable identity (the -instance flag,
 	// defaulting to hostname:port), echoed on every response and in
 	// /stats so cluster rollups can attribute state to replicas.
-	Instance   string
-	MaxBatch   int
+	Instance string
+	// MaxBatch is the record count at which a flush stops taking queued
+	// jobs; a single larger job still flushes whole.
+	MaxBatch int
+	// Deprecated: ignored; the batcher flushes as soon as the dataplane is free.
 	FlushEvery time.Duration
 	// Parallelism is the detection worker bound (0 = GOMAXPROCS).
 	Parallelism int
@@ -537,9 +540,10 @@ func (s *serveStats) noteError(err error, quarantine bool) {
 
 // StatsView is the marshal-safe derived view served on /stats. The
 // worker-pool gauges (WorkerBound, BusyWorkers, IdleWorkers, QueueDepth)
-// are point-in-time snapshots for diagnosing scaling stalls: a saturated
-// queue with idle workers points at batching latency, busy workers with
-// a deep queue at CPU saturation.
+// are point-in-time snapshots for diagnosing scaling stalls. The batcher
+// flushes whenever the dataplane is free, so a non-zero QueueDepth means
+// the dataplane is busy, never that requests wait on a batching timer;
+// busy workers with a deep queue point at CPU saturation.
 type StatsView struct {
 	// Instance is the server's stable identity (Config.Instance), so a
 	// cluster rollup can attribute this document to a replica.
@@ -619,8 +623,10 @@ func (s *serveStats) snapshot() StatsView {
 	return out
 }
 
-// batcher accumulates jobs into micro-batches and flushes them through
-// DetectBatch on size or deadline. The pipeline pointer is atomic: a
+// batcher coalesces jobs into micro-batches, flushed through DetectBatch
+// as soon as the dataplane is free, up to maxBatch records: jobs that
+// arrive during a flush share the next one, so batches grow with load
+// and an idle server adds no linger. The pipeline pointer is atomic: a
 // model hot-swap stores a new pipeline, each flush loads the pointer
 // exactly once, so every batch runs whole against one model — requests
 // are never split or torn across a swap. Admission is the bounded
@@ -630,7 +636,6 @@ func (s *serveStats) snapshot() StatsView {
 type batcher struct {
 	pipe           atomic.Pointer[ghsom.Pipeline]
 	maxBatch       int
-	flushEvery     time.Duration
 	maxBody        int64
 	par            int
 	defaultTimeout time.Duration
@@ -644,7 +649,6 @@ type batcher struct {
 func newBatcher(pipe *ghsom.Pipeline, cfg Config) *batcher {
 	b := &batcher{
 		maxBatch:       cfg.MaxBatch,
-		flushEvery:     cfg.FlushEvery,
 		maxBody:        cfg.MaxBody,
 		par:            cfg.Parallelism,
 		defaultTimeout: cfg.DefaultTimeout,
@@ -685,72 +689,57 @@ var errUnloaded = fmt.Errorf("model unloaded")
 // batch could serve them.
 var errDeadline = fmt.Errorf("deadline exceeded before detection completed")
 
-// loop is the micro-batching core: it drains the job channel, flushing
-// the pending batch when it reaches maxBatch records or when the oldest
-// pending job has waited flushEvery.
+// loop is the work-conserving micro-batching core: it blocks for the
+// first job, drains without blocking whatever is already queued until
+// the batch holds maxBatch records, and flushes at once. Jobs that
+// arrive during a flush queue behind it and form the next batch, so
+// batches grow with load while no job ever waits on an idle dataplane.
 func (b *batcher) loop() {
 	defer b.wg.Done()
 	var (
 		pending []*job
 		size    int
-		timer   *time.Timer
-		timeout <-chan time.Time
 	)
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timeout = nil, nil
-		}
-		if len(pending) == 0 {
-			return
-		}
-		b.flush(pending, size)
-		pending, size = nil, 0
-	}
-	take := func(j *job) bool {
+	take := func(j *job) {
 		b.q.ObserveWait(time.Since(j.enqueuedAt))
 		if !b.q.Alive(j, time.Now()) {
 			// Expired while queued: fail it now, spend nothing on it.
 			j.err = errDeadline
 			close(j.done)
-			return false
+			return
 		}
-		return true
+		pending = append(pending, j)
+		size += len(j.records)
+	}
+	// drain takes already-queued jobs, never blocking, until the batch
+	// holds at least limit records.
+	drain := func(limit int) {
+		for size < limit {
+			select {
+			case j := <-b.q.C():
+				take(j)
+			default:
+				return
+			}
+		}
+	}
+	flush := func() {
+		if len(pending) > 0 {
+			b.flush(pending, size)
+		}
+		pending, size = nil, 0
 	}
 	for {
 		select {
 		case j := <-b.q.C():
-			if !take(j) {
-				continue
-			}
-			pending = append(pending, j)
-			size += len(j.records)
-			if size >= b.maxBatch {
-				flush()
-				continue
-			}
-			if timer == nil {
-				timer = time.NewTimer(b.flushEvery)
-				timeout = timer.C
-			}
-		case <-timeout:
-			timer, timeout = nil, nil
+			take(j)
+			drain(b.maxBatch)
 			flush()
 		case <-b.quit:
 			// Drain whatever arrived before shutdown so no job hangs.
-			for {
-				select {
-				case j := <-b.q.C():
-					if !take(j) {
-						continue
-					}
-					pending = append(pending, j)
-					size += len(j.records)
-				default:
-					flush()
-					return
-				}
-			}
+			drain(math.MaxInt)
+			flush()
+			return
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ghsom"
+	"ghsom/internal/faultinject"
 	"ghsom/internal/kdd"
 	"ghsom/internal/trafficgen"
 )
@@ -53,12 +54,11 @@ func testPipeline(t *testing.T) (*ghsom.Pipeline, []kdd.Record) {
 	return servePipe.pipe, servePipe.recs
 }
 
-// testConfig builds a Config with the given batching knobs and
-// production-default caps.
-func testConfig(maxBatch int, flushEvery time.Duration, par int) Config {
+// testConfig builds a Config with the given batch cap and worker bound
+// and production-default caps.
+func testConfig(maxBatch, par int) Config {
 	return Config{
 		MaxBatch:    maxBatch,
-		FlushEvery:  flushEvery,
 		Parallelism: par,
 		QueueCap:    DefaultQueueCap,
 		MaxBody:     DefaultMaxBodyBytes,
@@ -96,10 +96,55 @@ func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 	return out
 }
 
-// TestBatcherCoalescesAndMatchesDetectAll submits many small concurrent
-// requests through the micro-batcher and verifies every client gets the
-// same predictions the direct batch path produces, and that coalescing
-// actually happened (fewer batches than jobs).
+// flushHold is how long holdFlush stalls the dataplane: ample time for a
+// test to queue its jobs behind the held flush.
+const flushHold = 500 * time.Millisecond
+
+// holdFlush starts one flush of lead that stalls inside the dataplane
+// for flushHold (a one-shot dataplane-latency fault) and returns once the
+// stall has begun. Jobs pushed while it is held queue up and must share
+// the next flush. The returned channel yields the lead job's error.
+func holdFlush(t *testing.T, b *batcher, lead []kdd.Record) <-chan error {
+	t.Helper()
+	t.Cleanup(faultinject.Disarm)
+	base := faultinject.Hits(faultinject.DataplaneLatency)
+	if err := faultinject.Arm(fmt.Sprintf("%s=latency:%v:1", faultinject.DataplaneLatency, flushHold)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.submit(context.Background(), lead, time.Time{})
+		done <- err
+	}()
+	waitUntil(t, "the held flush to start", func() bool {
+		return faultinject.Hits(faultinject.DataplaneLatency) == base+1
+	})
+	return done
+}
+
+// waitQueued waits until n jobs wait in b's admission queue behind a held
+// flush.
+func waitQueued(t *testing.T, b *batcher, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d queued jobs (flushHold too short?)", n), func() bool {
+		return b.q.Depth() == n
+	})
+}
+
+// waitUntil polls cond, failing the test if it does not hold within 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestBatcherCoalescesAndMatchesDetectAll queues many small requests
+// behind a held flush and verifies they coalesce into exactly one
+// following flush, with every client getting the same predictions the
+// direct batch path produces.
 func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[:600]
@@ -107,9 +152,10 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(pipe, testConfig(128, 5*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(1024, 0))
 	defer b.close()
 
+	lead := holdFlush(t, b, recs[600:601])
 	const jobRecs = 5
 	nJobs := len(eval) / jobRecs
 	got := make([][]ghsom.Prediction, nJobs)
@@ -121,6 +167,10 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 			defer wg.Done()
 			got[j], errs[j] = b.submit(context.Background(), eval[j*jobRecs:(j+1)*jobRecs], time.Time{})
 		}(j)
+	}
+	waitQueued(t, b, nJobs)
+	if err := <-lead; err != nil {
+		t.Fatalf("held job: %v", err)
 	}
 	wg.Wait()
 	for j := 0; j < nJobs; j++ {
@@ -134,17 +184,18 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 		}
 	}
 	snap := b.stats.snapshot()
-	if snap.Records != int64(nJobs*jobRecs) {
-		t.Errorf("stats.records = %d, want %d", snap.Records, nJobs*jobRecs)
+	if snap.Records != int64(nJobs*jobRecs+1) {
+		t.Errorf("stats.records = %d, want %d", snap.Records, nJobs*jobRecs+1)
 	}
-	if snap.Batches >= int64(nJobs) {
-		t.Errorf("micro-batching did not coalesce: %d batches for %d jobs", snap.Batches, nJobs)
+	// The held flush plus one flush serving every queued job.
+	if snap.Batches != 2 || snap.MaxBatchSize != nJobs*jobRecs {
+		t.Errorf("%d queued jobs did not share one flush: %d batches, largest %d records", nJobs, snap.Batches, snap.MaxBatchSize)
 	}
 	// Queue-wait aggregates: every dequeued job observed a wait, and a
 	// scrape drains the window.
 	waits := b.q.TakeWaitStats()
-	if waits.Count < int64(nJobs) {
-		t.Errorf("wait stats count = %d, want >= %d", waits.Count, nJobs)
+	if waits.Count != int64(nJobs+1) {
+		t.Errorf("wait stats count = %d, want %d", waits.Count, nJobs+1)
 	}
 	if waits.Max < waits.Mean {
 		t.Errorf("wait stats max %v < mean %v", waits.Max, waits.Mean)
@@ -154,25 +205,60 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	}
 }
 
-// TestBatcherIsolatesBadJob verifies a bad record in one client's request
-// does not fail co-batched valid requests, and that the failing client's
-// error carries its own record index, not the merged batch's.
+// TestBatcherFlushesLoneJobWithoutLinger pins the work-conserving flush
+// policy: a lone job on an idle batcher is served at once, whatever the
+// deprecated FlushEvery says, and a lone job above MaxBatch still flushes
+// alone and whole.
+func TestBatcherFlushesLoneJobWithoutLinger(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	cfg := testConfig(8, 0)
+	cfg.FlushEvery = time.Hour
+	b := newBatcher(pipe, cfg)
+	defer b.close()
+	for _, n := range []int{1, 20} { // below and above MaxBatch
+		want, err := pipe.DetectAll(recs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		got, err := b.submit(ctx, recs[:n], time.Time{})
+		cancel()
+		if err != nil {
+			t.Fatalf("lone %d-record job: %v", n, err)
+		}
+		if !predsEqual(got, want) {
+			t.Fatalf("lone %d-record job: verdicts differ from the direct path", n)
+		}
+	}
+	if snap := b.stats.snapshot(); snap.Batches != 2 || snap.MaxBatchSize != 20 {
+		t.Errorf("stats = %d batches, largest %d records; want 2 batches, largest 20", snap.Batches, snap.MaxBatchSize)
+	}
+}
+
+// TestBatcherIsolatesBadJob co-batches a bad record in one client's
+// request with a valid request behind a held flush: the valid job must
+// not fail, and the failing client's error must carry its own record
+// index, not the merged batch's.
 func TestBatcherIsolatesBadJob(t *testing.T) {
 	pipe, recs := testPipeline(t)
-	// Large flush window + batch so both jobs coalesce into one flush.
-	b := newBatcher(pipe, testConfig(1024, 50*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(1024, 0))
 	defer b.close()
 
 	good := recs[:20]
 	bad := append([]kdd.Record(nil), recs[20:30]...)
 	bad[7].Flag = "BOGUS"
 
+	lead := holdFlush(t, b, recs[30:31])
 	var wg sync.WaitGroup
 	var goodPreds, badPreds []ghsom.Prediction
 	var goodErr, badErr error
 	wg.Add(2)
 	go func() { defer wg.Done(); goodPreds, goodErr = b.submit(context.Background(), good, time.Time{}) }()
 	go func() { defer wg.Done(); badPreds, badErr = b.submit(context.Background(), bad, time.Time{}) }()
+	waitQueued(t, b, 2)
+	if err := <-lead; err != nil {
+		t.Fatalf("held job: %v", err)
+	}
 	wg.Wait()
 
 	if goodErr != nil {
@@ -182,10 +268,8 @@ func TestBatcherIsolatesBadJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if goodPreds[i] != want[i] {
-			t.Fatalf("record %d: isolated retry %+v, direct %+v", i, goodPreds[i], want[i])
-		}
+	if !predsEqual(goodPreds, want) {
+		t.Fatalf("valid job: isolated retry %+v, direct %+v", goodPreds, want)
 	}
 	if badErr == nil || !strings.Contains(badErr.Error(), "record 7") {
 		t.Errorf("bad job err = %v, want its own record 7", badErr)
@@ -193,13 +277,16 @@ func TestBatcherIsolatesBadJob(t *testing.T) {
 	if badPreds != nil {
 		t.Error("bad job received predictions despite error")
 	}
+	if q := b.stats.snapshot().Quarantined; q != 1 {
+		t.Errorf("quarantined = %d, want 1", q)
+	}
 }
 
 // TestHandleDetectHTTP exercises the HTTP surface end to end.
 func TestHandleDetectHTTP(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[100:160]
-	cfg := testConfig(64, 2*time.Millisecond, 0)
+	cfg := testConfig(64, 0)
 	cfg.Instance = "test-replica-1"
 	reg := NewRegistry(cfg)
 	defer reg.Close()
@@ -306,7 +393,7 @@ func TestRegistryHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry(testConfig(64, time.Millisecond, 0))
+	reg := NewRegistry(testConfig(64, 0))
 	defer reg.Close()
 	reg.Swap(DefaultModelName, pipeA)
 	srv := httptest.NewServer(reg.Mux())
@@ -439,7 +526,7 @@ func TestRegistryNamedModels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry(testConfig(64, time.Millisecond, 0))
+	reg := NewRegistry(testConfig(64, 0))
 	defer reg.Close()
 	reg.Swap(DefaultModelName, pipeA)
 	srv := httptest.NewServer(reg.Mux())
@@ -572,7 +659,7 @@ func columnarBody(t *testing.T, recs []kdd.Record) []byte {
 func TestHandleDetectColumnar(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[300:500]
-	b := newBatcher(pipe, testConfig(64, 2*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(64, 0))
 	defer b.close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /detect", b.handleDetect)
@@ -647,7 +734,7 @@ func TestHandleDetectColumnar(t *testing.T) {
 func TestDetectBodyCap413(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[:64]
-	b := newBatcher(pipe, testConfig(64, 2*time.Millisecond, 0))
+	b := newBatcher(pipe, testConfig(64, 0))
 	b.maxBody = 2048 // tiny cap for the test
 	defer b.close()
 	mux := http.NewServeMux()
@@ -700,7 +787,7 @@ func TestDetectBodyCap413(t *testing.T) {
 // TestModelUploadCap413 pins the -max-model contract on POST /model.
 func TestModelUploadCap413(t *testing.T) {
 	pipe, _ := testPipeline(t)
-	cfg := testConfig(64, time.Millisecond, 0)
+	cfg := testConfig(64, 0)
 	cfg.MaxModel = 4096
 	reg := NewRegistry(cfg)
 	defer reg.Close()
