@@ -8,8 +8,8 @@ import (
 
 // TestColumnarIngestSpeedup gates the wire-format acceptance bar: the
 // columnar parse+encode dataplane must sustain at least 3x the NDJSON
-// path's records/sec. The measured margin is ~15-20x, so the 3x gate has
-// an order of magnitude of headroom against machine noise; it exists to
+// path's records/sec. The measured margin is ~9x, so the 3x gate has
+// threefold headroom against machine noise; it exists to
 // catch regressions that would erase the format's reason to exist, not
 // to benchmark precisely. Skipped with -short (timing-sensitive).
 func TestColumnarIngestSpeedup(t *testing.T) {

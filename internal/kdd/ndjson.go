@@ -3,24 +3,29 @@ package kdd
 // Allocation-lean NDJSON record parsing: the legacy /detect wire format.
 //
 // encoding/json's Decoder costs several allocations and a reflection
-// walk per record, which at PR-5 detection rates makes the wire step
-// more expensive than the math. RecordParser keeps the generality of
-// the stream format (whitespace-separated JSON values, exactly like
-// json.Decoder) but parses the overwhelmingly common shape — a flat
-// object with exact Go field names, plain strings, plain numbers —
-// with a hand-rolled scanner that reuses one buffer and interns the
-// small categorical vocabularies, so the steady state allocates
-// nothing per record. Anything outside that shape (escaped strings,
-// case-folded or unknown keys, nested values, malformed numbers) falls
-// back to json.Unmarshal over the same bytes, so accepted inputs and
-// error behavior match the stock decoder.
+// walk per record, which at live detection rates makes the wire step
+// more expensive than the math. RecordParser accepts the same stream
+// (whitespace-separated JSON values, exactly like json.Decoder) but
+// parses the common shape in one pass: a value starting with '{' is
+// framed by the next newline (bytes.IndexByte, refilling up to the
+// record cap) and that trimmed line is parsed once as a flat object
+// with exact Go field names, plain strings and plain numbers, reusing
+// one buffer and interned categorical strings, so the steady state
+// allocates nothing per record. Any other line (several values,
+// pretty-printed, escapes, case-folded or unknown keys, non-objects, no
+// newline before the cap) falls through unchanged to brace-balancing
+// scanValue plus json.Unmarshal, so accept/reject behavior matches the
+// stock decoder. Read errors are sticky, so an error the newline
+// look-ahead met is what the fallback reports.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // maxNDJSONRecordBytes caps one JSON value in the stream; a request
@@ -35,11 +40,14 @@ const ndjsonReadChunk = 32 << 10
 // It is not safe for concurrent use; pool parsers across requests via
 // Reset.
 type RecordParser struct {
-	r      io.Reader
-	buf    []byte
-	pos    int  // next unread byte in buf
-	eof    bool // underlying reader exhausted
-	intern map[string]string
+	r   io.Reader
+	buf []byte
+	pos int   // next unread byte in buf
+	eof bool  // underlying reader exhausted
+	err error // first non-EOF read error; sticky
+	// buf[pos:lineEnd] holds no '\n': framing never rescans a byte.
+	lineEnd int
+	intern  map[string]string
 }
 
 // NewRecordParser returns a parser reading from r.
@@ -55,8 +63,8 @@ func NewRecordParser(r io.Reader) *RecordParser {
 func (p *RecordParser) Reset(r io.Reader) {
 	p.r = r
 	p.buf = p.buf[:0]
-	p.pos = 0
-	p.eof = false
+	p.pos, p.lineEnd = 0, 0
+	p.eof, p.err = false, nil
 }
 
 // Next parses the next record in the stream into rec (which is zeroed
@@ -66,11 +74,18 @@ func (p *RecordParser) Next(rec *Record) error {
 	if err := p.skipSpace(); err != nil {
 		return err // io.EOF here is a clean end of stream
 	}
+	*rec = Record{}
+	if p.buf[p.pos] == '{' {
+		if line, ok := p.frameLine(); ok && p.parseObjectFast(line, rec) {
+			p.pos += len(line)
+			return nil
+		}
+		*rec = Record{}
+	}
 	val, err := p.scanValue()
 	if err != nil {
 		return err
 	}
-	*rec = Record{}
 	if val[0] == '{' {
 		if p.parseObjectFast(val, rec) {
 			return nil
@@ -85,11 +100,42 @@ func (p *RecordParser) Next(rec *Record) error {
 	return nil
 }
 
+// frameLine returns the line at p.pos minus its newline and trailing
+// whitespace (the stream's last line needs no newline). It reports false
+// on a read error or no newline within maxNDJSONRecordBytes; scanValue,
+// which has no per-line cap, then takes over.
+func (p *RecordParser) frameLine() ([]byte, bool) {
+	for {
+		p.lineEnd = max(p.lineEnd, p.pos)
+		if i := bytes.IndexByte(p.buf[p.lineEnd:], '\n'); i >= 0 {
+			p.lineEnd += i
+			break
+		}
+		p.lineEnd = len(p.buf)
+		if len(p.buf)-p.pos >= maxNDJSONRecordBytes {
+			return nil, false
+		}
+		if _, err := p.fill(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, false
+		}
+	}
+	end := p.lineEnd
+	for end > p.pos && isJSONSpace(p.buf[end-1]) {
+		end--
+	}
+	return p.buf[p.pos:end], true
+}
+
 // fill discards the consumed prefix of the buffer and appends up to
 // ndjsonReadChunk more bytes from the reader. It returns how many bytes
-// were discarded: p.pos is adjusted here, but any extra indices a caller
-// holds into p.buf must be reduced by the same amount.
+// were discarded (p.pos and p.lineEnd are adjusted here; other indices
+// into p.buf must drop as much). The first non-EOF read error is sticky.
 func (p *RecordParser) fill() (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
 	if p.eof {
 		return 0, io.EOF
 	}
@@ -99,6 +145,7 @@ func (p *RecordParser) fill() (int, error) {
 		n := copy(p.buf, p.buf[p.pos:])
 		p.buf = p.buf[:n]
 		p.pos = 0
+		p.lineEnd -= slid
 	}
 	if len(p.buf) >= maxNDJSONRecordBytes {
 		return slid, fmt.Errorf("kdd: JSON record exceeds %d bytes", maxNDJSONRecordBytes)
@@ -118,6 +165,7 @@ func (p *RecordParser) fill() (int, error) {
 		}
 		return slid, nil
 	}
+	p.err = err
 	return slid, err
 }
 
@@ -249,8 +297,7 @@ func unexpectedEnd(err error) error {
 
 // parseObjectFast parses a flat Record object with exact field names.
 // It reports false — leaving rec partially written — whenever the input
-// steps outside the fast shape; the caller falls back to json.Unmarshal
-// over the same bytes.
+// steps outside the fast shape; the caller then falls back.
 func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 	i := 1 // past '{'
 	skip := func() {
@@ -267,17 +314,15 @@ func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 		if i >= len(val) || val[i] != '"' {
 			return false
 		}
-		// Key: plain string, no escapes.
+		// Key: runs to the next quote. A key with escapes matches no
+		// field name, so assignField rejects it.
 		i++
-		ks := i
-		for i < len(val) && val[i] != '"' && val[i] != '\\' {
-			i++
-		}
-		if i >= len(val) || val[i] == '\\' {
+		n := bytes.IndexByte(val[i:], '"')
+		if n < 0 {
 			return false
 		}
-		key := val[ks:i]
-		i++
+		key := val[i : i+n]
+		i += n + 1
 		skip()
 		if i >= len(val) || val[i] != ':' {
 			return false
@@ -434,11 +479,11 @@ func (p *RecordParser) assignField(key, val []byte, i *int, rec *Record) bool {
 			return false
 		}
 		j := *i + 1
-		for j < len(val) && val[j] != '"' && val[j] != '\\' {
+		for j < len(val) && val[j] != '"' && val[j] != '\\' && val[j] >= 0x20 {
 			j++
 		}
-		if j >= len(val) || val[j] == '\\' {
-			return false // escapes take the slow path
+		if j >= len(val) || val[j] != '"' || !utf8.Valid(val[*i+1:j]) {
+			return false // escapes, control bytes, bad UTF-8: slow path
 		}
 		*sp = p.internString(val[*i+1 : j])
 		*i = j + 1
@@ -592,8 +637,8 @@ func ReadRecordsNDJSON(r io.Reader, dst []Record, maxRecords int) ([]Record, err
 
 // AppendAll drains the parser's stream into dst.
 func (p *RecordParser) AppendAll(dst []Record, maxRecords int) ([]Record, error) {
+	var rec Record // escapes via json.Unmarshal: declare once, not per record
 	for line := len(dst) + 1; ; line++ {
-		var rec Record
 		if len(dst) < cap(dst) {
 			dst = dst[:len(dst)+1]
 			err := p.Next(&dst[len(dst)-1])

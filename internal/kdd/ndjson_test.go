@@ -3,11 +3,14 @@ package kdd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"iter"
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // decodeRef is the reference implementation the fast parser must match:
@@ -28,7 +31,12 @@ func decodeRef(input string) ([]Record, error) {
 
 // parseFast drains the input through RecordParser.
 func parseFast(input string) ([]Record, error) {
-	p := NewRecordParser(strings.NewReader(input))
+	return parseReader(strings.NewReader(input))
+}
+
+// parseReader drains r through RecordParser.
+func parseReader(r io.Reader) ([]Record, error) {
+	p := NewRecordParser(r)
 	var out []Record
 	for {
 		var rec Record
@@ -66,12 +74,13 @@ func recordsBitEqual(a, b []Record) bool {
 	return true
 }
 
-// checkParserEquivalence asserts RecordParser and json.Decoder agree on
-// input: same records bit-for-bit, and errors on the same record index.
-func checkParserEquivalence(t *testing.T, input string) {
+// checkParserEquivalence asserts RecordParser reading input through r
+// and json.Decoder agree: same records bit-for-bit, and errors on the
+// same record index.
+func checkParserEquivalence(t *testing.T, input string, r io.Reader) {
 	t.Helper()
 	want, wantErr := decodeRef(input)
-	got, gotErr := parseFast(input)
+	got, gotErr := parseReader(r)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("input %q:\n decoder err: %v\n parser err:  %v", input, wantErr, gotErr)
 	}
@@ -88,6 +97,8 @@ func ndjsonTestInputs() iter.Seq[string] {
 		for i := range records {
 			enc.Encode(&records[i])
 		}
+		full := marshaled.String()
+		line0, line1 := full[:strings.IndexByte(full, '\n')], `{"Duration":2,"Protocol":"udp"}`
 		var pretty bytes.Buffer
 		ind := json.NewEncoder(&pretty)
 		ind.SetIndent("", "  ")
@@ -139,8 +150,25 @@ func ndjsonTestInputs() iter.Seq[string] {
 			`{"Duration": 1}{`,
 			// Duplicate keys: last wins in both.
 			`{"Duration": 1, "Duration": 2}`,
-			// Unicode in symbols.
+			// Unicode in symbols; raw control bytes and invalid UTF-8,
+			// which json.Unmarshal rejects or rewrites to U+FFFD.
 			`{"Service": "héttp", "Label": "日本語"}`,
+			"{\"Service\": \"a\tb\"}",
+			"{\"Label\": \"x\x01\"}\n",
+			"{\"Service\": \"\xff\xfe\"}\n",
+			// Newline framing: CRLF endings, two objects on one line,
+			// trailing spaces/tabs, no final newline, blank and
+			// whitespace-only lines, garbage after a valid object.
+			line0 + "\r\n" + line1 + "\r\n",
+			line0 + "   " + line1 + "\n" + line1 + "\n",
+			line0 + " \t \n" + line1 + "\t\n",
+			line0 + "\n" + line1,
+			line0 + "\n\n   \n\t\r\n\n" + line1 + "\n \n",
+			line1 + "\n" + line0 + " garbage\n" + line1 + "\n",
+			line1 + "\n" + line0 + "}\n",
+			// One record longer than the read chunk: framing refills
+			// mid-line.
+			line1 + "\n" + `{"Service": "` + strings.Repeat("s", ndjsonReadChunk+100) + `", "Duration": 3}` + "\n" + line0 + "\n",
 		}
 		for _, in := range inputs {
 			if !yield(in) {
@@ -152,20 +180,24 @@ func ndjsonTestInputs() iter.Seq[string] {
 
 func TestRecordParserMatchesJSONDecoder(t *testing.T) {
 	for input := range ndjsonTestInputs() {
-		checkParserEquivalence(t, input)
+		checkParserEquivalence(t, input, strings.NewReader(input))
 	}
 }
 
-// TestRecordParserSmallReads feeds the stream one byte at a time so
-// every refill/slide boundary inside scanValue is crossed mid-value.
+// TestRecordParserSmallReads feeds every stream one byte at a time so
+// every refill/slide boundary inside framing and scanValue is crossed
+// mid-value.
 func TestRecordParserSmallReads(t *testing.T) {
+	for input := range ndjsonTestInputs() {
+		checkParserEquivalence(t, input, iotest.OneByteReader(strings.NewReader(input)))
+	}
 	records := columnarTestRecords(30)
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := range records {
 		enc.Encode(&records[i])
 	}
-	p := NewRecordParser(iotest(buf.Bytes()))
+	p := NewRecordParser(iotest.OneByteReader(&buf))
 	var got []Record
 	for {
 		var rec Record
@@ -183,18 +215,54 @@ func TestRecordParserSmallReads(t *testing.T) {
 	}
 }
 
-// iotest returns a reader yielding one byte per Read call.
-func iotest(b []byte) io.Reader { return &oneByteReader{b: b} }
-
-type oneByteReader struct{ b []byte }
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
+// TestRecordParserReadErrors pins which record a read error is reported
+// at. The newline look-ahead may meet the error before the record would
+// need those bytes; the error must stick rather than be read past.
+func TestRecordParserReadErrors(t *testing.T) {
+	records := columnarTestRecords(6)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range records {
+		enc.Encode(&records[i])
 	}
-	p[0] = r.b[0]
-	r.b = r.b[1:]
-	return 1, nil
+	stream := buf.Bytes()
+	if bytes.Count(stream[:1000], []byte("\n")) != 1 {
+		t.Fatal("corpus must hold exactly one full record in its first 1000 bytes")
+	}
+	for _, tc := range []struct {
+		name    string
+		r       io.Reader
+		records int
+		err     string
+	}{
+		{"timeout-one-byte", iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader(stream))), 0, "record 1: timeout"},
+		{"timeout-half", iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(stream))), 6, "record 7: timeout"},
+		{"err-mid-record", io.MultiReader(bytes.NewReader(stream[:1000]), iotest.ErrReader(errors.New("boom"))), 1, "record 2: boom"},
+	} {
+		got, err := ReadRecordsNDJSON(tc.r, nil, 0)
+		if len(got) != tc.records || err == nil || err.Error() != tc.err {
+			t.Errorf("%s: %d records, err %v; want %d records, err %q", tc.name, len(got), err, tc.records, tc.err)
+		}
+		if !recordsBitEqual(records[:len(got)], got) {
+			t.Errorf("%s: records diverged from input", tc.name)
+		}
+	}
+}
+
+// TestRecordParserLongLine checks framing imposes no per-line cap: one
+// line longer than maxNDJSONRecordBytes made of small objects still
+// parses, exactly as json.Decoder reads it.
+func TestRecordParserLongLine(t *testing.T) {
+	var b strings.Builder
+	for b.Len() <= maxNDJSONRecordBytes+1000 {
+		fmt.Fprintf(&b, `{"Duration":%d,"Protocol":"tcp"} `, b.Len())
+	}
+	b.WriteString("\n" + `{"Duration":1}` + "\n")
+	input := b.String()
+	checkParserEquivalence(t, input, strings.NewReader(input))
+	if _, err := parseFast(input); err != nil {
+		t.Fatalf("long line: %v", err)
+	}
 }
 
 // TestRecordParserLargeStreamBuffer checks the buffer does not grow with
@@ -271,6 +339,35 @@ func TestRecordParserSteadyStateAllocs(t *testing.T) {
 	perRecord := allocs / float64(len(records))
 	if perRecord > 0.05 {
 		t.Fatalf("fast NDJSON path allocates %.3f/record, want <= 0.05", perRecord)
+	}
+}
+
+// TestAppendAllSteadyStateAllocs drives AppendAll into a dst with spare
+// capacity: records land in place, with no heap Record per record.
+func TestAppendAllSteadyStateAllocs(t *testing.T) {
+	records := columnarTestRecords(100)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range records {
+		enc.Encode(&records[i])
+	}
+	stream := buf.Bytes()
+	dst := make([]Record, 0, len(records)+1)
+	p := NewRecordParser(bytes.NewReader(stream))
+	if _, err := p.AppendAll(dst, 0); err != nil { // warm up
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(stream)
+		p.Reset(rd)
+		got, err := p.AppendAll(dst, 0)
+		if err != nil || len(got) != len(records) {
+			t.Fatalf("AppendAll: %d records, err %v", len(got), err)
+		}
+	})
+	if perRecord := allocs / float64(len(records)); perRecord > 0.05 {
+		t.Fatalf("AppendAll allocates %.3f/record, want <= 0.05", perRecord)
 	}
 }
 

@@ -902,8 +902,8 @@ func (b *batcher) submit(ctx context.Context, records []kdd.Record, deadline tim
 var parserPool = sync.Pool{New: func() any { return kdd.NewRecordParser(nil) }}
 
 // readRecords parses NDJSON records with the pooled allocation-lean
-// parser, reporting the line of the first malformed one. Accept/reject
-// behavior matches the json.Decoder loop it replaced.
+// parser, reporting the 1-based index of the first malformed record.
+// Accept/reject behavior matches the json.Decoder loop it replaced.
 func readRecords(r io.Reader, maxRecords int) ([]kdd.Record, error) {
 	if err := faultinject.Hit(faultinject.DecodeError); err != nil {
 		return nil, err
