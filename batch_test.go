@@ -2,7 +2,6 @@ package ghsom
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -152,47 +151,26 @@ func TestPipelineSaveLoadPersistsConfig(t *testing.T) {
 // TestLoadPipelineVersion1Compat verifies a v1 envelope (no config
 // fields) still loads, with the config fields at their zero values.
 func TestLoadPipelineVersion1Compat(t *testing.T) {
-	train := testRecords(t)
-	pipe, err := TrainPipeline(train, quickPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := pipe.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the envelope as version 1 without the v2 config fields.
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	env["version"] = json.RawMessage("1")
-	delete(env, "trainCapPerLabel")
-	delete(env, "seed")
-	delete(env, "parallelism")
-	v1, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPipeline(bytes.NewReader(v1))
+	v2 := readFixture(t, fixtureV2)
+	loaded, err := LoadPipeline(bytes.NewReader(v1Envelope(t, v2)))
 	if err != nil {
 		t.Fatalf("v1 envelope rejected: %v", err)
+	}
+	if loaded.EnvelopeVersion() != 1 {
+		t.Fatalf("envelope version = %d, want 1", loaded.EnvelopeVersion())
 	}
 	if got := loaded.Config(); got.TrainCapPerLabel != 0 || got.Seed != 0 || got.Parallelism != 0 {
 		t.Errorf("v1 config fields = %+v, want zero values", got)
 	}
-	// Verdicts still identical after the v1 load.
-	for i := 0; i < len(train); i += 211 {
-		p1, err := pipe.Detect(&train[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := loaded.Detect(&train[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p1 != p2 {
-			t.Fatalf("record %d verdict differs after v1 load: %+v vs %+v", i, p1, p2)
+	// Verdicts still identical to the v2 load.
+	ref, err := LoadPipeline(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := fixtureVerdicts(t, ref), fixtureVerdicts(t, loaded)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d verdict differs after v1 load: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -1,11 +1,10 @@
 // Command ghsom-train trains a GHSOM detection pipeline on a
 // kddcup.data-format CSV (real or generated by trafficgen) and writes the
-// trained pipeline as JSON.
+// trained pipeline as a binary v3 envelope.
 //
 // Usage:
 //
 //	ghsom-train -in train.csv -model model.bin -tau1 0.6 -tau2 0.03
-//	ghsom-train -in train.csv -model model.json -json   # legacy JSON envelope
 package main
 
 import (
@@ -30,7 +29,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ghsom-train", flag.ContinueOnError)
 	in := fs.String("in", "", "training CSV in kddcup.data format (required)")
 	out := fs.String("model", "model.bin", "output model file")
-	asJSON := fs.Bool("json", false, "write the legacy JSON envelope (v2) instead of binary v3")
 	tau1 := fs.Float64("tau1", 0.6, "GHSOM breadth parameter")
 	tau2 := fs.Float64("tau2", 0.03, "GHSOM depth parameter")
 	maxDepth := fs.Int("max-depth", 4, "maximum hierarchy depth")
@@ -105,11 +103,7 @@ func run(args []string) error {
 		return err
 	}
 	defer of.Close()
-	save := pipe.Save
-	if *asJSON {
-		save = pipe.SaveJSON
-	}
-	if err := save(of); err != nil {
+	if err := pipe.Save(of); err != nil {
 		return err
 	}
 

@@ -34,7 +34,7 @@ func writeTrace(t *testing.T, seed int64) string {
 
 func TestRunTrainsAndSaves(t *testing.T) {
 	in := writeTrace(t, 51)
-	model := filepath.Join(t.TempDir(), "model.json")
+	model := filepath.Join(t.TempDir(), "model.bin")
 	err := run([]string{"-in", in, "-model", model, "-quiet",
 		"-tau1", "0.7", "-tau2", "0.1", "-max-depth", "2"})
 	if err != nil {

@@ -191,21 +191,25 @@ func TestCompiledDecompileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompiledBinaryRoundTrip verifies WriteBinary → ReadCompiledBinary →
-// WriteBinary is bit-identical and the reloaded model routes identically.
+// TestCompiledBinaryRoundTrip verifies WriteBinaryAt →
+// ReadCompiledBinaryBytes → WriteBinaryAt is bit-identical and the
+// reloaded model routes identically.
 func TestCompiledBinaryRoundTrip(t *testing.T) {
 	g, data := compileTestModel(t, 13, 60)
 	c := Compile(g)
 	var blob1 bytes.Buffer
-	if err := c.WriteBinary(&blob1); err != nil {
+	if err := c.WriteBinaryAt(&blob1, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadCompiledBinary(bytes.NewReader(blob1.Bytes()))
+	loaded, err := ReadCompiledBinaryBytes(blob1.Bytes(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if loaded.MappedBytes() != 0 {
+		t.Fatalf("copy-mode load reports %d mapped bytes", loaded.MappedBytes())
+	}
 	var blob2 bytes.Buffer
-	if err := loaded.WriteBinary(&blob2); err != nil {
+	if err := loaded.WriteBinaryAt(&blob2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(blob1.Bytes(), blob2.Bytes()) {
@@ -234,14 +238,14 @@ func TestReadCompiledBinaryRejectsCorrupt(t *testing.T) {
 	g, _ := compileTestModel(t, 17, 40)
 	c := Compile(g)
 	var blob bytes.Buffer
-	if err := c.WriteBinary(&blob); err != nil {
+	if err := c.WriteBinaryAt(&blob, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := blob.Bytes()
 	// Truncations at every prefix length on a coarse grid plus the exact
 	// boundaries near the header.
 	for cut := 0; cut < len(raw); cut += 7 {
-		if _, err := ReadCompiledBinary(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := ReadCompiledBinaryBytes(raw[:cut], false); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -249,7 +253,7 @@ func TestReadCompiledBinaryRejectsCorrupt(t *testing.T) {
 	for pos := 0; pos < len(raw); pos += 11 {
 		mut := append([]byte(nil), raw...)
 		mut[pos] ^= 0x41
-		m, err := ReadCompiledBinary(bytes.NewReader(mut))
+		m, err := ReadCompiledBinaryBytes(mut, false)
 		if err != nil {
 			continue
 		}
@@ -257,10 +261,10 @@ func TestReadCompiledBinaryRejectsCorrupt(t *testing.T) {
 		x := make([]float64, m.Dim())
 		_ = m.RouteTrained(x)
 	}
-	if _, err := ReadCompiledBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadCompiledBinaryBytes(nil, false); err == nil {
 		t.Error("empty blob accepted")
 	}
-	if _, err := ReadCompiledBinary(bytes.NewReader([]byte("GHSOMCB1"))); err == nil {
+	if _, err := ReadCompiledBinaryBytes([]byte("GHSOMCB1"), false); err == nil {
 		t.Error("magic-only blob accepted")
 	}
 }

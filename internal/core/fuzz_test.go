@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -48,16 +49,19 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzReadCompiledBinary asserts that arbitrary bytes never panic the
-// compiled-model loader, and that a successfully loaded compiled model
-// routes and decompiles without panicking.
+// compiled-blob reader, and that its two residency modes agree: parsing
+// with zeroCopy true (tables viewed in place when aligned) and false
+// (tables decoded to the heap) accepts and rejects the same inputs with
+// the same error, routes a few rows identically, and the heap mode views
+// nothing. A loaded model must also route and decompile without
+// panicking.
 func FuzzReadCompiledBinary(f *testing.F) {
-	data := fourBlobs(42, 30)
-	g, err := Train(data, quickConfig())
+	g, err := Train(fourBlobs(42, 30), quickConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
 	var blob bytes.Buffer
-	if err := Compile(g).WriteBinary(&blob); err != nil {
+	if err := Compile(g).WriteBinaryAt(&blob, 0); err != nil {
 		f.Fatal(err)
 	}
 	valid := blob.Bytes()
@@ -66,23 +70,61 @@ func FuzzReadCompiledBinary(f *testing.F) {
 	f.Add(valid[:9])
 	f.Add([]byte("GHSOMCB1"))
 	f.Add([]byte(""))
-	mut := append([]byte(nil), valid...)
+	mut := bytes.Clone(valid)
 	if len(mut) > 32 {
 		mut[12] ^= 0xff
 		mut[28] ^= 0x01
 	}
 	f.Add(mut)
+	// A deeper model, written for an odd file offset so its tables sit
+	// unaligned at the start of a buffer and zero-copy must fall back.
+	c := trainedCompiled(f, 55)
+	var deep, odd bytes.Buffer
+	if err := c.WriteBinaryAt(&deep, 0); err != nil {
+		f.Fatal(err)
+	}
+	if err := c.WriteBinaryAt(&odd, 3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deep.Bytes())
+	f.Add(deep.Bytes()[:deep.Len()/2])
+	f.Add(odd.Bytes())
+	f.Add(append(bytes.Clone(deep.Bytes()), 0, 0, 0, 0, 0, 0, 0, 0))
+	mutDeep := bytes.Clone(deep.Bytes())
+	mutDeep[12] ^= 0xff
+	mutDeep[28] ^= 0x01
+	f.Add(mutDeep)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c, err := ReadCompiledBinary(bytes.NewReader(in))
-		if err != nil {
+		heap, herr := ReadCompiledBinaryBytes(in, false)
+		// An 8-aligned copy lets aligned tables actually take the view path.
+		mapped, merr := ReadCompiledBinaryBytes(alignedCopyAt(in, 0), true)
+		if (herr == nil) != (merr == nil) || (herr != nil && herr.Error() != merr.Error()) {
+			t.Fatalf("zeroCopy changed the outcome: heap %v, zero-copy %v", herr, merr)
+		}
+		if herr != nil {
 			return
 		}
-		x := make([]float64, c.Dim())
-		_ = c.Route(x)
-		_ = c.RouteTrained(x)
-		_ = c.Stats()
-		if back, err := c.Decompile(); err == nil {
+		if heap.MappedBytes() != 0 {
+			t.Fatalf("heap load reports %d mapped bytes", heap.MappedBytes())
+		}
+		rng := rand.New(rand.NewSource(1))
+		x := make([]float64, heap.Dim())
+		for row := 0; row < 4; row++ {
+			for i := range x {
+				x[i] = rng.Float64() * 4
+			}
+			a, b := heap.RouteTrained(x), mapped.RouteTrained(x)
+			if !placementsBitIdentical(a, b) {
+				t.Fatalf("row %d: heap %+v vs zero-copy %+v", row, a, b)
+			}
+			if a.NodeID < 0 {
+				t.Fatalf("row %d: RouteTrained to invalid node %d", row, a.NodeID)
+			}
+		}
+		_ = heap.Route(x)
+		_ = heap.Stats()
+		if back, err := heap.Decompile(); err == nil {
 			_ = back.Stats()
 		}
 	})

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"ghsom/internal/som"
 )
@@ -239,254 +236,4 @@ func Load(r io.Reader) (*GHSOM, error) {
 		}
 	}
 	return g, nil
-}
-
-// compiledMagic identifies the binary compiled-model blob (format
-// version in the trailing byte).
-var compiledMagic = [8]byte{'G', 'H', 'S', 'O', 'M', 'C', 'B', '1'}
-
-// WriteBinary writes the compiled model as a single little-endian binary
-// blob: config (length-prefixed JSON), dimensions, the flat node table,
-// the per-unit count and error tables, and the weight arena. The output
-// is deterministic: identical models produce identical bytes. See
-// WriteBinaryAt for the alignment-padded variant the zero-copy loader
-// prefers.
-func (c *Compiled) WriteBinary(w io.Writer) error {
-	cfgJSON, err := json.Marshal(c.cfg)
-	if err != nil {
-		return fmt.Errorf("core: encode compiled config: %w", err)
-	}
-	return c.writeBinaryCfg(w, cfgJSON)
-}
-
-// writeBinaryCfg writes the blob with a caller-prepared (possibly
-// alignment-padded) config JSON section.
-func (c *Compiled) writeBinaryCfg(w io.Writer, cfgJSON []byte) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(compiledMagic[:]); err != nil {
-		return fmt.Errorf("core: write compiled model: %w", err)
-	}
-	le := binary.LittleEndian
-	write := func(v any) error { return binary.Write(bw, le, v) }
-	steps := []any{
-		uint32(len(cfgJSON)),
-		cfgJSON,
-		uint32(c.dim),
-		c.mqe0,
-		c.mean,
-		uint32(len(c.nodes)),
-	}
-	for _, v := range steps {
-		if err := write(v); err != nil {
-			return fmt.Errorf("core: write compiled model: %w", err)
-		}
-	}
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		hdr := [4]int32{int32(nd.parent), int32(nd.parentUnit), int32(nd.rows), int32(nd.cols)}
-		if err := write(hdr[:]); err != nil {
-			return fmt.Errorf("core: write compiled node %d: %w", i, err)
-		}
-	}
-	for _, v := range []any{c.counts, c.unitQE, c.arena} {
-		if err := write(v); err != nil {
-			return fmt.Errorf("core: write compiled tables: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: write compiled model: %w", err)
-	}
-	return nil
-}
-
-// ReadCompiledBinary reads a compiled model previously written by
-// WriteBinary, validating every shape and table against the package caps
-// and the tree structure (each non-root node expanded by exactly one
-// in-range parent unit that precedes it), so truncated or mutated blobs
-// return errors instead of panicking.
-func ReadCompiledBinary(r io.Reader) (*Compiled, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: read compiled magic: %w", err)
-	}
-	if magic != compiledMagic {
-		return nil, fmt.Errorf("core: not a compiled model blob (magic %q)", magic[:])
-	}
-	le := binary.LittleEndian
-	read := func(v any) error { return binary.Read(br, le, v) }
-
-	var cfgLen uint32
-	if err := read(&cfgLen); err != nil {
-		return nil, fmt.Errorf("core: read compiled config length: %w", err)
-	}
-	if cfgLen > 1<<20 {
-		return nil, fmt.Errorf("core: compiled config of %d bytes exceeds cap", cfgLen)
-	}
-	cfgJSON := make([]byte, cfgLen)
-	if _, err := io.ReadFull(br, cfgJSON); err != nil {
-		return nil, fmt.Errorf("core: read compiled config: %w", err)
-	}
-	c := &Compiled{}
-	if err := json.Unmarshal(cfgJSON, &c.cfg); err != nil {
-		return nil, fmt.Errorf("core: decode compiled config: %w", err)
-	}
-	if err := c.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: compiled config: %w", err)
-	}
-
-	var dim uint32
-	if err := read(&dim); err != nil {
-		return nil, fmt.Errorf("core: read compiled dim: %w", err)
-	}
-	if dim < 1 || dim > maxModelDim {
-		return nil, fmt.Errorf("core: compiled dim %d outside [1, %d]", dim, maxModelDim)
-	}
-	c.dim = int(dim)
-	if err := read(&c.mqe0); err != nil {
-		return nil, fmt.Errorf("core: read compiled mqe0: %w", err)
-	}
-	mean, err := readFloat64s(br, c.dim)
-	if err != nil {
-		return nil, fmt.Errorf("core: read compiled mean: %w", err)
-	}
-	c.mean = mean
-
-	var nodeCount uint32
-	if err := read(&nodeCount); err != nil {
-		return nil, fmt.Errorf("core: read compiled node count: %w", err)
-	}
-	if nodeCount < 1 || nodeCount > maxModelNodes {
-		return nil, fmt.Errorf("core: compiled node count %d outside [1, %d]", nodeCount, maxModelNodes)
-	}
-	// Node headers (and every table below) are read incrementally, with
-	// storage growing only as bytes actually arrive: a corrupt header
-	// claiming a huge model cannot force a large allocation from a tiny
-	// stream — it fails on EOF having allocated in proportion to the
-	// stream, which is what makes the caps above safe to check late.
-	c.nodes = make([]compiledNode, 0, min(int(nodeCount), 4096))
-	totalUnits := 0
-	for i := 0; i < int(nodeCount); i++ {
-		var hdr [4]int32
-		if err := read(hdr[:]); err != nil {
-			return nil, fmt.Errorf("core: read compiled node %d: %w", i, err)
-		}
-		parent, parentUnit, rows, cols := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
-		if rows < 1 || rows > maxMapSide || cols < 1 || cols > maxMapSide {
-			return nil, fmt.Errorf("core: compiled node %d shape %dx%d outside [1, %d]", i, rows, cols, maxMapSide)
-		}
-		units := rows * cols
-		if units > maxUnitsPerMap {
-			return nil, fmt.Errorf("core: compiled node %d has %d units, cap %d", i, units, maxUnitsPerMap)
-		}
-		nd := compiledNode{
-			weightOff:  totalUnits * c.dim,
-			unitBase:   totalUnits,
-			units:      units,
-			rows:       rows,
-			cols:       cols,
-			parent:     parent,
-			parentUnit: parentUnit,
-		}
-		if totalUnits += units; totalUnits > maxTotalUnits {
-			return nil, fmt.Errorf("core: compiled model exceeds %d total units", maxTotalUnits)
-		}
-		if i == 0 {
-			if parent != -1 {
-				return nil, fmt.Errorf("core: compiled node 0 has parent %d, want -1 (root)", parent)
-			}
-			nd.depth = 1
-		} else {
-			// Nodes are stored in training (BFS) order, so a node's parent
-			// always precedes it; anything else is a corrupt or cyclic table.
-			if parent < 0 || parent >= i {
-				return nil, fmt.Errorf("core: compiled node %d has parent %d, want [0, %d)", i, parent, i)
-			}
-			if parentUnit < 0 || parentUnit >= c.nodes[parent].units {
-				return nil, fmt.Errorf("core: compiled node %d parent unit %d outside parent's %d units",
-					i, parentUnit, c.nodes[parent].units)
-			}
-			nd.depth = c.nodes[parent].depth + 1
-		}
-		c.nodes = append(c.nodes, nd)
-	}
-	if int64(totalUnits)*int64(c.dim) > maxArenaFloats {
-		return nil, fmt.Errorf("core: compiled arena of %d floats exceeds cap %d", int64(totalUnits)*int64(c.dim), maxArenaFloats)
-	}
-
-	// Payload tables, incremental like the headers. The derived tables
-	// (childIndex, probe lists, pruning tables) are only built once the
-	// whole payload has arrived.
-	c.counts, err = readInt64s(br, totalUnits)
-	if err != nil {
-		return nil, fmt.Errorf("core: read compiled counts: %w", err)
-	}
-	for i, cnt := range c.counts {
-		if cnt < 0 {
-			return nil, fmt.Errorf("core: compiled unit %d has negative count %d", i, cnt)
-		}
-	}
-	c.unitQE, err = readFloat64s(br, totalUnits)
-	if err != nil {
-		return nil, fmt.Errorf("core: read compiled unit errors: %w", err)
-	}
-	c.arena, err = readFloat64s(br, totalUnits*c.dim)
-	if err != nil {
-		return nil, fmt.Errorf("core: read compiled arena: %w", err)
-	}
-
-	c.childIndex = make([]int32, totalUnits)
-	for i := range c.childIndex {
-		c.childIndex[i] = -1
-	}
-	for i := 1; i < len(c.nodes); i++ {
-		nd := &c.nodes[i]
-		slot := c.nodes[nd.parent].unitBase + nd.parentUnit
-		if c.childIndex[slot] != -1 {
-			return nil, fmt.Errorf("core: compiled node %d unit %d expanded by more than one child",
-				nd.parent, nd.parentUnit)
-		}
-		c.childIndex[slot] = int32(i)
-	}
-	c.buildTrainedIndex()
-	return c, nil
-}
-
-// readChunkVals bounds one read of the incremental table readers.
-const readChunkVals = 1 << 13 // 64 KiB of payload per read
-
-// readFloat64s reads n little-endian float64s in bounded chunks, growing
-// the destination only as data actually arrives, so a header claiming a
-// huge table cannot force a proportional allocation from a short stream.
-func readFloat64s(br *bufio.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, min(n, readChunkVals))
-	var buf [8 * readChunkVals]byte
-	for len(out) < n {
-		k := min(n-len(out), readChunkVals)
-		b := buf[: 8*k : 8*k]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-	}
-	return out, nil
-}
-
-// readInt64s is readFloat64s for int64 tables.
-func readInt64s(br *bufio.Reader, n int) ([]int64, error) {
-	out := make([]int64, 0, min(n, readChunkVals))
-	var buf [8 * readChunkVals]byte
-	for len(out) < n {
-		k := min(n-len(out), readChunkVals)
-		b := buf[: 8*k : 8*k]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -8,17 +9,22 @@ import (
 	"math"
 )
 
-// This file implements the in-memory counterpart of the compiled-blob
-// streaming reader plus its alignment-aware writer: together they are
-// the zero-copy model-loading path. A blob written with WriteBinaryAt
-// places its three big tables (counts, unitQE, arena) on 8-byte file
-// offsets; ReadCompiledBinaryBytes over an mmap of that file can then
-// take those tables as direct views of the mapping — no heap copy, no
-// page touched until routing first reads it, and every process serving
-// the same file sharing one physical copy. The small derived tables
-// (child index, probe order, pruning and norm tables) are rebuilt
-// heap-side exactly as the streaming reader does, so routing on a
-// mapped model is byte-identical to routing on a heap-loaded one.
+// This file holds the compiled-blob binary format: its one writer,
+// WriteBinaryAt, and its one reader, ReadCompiledBinaryBytes, which
+// parses a blob held in memory. A blob written with WriteBinaryAt places
+// its three big tables (counts, unitQE, arena) on 8-byte file offsets;
+// ReadCompiledBinaryBytes over an mmap of that file can then take those
+// tables as direct views of the mapping — no heap copy, no page touched
+// until routing first reads it, and every process serving the same file
+// sharing one physical copy. Without zero-copy (or when the tables land
+// unaligned) the tables are decoded into heap slices. The small derived
+// tables (child index, probe order, pruning and norm tables) are always
+// rebuilt heap-side, so routing on a mapped model is byte-identical to
+// routing on a heap-loaded one.
+
+// compiledMagic identifies the binary compiled-model blob (format
+// version in the trailing byte).
+var compiledMagic = [8]byte{'G', 'H', 'S', 'O', 'M', 'C', 'B', '1'}
 
 // alignPad returns how many padding bytes WriteBinaryAt must append to
 // the config JSON so the counts table lands 8-byte aligned, given the
@@ -32,25 +38,68 @@ func alignPad(blobOff int64, cfgLen int) int {
 	return int((8 - (blobOff+28+int64(cfgLen))%8) % 8)
 }
 
-// WriteBinaryAt writes the compiled model like WriteBinary, padding the
-// embedded config JSON with trailing spaces (whitespace is legal after
+// WriteBinaryAt writes the compiled model as a single little-endian
+// binary blob: config (length-prefixed JSON), dimensions, the flat node
+// table, the per-unit count and error tables, and the weight arena. The
+// output is deterministic: identical models produce identical bytes. The
+// config JSON is padded with trailing spaces (whitespace is legal after
 // a JSON value) so that the counts/unitQE/arena tables land on 8-byte
-// file offsets when the blob starts at file offset blobOff. Blobs
-// written this way load zero-copy via ReadCompiledBinaryBytes over a
-// mapping; readers that ignore alignment parse them identically.
+// file offsets when the blob starts at file offset blobOff; such a blob
+// loads zero-copy via ReadCompiledBinaryBytes over a mapping.
 func (c *Compiled) WriteBinaryAt(w io.Writer, blobOff int64) error {
 	cfgJSON, err := json.Marshal(c.cfg)
 	if err != nil {
 		return fmt.Errorf("core: encode compiled config: %w", err)
 	}
-	return c.writeBinaryCfg(w, append(cfgJSON, spaces[:alignPad(blobOff, len(cfgJSON))]...))
+	cfgJSON = append(cfgJSON, spaces[:alignPad(blobOff, len(cfgJSON))]...)
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(compiledMagic[:]); err != nil {
+		return fmt.Errorf("core: write compiled model: %w", err)
+	}
+	le := binary.LittleEndian
+	write := func(v any) error { return binary.Write(bw, le, v) }
+	steps := []any{
+		uint32(len(cfgJSON)),
+		cfgJSON,
+		uint32(c.dim),
+		c.mqe0,
+		c.mean,
+		uint32(len(c.nodes)),
+	}
+	for _, v := range steps {
+		if err := write(v); err != nil {
+			return fmt.Errorf("core: write compiled model: %w", err)
+		}
+	}
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		hdr := [4]int32{int32(nd.parent), int32(nd.parentUnit), int32(nd.rows), int32(nd.cols)}
+		if err := write(hdr[:]); err != nil {
+			return fmt.Errorf("core: write compiled node %d: %w", i, err)
+		}
+	}
+	for _, v := range []any{c.counts, c.unitQE, c.arena} {
+		if err := write(v); err != nil {
+			return fmt.Errorf("core: write compiled tables: %w", err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("core: write compiled model: %w", err)
+	}
+	return nil
 }
 
 var spaces = [8]byte{' ', ' ', ' ', ' ', ' ', ' ', ' ', ' '}
 
-// ReadCompiledBinaryBytes parses a compiled blob held in memory —
-// typically a window of an OpenMapping — validating exactly like
-// ReadCompiledBinary. With zeroCopy true, the counts, unitQE, and
+// ReadCompiledBinaryBytes parses a compiled blob written by
+// WriteBinaryAt and held in memory — a heap buffer or a window of an
+// OpenMapping. It validates every shape and table against the package
+// caps and the tree structure (each non-root node expanded by exactly one
+// in-range parent unit that precedes it), and checks every claimed
+// section length against len(data) before allocating for it, so
+// truncated, mutated or hostile blobs return errors instead of panicking
+// or forcing large allocations. A blob must end exactly where its arena
+// does. With zeroCopy true, the counts, unitQE, and
 // weight-arena tables become direct views of data whenever their
 // offsets are 8-byte aligned machine addresses (guaranteed for
 // WriteBinaryAt output over a page-aligned mapping on little-endian
@@ -113,9 +162,8 @@ func ReadCompiledBinaryBytes(data []byte, zeroCopy bool) (*Compiled, error) {
 	if nodeCount < 1 || nodeCount > maxModelNodes {
 		return nil, fmt.Errorf("core: compiled node count %d outside [1, %d]", nodeCount, maxModelNodes)
 	}
-	// The whole blob is already resident (or mapped), so unlike the
-	// streaming reader there is no allocate-before-arrival hazard: bounds
-	// are simply checked against len(data) before each section.
+	// The whole blob is resident (or mapped), so bounds are checked
+	// against len(data) before each section is allocated for.
 	hdrOff, err := cur.skip(int(nodeCount)*16, "compiled node table")
 	if err != nil {
 		return nil, err
@@ -153,6 +201,8 @@ func ReadCompiledBinaryBytes(data []byte, zeroCopy bool) (*Compiled, error) {
 			}
 			nd.depth = 1
 		} else {
+			// Nodes are stored in training (BFS) order, so a node's parent
+			// always precedes it; anything else is a corrupt or cyclic table.
 			if parent < 0 || parent >= i {
 				return nil, fmt.Errorf("core: compiled node %d has parent %d, want [0, %d)", i, parent, i)
 			}
@@ -183,8 +233,8 @@ func ReadCompiledBinaryBytes(data []byte, zeroCopy bool) (*Compiled, error) {
 	}
 
 	// The three big tables: views over data when permitted and aligned,
-	// heap copies otherwise (legacy unpadded blobs, interior offsets of a
-	// foreign buffer, big-endian hosts).
+	// heap copies otherwise (copy mode, blobs written before alignment
+	// padding, interior offsets of a foreign buffer, big-endian hosts).
 	view := zeroCopy && hostLittleEndian && totalUnits > 0 &&
 		aligned8(data, countsOff) && aligned8(data, qeOff) && aligned8(data, arenaOff)
 	if view {

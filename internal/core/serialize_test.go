@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestLoadRejectsNonBFSOrder(t *testing.T) {
 // TestReadCompiledBinaryHugeClaimTinyBody pins the memory-safety contract
 // of the binary loader: a few hundred bytes of headers claiming a
 // near-cap model (16 maps of 1024x1024 units) must fail on the missing
-// payload without allocating the claimed tables.
+// payload having allocated less than 1 MiB, not the claimed tables.
 func TestReadCompiledBinaryHugeClaimTinyBody(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString("GHSOMCB1")
@@ -194,7 +195,24 @@ func TestReadCompiledBinaryHugeClaimTinyBody(t *testing.T) {
 		binary.Write(&b, le, [4]int32{parent, int32(i), 1024, 1024})
 	}
 	// No payload tables follow: 16 Mi units were claimed by ~300 bytes.
-	if _, err := ReadCompiledBinary(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("header-only blob claiming 16Mi units accepted")
+	for _, zeroCopy := range []bool{false, true} {
+		var err error
+		alloc := allocatedBytes(func() { _, err = ReadCompiledBinaryBytes(b.Bytes(), zeroCopy) })
+		if err == nil {
+			t.Fatalf("zeroCopy=%v: header-only blob claiming 16Mi units accepted", zeroCopy)
+		}
+		if alloc >= 1<<20 {
+			t.Fatalf("zeroCopy=%v: rejecting the blob allocated %d bytes, want < 1 MiB", zeroCopy, alloc)
+		}
 	}
+}
+
+// allocatedBytes reports how many heap bytes f allocates, as the
+// runtime.MemStats TotalAlloc delta.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

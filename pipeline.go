@@ -85,7 +85,8 @@ type Pipeline struct {
 	// copy-free through registry startup this way.
 	modelOnce sync.Once
 	// mapping is the file mapping a mapped load's model views, released by
-	// Close. Nil for trained, JSON-loaded, and stream-loaded pipelines.
+	// Close. Nil for trained and heap-loaded pipelines, and for mapped
+	// loads that view nothing.
 	mapping *core.Mapping
 	// bufPool recycles per-worker inference arenas across Detect and
 	// DetectBatch calls, so steady-state inference performs no per-record

@@ -2,73 +2,18 @@ package ghsom
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// fuzzSeedEnvelopes trains one small pipeline and renders it as every
-// supported envelope generation (v1 JSON, v2 JSON, v3 binary), cached
-// across fuzz executions.
-var fuzzSeedEnvelopes struct {
-	once sync.Once
-	v1   []byte
-	v2   []byte
-	v3   []byte
-	err  error
-}
-
-func seedEnvelopes() (v1, v2, v3 []byte, err error) {
-	s := &fuzzSeedEnvelopes
-	s.once.Do(func() {
-		recs, err := GenerateTraffic(SmallScenario(5))
-		if err != nil {
-			s.err = err
-			return
-		}
-		cfg := quickPipelineConfig()
-		cfg.TrainCapPerLabel = 200
-		pipe, err := TrainPipeline(recs[:1200], cfg)
-		if err != nil {
-			s.err = err
-			return
-		}
-		var bin, js bytes.Buffer
-		if err := pipe.Save(&bin); err != nil {
-			s.err = err
-			return
-		}
-		if err := pipe.SaveJSON(&js); err != nil {
-			s.err = err
-			return
-		}
-		s.v3 = bin.Bytes()
-		s.v2 = js.Bytes()
-		// Downgrade the JSON envelope to version 1 (no config fields).
-		var env map[string]json.RawMessage
-		if err := json.Unmarshal(s.v2, &env); err != nil {
-			s.err = err
-			return
-		}
-		env["version"] = json.RawMessage("1")
-		delete(env, "trainCapPerLabel")
-		delete(env, "seed")
-		delete(env, "parallelism")
-		s.v1, s.err = json.Marshal(env)
-	})
-	return s.v1, s.v2, s.v3, s.err
-}
 
 // FuzzLoadPipeline asserts that arbitrary truncations and mutations of
 // every envelope generation (v1/v2 JSON, v3 binary) never panic the
 // loader, and that anything that does load can classify a record without
 // panicking.
 func FuzzLoadPipeline(f *testing.F) {
-	v1, v2, v3, err := seedEnvelopes()
-	if err != nil {
-		f.Fatal(err)
-	}
+	v2 := readFixture(f, fixtureV2)
+	v3 := readFixture(f, fixtureV3)
+	v1 := v1Envelope(f, v2)
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v3)

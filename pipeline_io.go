@@ -17,7 +17,7 @@ import (
 )
 
 // pipelineJSON is the legacy JSON envelope for a trained pipeline
-// (versions 1 and 2).
+// (versions 1 and 2). It is load-only: Save writes version 3.
 //
 // Version history:
 //
@@ -29,8 +29,8 @@ import (
 //	3 — binary: a single length-prefixed blob carrying the compiled
 //	    model (weight arena + flat tables), scaler state, encoder
 //	    vocabulary, pipeline configuration, and detector cell table.
-//	    Round-trips bit-identically; versions 1 and 2 still load, with
-//	    the model compiled on load.
+//	    Round-trips bit-identically and is the only format written.
+//	    Versions 1 and 2 still load, with the model compiled on load.
 type pipelineJSON struct {
 	Version      int       `json:"version"`
 	LogTransform bool      `json:"logTransform"`
@@ -55,8 +55,9 @@ const (
 // binary format from the legacy JSON envelopes (which start with '{').
 var envMagic = [8]byte{'G', 'H', 'S', 'O', 'M', 'P', 'V', '3'}
 
-// Caps applied while reading a binary envelope, so corrupt or hostile
-// input fails with an error before any proportional allocation.
+// Caps applied while parsing a binary envelope. Every claimed length is
+// also checked against the bytes actually present before anything of
+// that size is allocated.
 const (
 	envMaxServices   = 1 << 20
 	envMaxServiceLen = 1 << 16
@@ -73,7 +74,7 @@ const (
 // through LoadPipeline. The embedded model blob is written with its big
 // tables 8-byte aligned relative to the envelope start, so a file whose
 // envelope begins at offset 0 loads zero-copy through LoadPipelineFile
-// in mapped mode. Use SaveJSON for the legacy JSON envelope.
+// in mapped mode.
 func (p *Pipeline) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(envMagic[:]); err != nil {
@@ -153,56 +154,26 @@ func (p *Pipeline) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveJSON writes the trained pipeline as the legacy JSON envelope
-// (version 2) — larger and slower to load than the binary envelope, but
-// human-inspectable and consumable by external tooling.
-func (p *Pipeline) SaveJSON(w io.Writer) error {
-	model := p.Model() // rebuilds the pointer tree if loading deferred it
-	if model == nil {
-		return fmt.Errorf("ghsom: save model: no pointer-tree model")
-	}
-	var modelBuf bytes.Buffer
-	if err := model.Save(&modelBuf); err != nil {
-		return fmt.Errorf("ghsom: save model: %w", err)
-	}
-	min, span := p.scaler.State()
-	env := pipelineJSON{
-		Version:          pipelineJSONVersion,
-		LogTransform:     p.encoder.Config().LogTransform,
-		Services:         p.encoder.Services(),
-		ScalerMin:        min,
-		ScalerSpan:       span,
-		TrainCapPerLabel: p.cfg.TrainCapPerLabel,
-		Seed:             p.cfg.Seed,
-		Parallelism:      p.cfg.Parallelism,
-		Model:            bytes.TrimSpace(modelBuf.Bytes()),
-		Detector:         p.detector.State(),
-	}
-	if err := json.NewEncoder(w).Encode(env); err != nil {
-		return fmt.Errorf("ghsom: encode pipeline: %w", err)
-	}
-	return nil
-}
-
 // LoadPipeline reads a pipeline previously written by Save (binary
-// envelope v3) or SaveJSON / older releases' Save (JSON envelopes v1 and
-// v2) — the format is sniffed from the first bytes. JSON envelopes carry
-// the pointer-tree model and are compiled on load; the binary envelope
-// carries the compiled model directly and the tree is rebuilt from it.
-// Either way the loaded pipeline serves on the compiled dataplane and
-// classifies identically to the pipeline that was saved.
+// envelope v3) or by an older release (JSON envelopes v1 and v2); the
+// format is sniffed from the first bytes. The whole input is read into
+// memory and parsed there, so the caller's reader bounds what loading
+// allocates. JSON envelopes carry the pointer-tree model and are
+// compiled on load; the binary envelope carries the compiled model
+// directly and the tree is rebuilt from it on demand. Either way the
+// loaded pipeline serves on the compiled dataplane and classifies
+// identically to the pipeline that was saved.
 //
 // Note the persisted Parallelism is the knob the pipeline was trained
 // with on the training machine — a model trained serially will serve
 // serially after loading. Call SetParallelism (0 = GOMAXPROCS) to retune
 // batch inference for the serving machine, as the CLIs do.
 func LoadPipeline(r io.Reader) (*Pipeline, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(envMagic))
-	if err == nil && bytes.Equal(head, envMagic[:]) {
-		return loadPipelineBinary(br)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ghsom: read pipeline: %w", err)
 	}
-	return loadPipelineJSON(br)
+	return parsePipeline(data, false)
 }
 
 // loadPipelineJSON reads the legacy v1/v2 JSON envelope and compiles the
@@ -288,32 +259,31 @@ func assemblePipeline(parts pipelineParts) (*Pipeline, error) {
 }
 
 // LoadPipelineFile loads a pipeline envelope from a file. With mapped
-// false it is LoadPipeline over the opened file. With mapped true the
-// file is mapped read-only (core.OpenMapping) and, for a binary v3
-// envelope written by Save, the model's weight arena and serialized unit
-// tables become direct views of the mapping: loading copies no arena,
-// touches no weight page until routing first reads it, and every process
-// serving the same file shares one physical copy through the page cache.
-// Classification is byte-identical to a stream load. The returned
-// pipeline owns the mapping; release it with Close only when the
-// pipeline is retired — the model reads the mapped pages for as long as
-// it serves. Legacy JSON envelopes and pre-alignment binary envelopes
-// load correctly in mapped mode too, falling back to heap copies (and
-// then need no Close).
+// false the file is read into memory and parsed like LoadPipeline. With
+// mapped true the file is mapped read-only (core.OpenMapping) and, for a
+// binary v3 envelope written by Save, the model's weight arena and
+// serialized unit tables become direct views of the mapping: loading
+// copies no arena, touches no weight page until routing first reads it,
+// and every process serving the same file shares one physical copy
+// through the page cache. Classification is byte-identical to a heap
+// load. The returned pipeline owns the mapping; release it with Close
+// only when the pipeline is retired — the model reads the mapped pages
+// for as long as it serves. Legacy JSON envelopes and pre-alignment
+// binary envelopes load correctly in mapped mode too, falling back to
+// heap copies (and then need no Close).
 func LoadPipelineFile(path string, mapped bool) (*Pipeline, error) {
 	if !mapped {
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("ghsom: open pipeline: %w", err)
+			return nil, fmt.Errorf("ghsom: read pipeline: %w", err)
 		}
-		defer f.Close()
-		return LoadPipeline(f)
+		return parsePipeline(data, false)
 	}
 	m, err := core.OpenMapping(path)
 	if err != nil {
 		return nil, fmt.Errorf("ghsom: map pipeline: %w", err)
 	}
-	p, err := loadPipelineMapped(m.Bytes())
+	p, err := parsePipeline(m.Bytes(), true)
 	if err != nil {
 		m.Close()
 		return nil, err
@@ -329,12 +299,13 @@ func LoadPipelineFile(path string, mapped bool) (*Pipeline, error) {
 	return p, nil
 }
 
-// loadPipelineMapped parses an envelope held fully in memory, loading
-// the model blob through the zero-copy bytes reader. Validation mirrors
-// loadPipelineBinary's; the incremental-read defenses are unnecessary
-// here because every claimed length is bounds-checked against the
-// mapping before any proportional allocation.
-func loadPipelineMapped(data []byte) (*Pipeline, error) {
+// parsePipeline parses an envelope held fully in memory: a heap buffer
+// for LoadPipeline, or a file mapping for LoadPipelineFile. Every
+// claimed length is bounds-checked against data before any proportional
+// allocation. With zeroCopy true the model's big tables may become views
+// of data (see core.ReadCompiledBinaryBytes); with zeroCopy false the
+// pipeline keeps no reference to data.
+func parsePipeline(data []byte, zeroCopy bool) (*Pipeline, error) {
 	if len(data) < len(envMagic) || !bytes.Equal(data[:len(envMagic)], envMagic[:]) {
 		return loadPipelineJSON(bytes.NewReader(data))
 	}
@@ -403,7 +374,7 @@ func loadPipelineMapped(data []byte) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := core.ReadCompiledBinaryBytes(window, true)
+	compiled, err := core.ReadCompiledBinaryBytes(window, zeroCopy)
 	if err != nil {
 		return nil, fmt.Errorf("ghsom: load model: %w", err)
 	}
@@ -479,136 +450,4 @@ func (c *envCursor) floats(n int, what string) ([]float64, error) {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
-}
-
-// readEnvFloats reads n little-endian float64s, growing storage only as
-// payload actually arrives (io.ReadAll doubles as data comes in), so a
-// corrupt length field cannot force a large allocation from a short
-// stream.
-func readEnvFloats(r io.Reader, n int) ([]float64, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, int64(n)*8))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) != n*8 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out, nil
-}
-
-// loadPipelineBinary reads the v3 binary envelope. Like the compiled
-// model reader, every variable-size section is read incrementally so
-// attacker-claimed lengths cannot force proportional allocations.
-func loadPipelineBinary(r *bufio.Reader) (*Pipeline, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope magic: %w", err)
-	}
-	le := binary.LittleEndian
-	read := func(v any) error { return binary.Read(r, le, v) }
-
-	var flags uint8
-	if err := read(&flags); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope flags: %w", err)
-	}
-	if flags > 1 {
-		return nil, fmt.Errorf("ghsom: unknown envelope flags %#x", flags)
-	}
-	var cap64, seed, par int64
-	for _, v := range []*int64{&cap64, &seed, &par} {
-		if err := read(v); err != nil {
-			return nil, fmt.Errorf("ghsom: read envelope config: %w", err)
-		}
-	}
-	var nServices uint32
-	if err := read(&nServices); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope services: %w", err)
-	}
-	if nServices > envMaxServices {
-		return nil, fmt.Errorf("ghsom: envelope has %d services, cap %d", nServices, envMaxServices)
-	}
-	services := make([]string, 0, min(int(nServices), 4096))
-	for i := 0; i < int(nServices); i++ {
-		var slen uint32
-		if err := read(&slen); err != nil {
-			return nil, fmt.Errorf("ghsom: read envelope service %d: %w", i, err)
-		}
-		if slen > envMaxServiceLen {
-			return nil, fmt.Errorf("ghsom: envelope service %d of %d bytes exceeds cap", i, slen)
-		}
-		buf := make([]byte, slen)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("ghsom: read envelope service %d: %w", i, err)
-		}
-		services = append(services, string(buf))
-	}
-	var dim uint32
-	if err := read(&dim); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope scaler: %w", err)
-	}
-	if dim > envMaxDim {
-		return nil, fmt.Errorf("ghsom: envelope scaler dim %d exceeds cap %d", dim, envMaxDim)
-	}
-	scalerMin, err := readEnvFloats(r, int(dim))
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope scaler: %w", err)
-	}
-	scalerSpan, err := readEnvFloats(r, int(dim))
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope scaler: %w", err)
-	}
-	var modelLen uint64
-	if err := read(&modelLen); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope model: %w", err)
-	}
-	if modelLen > envMaxModelBytes {
-		return nil, fmt.Errorf("ghsom: envelope model of %d bytes exceeds cap %d", modelLen, envMaxModelBytes)
-	}
-	modelSection := io.LimitReader(r, int64(modelLen))
-	compiled, err := core.ReadCompiledBinary(modelSection)
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: load model: %w", err)
-	}
-	// The model parser consumes exactly the blob, but its internal
-	// buffering may leave a remainder on the section reader; drain it so
-	// the detector section starts aligned.
-	if _, err := io.Copy(io.Discard, modelSection); err != nil {
-		return nil, fmt.Errorf("ghsom: skip envelope model: %w", err)
-	}
-	var detLen uint32
-	if err := read(&detLen); err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope detector: %w", err)
-	}
-	if detLen > envMaxDetBytes {
-		return nil, fmt.Errorf("ghsom: envelope detector of %d bytes exceeds cap %d", detLen, envMaxDetBytes)
-	}
-	detJSON, err := io.ReadAll(io.LimitReader(r, int64(detLen)))
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: read envelope detector: %w", err)
-	}
-	if len(detJSON) != int(detLen) {
-		return nil, fmt.Errorf("ghsom: read envelope detector: %w", io.ErrUnexpectedEOF)
-	}
-	var det anomaly.State
-	if err := json.Unmarshal(detJSON, &det); err != nil {
-		return nil, fmt.Errorf("ghsom: decode detector state: %w", err)
-	}
-	return assemblePipeline(pipelineParts{
-		version:          pipelineVersion,
-		logTransform:     flags == 1,
-		services:         services,
-		scalerMin:        scalerMin,
-		scalerSpan:       scalerSpan,
-		trainCapPerLabel: int(cap64),
-		seed:             seed,
-		parallelism:      int(par),
-		// model stays nil: the pointer tree is rebuilt lazily on the first
-		// Model() call, so loading never copies the weight arena.
-		compiled: compiled,
-		detector: det,
-	})
 }

@@ -189,23 +189,11 @@ func TestLoadPipelineFileMapped(t *testing.T) {
 // TestLoadPipelineFileMappedJSONFallback: a legacy JSON envelope loaded
 // in mapped mode must work, own no mapping, and need no Close.
 func TestLoadPipelineFileMappedJSONFallback(t *testing.T) {
-	recs := testRecords(t)
-	pipe, err := TrainPipeline(recs, quickPipelineConfig())
+	ref, err := LoadPipeline(bytes.NewReader(readFixture(t, fixtureV3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "pipeline.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.SaveJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPipelineFile(path, true)
+	loaded, err := LoadPipelineFile(fixtureV2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +203,12 @@ func TestLoadPipelineFileMappedJSONFallback(t *testing.T) {
 	if err := loaded.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p1, err := pipe.Detect(&recs[0])
+	rec := batchEvalRecords(t)[0]
+	p1, err := ref.Detect(&rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := loaded.Detect(&recs[0])
+	p2, err := loaded.Detect(&rec)
 	if err != nil {
 		t.Fatal(err)
 	}
