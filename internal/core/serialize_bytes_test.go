@@ -146,3 +146,66 @@ func TestReadCompiledBinaryBytesRejectsCorrupt(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 }
+
+// FuzzReadCompiledBinaryBytes asserts that arbitrary bytes never panic
+// the zero-copy reader over its input as given (at whatever alignment
+// the buffer lands), and that reader and writer agree: whatever the
+// reader accepts, WriteBinaryAt re-serializes to a blob that loads again
+// and routes identically, and the same input with one byte appended is
+// rejected as trailing.
+func FuzzReadCompiledBinaryBytes(f *testing.F) {
+	c := trainedCompiled(f, 55)
+	var buf bytes.Buffer
+	if err := c.WriteBinaryAt(&buf, 0); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("GHSOMCB1"))
+	f.Add([]byte(""))
+	mut := bytes.Clone(valid)
+	if len(mut) > 32 {
+		mut[12] ^= 0xff
+		mut[28] ^= 0x01
+	}
+	f.Add(mut)
+	// Written for an odd file offset, so its tables sit unaligned at the
+	// start of a buffer and zero-copy must fall back.
+	var odd bytes.Buffer
+	if err := c.WriteBinaryAt(&odd, 3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(odd.Bytes())
+	f.Add(append(bytes.Clone(valid), 0, 0, 0, 0, 0, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := ReadCompiledBinaryBytes(in, true)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := m.WriteBinaryAt(&again, 0); err != nil {
+			t.Fatalf("accepted blob does not re-serialize: %v", err)
+		}
+		back, err := ReadCompiledBinaryBytes(again.Bytes(), false)
+		if err != nil {
+			t.Fatalf("re-serialized blob rejected: %v", err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		x := make([]float64, m.Dim())
+		for row := 0; row < 4; row++ {
+			for i := range x {
+				x[i] = rng.Float64() * 4
+			}
+			a, b := m.RouteTrained(x), back.RouteTrained(x)
+			if !placementsBitIdentical(a, b) {
+				t.Fatalf("row %d: loaded %+v vs re-serialized %+v", row, a, b)
+			}
+		}
+		if _, err := ReadCompiledBinaryBytes(append(bytes.Clone(in), 0), true); err == nil ||
+			!strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("input plus one byte: got %v, want a trailing-bytes error", err)
+		}
+	})
+}
