@@ -1,10 +1,12 @@
 // Command ghsom-serve serves trained pipelines as a line-rate detection
 // service: NDJSON over HTTP, or NDJSON stdin→stdout. Concurrent requests
-// are coalesced into micro-batches — flushed as soon as the dataplane is
-// free, up to -batch records, so requests that arrive during a flush
-// share the next one — and each micro-batch runs through the pipeline's
+// are coalesced into micro-batches — each model runs up to -parallelism
+// flush loops at once, each flushing as soon as it is free, up to -batch
+// records, so requests that arrive while every loop is busy share the
+// next flush — and each micro-batch runs through the pipeline's
 // zero-allocation DetectBatch dataplane on the parallel worker pool, so
-// many small requests cost close to what one large request does.
+// many small requests cost close to what one large request does and
+// small requests use every core.
 //
 // The server hosts a registry of named models with atomic hot-swap:
 // POST /model loads a new envelope (binary v3 or legacy JSON) under a
@@ -125,7 +127,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	addr := fs.String("addr", ":8741", "HTTP listen address")
 	instance := fs.String("instance", "", "stable instance identity surfaced in X-GHSOM-Instance and /stats (default hostname:port)")
 	maxBatch := fs.Int("batch", 256, "micro-batch flush size (records)")
-	par := fs.Int("parallelism", 0, "detection worker bound (0 = GOMAXPROCS)")
+	par := fs.Int("parallelism", 0, "detection worker bound: workers per dataplane pass and concurrent micro-batch flushes per model (0 = GOMAXPROCS)")
 	bmuPrec := fs.String("bmu-precision", "auto", "BMU candidate-generation precision: f64, f32, i8, or auto (verdicts are identical at every setting)")
 	useStdin := fs.Bool("stdin", false, "serve NDJSON records from stdin to stdout instead of HTTP")
 	useMmap := fs.Bool("mmap", false, "mmap the model file: the weight arena serves as views of the page cache instead of heap copies")

@@ -292,6 +292,49 @@ func TestGatewayNeverRetriesPastDeadline(t *testing.T) {
 	}
 }
 
+// TestGatewayDetectBodyCap pins the gateway's /detect body read: a body
+// within MaxBody reaches the replica whole, with or without a declared
+// Content-Length, and one byte more is a 413 either way.
+func TestGatewayDetectBodyCap(t *testing.T) {
+	f := newFakeReplica(t, "rep-a")
+	const maxBody = 64
+	g := newTestGateway(t, Config{Replicas: []string{f.srv.URL}, MaxBody: maxBody})
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	for _, tc := range []struct {
+		n       int
+		chunked bool
+		want    int
+	}{
+		{maxBody, false, http.StatusOK},
+		{maxBody, true, http.StatusOK},
+		{maxBody + 1, false, http.StatusRequestEntityTooLarge},
+		{maxBody + 1, true, http.StatusRequestEntityTooLarge},
+	} {
+		var body io.Reader = strings.NewReader(strings.Repeat("x", tc.n))
+		if tc.chunked {
+			body = io.MultiReader(body) // hides the length: sent chunked
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/detect", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body (chunked %v): status %d, want %d", tc.n, tc.chunked, resp.StatusCode, tc.want)
+		}
+		if echo := fmt.Sprintf("echo:rep-a:%d", tc.n); tc.want == http.StatusOK && string(raw) != echo {
+			t.Errorf("%d-byte body (chunked %v): replica answered %q, want %q", tc.n, tc.chunked, raw, echo)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+}
+
 func TestGatewayShedsWhenShardEmpty(t *testing.T) {
 	f := newFakeReplica(t, "rep-a")
 	g := newTestGateway(t, Config{Replicas: []string{f.srv.URL}, MaxRetries: 2, RetryBase: time.Millisecond})

@@ -192,7 +192,9 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 // and lands a model hot-swap mid-drain: the swap must complete, loaded
 // work must finish whole on exactly one model, new work must shed with a
 // clean 503, and the drain must conclude within grace without leaking
-// goroutines.
+// goroutines. Every sender keeps posting until it sees the draining 503
+// (up to a request cap), so the drain provably begins under load however
+// fast the dataplane serves.
 func TestSwapUnderDrain(t *testing.T) {
 	leakcheck.CheckSlack(t, 2)
 	pipeA, recs := testPipeline(t)
@@ -217,7 +219,7 @@ func TestSwapUnderDrain(t *testing.T) {
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
 
 	body := ndjson(t, eval)
-	const workers, reqs = 6, 12
+	const workers, maxReqs = 6, 10000
 	var (
 		mu             sync.Mutex
 		fails          []string
@@ -228,7 +230,7 @@ func TestSwapUnderDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := 0; r < reqs; r++ {
+			for r := 0; r < maxReqs; r++ {
 				resp, err := http.Post(srv.URL+"/detect", "application/x-ndjson", bytes.NewReader(body))
 				if err != nil {
 					mu.Lock()
@@ -266,12 +268,23 @@ func TestSwapUnderDrain(t *testing.T) {
 					fails = append(fails, note)
 					mu.Unlock()
 				}
+				if resp.StatusCode == http.StatusServiceUnavailable {
+					return // this sender has observed the drain
+				}
 			}
+			mu.Lock()
+			fails = append(fails, fmt.Sprintf("sender sent %d requests without seeing the draining 503", maxReqs))
+			mu.Unlock()
 		}()
 	}
 
-	// Let some load land on model A, then begin the drain.
-	time.Sleep(10 * time.Millisecond)
+	// Let some load land on model A, then begin the drain while every
+	// sender is still posting.
+	waitUntil(t, "a request served before the drain", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return saw200
+	})
 	reg.BeginDrain()
 
 	// A hot-swap arriving mid-drain is part of the contract: it must
@@ -322,7 +335,11 @@ func TestSwapUnderDrain(t *testing.T) {
 	}
 
 	// The full drain sequence (the same steps cmd/ghsom-serve runs on
-	// SIGTERM) concludes within grace.
+	// SIGTERM) concludes within grace. Close the client's idle keep-alive
+	// connections first: Shutdown waits for connections still in
+	// StateNew, and a connection the client dialed but never used stays
+	// there until the client closes it.
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Config.Shutdown(ctx); err != nil {
@@ -334,9 +351,10 @@ func TestSwapUnderDrain(t *testing.T) {
 // TestPoisonStormIsolation co-batches poison requests (undecodable
 // symbols on the NDJSON path, NaN payloads on the columnar path) with
 // valid ones: each round queues two valid and one poison request behind
-// a held flush, so all three share the next flush. Valid clients always
-// get their exact verdicts, poison clients get a 422 naming their own
-// record, and the quarantine counter records the storm.
+// a held flush, so all three share the next flush (the batcher runs one
+// flush loop, Parallelism 1, so nothing else can pick them up). Valid
+// clients always get their exact verdicts, poison clients get a 422
+// naming their own record, and the quarantine counter records the storm.
 func TestPoisonStormIsolation(t *testing.T) {
 	leakcheck.CheckSlack(t, 2)
 	pipe, recs := testPipeline(t)
@@ -345,7 +363,7 @@ func TestPoisonStormIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(pipe, testConfig(1024, 0))
+	b := newBatcher(pipe, testConfig(1024, 1))
 	defer b.close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /detect", b.handleDetect)

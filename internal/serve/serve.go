@@ -76,9 +76,11 @@ type Config struct {
 	// MaxBatch is the record count at which a flush stops taking queued
 	// jobs; a single larger job still flushes whole.
 	MaxBatch int
-	// Deprecated: ignored; the batcher flushes as soon as the dataplane is free.
+	// Deprecated: ignored; the batcher flushes as soon as a flush loop is free.
 	FlushEvery time.Duration
-	// Parallelism is the detection worker bound (0 = GOMAXPROCS).
+	// Parallelism is the detection worker bound (0 = GOMAXPROCS): it
+	// bounds each dataplane pass's workers and the number of micro-batch
+	// flushes one model runs at once.
 	Parallelism int
 	// Precision is the BMU candidate-generation precision applied to
 	// every loaded model (the -bmu-precision flag); a pure performance
@@ -183,9 +185,9 @@ func (reg *Registry) get(name string) *modelEntry {
 }
 
 // maxRegistryModels caps the number of hosted models: each entry pins a
-// pipeline and a batcher goroutine, so an unbounded registry would let a
-// deploy loop with unique names exhaust memory. Stale entries are
-// removed with DELETE /model.
+// pipeline and its batcher's flush goroutines, so an unbounded registry
+// would let a deploy loop with unique names exhaust memory. Stale entries
+// are removed with DELETE /model.
 const maxRegistryModels = 32
 
 // Swap installs pipe under name: an existing entry's pipeline pointer is
@@ -541,9 +543,10 @@ func (s *serveStats) noteError(err error, quarantine bool) {
 // StatsView is the marshal-safe derived view served on /stats. The
 // worker-pool gauges (WorkerBound, BusyWorkers, IdleWorkers, QueueDepth)
 // are point-in-time snapshots for diagnosing scaling stalls. The batcher
-// flushes whenever the dataplane is free, so a non-zero QueueDepth means
-// the dataplane is busy, never that requests wait on a batching timer;
-// busy workers with a deep queue point at CPU saturation.
+// runs up to WorkerBound flushes at once, each as soon as a flush loop is
+// free, so a non-zero QueueDepth means every loop is busy, never that
+// requests wait on a batching timer; busy workers with a deep queue point
+// at CPU saturation.
 type StatsView struct {
 	// Instance is the server's stable identity (Config.Instance), so a
 	// cluster rollup can attribute this document to a replica.
@@ -567,12 +570,12 @@ type StatsView struct {
 	// resolved against the model's widest codebook).
 	BMUPrecision string `json:"bmuPrecision"`
 	// BusyWorkers is the worker count claimed by detect calls executing
-	// right now (in-flight batches × WorkerBound); IdleWorkers is the
-	// remainder of the bound, floored at zero.
+	// right now (in-flight batches × WorkerBound, clamped to the bound);
+	// IdleWorkers is the remainder of the bound.
 	BusyWorkers int64 `json:"busyWorkers"`
 	IdleWorkers int64 `json:"idleWorkers"`
 	// QueueDepth is the number of jobs waiting in the admission queue,
-	// not yet picked up by the flush loop; QueueCap is its bound.
+	// not yet picked up by a flush loop; QueueCap is its bound.
 	QueueDepth int `json:"queueDepth"`
 	QueueCap   int `json:"queueCap"`
 	// QueueWaitMaxMs and QueueWaitMeanMs aggregate how long dequeued
@@ -624,20 +627,25 @@ func (s *serveStats) snapshot() StatsView {
 }
 
 // batcher coalesces jobs into micro-batches, flushed through DetectBatch
-// as soon as the dataplane is free, up to maxBatch records: jobs that
-// arrive during a flush share the next one, so batches grow with load
-// and an idle server adds no linger. The pipeline pointer is atomic: a
-// model hot-swap stores a new pipeline, each flush loads the pointer
-// exactly once, so every batch runs whole against one model — requests
-// are never split or torn across a swap. Admission is the bounded
+// by up to loops concurrent flush loops (the resolved Parallelism), each
+// flushing as soon as it is free, up to maxBatch records: jobs that
+// arrive while every loop is busy share the next free loop's flush, so
+// batches grow with load and an idle server adds no linger. Rows are
+// independent, so concurrent flushes return the same verdicts as one
+// loop would. The pipeline pointer is atomic: a model hot-swap stores a
+// new pipeline, each flush loads the pointer exactly once, so every
+// batch runs whole against one model — requests are never split or torn
+// across a swap. Admission is the bounded
 // deadline-aware serveq.Queue: a full queue sheds new work instead of
 // building unbounded backlog, and jobs whose deadline lapses while
 // queued are dropped before costing dataplane time.
 type batcher struct {
-	pipe           atomic.Pointer[ghsom.Pipeline]
-	maxBatch       int
-	maxBody        int64
-	par            int
+	pipe     atomic.Pointer[ghsom.Pipeline]
+	maxBatch int
+	maxBody  int64
+	// loops is the resolved Parallelism: the number of flush loops and
+	// the worker bound /stats reports.
+	loops          int
 	defaultTimeout time.Duration
 	inflight       atomic.Int64
 	q              *serveq.Queue[*job]
@@ -650,7 +658,7 @@ func newBatcher(pipe *ghsom.Pipeline, cfg Config) *batcher {
 	b := &batcher{
 		maxBatch:       cfg.MaxBatch,
 		maxBody:        cfg.MaxBody,
-		par:            cfg.Parallelism,
+		loops:          parallel.Resolve(cfg.Parallelism),
 		defaultTimeout: cfg.DefaultTimeout,
 		q:              serveq.New[*job](cfg.QueueCap),
 		quit:           make(chan struct{}),
@@ -660,8 +668,10 @@ func newBatcher(pipe *ghsom.Pipeline, cfg Config) *batcher {
 	}
 	b.pipe.Store(pipe)
 	b.stats.start = time.Now()
-	b.wg.Add(1)
-	go b.loop()
+	b.wg.Add(b.loops)
+	for range b.loops {
+		go b.loop()
+	}
 	return b
 }
 
@@ -669,7 +679,7 @@ func (b *batcher) close() {
 	b.q.CloseAdmission()
 	close(b.quit)
 	b.wg.Wait()
-	// Fail any job that raced past the loop's final drain, so no client
+	// Fail any job that raced past the loops' final drains, so no client
 	// hangs on a batcher that will never flush again.
 	for {
 		select {
@@ -689,11 +699,13 @@ var errUnloaded = fmt.Errorf("model unloaded")
 // batch could serve them.
 var errDeadline = fmt.Errorf("deadline exceeded before detection completed")
 
-// loop is the work-conserving micro-batching core: it blocks for the
-// first job, drains without blocking whatever is already queued until
-// the batch holds maxBatch records, and flushes at once. Jobs that
-// arrive during a flush queue behind it and form the next batch, so
-// batches grow with load while no job ever waits on an idle dataplane.
+// loop is the work-conserving micro-batching core, one of b.loops copies
+// sharing the admission queue: it blocks for the first job, drains
+// without blocking whatever is already queued until the batch holds
+// maxBatch records, and flushes at once. Jobs that arrive while every
+// loop is flushing queue behind them and form the next batch of
+// whichever loop frees first, so batches grow with load while no job
+// ever waits on an idle loop.
 func (b *batcher) loop() {
 	defer b.wg.Done()
 	var (
@@ -960,19 +972,19 @@ const (
 // retryAfterSeconds derives the overload Retry-After hint from observed
 // queue pressure instead of a fixed constant: the estimated time to
 // drain the current backlog — queued jobs served at the measured mean
-// flush cadence — clamped to [1, 30] seconds. An idle or just-started
-// server (no latency data yet) answers the 1s floor, matching the old
-// fixed behavior.
+// flush cadence, spread over the concurrent flush loops — clamped to
+// [1, 30] seconds. An idle or just-started server (no latency data yet)
+// answers the 1s floor, matching the old fixed behavior.
 func (b *batcher) retryAfterSeconds() int {
 	depth := b.q.Depth()
 	mean := b.stats.meanBatchLatency()
 	if depth == 0 || mean <= 0 {
 		return minRetryAfterSec
 	}
-	// Each flush serves at least one queued job, so depth × mean latency
-	// bounds the drain time from above; the ceil keeps sub-second
-	// pressure visible as the 1s floor.
-	est := time.Duration(depth) * mean
+	// Each flush serves at least one queued job and b.loops flushes run
+	// at once, so depth × mean latency / loops bounds the drain time from
+	// above; the ceil keeps sub-second pressure visible as the 1s floor.
+	est := time.Duration(depth) * mean / time.Duration(b.loops)
 	secs := int(math.Ceil(est.Seconds()))
 	if secs < minRetryAfterSec {
 		return minRetryAfterSec
@@ -1143,16 +1155,14 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 // worker-pool gauges.
 func (b *batcher) statsSnapshot() StatsView {
 	out := b.stats.snapshot()
-	bound := parallel.Resolve(b.par)
-	busy := b.inflight.Load() * int64(bound)
-	out.WorkerBound = bound
+	bound := int64(b.loops)
+	busy := min(b.inflight.Load()*bound, bound)
+	out.WorkerBound = int(bound)
 	if pipe := b.pipe.Load(); pipe != nil {
 		out.BMUPrecision = pipe.BMUPrecision().String()
 	}
 	out.BusyWorkers = busy
-	if idle := int64(bound) - busy; idle > 0 {
-		out.IdleWorkers = idle
-	}
+	out.IdleWorkers = bound - busy
 	out.QueueDepth = b.q.Depth()
 	out.QueueCap = b.q.Cap()
 	waits := b.q.TakeWaitStats()

@@ -100,25 +100,30 @@ func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 // test to queue its jobs behind the held flush.
 const flushHold = 500 * time.Millisecond
 
-// holdFlush starts one flush of lead that stalls inside the dataplane
-// for flushHold (a one-shot dataplane-latency fault) and returns once the
-// stall has begun. Jobs pushed while it is held queue up and must share
-// the next flush. The returned channel yields the lead job's error.
-func holdFlush(t *testing.T, b *batcher, lead []kdd.Record) <-chan error {
+// holdFlush starts one flush per lead, each stalling inside the
+// dataplane for flushHold (a dataplane-latency fault armed for exactly
+// len(leads) firings), and returns once every stall has begun. Leads are
+// submitted one at a time, each after the previous stall began, so each
+// lands in its own flush loop. With every loop held, jobs pushed now
+// queue up and must share the following flushes. The returned channel
+// yields each lead job's error.
+func holdFlush(t *testing.T, b *batcher, leads ...[]kdd.Record) <-chan error {
 	t.Helper()
 	t.Cleanup(faultinject.Disarm)
 	base := faultinject.Hits(faultinject.DataplaneLatency)
-	if err := faultinject.Arm(fmt.Sprintf("%s=latency:%v:1", faultinject.DataplaneLatency, flushHold)); err != nil {
+	if err := faultinject.Arm(fmt.Sprintf("%s=latency:%v:%d", faultinject.DataplaneLatency, flushHold, len(leads))); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.submit(context.Background(), lead, time.Time{})
-		done <- err
-	}()
-	waitUntil(t, "the held flush to start", func() bool {
-		return faultinject.Hits(faultinject.DataplaneLatency) == base+1
-	})
+	done := make(chan error, len(leads))
+	for i, lead := range leads {
+		go func() {
+			_, err := b.submit(context.Background(), lead, time.Time{})
+			done <- err
+		}()
+		waitUntil(t, fmt.Sprintf("held flush %d to start", i+1), func() bool {
+			return faultinject.Hits(faultinject.DataplaneLatency) == base+int64(i+1)
+		})
+	}
 	return done
 }
 
@@ -144,7 +149,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // TestBatcherCoalescesAndMatchesDetectAll queues many small requests
 // behind a held flush and verifies they coalesce into exactly one
 // following flush, with every client getting the same predictions the
-// direct batch path produces.
+// direct batch path produces. Exactly one following flush is a property
+// of a single flush loop, so the batcher runs at Parallelism 1.
 func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[:600]
@@ -152,7 +158,7 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(pipe, testConfig(1024, 0))
+	b := newBatcher(pipe, testConfig(1024, 1))
 	defer b.close()
 
 	lead := holdFlush(t, b, recs[600:601])
@@ -205,6 +211,133 @@ func TestBatcherCoalescesAndMatchesDetectAll(t *testing.T) {
 	}
 }
 
+// TestBatcherFlushesConcurrently pins concurrent flush loops: at
+// Parallelism 2, a job submitted while one flush is held in the
+// dataplane is served by the other loop well before the hold ends. With
+// a single flush loop it would wait out the hold and time out.
+func TestBatcherFlushesConcurrently(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	job := recs[:16]
+	want, err := pipe.DetectAll(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(pipe, testConfig(1024, 2))
+	defer b.close()
+
+	lead := holdFlush(t, b, recs[600:601])
+	ctx, cancel := context.WithTimeout(context.Background(), flushHold/2)
+	got, err := b.submit(ctx, job, time.Time{})
+	cancel()
+	if err != nil {
+		t.Fatalf("job behind one held flush: %v (flushes run one at a time?)", err)
+	}
+	if !predsEqual(got, want) {
+		t.Fatal("concurrently flushed job: verdicts differ from the direct path")
+	}
+	select {
+	case <-lead:
+		t.Fatal("the held flush ended before the concurrent job was checked")
+	default:
+	}
+	if err := <-lead; err != nil {
+		t.Fatalf("held job: %v", err)
+	}
+}
+
+// TestBatcherCoalescesAcrossLoops is the coalescing test at Parallelism
+// 2: with both flush loops held, many small queued requests are served
+// in at most two following flushes (one per loop), and every client gets
+// the predictions the direct batch path produces.
+func TestBatcherCoalescesAcrossLoops(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	eval := recs[:600]
+	want, err := pipe.DetectAll(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(pipe, testConfig(1024, 2))
+	defer b.close()
+
+	lead := holdFlush(t, b, recs[600:601], recs[601:602])
+	const jobRecs = 5
+	nJobs := len(eval) / jobRecs
+	got := make([][]ghsom.Prediction, nJobs)
+	errs := make([]error, nJobs)
+	var wg sync.WaitGroup
+	for j := range nJobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[j], errs[j] = b.submit(context.Background(), eval[j*jobRecs:(j+1)*jobRecs], time.Time{})
+		}()
+	}
+	waitQueued(t, b, nJobs)
+	for range 2 {
+		if err := <-lead; err != nil {
+			t.Fatalf("held job: %v", err)
+		}
+	}
+	wg.Wait()
+	for j := range nJobs {
+		if errs[j] != nil {
+			t.Fatalf("job %d: %v", j, errs[j])
+		}
+		if !predsEqual(got[j], want[j*jobRecs:(j+1)*jobRecs]) {
+			t.Fatalf("job %d: batched verdicts differ from the direct path", j)
+		}
+	}
+	snap := b.stats.snapshot()
+	if snap.Records != int64(nJobs*jobRecs+2) {
+		t.Errorf("stats.records = %d, want %d", snap.Records, nJobs*jobRecs+2)
+	}
+	// The two held flushes plus at most one flush per loop for the queue.
+	if following := snap.Batches - 2; following < 1 || following > 2 {
+		t.Errorf("%d queued jobs took %d following flushes, want 1 or 2", nJobs, following)
+	}
+}
+
+// TestStatsGaugesUnderConcurrentFlushes holds both flush loops of a
+// Parallelism 2 batcher: the busy-worker gauge must stay within the
+// worker bound, and the Retry-After estimate must spread the queued
+// backlog over both loops.
+func TestStatsGaugesUnderConcurrentFlushes(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	b := newBatcher(pipe, testConfig(1024, 2))
+	defer b.close()
+	// Pin the mean flush latency the estimate reads to one second.
+	b.stats.record(1, time.Second)
+
+	lead := holdFlush(t, b, recs[:1], recs[1:2])
+	const queued = 4
+	var wg sync.WaitGroup
+	for i := range queued {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.submit(context.Background(), recs[i:i+1], time.Time{}); err != nil {
+				t.Errorf("queued job %d: %v", i, err)
+			}
+		}()
+	}
+	waitQueued(t, b, queued)
+	snap := b.statsSnapshot()
+	if snap.WorkerBound != 2 || snap.BusyWorkers != 2 || snap.IdleWorkers != 0 {
+		t.Errorf("two held flushes at bound 2: workerBound %d busyWorkers %d idleWorkers %d, want 2, 2, 0",
+			snap.WorkerBound, snap.BusyWorkers, snap.IdleWorkers)
+	}
+	// 4 queued jobs × 1s mean flush latency / 2 loops.
+	if snap.RetryAfterSec != 2 {
+		t.Errorf("retryAfterSec = %d, want 2 (queue depth %d × 1s / 2 loops)", snap.RetryAfterSec, snap.QueueDepth)
+	}
+	for range 2 {
+		if err := <-lead; err != nil {
+			t.Fatalf("held job: %v", err)
+		}
+	}
+	wg.Wait()
+}
+
 // TestBatcherFlushesLoneJobWithoutLinger pins the work-conserving flush
 // policy: a lone job on an idle batcher is served at once, whatever the
 // deprecated FlushEvery says, and a lone job above MaxBatch still flushes
@@ -238,10 +371,11 @@ func TestBatcherFlushesLoneJobWithoutLinger(t *testing.T) {
 // TestBatcherIsolatesBadJob co-batches a bad record in one client's
 // request with a valid request behind a held flush: the valid job must
 // not fail, and the failing client's error must carry its own record
-// index, not the merged batch's.
+// index, not the merged batch's. One flush loop (Parallelism 1) makes the
+// two jobs queue behind the held flush and share the next one.
 func TestBatcherIsolatesBadJob(t *testing.T) {
 	pipe, recs := testPipeline(t)
-	b := newBatcher(pipe, testConfig(1024, 0))
+	b := newBatcher(pipe, testConfig(1024, 1))
 	defer b.close()
 
 	good := recs[:20]
