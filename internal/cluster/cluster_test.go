@@ -12,9 +12,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ghsom/internal/serve"
@@ -333,6 +335,32 @@ func TestGatewayDetectBodyCap(t *testing.T) {
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()
+}
+
+// TestGatewayDetectHugeClaimTinyBody pins the memory-safety contract of
+// the /detect body read: allocation follows the bytes that arrive, never
+// the Content-Length a client declares. A request claiming the default
+// MaxBody that breaks off after a few bytes is a 400 and must allocate
+// nothing close to the claim.
+func TestGatewayDetectHugeClaimTinyBody(t *testing.T) {
+	f := newFakeReplica(t, "rep-a")
+	g := newTestGateway(t, Config{Replicas: []string{f.srv.URL}})
+	h := g.Handler()
+	body := io.MultiReader(strings.NewReader(`{"duration":`), iotest.ErrReader(io.ErrUnexpectedEOF))
+	req := httptest.NewRequest(http.MethodPost, "/detect", body)
+	req.ContentLength = serve.DefaultMaxBodyBytes
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("truncated body: status %d, want %d", rec.Code, http.StatusBadRequest)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading a %d-byte body claiming %d bytes allocated %d bytes, want < 1 MiB",
+			len(`{"duration":`), int64(serve.DefaultMaxBodyBytes), alloc)
+	}
 }
 
 func TestGatewayShedsWhenShardEmpty(t *testing.T) {

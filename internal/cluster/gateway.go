@@ -222,19 +222,6 @@ type proxyResult struct {
 	err         error
 }
 
-// readBody reads r's body through a MaxBytesReader capped at limit. A
-// declared Content-Length within the cap sizes the buffer once (the
-// MinRead slack lets the final read see EOF without regrowing), so a
-// typical body is read without repeated slice growth.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
-}
-
 // retryable reports whether the exchange may be retried elsewhere:
 // transport failures and deliberate shedding (429 overload, 503
 // drain/unavailable) are; everything else — including 4xx client errors
@@ -255,7 +242,7 @@ func (g *Gateway) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	// Buffer the body: retries and hedges need to replay it, and the
 	// columnar format passes through as opaque bytes either way.
-	body, err := readBody(w, r, g.cfg.MaxBody)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -569,8 +569,9 @@ type StatsView struct {
 	// model's routing descent (the -bmu-precision knob with auto
 	// resolved against the model's widest codebook).
 	BMUPrecision string `json:"bmuPrecision"`
-	// BusyWorkers is the worker count claimed by detect calls executing
-	// right now (in-flight batches × WorkerBound, clamped to the bound);
+	// BusyWorkers counts the detection passes executing right now (flush
+	// loops mid-flush plus columnar requests), clamped to WorkerBound, so
+	// one busy loop reads 1 and every loop busy reads the bound;
 	// IdleWorkers is the remainder of the bound.
 	BusyWorkers int64 `json:"busyWorkers"`
 	IdleWorkers int64 `json:"idleWorkers"`
@@ -1156,7 +1157,7 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 func (b *batcher) statsSnapshot() StatsView {
 	out := b.stats.snapshot()
 	bound := int64(b.loops)
-	busy := min(b.inflight.Load()*bound, bound)
+	busy := min(b.inflight.Load(), bound)
 	out.WorkerBound = int(bound)
 	if pipe := b.pipe.Load(); pipe != nil {
 		out.BMUPrecision = pipe.BMUPrecision().String()

@@ -297,12 +297,24 @@ func TestBatcherCoalescesAcrossLoops(t *testing.T) {
 	}
 }
 
-// TestStatsGaugesUnderConcurrentFlushes holds both flush loops of a
-// Parallelism 2 batcher: the busy-worker gauge must stay within the
-// worker bound, and the Retry-After estimate must spread the queued
-// backlog over both loops.
+// TestStatsGaugesUnderConcurrentFlushes pins the worker gauges of a
+// Parallelism 2 batcher: busyWorkers counts running passes, so one held
+// flush reads busy 1 / idle 1 and both loops held read busy 2 / idle 0,
+// never more than the bound. With both loops held the Retry-After
+// estimate must spread the queued backlog over both loops.
 func TestStatsGaugesUnderConcurrentFlushes(t *testing.T) {
 	pipe, recs := testPipeline(t)
+	one := newBatcher(pipe, testConfig(1024, 2))
+	held := holdFlush(t, one, recs[:1])
+	if snap := one.statsSnapshot(); snap.WorkerBound != 2 || snap.BusyWorkers != 1 || snap.IdleWorkers != 1 {
+		t.Errorf("one held flush at bound 2: workerBound %d busyWorkers %d idleWorkers %d, want 2, 1, 1",
+			snap.WorkerBound, snap.BusyWorkers, snap.IdleWorkers)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held job: %v", err)
+	}
+	one.close()
+
 	b := newBatcher(pipe, testConfig(1024, 2))
 	defer b.close()
 	// Pin the mean flush latency the estimate reads to one second.
