@@ -8,6 +8,9 @@ package ghsom
 // output via ReportMetric, so the bench log doubles as a results table.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -386,6 +389,91 @@ func BenchmarkTrainPipeline(b *testing.B) {
 			b.StopTimer()
 			recPerSec := float64(len(records)) * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(recPerSec, "records/sec")
+		})
+	}
+}
+
+// BenchmarkDetectColumnar measures the columnar wire-format dataplane —
+// DetectColumnar over one decoded GHSOMWB1 frame of the test set — on the
+// same Parallelism sweep as BenchmarkDetectBatch, reporting records/sec.
+// Frame decoding is outside the timed loop; BenchmarkIngestColumnar in
+// internal/kdd measures it.
+func BenchmarkDetectColumnar(b *testing.B) {
+	benchEncoded(b)
+	records := benchState.ds.Test
+	pipe, err := TrainPipeline(benchState.ds.Train, benchParallelConfig(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := WriteColumnarBatch(&frame, records, ColumnarWriteOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	var cb ColumnarBatch
+	if err := ReadColumnarBatch(bytes.NewReader(frame.Bytes()), &cb, DefaultColumnarLimits()); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]Prediction, len(records))
+	for _, pc := range benchParallelism {
+		b.Run(pc.name, func(b *testing.B) {
+			pipe.SetParallelism(pc.p)
+			if _, err := pipe.DetectColumnar(&cb, out); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pipe.DetectColumnar(&cb, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(records))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+		})
+	}
+}
+
+// BenchmarkLoadPipelineFile measures a cold model load of one saved
+// envelope: "heap" decodes the arena and tables into the heap, "mmap"
+// maps the file and views it in place. A load carries no records, so the
+// figures are ns per load and the envelope's bytes per second.
+func BenchmarkLoadPipelineFile(b *testing.B) {
+	benchEncoded(b)
+	pipe, err := TrainPipeline(benchState.ds.Train, benchParallelConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "model.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pipe.Save(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name   string
+		mapped bool
+	}{{"heap", false}, {"mmap", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(st.Size())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := LoadPipelineFile(path, mode.mapped)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -195,8 +195,11 @@ func Fit(q Quantizer, data [][]float64, labels []string, cfg Config) (*Detector,
 	if bq, ok := q.(BatchQuantizer); ok && uniformDim(data) > 0 {
 		fitQuantizeBatch(bq, data, cellOf, qeOf, cfg.Parallelism)
 	} else {
-		parallel.ForEach(cfg.Parallelism, len(data), func(i int) {
-			cellOf[i], qeOf[i] = q.Quantize(data[i])
+		parallel.ForEachChunk(nil, cfg.Parallelism, len(data), classifyGrain(cfg.Parallelism, len(data)), func(_, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				cellOf[i], qeOf[i] = q.Quantize(data[i])
+			}
+			return nil
 		})
 	}
 
@@ -341,16 +344,12 @@ var fitScratchPool = sync.Pool{New: func() any { return &fitScratch{} }}
 // Quantize at every worker count.
 func fitQuantizeBatch(bq BatchQuantizer, data [][]float64, cellOf []string, qeOf []float64, parallelism int) {
 	n, d := len(data), len(data[0])
-	w := parallel.Workers(parallelism, n)
-	grain := min((n+w-1)/w, classifyChunk)
-	if grain < 1 {
-		grain = 1
-	}
+	grain := classifyGrain(parallelism, n)
 	scratches := make([]*fitScratch, parallel.WorkersGrain(parallelism, n, grain))
 	for i := range scratches {
 		scratches[i] = fitScratchPool.Get().(*fitScratch)
 	}
-	parallel.ForEachChunk(parallelism, n, grain, func(wk, lo, hi int) {
+	parallel.ForEachChunk(nil, parallelism, n, grain, func(wk, lo, hi int) error {
 		sc := scratches[wk]
 		// Pool entries are shared across Fit calls with different row
 		// widths and chunk sizes: each buffer's capacity must be checked
@@ -369,6 +368,7 @@ func fitQuantizeBatch(bq BatchQuantizer, data [][]float64, cellOf []string, qeOf
 		for i := lo; i < hi; i++ {
 			cellOf[i], qeOf[i] = cells[i-lo].Cell, cells[i-lo].QE
 		}
+		return nil
 	})
 	for _, sc := range scratches {
 		fitScratchPool.Put(sc)
@@ -440,8 +440,11 @@ func noveltyRatio(qe, threshold float64) float64 {
 // stable and identical to serial classification.
 func (d *Detector) ClassifyAll(data [][]float64) []Prediction {
 	out := make([]Prediction, len(data))
-	parallel.ForEach(d.cfg.Parallelism, len(data), func(i int) {
-		out[i] = d.Classify(data[i])
+	parallel.ForEachChunk(nil, d.cfg.Parallelism, len(data), classifyGrain(d.cfg.Parallelism, len(data)), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			out[i] = d.Classify(data[i])
+		}
+		return nil
 	})
 	return out
 }
@@ -450,6 +453,13 @@ func (d *Detector) ClassifyAll(data [][]float64) []Prediction {
 // quantizes per pooled CellQE scratch buffer; the chunk size shrinks
 // below it so a batch always splits across the configured workers.
 const classifyChunk = 256
+
+// classifyGrain is the chunk size of an n-row quantization pass at the
+// given worker bound: one chunk per worker, capped at classifyChunk rows.
+func classifyGrain(parallelism, n int) int {
+	w := parallel.Workers(parallelism, n)
+	return max(min((n+w-1)/w, classifyChunk), 1)
+}
 
 // cellScratch is the pooled per-worker quantization scratch of
 // ClassifyBatch.
@@ -491,17 +501,14 @@ func (d *Detector) ClassifyBatchAt(flat []float64, n, dim int, out []Prediction,
 		return fmt.Errorf("anomaly: classify batch of %d rows into %d predictions", n, len(out))
 	}
 	bq, batch := d.q.(BatchQuantizer)
-	w := parallel.Workers(parallelism, n)
-	grain := min((n+w-1)/w, classifyChunk)
-	if grain < 1 {
-		grain = 1
-	}
+	grain := classifyGrain(parallelism, n)
 	if !batch {
-		parallel.ForEachChunk(parallelism, n, grain, func(_, lo, hi int) {
+		parallel.ForEachChunk(nil, parallelism, n, grain, func(_, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				cell, qe := d.q.Quantize(flat[i*dim : (i+1)*dim])
 				out[i] = d.verdict(cell, qe)
 			}
+			return nil
 		})
 		return nil
 	}
@@ -512,7 +519,7 @@ func (d *Detector) ClassifyBatchAt(flat []float64, n, dim int, out []Prediction,
 	for i := range scratches {
 		scratches[i] = cellScratchPool.Get().(*cellScratch)
 	}
-	parallel.ForEachChunk(parallelism, n, grain, func(wk, lo, hi int) {
+	parallel.ForEachChunk(nil, parallelism, n, grain, func(wk, lo, hi int) error {
 		sc := scratches[wk]
 		if cap(sc.buf) < hi-lo {
 			sc.buf = make([]CellQE, hi-lo)
@@ -522,6 +529,7 @@ func (d *Detector) ClassifyBatchAt(flat []float64, n, dim int, out []Prediction,
 		for i := lo; i < hi; i++ {
 			out[i] = d.verdict(cells[i-lo].Cell, cells[i-lo].QE)
 		}
+		return nil
 	})
 	for _, sc := range scratches {
 		cellScratchPool.Put(sc)

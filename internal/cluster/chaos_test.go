@@ -39,7 +39,7 @@ var clusterPipe struct {
 	err  error
 }
 
-func testPipeline(t *testing.T) (*ghsom.Pipeline, []kdd.Record) {
+func testPipeline(t testing.TB) (*ghsom.Pipeline, []kdd.Record) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("cluster chaos test; skipped with -short")
@@ -65,7 +65,7 @@ func testPipeline(t *testing.T) (*ghsom.Pipeline, []kdd.Record) {
 	return clusterPipe.pipe, clusterPipe.recs
 }
 
-func ndjson(t *testing.T, recs []kdd.Record) []byte {
+func ndjson(t testing.TB, recs []kdd.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -108,7 +108,7 @@ func (m *member) kill()   { m.down.Store(true); m.srv.CloseClientConnections() }
 func (m *member) revive() { m.down.Store(false) }
 
 // startFleet brings up n replicas, each hosting the default model.
-func startFleet(t *testing.T, n int, pipe *ghsom.Pipeline) []*member {
+func startFleet(t testing.TB, n int, pipe *ghsom.Pipeline) []*member {
 	t.Helper()
 	fleet := make([]*member, n)
 	for i := range fleet {
@@ -162,7 +162,7 @@ func memberByURL(fleet []*member, url string) *member {
 
 // startGateway builds a gateway over the fleet with chaos-friendly
 // timings and returns it with its HTTP front.
-func startGateway(t *testing.T, fleet []*member, mut func(*Config)) (*Gateway, *httptest.Server) {
+func startGateway(t testing.TB, fleet []*member, mut func(*Config)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
 		Replicas:         fleetURLs(fleet),

@@ -885,32 +885,6 @@ func (c *Compiled) routeTrainedRow(x []float64) Placement {
 	}
 }
 
-// RouteFlat routes every row of the flat row-major batch (n rows of
-// Dim() values) by full-map descent into out, which must have length at
-// least n. Rows are routed concurrently on up to Workers(parallelism, n)
-// goroutines (0 = GOMAXPROCS, 1 = serial); placements are positionally
-// stable and byte-identical to calling Route per row at every setting.
-func (c *Compiled) RouteFlat(flat []float64, n int, out []Placement, parallelism int) error {
-	if err := c.checkFlat(flat, n, out); err != nil {
-		return err
-	}
-	parallel.ForEach(parallelism, n, func(i int) {
-		row := flat[i*c.dim : (i+1)*c.dim]
-		ni := 0
-		for {
-			nd := &c.nodes[ni]
-			bmu, d2 := c.bmuFull(row, nd)
-			child := c.childIndex[nd.unitBase+bmu]
-			if child < 0 {
-				out[i] = Placement{NodeID: ni, Unit: bmu, Depth: nd.depth, QE: math.Sqrt(d2)}
-				return
-			}
-			ni = int(child)
-		}
-	})
-	return nil
-}
-
 // routeScratchPool recycles the per-worker state of the blocked batch
 // descent: the duplicate-row index, the per-record descent state, and
 // the GEMM score tiles. The maps are cleared before being pooled, so no
@@ -973,8 +947,11 @@ const routeGemmMin = 8
 // flat concurrently, which the batch contract already requires) and are
 // dropped before the scratch returns to its pool.
 func (c *Compiled) RouteTrainedFlat(flat []float64, n int, out []Placement, parallelism int) error {
-	if err := c.checkFlat(flat, n, out); err != nil {
-		return err
+	if len(flat) < n*c.dim {
+		return fmt.Errorf("core: route flat batch of %d rows from %d values, want >= %d", n, len(flat), n*c.dim)
+	}
+	if len(out) < n {
+		return fmt.Errorf("core: route flat batch of %d rows into %d placements", n, len(out))
 	}
 	if n == 0 {
 		return nil
@@ -1000,8 +977,9 @@ func (c *Compiled) RouteTrainedFlat(flat []float64, n int, out []Placement, para
 	for i := range scratches {
 		scratches[i] = routeScratchPool.Get().(*routeScratch)
 	}
-	parallel.ForEachChunk(parallelism, n, grain, func(wk, lo, hi int) {
+	parallel.ForEachChunk(nil, parallelism, n, grain, func(wk, lo, hi int) error {
 		c.routeTrainedChunk(mat, lo, hi, out, scratches[wk])
+		return nil
 	})
 	for _, sc := range scratches {
 		routeScratchPool.Put(sc)
@@ -1386,16 +1364,6 @@ func (c *Compiled) settleNodeQuant(row []float64, xn float64, nd *compiledNode, 
 		return best, bestVal, true
 	}
 	return scalar()
-}
-
-func (c *Compiled) checkFlat(flat []float64, n int, out []Placement) error {
-	if len(flat) < n*c.dim {
-		return fmt.Errorf("core: route flat batch of %d rows from %d values, want >= %d", n, len(flat), n*c.dim)
-	}
-	if len(out) < n {
-		return fmt.Errorf("core: route flat batch of %d rows into %d placements", n, len(out))
-	}
-	return nil
 }
 
 // Decompile rebuilds the pointer-tree GHSOM from the compiled tables —

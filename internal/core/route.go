@@ -98,8 +98,8 @@ func (g *GHSOM) routeTrainedRow(x []float64) Placement {
 // RouteTrainedFlat routes every row of the flat row-major batch (n rows
 // of Dim() values) through the effective codebook, writing placements
 // into out, which must have length at least n. Rows are routed
-// concurrently on up to Workers(parallelism, n) goroutines (0 =
-// GOMAXPROCS, 1 = serial); placements are positionally stable and
+// concurrently in chunks of one GEMM tile of rows (0 = GOMAXPROCS
+// workers, 1 = serial); placements are positionally stable and
 // identical to calling RouteTrained per row at every setting. This is the
 // batch BMU descent under anomaly batch quantization: beyond the worker
 // goroutines it performs no per-row allocation.
@@ -110,8 +110,11 @@ func (g *GHSOM) RouteTrainedFlat(flat []float64, n int, out []Placement, paralle
 	if len(out) < n {
 		return fmt.Errorf("core: route flat batch of %d rows into %d placements", n, len(out))
 	}
-	parallel.ForEach(parallelism, n, func(i int) {
-		out[i] = g.routeTrainedRow(flat[i*g.dim : (i+1)*g.dim])
+	parallel.ForEachChunk(nil, parallelism, n, vecmath.DefaultTileRows, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			out[i] = g.routeTrainedRow(flat[i*g.dim : (i+1)*g.dim])
+		}
+		return nil
 	})
 	return nil
 }

@@ -154,9 +154,14 @@ func TrainMatrix(mat vecmath.Matrix, idx []int, cfg Config) (*GHSOM, error) {
 			innerP = 1
 		}
 		results := make([]trained, len(jobs))
-		parallel.ForEach(cfg.Parallelism, len(jobs), func(i int) {
-			n, ev, err := g.trainNodeMap(jobs[i], innerP)
-			results[i] = trained{node: n, events: ev, err: err}
+		// One job per chunk: jobs are whole maps of very different sizes,
+		// so the cursor hands them out one at a time.
+		parallel.ForEachChunk(nil, cfg.Parallelism, len(jobs), 1, func(_, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				n, ev, err := g.trainNodeMap(jobs[i], innerP)
+				results[i] = trained{node: n, events: ev, err: err}
+			}
+			return nil
 		})
 		var next []nodeJob
 		for i, res := range results {

@@ -4,52 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// TestForEachChunkCtxMatchesForEachChunk proves the uncanceled ctx
-// variant visits the identical chunk layout as ForEachChunk for a sweep
-// of (n, grain, p).
-func TestForEachChunkCtxMatchesForEachChunk(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64, 1000} {
-		for _, grain := range []int{1, 8, 33} {
-			for _, p := range []int{1, 2, 8} {
-				var mu sync.Mutex
-				plain := map[[2]int]bool{}
-				ForEachChunk(p, n, grain, func(w, lo, hi int) {
-					mu.Lock()
-					plain[[2]int{lo, hi}] = true
-					mu.Unlock()
-				})
-				ctxed := map[[2]int]bool{}
-				err := ForEachChunkCtx(context.Background(), p, n, grain, func(w, lo, hi int) {
-					mu.Lock()
-					ctxed[[2]int{lo, hi}] = true
-					mu.Unlock()
-				})
-				if err != nil {
-					t.Fatalf("n=%d grain=%d p=%d: err %v", n, grain, p, err)
-				}
-				if len(plain) != len(ctxed) {
-					t.Fatalf("n=%d grain=%d p=%d: %d vs %d chunks", n, grain, p, len(plain), len(ctxed))
-				}
-				for k := range plain {
-					if !ctxed[k] {
-						t.Fatalf("n=%d grain=%d p=%d: chunk %v missing", n, grain, p, k)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestForEachChunkCtxNilCtx pins that a nil ctx is valid and never
 // cancels.
 func TestForEachChunkCtxNilCtx(t *testing.T) {
 	var ran atomic.Int64
-	if err := ForEachChunkCtx(nil, 4, 100, 10, func(w, lo, hi int) { ran.Add(int64(hi - lo)) }); err != nil {
+	err := ForEachChunk(nil, 4, 100, 10, func(w, lo, hi int) error {
+		ran.Add(int64(hi - lo))
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 100 {
@@ -64,7 +31,10 @@ func TestForEachChunkCtxPreCanceled(t *testing.T) {
 	cancel()
 	for _, p := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachChunkCtx(ctx, p, 1000, 10, func(w, lo, hi int) { ran.Add(1) })
+		err := ForEachChunk(ctx, p, 1000, 10, func(w, lo, hi int) error {
+			ran.Add(1)
+			return nil
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("p=%d: err = %v, want Canceled", p, err)
 		}
@@ -83,11 +53,12 @@ func TestForEachChunkCtxCancelMidway(t *testing.T) {
 		const n, grain = 1000, 10
 		var ran atomic.Int64
 		var completed atomic.Int64
-		err := ForEachChunkCtx(ctx, p, n, grain, func(w, lo, hi int) {
+		err := ForEachChunk(ctx, p, n, grain, func(w, lo, hi int) error {
 			if ran.Add(1) == 5 {
 				cancel()
 			}
 			completed.Add(1) // a started chunk always finishes
+			return nil
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -102,13 +73,15 @@ func TestForEachChunkCtxCancelMidway(t *testing.T) {
 	}
 }
 
-// TestForEachChunkCtxLateCancelIsComplete: cancellation that fires after
-// every chunk completed must not fail the call — the computation is
-// whole.
+// TestForEachChunkCtxLateCancel: cancellation that fires after every
+// chunk completed must not fail the call — the computation is whole.
 func TestForEachChunkCtxLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEachChunkCtx(ctx, 1, 100, 10, func(w, lo, hi int) { ran.Add(1) })
+	err := ForEachChunk(ctx, 1, 100, 10, func(w, lo, hi int) error {
+		ran.Add(1)
+		return nil
+	})
 	cancel()
 	if err != nil || ran.Load() != 10 {
 		t.Fatalf("err=%v ran=%d, want nil and 10", err, ran.Load())
@@ -119,7 +92,7 @@ func TestForEachChunkCtxLateCancel(t *testing.T) {
 // error of the lowest failing chunk wins regardless of worker count.
 func TestForEachChunkErrCtxLowestChunk(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
-		err := ForEachChunkErrCtx(context.Background(), p, 100, 10, func(w, lo, hi int) error {
+		err := ForEachChunk(context.Background(), p, 100, 10, func(w, lo, hi int) error {
 			if lo >= 30 {
 				return fmt.Errorf("chunk at %d", lo)
 			}
@@ -138,7 +111,7 @@ func TestForEachChunkErrCtxErrorBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
-	err := ForEachChunkErrCtx(ctx, 4, 100, 10, func(w, lo, hi int) error {
+	err := ForEachChunk(ctx, 4, 100, 10, func(w, lo, hi int) error {
 		if lo == 0 {
 			cancel()
 			return boom
@@ -147,46 +120,5 @@ func TestForEachChunkErrCtxErrorBeatsCancel(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-// TestMapReduceChunkCtxMatchesMapReduceChunk proves the uncanceled fold
-// is bit-identical to MapReduceChunk at every worker count.
-func TestMapReduceChunkCtxMatchesMapReduceChunk(t *testing.T) {
-	n := 1003
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 1.0 / float64(i+3)
-	}
-	mapFn := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += xs[i]
-		}
-		return s
-	}
-	add := func(a, b float64) float64 { return a + b }
-	want := MapReduceChunk(1, n, 17, 0.0, mapFn, add)
-	for _, p := range []int{1, 2, 8} {
-		got, err := MapReduceChunkCtx(context.Background(), p, n, 17, 0.0, mapFn, add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("p=%d: fold %v != %v (not bit-identical)", p, got, want)
-		}
-	}
-}
-
-// TestMapReduceChunkCtxCanceledReturnsZero: no partial fold escapes a
-// canceled call.
-func TestMapReduceChunkCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, err := MapReduceChunkCtx(ctx, 4, 1000, 10, 0.0,
-		func(lo, hi int) float64 { return 1 },
-		func(a, b float64) float64 { return a + b })
-	if !errors.Is(err, context.Canceled) || got != 0 {
-		t.Fatalf("got %v, %v; want 0, Canceled", got, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded fork-join primitives shared by the
-// training and inference hot paths: a resolved worker count, parallel
-// index loops with and without first-error propagation, and a
-// deterministic chunked map-reduce.
+// training and inference hot paths: one chunk loop (ForEachChunk), one
+// deterministic chunk reduce (MapReduceChunk), and the worker-count
+// resolvers they use.
 //
 // # The Parallelism knob
 //
@@ -10,32 +10,34 @@
 // Workers: values <= 0 mean "use runtime.GOMAXPROCS(0)", 1 means strictly
 // serial execution on the calling goroutine, and n > 1 bounds the fan-out
 // at n goroutines. The worker count is additionally capped by the job
-// count, so small inputs never pay goroutine overhead.
+// count (and by WorkersGrain at one chunk per worker), so small inputs
+// never pay goroutine overhead.
 //
 // # Determinism
 //
-// ForEach runs fn exactly once per index; when every fn(i) writes only to
-// its own output slot, the result is identical for every worker count —
-// this is how BMU assignment and batch classification stay bit-for-bit
-// reproducible under parallelism. Reductions whose result must not depend
-// on the worker count (floating-point sums on the training path) are
-// instead expressed as a parallel per-index pass followed by a serial
-// index-order fold in the caller. MapReduce is deterministic for a fixed
-// (p, n) pair: chunk boundaries depend only on p and n, and partial
-// results are folded in ascending chunk order.
+// Both schedulers split [0, n) into a fixed chunk layout that depends only
+// on (n, grain) — never on the worker count — and hand chunks to workers
+// through an atomic cursor (work stealing, so skewed chunk costs balance).
+// When every chunk writes only its own output slots, ForEachChunk's
+// result is identical for every worker count; this is how BMU assignment
+// and batch classification stay bit-for-bit reproducible under
+// parallelism. MapReduceChunk folds per-chunk partials in ascending chunk
+// order, and each partial is computed over the same index range in the
+// same serial order no matter which worker runs it, so floating-point
+// reductions built on it are bit-identical at every Parallelism setting,
+// including 1.
 //
-// The chunked scheduler (ForEachChunk, MapReduceChunk) strengthens that
-// guarantee to every worker count: its chunk layout is a function of (n,
-// grain) only — never of p — chunks are handed to workers by an atomic
-// cursor (work stealing, so skewed chunk costs balance), and
-// MapReduceChunk folds per-chunk partials in ascending chunk order.
-// Because each chunk's partial is computed over the same index range with
-// the same serial order no matter which worker runs it, floating-point
-// reductions built on MapReduceChunk are bit-identical at every
-// Parallelism setting, including 1.
+// # Cancellation and errors
+//
+// ForEachChunk checks its context only between chunks — a chunk that has
+// started always runs to completion — so an uncanceled call runs the
+// exact chunked computation of a call with a nil context. A failing chunk
+// reports the error of the lowest failing chunk, the result of a serial
+// loop that stops at its first error.
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -100,47 +102,65 @@ func WorkersGrain(p, n, grain int) int {
 	return w
 }
 
-// Chunks returns the number of fixed-layout chunks ForEachChunk and
-// MapReduceChunk split [0, n) into at the given grain: ceil(n/grain),
-// with grain floored at 1. The layout depends only on (n, grain).
-func Chunks(n, grain int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	return (n + grain - 1) / grain
-}
-
 // ForEachChunk splits [0, n) into fixed chunks of grain indices — chunk c
 // covers [c*grain, min((c+1)*grain, n)), a layout that depends only on
-// (n, grain) — and invokes fn(w, lo, hi) once per chunk on at most
-// WorkersGrain(p, n, grain) workers. Chunks are handed out through an
-// atomic cursor, so uneven per-chunk costs (hierarchy descents of varying
-// depth) balance across workers (work stealing), while w identifies the
-// calling worker in [0, WorkersGrain(p, n, grain)) so callers can keep
+// (n, grain), with grain floored at 1 — and invokes fn(w, lo, hi) once per
+// chunk on at most WorkersGrain(p, n, grain) workers. Chunks are handed
+// out through an atomic cursor, so uneven per-chunk costs (hierarchy
+// descents of varying depth) balance across workers, while w identifies
+// the calling worker in [0, WorkersGrain(p, n, grain)) so callers can keep
 // per-worker scratch arenas without locks or pools on the chunk path.
 // Serial execution (one worker) visits chunks in ascending order with
-// w == 0. fn must be safe for concurrent calls; writes to distinct
-// per-index slots need no further synchronization.
-func ForEachChunk(p, n, grain int, fn func(w, lo, hi int)) {
+// w == 0 on the calling goroutine. fn must be safe for concurrent calls;
+// writes to distinct per-index slots need no further synchronization.
+//
+// If fn fails, the error of the lowest failing chunk is returned; chunks
+// after an observed failure may be skipped, so the caller must treat all
+// outputs as invalid. ctx is checked between chunks: with no fn error,
+// ctx.Err() is returned only if cancellation actually skipped chunks — a
+// ctx that fires after the last chunk completed does not fail the call,
+// because the computation is whole. A nil ctx never cancels, so with a
+// nil ctx and an fn that never fails the call always returns nil.
+func ForEachChunk(ctx context.Context, p, n, grain int, fn func(w, lo, hi int) error) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := (n + grain - 1) / grain
-	w := WorkersGrain(p, n, grain)
-	if w <= 1 {
-		for c := 0; c < chunks; c++ {
-			hi := (c + 1) * grain
-			if hi > n {
-				hi = n
-			}
-			fn(0, c*grain, hi)
-		}
-		return
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	var cursor atomic.Int64
+	w := WorkersGrain(p, n, grain)
+	if w > 1 {
+		return forEachChunkParallel(ctx, done, w, n, grain, fn)
+	}
+	// The serial loop lives beside, not inside, the goroutine fan-out:
+	// nothing here is captured by a goroutine, so the call allocates
+	// nothing beyond the caller's closure.
+	for lo := 0; lo < n; lo += grain {
+		if canceled(done) {
+			return ctx.Err()
+		}
+		if err := fn(0, lo, min(lo+grain, n)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forEachChunkParallel is ForEachChunk's fan-out over w > 1 workers.
+func forEachChunkParallel(ctx context.Context, done <-chan struct{}, w, n, grain int, fn func(w, lo, hi int) error) error {
+	chunks := (n + grain - 1) / grain
+	var (
+		cursor   atomic.Int64
+		cut      atomic.Bool // a checkpoint skipped remaining chunks
+		mu       sync.Mutex
+		firstChk atomic.Int64
+		firstErr error
+	)
+	firstChk.Store(int64(chunks))
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for id := 0; id < w; id++ {
@@ -151,27 +171,58 @@ func ForEachChunk(p, n, grain int, fn func(w, lo, hi int)) {
 				if c >= chunks {
 					return
 				}
-				hi := (c + 1) * grain
-				if hi > n {
-					hi = n
+				if canceled(done) {
+					cut.Store(true)
+					return
 				}
-				fn(id, c*grain, hi)
+				if int64(c) > firstChk.Load() {
+					continue // an earlier chunk failed; skip, but keep draining the cursor
+				}
+				lo := c * grain
+				if err := fn(id, lo, min(lo+grain, n)); err != nil {
+					mu.Lock()
+					if int64(c) < firstChk.Load() {
+						firstChk.Store(int64(c))
+						firstErr = err
+					}
+					mu.Unlock()
+				}
 			}
 		}(id)
 	}
 	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	if cut.Load() {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// canceled reports whether done is closed; a nil done never is.
+func canceled(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // MapReduceChunk runs mapFn over the same fixed chunk layout as
 // ForEachChunk — chunk boundaries depend only on (n, grain) — storing
 // each chunk's partial in its own cache-line-padded slot, then folds the
 // partials into zero in ascending chunk order once all chunks complete:
-// reduceFn(...reduceFn(zero, part0)..., partK). Unlike MapReduce (whose
-// chunk layout follows the worker count), the result is bit-identical at
-// EVERY worker count, including serial execution, because each partial is
-// computed over an identical index range in identical serial order and
-// the fold order never changes. This is the scheduler under the
-// floating-point training folds (BMU-class accumulation, MQE sums).
+// reduceFn(...reduceFn(zero, part0)..., partK). The result is
+// bit-identical at EVERY worker count, including serial execution,
+// because each partial is computed over an identical index range in
+// identical serial order and the fold order never changes. This is the
+// scheduler under the floating-point training folds (BMU-class
+// accumulation, MQE sums).
 //
 // Callers bound peak memory by choosing grain: all ceil(n/grain) partials
 // are alive until the fold runs. reduceFn may recycle part's storage into
@@ -183,130 +234,14 @@ func MapReduceChunk[T any](p, n, grain int, zero T, mapFn func(lo, hi int) T, re
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := (n + grain - 1) / grain
-	parts := make([]Padded[T], chunks)
-	ForEachChunk(p, n, grain, func(w, lo, hi int) {
+	parts := make([]Padded[T], (n+grain-1)/grain)
+	ForEachChunk(nil, p, n, grain, func(_, lo, hi int) error {
 		parts[lo/grain].V = mapFn(lo, hi)
+		return nil
 	})
 	acc := zero
 	for c := range parts {
 		acc = reduceFn(acc, parts[c].V)
-	}
-	return acc
-}
-
-// ForEach invokes fn(i) exactly once for every i in [0, n), using at most
-// Workers(p, n) goroutines. Indices are handed out in contiguous grains via
-// an atomic cursor, so uneven per-index costs (e.g. GHSOM subtrees of very
-// different sizes) stay balanced across workers. ForEach returns after all
-// calls complete. fn must be safe to call concurrently; writes to distinct
-// per-index slots need no further synchronization.
-func ForEach(p, n int, fn func(i int)) {
-	w := Workers(p, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Grain size trades scheduling overhead against balance: ~8 grains per
-	// worker keeps the atomic traffic negligible while still smoothing
-	// skewed workloads.
-	grain := n / (w * 8)
-	if grain < 1 {
-		grain = 1
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for c := 0; c < w; c++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForEachErr invokes fn(i) for every i in [0, n) on up to Workers(p, n)
-// goroutines and returns the error of the lowest failing index, matching
-// the semantics of a serial loop that aborts on first error. The happy
-// path is allocation-free beyond the worker goroutines themselves: error
-// bookkeeping is engaged only when some fn actually fails. Once a failure
-// at index i is observed, calls for indices greater than i may be skipped
-// — callers must treat all outputs as invalid when an error is returned.
-// fn must be safe to call concurrently.
-func ForEachErr(p, n int, fn func(i int) error) error {
-	w := Workers(p, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu       sync.Mutex
-		firstIdx atomic.Int64
-		firstErr error
-	)
-	firstIdx.Store(int64(n))
-	ForEach(p, n, func(i int) {
-		if int64(i) > firstIdx.Load() {
-			return // an earlier index already failed; this result is moot
-		}
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if int64(i) < firstIdx.Load() {
-				firstIdx.Store(int64(i))
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return firstErr
-}
-
-// MapReduce splits [0, n) into Workers(p, n) contiguous chunks, runs mapFn
-// on each chunk concurrently, and folds the partial results into zero in
-// ascending chunk order: reduceFn(...reduceFn(zero, part0)..., partK). The
-// chunk layout is a function of (p, n) only, so the result is deterministic
-// for a fixed worker count. mapFn must be safe to call concurrently.
-func MapReduce[T any](p, n int, zero T, mapFn func(lo, hi int) T, reduceFn func(acc, part T) T) T {
-	w := Workers(p, n)
-	if w <= 1 {
-		if n <= 0 {
-			return zero
-		}
-		return reduceFn(zero, mapFn(0, n))
-	}
-	parts := make([]T, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for c := 0; c < w; c++ {
-		lo, hi := c*n/w, (c+1)*n/w
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			parts[c] = mapFn(lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	acc := zero
-	for _, part := range parts {
-		acc = reduceFn(acc, part)
 	}
 	return acc
 }

@@ -1,9 +1,12 @@
 package parallel
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -26,27 +29,29 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8, 0} {
-		for _, n := range []int{0, 1, 7, 100, 1000} {
-			counts := make([]int32, n)
-			ForEach(p, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("p=%d n=%d: index %d visited %d times", p, n, i, c)
-				}
-			}
-		}
-	}
-}
-
+// TestForEachDeterministicOutputAcrossWorkerCounts checks the caller
+// pattern of the dataplanes: per-worker scratch indexed by w, results
+// written to per-index slots. The output must not depend on which worker
+// ran which chunk, so it is identical at every worker count.
 func TestForEachDeterministicOutputAcrossWorkerCounts(t *testing.T) {
-	n := 512
-	ref := make([]int, n)
-	ForEach(1, n, func(i int) { ref[i] = i * i })
-	for _, p := range []int{2, 4, 8, 0} {
+	n, grain := 512, 7
+	run := func(p int) []int {
 		out := make([]int, n)
-		ForEach(p, n, func(i int) { out[i] = i * i })
+		scratch := make([][]int, WorkersGrain(p, n, grain))
+		ForEachChunk(nil, p, n, grain, func(w, lo, hi int) error {
+			buf := scratch[w][:0]
+			for i := lo; i < hi; i++ {
+				buf = append(buf, i*i)
+			}
+			copy(out[lo:hi], buf)
+			scratch[w] = buf
+			return nil
+		})
+		return out
+	}
+	ref := run(1)
+	for _, p := range []int{2, 4, 8, 0} {
+		out := run(p)
 		for i := range out {
 			if out[i] != ref[i] {
 				t.Fatalf("p=%d: out[%d] = %d, want %d", p, i, out[i], ref[i])
@@ -55,12 +60,19 @@ func TestForEachDeterministicOutputAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestForEachErrHappyPath runs under a live context that never fires:
+// every index is visited once and the call succeeds, exactly as with a
+// nil ctx.
 func TestForEachErrHappyPath(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, p := range []int{1, 2, 4, 8, 0} {
 		n := 300
 		counts := make([]int32, n)
-		err := ForEachErr(p, n, func(i int) error {
-			atomic.AddInt32(&counts[i], 1)
+		err := ForEachChunk(ctx, p, n, 9, func(w, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
 			return nil
 		})
 		if err != nil {
@@ -74,9 +86,9 @@ func TestForEachErrHappyPath(t *testing.T) {
 	}
 }
 
-// TestForEachErrLowestIndexWins verifies the serial-loop error contract:
-// with several failing indices, the error of the lowest one is returned at
-// every worker count.
+// TestForEachErrLowestIndexWins verifies the serial-loop error contract
+// at grain 1, where a chunk is one index: with several sparse failing
+// indices, the error of the lowest one is returned at every worker count.
 func TestForEachErrLowestIndexWins(t *testing.T) {
 	fail := map[int]error{
 		17:  errTest(17),
@@ -84,48 +96,51 @@ func TestForEachErrLowestIndexWins(t *testing.T) {
 		999: errTest(999),
 	}
 	for _, p := range []int{1, 2, 4, 8, 0} {
-		err := ForEachErr(p, 1000, func(i int) error { return fail[i] })
+		err := ForEachChunk(nil, p, 1000, 1, func(w, lo, hi int) error { return fail[lo] })
 		if err != errTest(17) {
 			t.Errorf("p=%d: err = %v, want %v", p, err, errTest(17))
 		}
 	}
 }
 
+// TestForEachErrEmpty: an empty or negative range calls nothing and
+// succeeds, even with an fn that would fail.
 func TestForEachErrEmpty(t *testing.T) {
-	if err := ForEachErr(4, 0, func(i int) error { return errTest(i) }); err != nil {
-		t.Errorf("empty range err = %v", err)
+	for _, n := range []int{0, -1} {
+		err := ForEachChunk(nil, 4, n, 8, func(w, lo, hi int) error {
+			t.Errorf("n=%d: fn called on [%d,%d)", n, lo, hi)
+			return errTest(lo)
+		})
+		if err != nil {
+			t.Errorf("n=%d: err = %v", n, err)
+		}
 	}
 }
 
 type errTest int
 
-func (e errTest) Error() string { return "test error" }
+func (e errTest) Error() string { return fmt.Sprintf("test error %d", int(e)) }
 
+// TestMapReduceSum folds an integer count (the TopographicError pattern),
+// which must be exact at every worker count and grain.
 func TestMapReduceSum(t *testing.T) {
 	n := 1000
 	want := n * (n - 1) / 2
-	for _, p := range []int{1, 2, 4, 8, 0} {
-		got := MapReduce(p, n, 0,
-			func(lo, hi int) int {
-				s := 0
-				for i := lo; i < hi; i++ {
-					s += i
-				}
-				return s
-			},
-			func(acc, part int) int { return acc + part })
-		if got != want {
-			t.Errorf("p=%d: sum = %d, want %d", p, got, want)
+	for _, grain := range []int{1, 33, 4096} {
+		for _, p := range []int{1, 2, 4, 8, 0} {
+			got := MapReduceChunk(p, n, grain, 0,
+				func(lo, hi int) int {
+					s := 0
+					for i := lo; i < hi; i++ {
+						s += i
+					}
+					return s
+				},
+				func(acc, part int) int { return acc + part })
+			if got != want {
+				t.Errorf("grain=%d p=%d: sum = %d, want %d", grain, p, got, want)
+			}
 		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(4, 0, 42,
-		func(lo, hi int) int { t.Fatal("mapFn called on empty range"); return 0 },
-		func(acc, part int) int { return acc + part })
-	if got != 42 {
-		t.Errorf("empty MapReduce = %d, want zero value 42", got)
 	}
 }
 
@@ -158,7 +173,7 @@ func TestForEachChunkCoversRangeOnce(t *testing.T) {
 				maxW := WorkersGrain(p, n, grain)
 				var badWorker atomic.Int32
 				badWorker.Store(-1)
-				ForEachChunk(p, n, grain, func(w, lo, hi int) {
+				err := ForEachChunk(nil, p, n, grain, func(w, lo, hi int) error {
 					if w < 0 || w >= maxW {
 						badWorker.Store(int32(w))
 					}
@@ -168,7 +183,11 @@ func TestForEachChunkCoversRangeOnce(t *testing.T) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&counts[i], 1)
 					}
+					return nil
 				})
+				if err != nil {
+					t.Fatalf("p=%d n=%d grain=%d: err = %v", p, n, grain, err)
+				}
 				if w := badWorker.Load(); w != -1 {
 					t.Fatalf("p=%d n=%d grain=%d: bad worker id or chunk bounds (%d)", p, n, grain, w)
 				}
@@ -178,6 +197,29 @@ func TestForEachChunkCoversRangeOnce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestForEachChunkSerialAllocs pins the serial path's cost: at P=1 the
+// loop runs on the calling goroutine and allocates nothing beyond the
+// caller's closure.
+func TestForEachChunkSerialAllocs(t *testing.T) {
+	out := make([]int, 1000)
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		allocs := testing.AllocsPerRun(100, func() {
+			err := ForEachChunk(ctx, 1, len(out), 32, func(_, lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					out[i] = i
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("ctx=%v: %v allocs per serial call, want <= 1", ctx, allocs)
 		}
 	}
 }
@@ -220,7 +262,7 @@ func TestMapReduceChunkFoldOrder(t *testing.T) {
 		got := MapReduceChunk(p, 100, 16, []int(nil),
 			func(lo, hi int) []int { return []int{lo, hi} },
 			func(acc, part []int) []int { return append(acc, part...) })
-		want := Chunks(100, 16)
+		want := (100 + 15) / 16
 		if len(got) != 2*want {
 			t.Fatalf("p=%d: %d chunks, want %d", p, len(got)/2, want)
 		}
@@ -243,18 +285,32 @@ func TestMapReduceChunkEmpty(t *testing.T) {
 }
 
 // TestMapReduceChunkOrder verifies partials are folded in ascending chunk
-// order — the documented determinism contract.
+// order even when workers finish them out of order: chunk 0 completes
+// only after the last chunk has.
 func TestMapReduceChunkOrder(t *testing.T) {
-	n, p := 100, 4
-	got := MapReduce(p, n, []int(nil),
-		func(lo, hi int) []int { return []int{lo} },
+	n, grain, p := 100, 10, 4
+	last := make(chan struct{})
+	got := MapReduceChunk(p, n, grain, []int(nil),
+		func(lo, hi int) []int {
+			switch {
+			case lo == 0:
+				select {
+				case <-last:
+				case <-time.After(10 * time.Second):
+					t.Error("last chunk never ran while chunk 0 was in flight")
+				}
+			case hi == n:
+				close(last)
+			}
+			return []int{lo}
+		},
 		func(acc, part []int) []int { return append(acc, part...) })
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("chunk lows not ascending: %v", got)
-		}
+	if len(got) != n/grain {
+		t.Fatalf("got %d chunks, want %d", len(got), n/grain)
 	}
-	if len(got) != Workers(p, n) {
-		t.Fatalf("got %d chunks, want %d", len(got), Workers(p, n))
+	for i := range got {
+		if got[i] != i*grain {
+			t.Fatalf("chunk lows not folded in ascending order: %v", got)
+		}
 	}
 }

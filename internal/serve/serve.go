@@ -4,9 +4,9 @@
 // the HTTP surface (/detect, /model, /models, /stats, /healthz, /livez).
 //
 // It lives in an importable package (rather than inside the command) so
-// the distributed tier can compose with it: cmd/ghsom-gateway's chaos
-// tests spin real replicas up in-process, and cmd/benchjson measures
-// gateway overhead against a direct replica, all without shelling out.
+// the distributed tier can compose with it: the cluster package's chaos
+// tests and BenchmarkGatewayDetect spin real replicas up in-process, and
+// servebench serves through it, all without shelling out.
 //
 // Each server carries a stable instance identity (Config.Instance),
 // surfaced as the X-GHSOM-Instance response header on every endpoint and

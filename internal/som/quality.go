@@ -8,15 +8,19 @@ import (
 )
 
 // Batch quality measures run their BMU searches on the map's configured
-// Parallelism (SetParallelism; 0 = GOMAXPROCS). Every reduction over the
+// Parallelism (SetParallelism; 0 = GOMAXPROCS), in chunks of one GEMM
+// tile of rows (vecmath.DefaultTileRows). Every reduction over the
 // per-record results happens serially in data order, so all results are
 // bit-for-bit identical for every worker count.
 
 // bmuAll computes the BMU index and squared distance for every data vector
 // into the provided slices, in parallel.
 func (m *Map) bmuAll(data [][]float64, bmus []int, d2s []float64) {
-	parallel.ForEach(m.parallelism, len(data), func(i int) {
-		bmus[i], d2s[i] = m.BMU(data[i])
+	parallel.ForEachChunk(nil, m.parallelism, len(data), vecmath.DefaultTileRows, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			bmus[i], d2s[i] = m.BMU(data[i])
+		}
+		return nil
 	})
 }
 
@@ -24,8 +28,11 @@ func (m *Map) bmuAll(data [][]float64, bmus []int, d2s []float64) {
 // dimensions match (use checkData-validating entry points otherwise).
 func (m *Map) Assign(data [][]float64) []int {
 	out := make([]int, len(data))
-	parallel.ForEach(m.parallelism, len(data), func(i int) {
-		out[i], _ = m.BMU(data[i])
+	parallel.ForEachChunk(nil, m.parallelism, len(data), vecmath.DefaultTileRows, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			out[i], _ = m.BMU(data[i])
+		}
+		return nil
 	})
 	return out
 }
@@ -42,8 +49,11 @@ func (m *Map) mqeAt(data [][]float64, p int) float64 {
 		return math.NaN()
 	}
 	d2s := make([]float64, len(data))
-	parallel.ForEach(p, len(data), func(i int) {
-		_, d2s[i] = m.BMU(data[i])
+	parallel.ForEachChunk(nil, p, len(data), vecmath.DefaultTileRows, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			_, d2s[i] = m.BMU(data[i])
+		}
+		return nil
 	})
 	var sum float64
 	for _, d2 := range d2s {
@@ -113,7 +123,7 @@ func (m *Map) TopographicError(data [][]float64) float64 {
 	}
 	// An integer count is order-independent, so the chunked map-reduce is
 	// exact at every worker count.
-	n := parallel.MapReduce(m.parallelism, len(data), 0,
+	n := parallel.MapReduceChunk(m.parallelism, len(data), vecmath.DefaultTileRows, 0,
 		func(lo, hi int) int {
 			bad := 0
 			for i := lo; i < hi; i++ {

@@ -146,7 +146,7 @@ func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
 		sc.Tile = tile
 		scratches[i] = sc
 	}
-	parallel.ForEachChunk(p, n, grain, func(wk, lo, hi int) {
+	parallel.ForEachChunk(nil, p, n, grain, func(wk, lo, hi int) error {
 		var ob []int
 		var od []float64
 		if bmus != nil {
@@ -165,6 +165,7 @@ func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
 				ob[i] = 0 // degenerate query: keep the BMU contract of unit 0
 			}
 		}
+		return nil
 	})
 	for _, sc := range scratches {
 		bmuScratchPool.Put(sc)

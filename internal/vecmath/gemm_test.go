@@ -317,7 +317,9 @@ func TestNormCacheSyncSemantics(t *testing.T) {
 	}
 }
 
-// benchDims mirrors the BENCH_bmu.json sweep.
+// benchBMUShapes is the BMU kernel sweep: dimensions bracketing the
+// encoded KDD width and unit counts from a GHSOM child map to a large
+// flat SOM.
 var benchBMUShapes = []struct{ dim, units int }{
 	{8, 4}, {8, 64}, {8, 256},
 	{32, 4}, {32, 64}, {32, 256},

@@ -315,8 +315,9 @@ func FuzzArgMinDistanceBatchQuantized(f *testing.F) {
 }
 
 // BenchmarkArgMinDistanceBatchQuant measures the quantized engine on the
-// acceptance shape (1024 units × dim 118) per rung; compare against
-// BenchmarkArgMinDistanceBatch for the f64 baseline.
+// acceptance shape (1024 units × dim 118) per rung, beside the f64
+// engine on the same shape (BuildQuantArena returns nil for f64, which
+// selects the unquantized path).
 func BenchmarkArgMinDistanceBatchQuant(b *testing.B) {
 	const dim = 118
 	const units = 1024
@@ -337,7 +338,7 @@ func BenchmarkArgMinDistanceBatchQuant(b *testing.B) {
 	v := mat.View()
 	norms := SquaredNorms(flat, dim, nil)
 	out := make([]int, n)
-	for _, p := range quantPrecisions {
+	for _, p := range append([]Precision{PrecisionF64}, quantPrecisions...) {
 		b.Run(p.String(), func(b *testing.B) {
 			qa := BuildQuantArena(flat, dim, p)
 			var sc BMUScratch

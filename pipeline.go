@@ -95,7 +95,7 @@ type Pipeline struct {
 }
 
 // detectChunk is the largest number of records one DetectBatch worker
-// processes per pooled arena; batchChunks shrinks it so a batch always
+// processes per pooled arena; batchChunk shrinks it so a batch always
 // splits across the available workers. detectGrain is the floor: one
 // GEMM tile of rows, so a small batch never splinters into chunks too
 // thin for the blocked BMU descent to amortize (the oversubscription
@@ -105,22 +105,22 @@ const (
 	detectGrain = vecmath.DefaultTileRows
 )
 
-// batchChunks returns the chunk size and chunk count for an n-record
-// batch at the given Parallelism knob: at most detectChunk records per
-// chunk, at least one chunk per worker so a modest batch (e.g. one
-// micro-batch of a few hundred records) still spreads across cores, and
-// never less than detectGrain records per chunk. Chunking never affects
+// batchChunk returns the chunk size for an n-record batch at the given
+// Parallelism knob: at most detectChunk records per chunk, at least one
+// chunk per worker so a modest batch (e.g. one micro-batch of a few
+// hundred records) still spreads across cores, and never less than
+// detectGrain records per chunk. Chunking never affects
 // results — rows are independent — only the worker fan-out.
-func batchChunks(par, n int) (size, count int) {
+func batchChunk(par, n int) int {
 	w := parallel.WorkersGrain(par, n, detectGrain)
-	size = (n + w - 1) / w
+	size := (n + w - 1) / w
 	if size > detectChunk {
 		size = detectChunk
 	}
 	if size < detectGrain {
 		size = detectGrain
 	}
-	return size, (n + size - 1) / size
+	return size
 }
 
 // inferenceBuffer is the reusable flat encode/scale arena of the
@@ -189,10 +189,8 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 	d := encoder.Dim()
 	n := len(records)
 	flat := make([]float64, n*d)
-	chunk, chunks := batchChunks(cfg.Parallelism, n)
-	err := parallel.ForEachErr(cfg.Parallelism, chunks, func(c int) error {
-		lo := c * chunk
-		hi := min(lo+chunk, n)
+	chunk := batchChunk(cfg.Parallelism, n)
+	err := parallel.ForEachChunk(nil, cfg.Parallelism, n, chunk, func(_, lo, hi int) error {
 		return encodeScaleRows(encoder, nil, records[lo:hi], lo, flat[lo*d:hi*d])
 	})
 	if err != nil {
@@ -209,9 +207,7 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 	if err := scaler.Fit(scaled); err != nil {
 		return nil, fmt.Errorf("ghsom: scale training set: %w", err)
 	}
-	err = parallel.ForEachErr(cfg.Parallelism, chunks, func(c int) error {
-		lo := c * chunk
-		hi := min(lo+chunk, n)
+	err = parallel.ForEachChunk(nil, cfg.Parallelism, n, chunk, func(_, lo, hi int) error {
 		return scaler.TransformBatch(flat[lo*d:hi*d], d)
 	})
 	if err != nil {
@@ -310,7 +306,7 @@ func (p *Pipeline) DetectBatch(records []Record, out []Prediction) ([]Prediction
 }
 
 // DetectBatchCtx is DetectBatch with cancellation: ctx is checked only
-// between chunks (see parallel.ForEachChunkErrCtx), so an uncanceled
+// between chunks (see parallel.ForEachChunk), so an uncanceled
 // call executes the identical chunked computation tree as DetectBatch —
 // the bit-identity contract holds — while a canceled call stops
 // mid-fan-out without waiting for the tail chunks and returns ctx.Err()
@@ -322,8 +318,8 @@ func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []P
 	}
 	out = out[:n]
 	d := p.encoder.Dim()
-	chunk, _ := batchChunks(p.cfg.Parallelism, n)
-	err := parallel.ForEachChunkErrCtx(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
+	chunk := batchChunk(p.cfg.Parallelism, n)
+	err := parallel.ForEachChunk(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
 		buf := p.getBuf((hi - lo) * d)
 		defer p.putBuf(buf)
 		flat := buf.flat[:(hi-lo)*d]
@@ -372,8 +368,8 @@ func (p *Pipeline) DetectColumnarCtx(ctx context.Context, cb *ColumnarBatch, out
 	}
 	out = out[:n]
 	d := p.encoder.Dim()
-	chunk, _ := batchChunks(p.cfg.Parallelism, n)
-	err := parallel.ForEachChunkErrCtx(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
+	chunk := batchChunk(p.cfg.Parallelism, n)
+	err := parallel.ForEachChunk(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
 		buf := p.getBuf((hi - lo) * d)
 		defer p.putBuf(buf)
 		flat := buf.flat[:(hi-lo)*d]
