@@ -91,6 +91,7 @@ import (
 	"time"
 
 	"ghsom"
+	"ghsom/internal/anomaly"
 	"ghsom/internal/faultinject"
 	"ghsom/internal/kdd"
 	"ghsom/internal/serve"
@@ -286,7 +287,6 @@ func serveStdin(pipe *ghsom.Pipeline, maxBatch int, stdin io.Reader, stdout io.W
 	dec := kdd.NewRecordParser(bufio.NewReader(stdin))
 	out := bufio.NewWriter(stdout)
 	defer out.Flush()
-	enc := json.NewEncoder(out)
 	batch := make([]kdd.Record, 0, maxBatch)
 	var preds []ghsom.Prediction
 	stats := stdinStats{start: time.Now()}
@@ -305,7 +305,12 @@ func serveStdin(pipe *ghsom.Pipeline, maxBatch int, stdin io.Reader, stdout io.W
 		stats.records += int64(len(batch))
 		stats.sumLatency += time.Since(start)
 		for i := range preds {
-			if err := enc.Encode(&preds[i]); err != nil {
+			// Append into the writer's free space: no copy when it fits.
+			v, err := anomaly.AppendPredictionJSON(out.AvailableBuffer(), &preds[i])
+			if err != nil {
+				return fmt.Errorf("record %d: %w", line-len(preds)+i+1, err)
+			}
+			if _, err := out.Write(v); err != nil {
 				return err
 			}
 		}

@@ -85,7 +85,8 @@ func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 }
 
 // TestServeStdin drives the stdin→stdout NDJSON dataplane and checks
-// output order and equivalence.
+// output order and equivalence, and that the verdict bytes are exactly
+// what json.Encoder writes for the direct path's predictions.
 func TestServeStdin(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	eval := recs[200:500]
@@ -93,11 +94,21 @@ func TestServeStdin(t *testing.T) {
 	if err := serveStdin(pipe, 64, bytes.NewReader(ndjson(t, eval)), &out); err != nil {
 		t.Fatal(err)
 	}
-	preds := decodePreds(t, &out)
 	want, err := pipe.DetectAll(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wantBytes bytes.Buffer
+	enc := json.NewEncoder(&wantBytes)
+	for i := range want {
+		if err := enc.Encode(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out.Bytes(), wantBytes.Bytes()) {
+		t.Fatal("stdin verdict bytes differ from json.Encoder's")
+	}
+	preds := decodePreds(t, &out)
 	if len(preds) != len(want) {
 		t.Fatalf("got %d predictions, want %d", len(preds), len(want))
 	}

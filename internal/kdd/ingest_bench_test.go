@@ -121,33 +121,3 @@ func BenchmarkIngestColumnar(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkReadRecordsBody decodes 16-record NDJSON request bodies the
-// way ghsom-serve's /detect does: a reused parser draining each body
-// with AppendAll(nil, …). One op is one body.
-func BenchmarkReadRecordsBody(b *testing.B) {
-	const bodyRecords = 16
-	_, ndjson, _ := ingestCorpus(b, 64*bodyRecords)
-	var bodies [][]byte
-	for rest := ndjson; len(rest) > 0; {
-		end := 0
-		for range bodyRecords {
-			end += bytes.IndexByte(rest[end:], '\n') + 1
-		}
-		bodies = append(bodies, rest[:end])
-		rest = rest[end:]
-	}
-	p := NewRecordParser(nil)
-	rd := bytes.NewReader(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(bodies[i%len(bodies)])
-		p.Reset(rd)
-		out, err := p.AppendAll(nil, 0)
-		if err != nil || len(out) != bodyRecords {
-			b.Fatalf("decoded %d records, err %v", len(out), err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bodyRecords), "ns/record")
-}

@@ -11,7 +11,10 @@ package kdd
 // record cap) and that trimmed line is parsed once as a flat object
 // with exact Go field names, plain strings and plain numbers, reusing
 // one buffer and interned categorical strings, so the steady state
-// allocates nothing per record. Any other line (several values,
+// allocates nothing per record. A line in the exact shape encoding/json
+// writes (struct field order, compact separators) is matched token by
+// token against one ordered field table; any other flat object is
+// parsed key by key. Any other line (several values,
 // pretty-printed, escapes, case-folded or unknown keys, non-objects, no
 // newline before the cap) falls through unchanged to brace-balancing
 // scanValue plus json.Unmarshal, so accept/reject behavior matches the
@@ -24,8 +27,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // maxNDJSONRecordBytes caps one JSON value in the stream; a request
@@ -48,6 +53,9 @@ type RecordParser struct {
 	// buf[pos:lineEnd] holds no '\n': framing never rescans a byte.
 	lineEnd int
 	intern  map[string]string
+	// spare receives records AppendAll cannot place in dst; json.Unmarshal
+	// makes it escape, so it lives here rather than on AppendAll's stack.
+	spare Record
 }
 
 // NewRecordParser returns a parser reading from r.
@@ -295,10 +303,93 @@ func unexpectedEnd(err error) error {
 	return err
 }
 
+// fieldKind is the JSON value shape of one Record field.
+type fieldKind uint8
+
+const (
+	floatField fieldKind = iota
+	boolField
+	stringField
+)
+
+// recordField is one Record field as the fast parser sees it: the
+// compact key token encoding/json writes before its value, the value
+// shape, and where in a Record the value lands.
+type recordField struct {
+	key  string // `"Name":`
+	kind fieldKind
+	off  uintptr
+}
+
+// recordFields lists Record's fields in declaration order, the order
+// encoding/json writes them in; recordFieldIndex maps a field name to
+// its entry. Both derive from the struct itself, so the parser cannot
+// drift from it.
+var recordFields, recordFieldIndex = buildRecordFields()
+
+func buildRecordFields() ([]recordField, map[string]int) {
+	t := reflect.TypeFor[Record]()
+	fields := make([]recordField, t.NumField())
+	index := make(map[string]int, len(fields))
+	kinds := map[reflect.Type]fieldKind{
+		reflect.TypeFor[float64](): floatField,
+		reflect.TypeFor[bool]():    boolField,
+		reflect.TypeFor[string]():  stringField,
+	}
+	for i := range fields {
+		f := t.Field(i)
+		kind, ok := kinds[f.Type]
+		if !ok || !f.IsExported() || f.Tag != "" {
+			panic(fmt.Sprintf("kdd: Record.%s (%s, tag %q) is outside the NDJSON parser's shape", f.Name, f.Type, f.Tag))
+		}
+		fields[i] = recordField{key: `"` + f.Name + `":`, kind: kind, off: f.Offset}
+		index[f.Name] = i
+	}
+	return fields, index
+}
+
 // parseObjectFast parses a flat Record object with exact field names.
-// It reports false — leaving rec partially written — whenever the input
-// steps outside the fast shape; the caller then falls back.
+// It first walks the fields in struct order with compact separators —
+// exactly what encoding/json writes — and on the first deviation
+// restarts on a zeroed record key by key. It reports false, leaving rec
+// partially written, whenever the input steps outside both shapes; the
+// caller then falls back.
 func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
+	if p.parseStructOrder(val, rec) {
+		return true
+	}
+	*rec = Record{}
+	return p.parseObjectKeys(val, rec)
+}
+
+// parseStructOrder matches each field's whole key token in turn, parses
+// its value, then expects ',' (or the closing '}' after the last field).
+// Whitespace, another key order, unknown, duplicate or case-folded keys
+// and escapes all fail the match.
+func (p *RecordParser) parseStructOrder(val []byte, rec *Record) bool {
+	i := 1 // past '{'
+	for k := range recordFields {
+		f := &recordFields[k]
+		if k > 0 {
+			if i >= len(val) || val[i] != ',' {
+				return false
+			}
+			i++
+		}
+		if !hasPrefix(val[i:], f.key) {
+			return false
+		}
+		var ok bool
+		if i, ok = p.parseField(f, val, i+len(f.key), rec); !ok {
+			return false
+		}
+	}
+	return i == len(val)-1 && val[i] == '}'
+}
+
+// parseObjectKeys parses a flat object key by key, in any order, with
+// JSON whitespace between tokens.
+func (p *RecordParser) parseObjectKeys(val []byte, rec *Record) bool {
 	i := 1 // past '{'
 	skip := func() {
 		for i < len(val) && isJSONSpace(val[i]) {
@@ -315,13 +406,18 @@ func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 			return false
 		}
 		// Key: runs to the next quote. A key with escapes matches no
-		// field name, so assignField rejects it.
+		// field name, so the lookup rejects it.
 		i++
 		n := bytes.IndexByte(val[i:], '"')
 		if n < 0 {
 			return false
 		}
-		key := val[i : i+n]
+		k, known := recordFieldIndex[string(val[i:i+n])]
+		if !known {
+			// Unknown key: json.Unmarshal would skip it case-insensitively
+			// or match a field case-folded — either way, not our fast shape.
+			return false
+		}
 		i += n + 1
 		skip()
 		if i >= len(val) || val[i] != ':' {
@@ -329,10 +425,8 @@ func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 		}
 		i++
 		skip()
-		if i >= len(val) {
-			return false
-		}
-		if !p.assignField(key, val, &i, rec) {
+		var ok bool
+		if i, ok = p.parseField(&recordFields[k], val, i, rec); !ok {
 			return false
 		}
 		skip()
@@ -351,143 +445,51 @@ func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 	}
 }
 
-// assignField parses the value at val[*i] into the field named key.
-// Unknown keys, type mismatches, and out-of-shape values report false.
-func (p *RecordParser) assignField(key, val []byte, i *int, rec *Record) bool {
-	var fp *float64
-	var bp *bool
-	var sp *string
-	switch string(key) { // compiler avoids allocation for this conversion
-	case "Duration":
-		fp = &rec.Duration
-	case "SrcBytes":
-		fp = &rec.SrcBytes
-	case "DstBytes":
-		fp = &rec.DstBytes
-	case "WrongFragment":
-		fp = &rec.WrongFragment
-	case "Urgent":
-		fp = &rec.Urgent
-	case "Hot":
-		fp = &rec.Hot
-	case "NumFailedLogins":
-		fp = &rec.NumFailedLogins
-	case "NumCompromised":
-		fp = &rec.NumCompromised
-	case "RootShell":
-		fp = &rec.RootShell
-	case "SuAttempted":
-		fp = &rec.SuAttempted
-	case "NumRoot":
-		fp = &rec.NumRoot
-	case "NumFileCreations":
-		fp = &rec.NumFileCreations
-	case "NumShells":
-		fp = &rec.NumShells
-	case "NumAccessFiles":
-		fp = &rec.NumAccessFiles
-	case "NumOutboundCmds":
-		fp = &rec.NumOutboundCmds
-	case "Count":
-		fp = &rec.Count
-	case "SrvCount":
-		fp = &rec.SrvCount
-	case "SerrorRate":
-		fp = &rec.SerrorRate
-	case "SrvSerrorRate":
-		fp = &rec.SrvSerrorRate
-	case "RerrorRate":
-		fp = &rec.RerrorRate
-	case "SrvRerrorRate":
-		fp = &rec.SrvRerrorRate
-	case "SameSrvRate":
-		fp = &rec.SameSrvRate
-	case "DiffSrvRate":
-		fp = &rec.DiffSrvRate
-	case "SrvDiffHostRate":
-		fp = &rec.SrvDiffHostRate
-	case "DstHostCount":
-		fp = &rec.DstHostCount
-	case "DstHostSrvCount":
-		fp = &rec.DstHostSrvCount
-	case "DstHostSameSrvRate":
-		fp = &rec.DstHostSameSrvRate
-	case "DstHostDiffSrvRate":
-		fp = &rec.DstHostDiffSrvRate
-	case "DstHostSameSrcPortRate":
-		fp = &rec.DstHostSameSrcPortRate
-	case "DstHostSrvDiffHostRate":
-		fp = &rec.DstHostSrvDiffHostRate
-	case "DstHostSerrorRate":
-		fp = &rec.DstHostSerrorRate
-	case "DstHostSrvSerrorRate":
-		fp = &rec.DstHostSrvSerrorRate
-	case "DstHostRerrorRate":
-		fp = &rec.DstHostRerrorRate
-	case "DstHostSrvRerrorRate":
-		fp = &rec.DstHostSrvRerrorRate
-	case "Land":
-		bp = &rec.Land
-	case "LoggedIn":
-		bp = &rec.LoggedIn
-	case "IsHostLogin":
-		bp = &rec.IsHostLogin
-	case "IsGuestLogin":
-		bp = &rec.IsGuestLogin
-	case "Protocol":
-		sp = &rec.Protocol
-	case "Service":
-		sp = &rec.Service
-	case "Flag":
-		sp = &rec.Flag
-	case "Label":
-		sp = &rec.Label
-	default:
-		// Unknown key: json.Unmarshal would skip it case-insensitively
-		// or match a field case-folded — either way, not our fast shape.
-		return false
+// parseField parses the value at val[i] into rec's field f and returns
+// the index past it. Type mismatches and out-of-shape values report
+// false.
+func (p *RecordParser) parseField(f *recordField, val []byte, i int, rec *Record) (int, bool) {
+	if i >= len(val) {
+		return i, false
 	}
-
 	// null leaves any field untouched, matching encoding/json.
-	if hasPrefix(val[*i:], "null") {
-		*i += 4
-		return true
+	if hasPrefix(val[i:], "null") {
+		return i + 4, true
 	}
-	switch {
-	case fp != nil:
-		v, n, ok := parseJSONNumber(val[*i:])
+	// f.off and f.kind were read off Record's own type, so each cast
+	// below is to the field's declared type.
+	at := unsafe.Add(unsafe.Pointer(rec), f.off)
+	switch f.kind {
+	case floatField:
+		v, n, ok := parseJSONNumber(val[i:])
 		if !ok {
-			return false
+			return i, false
 		}
-		*fp = v
-		*i += n
-		return true
-	case bp != nil:
-		if hasPrefix(val[*i:], "true") {
-			*bp = true
-			*i += 4
-			return true
+		*(*float64)(at) = v
+		return i + n, true
+	case boolField:
+		if hasPrefix(val[i:], "true") {
+			*(*bool)(at) = true
+			return i + 4, true
 		}
-		if hasPrefix(val[*i:], "false") {
-			*bp = false
-			*i += 5
-			return true
+		if hasPrefix(val[i:], "false") {
+			*(*bool)(at) = false
+			return i + 5, true
 		}
-		return false
+		return i, false
 	default:
-		if val[*i] != '"' {
-			return false
+		if val[i] != '"' {
+			return i, false
 		}
-		j := *i + 1
+		j := i + 1
 		for j < len(val) && val[j] != '"' && val[j] != '\\' && val[j] >= 0x20 {
 			j++
 		}
-		if j >= len(val) || val[j] != '"' || !utf8.Valid(val[*i+1:j]) {
-			return false // escapes, control bytes, bad UTF-8: slow path
+		if j >= len(val) || val[j] != '"' || !utf8.Valid(val[i+1:j]) {
+			return i, false // escapes, control bytes, bad UTF-8: slow path
 		}
-		*sp = p.internString(val[*i+1 : j])
-		*i = j + 1
-		return true
+		*(*string)(at) = p.internString(val[i+1 : j])
+		return j + 1, true
 	}
 }
 
@@ -517,108 +519,88 @@ func (p *RecordParser) internString(b []byte) string {
 // parseJSONNumber parses a strict JSON number at the head of b,
 // returning the value, bytes consumed, and ok. It refuses anything the
 // JSON grammar refuses (leading '+', bare '.', leading zeros) so the
-// fallback path produces the canonical error instead. The common case —
-// ≤ 15 significant digits, decimal exponent within ±22 — is computed
-// exactly with one float multiply/divide, which is correctly rounded
-// and therefore bit-identical to strconv.ParseFloat; everything else
-// defers to strconv on a copied string (rare).
+// fallback path produces the canonical error instead. Digits fold into
+// the mantissa while they are scanned; with ≤ 19 digits, a mantissa of
+// at most 2^53 and a decimal exponent within ±22 the value is one exact
+// float multiply or divide, which is correctly rounded and therefore
+// bit-identical to strconv.ParseFloat. Everything else defers to
+// strconv.
 func parseJSONNumber(b []byte) (float64, int, bool) {
 	i := 0
-	neg := false
-	if i < len(b) && b[i] == '-' {
-		neg = true
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
 		i++
 	}
-	if i >= len(b) || b[i] < '0' || b[i] > '9' {
+	if i >= len(b) || !isDigit(b[i]) {
 		return 0, 0, false
 	}
+	var mant uint64 // wraps past 19 digits; nd then rules the fast path out
+	nd := 0
 	// Integer part: '0' alone or nonzero-led digit run.
 	if b[i] == '0' {
 		i++
-		if i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		if i < len(b) && isDigit(b[i]) {
 			return 0, 0, false // leading zero
 		}
 	} else {
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			nd++
 		}
 	}
-	intEnd := i
-	fracStart, fracEnd := i, i
+	frac := 0
 	if i < len(b) && b[i] == '.' {
 		i++
-		fracStart = i
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		start := i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+		}
+		if frac = i - start; frac == 0 {
 			return 0, 0, false
 		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		fracEnd = i
+		nd += frac
 	}
 	exp := 0
-
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-
 		expNeg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			expNeg = b[i] == '-'
 			i++
 		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		if i >= len(b) || !isDigit(b[i]) {
 			return 0, 0, false
 		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		for ; i < len(b) && isDigit(b[i]); i++ {
 			if exp < 10000 {
 				exp = exp*10 + int(b[i]-'0')
 			}
-			i++
 		}
 		if expNeg {
 			exp = -exp
 		}
 	}
-	end := i
-
-	// Fast exact path.
-	intStart := 0
-	if neg {
-		intStart = 1
+	if e10 := exp - frac; nd <= 19 && mant <= 1<<53 && e10 >= -22 && e10 <= 22 {
+		v := float64(mant)
+		if e10 > 0 {
+			v *= pow10Table[e10]
+		} else if e10 < 0 {
+			v /= pow10Table[-e10]
+		}
+		if neg {
+			v = -v
+		}
+		return v, i, true
 	}
-	nd := (intEnd - intStart) + (fracEnd - fracStart)
-	if nd <= 15 {
-		mant := uint64(0)
-		for _, c := range b[intStart:intEnd] {
-			mant = mant*10 + uint64(c-'0')
-		}
-		for _, c := range b[fracStart:fracEnd] {
-			mant = mant*10 + uint64(c-'0')
-		}
-		e10 := exp - (fracEnd - fracStart)
-		if e10 >= -22 && e10 <= 22 && mant <= 1<<53 {
-			v := float64(mant)
-			if e10 > 0 {
-				v *= pow10Table[e10]
-			} else if e10 < 0 {
-				v /= pow10Table[-e10]
-			}
-			if neg {
-				v = -v
-			}
-			return v, end, true
-		}
-	}
-	v, err := strconv.ParseFloat(string(b[:end]), 64)
-	if err != nil {
+	v, err := strconv.ParseFloat(string(b[:i]), 64)
+	if err != nil || math.IsInf(v, 0) {
 		// Overflow: encoding/json reports its own error; take slow path.
 		return 0, 0, false
 	}
-	if math.IsInf(v, 0) {
-		return 0, 0, false
-	}
-	return v, end, true
+	return v, i, true
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // pow10Table holds the exactly-representable powers of ten 1e0..1e22.
 var pow10Table = [23]float64{
@@ -637,7 +619,6 @@ func ReadRecordsNDJSON(r io.Reader, dst []Record, maxRecords int) ([]Record, err
 
 // AppendAll drains the parser's stream into dst.
 func (p *RecordParser) AppendAll(dst []Record, maxRecords int) ([]Record, error) {
-	var rec Record // escapes via json.Unmarshal: declare once, not per record
 	for line := len(dst) + 1; ; line++ {
 		if len(dst) < cap(dst) {
 			dst = dst[:len(dst)+1]
@@ -649,14 +630,14 @@ func (p *RecordParser) AppendAll(dst []Record, maxRecords int) ([]Record, error)
 				return dst[:len(dst)-1], fmt.Errorf("record %d: %w", line, err)
 			}
 		} else {
-			err := p.Next(&rec)
+			err := p.Next(&p.spare)
 			if err == io.EOF {
 				return dst, nil
 			}
 			if err != nil {
 				return dst, fmt.Errorf("record %d: %w", line, err)
 			}
-			dst = append(dst, rec)
+			dst = append(dst, p.spare)
 		}
 		if maxRecords > 0 && len(dst) > maxRecords {
 			return dst, fmt.Errorf("request exceeds %d records", maxRecords)

@@ -105,8 +105,36 @@ func ndjsonTestInputs() iter.Seq[string] {
 		for i := 0; i < 5; i++ {
 			ind.Encode(&records[i])
 		}
+		// One record exactly as encoding/json writes it, so it takes the
+		// struct-order walk, and variants that leave the walk at each of
+		// its exits.
+		order, err := json.Marshal(&Record{
+			Duration: 7, Protocol: "tcp", Service: "http", Flag: "SF", Label: "normal",
+			SerrorRate:  0.1234567890123456,  // 16 digits: exact fast path
+			SameSrvRate: 0.12345678901234567, // 17 digits: strconv
+			LoggedIn:    true,
+		})
+		if err != nil {
+			panic(err)
+		}
+		walk := string(order)
+		withDuration := func(v string) string { return strings.Replace(walk, `"Duration":7`, `"Duration":`+v, 1) }
 		inputs := []string{
 			"", "   \n\t ", marshaled.String(), pretty.String(),
+			walk + "\n" + walk,
+			// Mantissa at and just past 2^53, decimal exponents at and just
+			// past ±22, inside the walk.
+			withDuration("9007199254740992"),
+			withDuration("9007199254740993"),
+			withDuration("9007199254740993e-3"),
+			withDuration("1e22"), withDuration("1e-22"), withDuration("1e23"), withDuration("1e-23"),
+			withDuration("12.5e21"), withDuration("1234567890123456789"), withDuration("12345678901234567890"),
+			// Exits: swapped key pair, duplicated key, space after ':',
+			// and a 43rd, unknown key.
+			strings.Replace(walk, `"Duration":7,"Protocol":"tcp"`, `"Protocol":"tcp","Duration":7`, 1),
+			strings.Replace(walk, `"Duration":7,`, `"Duration":7,"Duration":8,`, 1),
+			strings.Replace(walk, `"Protocol":"tcp"`, `"Protocol": "tcp"`, 1),
+			strings.TrimSuffix(walk, "}") + `,"Extra":1}`,
 			// Back-to-back objects with no separator.
 			`{"Duration":1}{"Duration":2}`,
 			// Unknown keys (skipped), case-folded keys (matched).

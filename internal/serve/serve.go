@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"ghsom"
+	"ghsom/internal/anomaly"
 	"ghsom/internal/faultinject"
 	"ghsom/internal/kdd"
 	"ghsom/internal/parallel"
@@ -463,9 +464,13 @@ func (reg *Registry) handleModels(w http.ResponseWriter, r *http.Request) {
 
 // job is one client request moving through the batcher: its records, the
 // absolute deadline it must finish by (zero = none), the predictions
-// written back by the flush, and a done signal.
+// written back by the flush, and a done signal. Once done has closed no
+// flush touches the job again.
 type job struct {
-	records    []kdd.Record
+	records []kdd.Record
+	// buf is the pooled backing of records when the job decoded its own
+	// body (nil when the caller owns records); release returns it.
+	buf        *[]kdd.Record
 	deadline   time.Time
 	enqueuedAt time.Time
 	preds      []ghsom.Prediction
@@ -836,9 +841,14 @@ func (b *batcher) flush(pending []*job, size int) {
 	// retries) runs against a single pipeline even if a hot-swap lands
 	// mid-flush.
 	pipe := b.pipe.Load()
-	batch := make([]kdd.Record, 0, size)
-	for _, j := range pending {
-		batch = append(batch, j.records...)
+	// A lone job runs on its own records: nothing else reads them until
+	// its done channel closes. Merged jobs are copied into one batch.
+	batch := pending[0].records
+	if len(pending) > 1 {
+		batch = make([]kdd.Record, 0, size)
+		for _, j := range pending {
+			batch = append(batch, j.records...)
+		}
 	}
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
@@ -882,13 +892,17 @@ func (b *batcher) flush(pending []*job, size int) {
 	}
 }
 
-// submit pushes records through bounded admission and blocks until their
-// batch is flushed, the deadline or ctx expires, or the batcher closes.
-// Admission failures (queue full, past deadline, admission closed) come
-// back immediately as serveq errors — the caller maps them to 429/503.
-func (b *batcher) submit(ctx context.Context, records []kdd.Record, deadline time.Time) ([]ghsom.Prediction, error) {
-	j := &job{records: records, deadline: deadline, enqueuedAt: time.Now(), done: make(chan struct{})}
+// run pushes j through bounded admission and blocks until its batch is
+// flushed, the deadline or ctx expires, or the batcher closes. Admission
+// failures (queue full, past deadline, admission closed) come back
+// immediately as serveq errors — the caller maps them to 429/503. On the
+// ctx and quit exits the job may still be queued or flushing, so j.done
+// can still be open when run returns.
+func (b *batcher) run(ctx context.Context, j *job) ([]ghsom.Prediction, error) {
+	j.enqueuedAt = time.Now()
+	j.done = make(chan struct{})
 	if err := b.q.Push(j); err != nil {
+		close(j.done) // never queued: no flush will see it
 		return nil, err
 	}
 	select {
@@ -914,22 +928,84 @@ func (b *batcher) submit(ctx context.Context, records []kdd.Record, deadline tim
 // path costs near-zero steady-state allocation too.
 var parserPool = sync.Pool{New: func() any { return kdd.NewRecordParser(nil) }}
 
-// readRecords parses NDJSON records with the pooled allocation-lean
-// parser, reporting the 1-based index of the first malformed record.
-// Accept/reject behavior matches the json.Decoder loop it replaced.
-func readRecords(r io.Reader, maxRecords int) ([]kdd.Record, error) {
+// recordPool recycles the record slices NDJSON bodies decode into, and
+// verdictPool the buffers responses are encoded into; both hold pointers
+// so that Put does not allocate.
+var (
+	recordPool  = sync.Pool{New: func() any { return new([]kdd.Record) }}
+	verdictPool = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// maxPooledVerdictBytes bounds the response buffers verdictPool keeps, so
+// one bulk request does not pin its whole response for later ones.
+const maxPooledVerdictBytes = 64 << 10
+
+// putVerdictBuf returns a response buffer to verdictPool unless it
+// outgrew maxPooledVerdictBytes.
+func putVerdictBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledVerdictBytes {
+		*buf = (*buf)[:0]
+		verdictPool.Put(buf)
+	}
+}
+
+// readRecords parses NDJSON records into dst[:0] with the pooled
+// allocation-lean parser, reporting the 1-based index of the first
+// malformed record. Accept/reject behavior matches the json.Decoder loop
+// it replaced. The returned slice reuses dst's array while it has room.
+func readRecords(r io.Reader, dst []kdd.Record, maxRecords int) ([]kdd.Record, error) {
 	if err := faultinject.Hit(faultinject.DecodeError); err != nil {
-		return nil, err
+		return dst[:0], err
 	}
 	p := parserPool.Get().(*kdd.RecordParser)
 	p.Reset(r)
-	out, err := p.AppendAll(nil, maxRecords)
+	out, err := p.AppendAll(dst[:0], maxRecords)
 	p.Reset(nil) // drop the body reference before pooling
 	parserPool.Put(p)
-	if err != nil {
-		return nil, err
+	return out, err
+}
+
+// decode parses an NDJSON body into j.records, backed by a pooled slice
+// that batcher.release returns.
+func (j *job) decode(body io.Reader) error {
+	j.buf = recordPool.Get().(*[]kdd.Record)
+	var err error
+	j.records, err = readRecords(body, *j.buf, maxRequestRecords)
+	return err
+}
+
+// release returns j's pooled record slice, but only once no flush can
+// read it again: after j.done has closed, or when j never ran. A job its
+// client abandoned may still be queued or mid-flush, so its slice is left
+// to the garbage collector. Slices longer than one flush's MaxBatch are
+// not pooled either.
+func (b *batcher) release(j *job) {
+	if j.buf == nil {
+		return
 	}
-	return out, nil
+	if j.done != nil {
+		select {
+		case <-j.done:
+		default:
+			return
+		}
+	}
+	if cap(j.records) <= b.maxBatch {
+		*j.buf = j.records[:0]
+		recordPool.Put(j.buf)
+	}
+	j.buf = nil
+}
+
+// appendVerdicts encodes preds as NDJSON onto dst.
+func appendVerdicts(dst []byte, preds []ghsom.Prediction) ([]byte, error) {
+	for i := range preds {
+		var err error
+		if dst, err = anomaly.AppendPredictionJSON(dst, &preds[i]); err != nil {
+			return dst, fmt.Errorf("verdict %d: %w", i+1, err)
+		}
+	}
+	return dst, nil
 }
 
 // columnarPool recycles decoded-frame buffers across columnar requests.
@@ -1032,26 +1108,40 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	records, err := readRecords(http.MaxBytesReader(w, r.Body, b.maxBody), maxRequestRecords)
-	if err != nil {
+	j := &job{deadline: deadline}
+	defer b.release(j)
+	if err := j.decode(http.MaxBytesReader(w, r.Body, b.maxBody)); err != nil {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	if len(records) == 0 {
+	if len(j.records) == 0 {
 		http.Error(w, "empty request: expected NDJSON records", http.StatusBadRequest)
 		return
 	}
-	preds, err := b.submit(r.Context(), records, deadline)
+	preds, err := b.run(r.Context(), j)
 	if err != nil {
 		writeDetectError(w, err, b.retryAfterSeconds())
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := range preds {
-		if err := enc.Encode(&preds[i]); err != nil {
-			return // client went away mid-response
-		}
+	b.writeVerdicts(w, preds)
+}
+
+// writeVerdicts answers one NDJSON response in a single Write with a
+// Content-Length, from a pooled buffer. A verdict encoding/json could
+// not encode either (a NaN or infinite score) fails the whole response
+// with a 500 rather than a truncated 200.
+func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction) {
+	buf := verdictPool.Get().(*[]byte)
+	defer putVerdictBuf(buf)
+	out, err := appendVerdicts((*buf)[:0], preds)
+	*buf = out
+	if err != nil {
+		b.stats.noteError(err, false)
+		http.Error(w, "encode verdicts: "+err.Error(), http.StatusInternalServerError)
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		w.Write(out) // a client gone mid-response has no one to tell
 	}
 }
 
@@ -1088,7 +1178,8 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, b.maxBody)
 	cb := columnarPool.Get().(*kdd.ColumnarBatch)
 	defer columnarPool.Put(cb)
-	enc := json.NewEncoder(w)
+	buf := verdictPool.Get().(*[]byte)
+	defer putVerdictBuf(buf)
 	var preds []ghsom.Prediction
 	frames, total := 0, 0
 	fail := func(msg string, code int) {
@@ -1137,14 +1228,19 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		b.stats.record(cb.Rows(), time.Since(start))
+		out, err := appendVerdicts((*buf)[:0], preds)
+		*buf = out
+		if err != nil {
+			b.stats.noteError(err, false)
+			fail("encode verdicts: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 		if frames == 0 {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
 		frames++
-		for i := range preds {
-			if err := enc.Encode(&preds[i]); err != nil {
-				return // client went away mid-response
-			}
+		if _, err := w.Write(out); err != nil {
+			return // client went away mid-response
 		}
 	}
 	if frames == 0 {

@@ -96,6 +96,11 @@ func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 	return out
 }
 
+// submit runs records, which the caller owns, through the batcher.
+func (b *batcher) submit(ctx context.Context, records []kdd.Record, deadline time.Time) ([]ghsom.Prediction, error) {
+	return b.run(ctx, &job{records: records, deadline: deadline})
+}
+
 // flushHold is how long holdFlush stalls the dataplane: ample time for a
 // test to queue its jobs behind the held flush.
 const flushHold = 500 * time.Millisecond
@@ -831,7 +836,14 @@ func TestHandleDetectColumnar(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("response Content-Type = %q", ct)
 	}
-	preds := decodePreds(t, resp.Body)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, encodePreds(t, want)) {
+		t.Fatal("columnar response bytes differ from json.Encoder's")
+	}
+	preds := decodePreds(t, bytes.NewReader(out))
 	if len(preds) != len(want) {
 		t.Fatalf("got %d predictions, want %d", len(preds), len(want))
 	}
