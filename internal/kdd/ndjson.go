@@ -187,7 +187,9 @@ func (p *RecordParser) peek() (byte, error) {
 	return p.buf[p.pos], nil
 }
 
-func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+func isJSONSpace(c byte) bool {
+	return c <= ' ' && (c == ' ' || c == '\t' || c == '\n' || c == '\r')
+}
 
 // skipSpace consumes inter-value whitespace; io.EOF means clean end.
 func (p *RecordParser) skipSpace() error {
@@ -348,107 +350,80 @@ func buildRecordFields() ([]recordField, map[string]int) {
 	return fields, index
 }
 
-// parseObjectFast parses a flat Record object with exact field names.
-// It first walks the fields in struct order with compact separators —
-// exactly what encoding/json writes — and on the first deviation
-// restarts on a zeroed record key by key. It reports false, leaving rec
-// partially written, whenever the input steps outside both shapes; the
-// caller then falls back.
+// parseObjectFast parses a flat Record object with exact field names,
+// key by key in any order, with JSON whitespace between tokens. It
+// reports false, leaving rec partially written, whenever the input steps
+// outside that shape; the caller then falls back.
+//
+// encoding/json writes a Record's fields in declaration order, so the
+// loop first tries the whole `"Key":` token of the field after the one
+// it just parsed and looks the key up only when that does not match.
 func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
-	if p.parseStructOrder(val, rec) {
-		return true
-	}
-	*rec = Record{}
-	return p.parseObjectKeys(val, rec)
-}
-
-// parseStructOrder matches each field's whole key token in turn, parses
-// its value, then expects ',' (or the closing '}' after the last field).
-// Whitespace, another key order, unknown, duplicate or case-folded keys
-// and escapes all fail the match.
-func (p *RecordParser) parseStructOrder(val []byte, rec *Record) bool {
-	i := 1 // past '{'
-	for k := range recordFields {
-		f := &recordFields[k]
-		if k > 0 {
-			if i >= len(val) || val[i] != ',' {
-				return false
-			}
-			i++
-		}
-		if !hasPrefix(val[i:], f.key) {
-			return false
-		}
-		var ok bool
-		if i, ok = p.parseField(f, val, i+len(f.key), rec); !ok {
-			return false
-		}
-	}
-	return i == len(val)-1 && val[i] == '}'
-}
-
-// parseObjectKeys parses a flat object key by key, in any order, with
-// JSON whitespace between tokens.
-func (p *RecordParser) parseObjectKeys(val []byte, rec *Record) bool {
-	i := 1 // past '{'
-	skip := func() {
-		for i < len(val) && isJSONSpace(val[i]) {
-			i++
-		}
-	}
-	skip()
+	i := skipJSONSpace(val, 1) // past '{'
 	if i < len(val) && val[i] == '}' {
 		return i == len(val)-1
 	}
+	next := 0 // the field encoding/json writes next
 	for {
-		skip()
-		if i >= len(val) || val[i] != '"' {
+		k := next
+		if k < len(recordFields) && hasPrefix(val[i:], recordFields[k].key) {
+			i += len(recordFields[k].key)
+		} else if k, i = lookupKey(val, i); k < 0 {
 			return false
 		}
-		// Key: runs to the next quote. A key with escapes matches no
-		// field name, so the lookup rejects it.
-		i++
-		n := bytes.IndexByte(val[i:], '"')
-		if n < 0 {
-			return false
-		}
-		k, known := recordFieldIndex[string(val[i:i+n])]
-		if !known {
-			// Unknown key: json.Unmarshal would skip it case-insensitively
-			// or match a field case-folded — either way, not our fast shape.
-			return false
-		}
-		i += n + 1
-		skip()
-		if i >= len(val) || val[i] != ':' {
-			return false
-		}
-		i++
-		skip()
 		var ok bool
 		if i, ok = p.parseField(&recordFields[k], val, i, rec); !ok {
 			return false
 		}
-		skip()
-		if i >= len(val) {
-			return false
+		next = k + 1
+		// ',' before the next key, or '}' as the scanned value's last byte.
+		if i = skipJSONSpace(val, i); i >= len(val) || val[i] != ',' {
+			return i == len(val)-1 && val[i] == '}'
 		}
-		switch val[i] {
-		case ',':
-			i++
-		case '}':
-			// Must be the last byte of the scanned value.
-			return i == len(val)-1
-		default:
-			return false
-		}
+		i++
 	}
 }
 
-// parseField parses the value at val[i] into rec's field f and returns
-// the index past it. Type mismatches and out-of-shape values report
-// false.
+// lookupKey parses the `"Key"` and ':' at or after val[i], skipping
+// whitespace before each, and returns the field index and the index past
+// the colon, or k = -1 when the key is missing or names no Record field.
+// A key with escapes matches no field name, so the lookup rejects it; so
+// does an unknown key, which json.Unmarshal would skip or match
+// case-folded — either way, not the fast shape.
+func lookupKey(val []byte, i int) (k, j int) {
+	if i = skipJSONSpace(val, i); i >= len(val) || val[i] != '"' {
+		return -1, i
+	}
+	i++
+	n := bytes.IndexByte(val[i:], '"')
+	if n < 0 {
+		return -1, i
+	}
+	k, known := recordFieldIndex[string(val[i:i+n])]
+	if !known {
+		return -1, i
+	}
+	i = skipJSONSpace(val, i+n+1)
+	if i >= len(val) || val[i] != ':' {
+		return -1, i
+	}
+	return k, i + 1
+}
+
+// skipJSONSpace returns the index of the first non-whitespace byte of
+// val at or after i.
+func skipJSONSpace(val []byte, i int) int {
+	for i < len(val) && isJSONSpace(val[i]) {
+		i++
+	}
+	return i
+}
+
+// parseField parses the value at or after val[i] (past any whitespace)
+// into rec's field f and returns the index past it. Type mismatches and
+// out-of-shape values report false.
 func (p *RecordParser) parseField(f *recordField, val []byte, i int, rec *Record) (int, bool) {
+	i = skipJSONSpace(val, i)
 	if i >= len(val) {
 		return i, false
 	}

@@ -170,6 +170,55 @@ func TestWriteVerdictsEncodeError(t *testing.T) {
 	}
 }
 
+// bulkPreds is a response several verdict chunks long.
+func bulkPreds() []ghsom.Prediction {
+	preds := make([]ghsom.Prediction, 4*verdictChunkBytes/64)
+	for i := range preds {
+		preds[i] = ghsom.Prediction{Label: "normal", Cell: fmt.Sprintf("0.%d.%d", i%7, i%5), QE: float64(i) / 3, Score: 1 / float64(i+1)}
+	}
+	return preds
+}
+
+// TestWriteVerdictsBulkChunks checks a response larger than one chunk
+// goes out in chunk-sized writes, without a Content-Length, and with
+// exactly json.Encoder's bytes.
+func TestWriteVerdictsBulkChunks(t *testing.T) {
+	preds := bulkPreds()
+	w := &countingRecorder{ResponseRecorder: httptest.NewRecorder()}
+	(&batcher{}).writeVerdicts(w, preds)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	want := encodePreds(t, preds)
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatal("response bytes differ from json.Encoder's")
+	}
+	if min := len(want) / (2 * verdictChunkBytes); w.writes < min {
+		t.Errorf("%d writes for %d bytes, want at least %d", w.writes, len(want), min)
+	}
+	if cl := w.Header().Get("Content-Length"); cl != "" {
+		t.Errorf("Content-Length %q on a chunked response", cl)
+	}
+}
+
+// TestWriteVerdictsEncodeErrorAfterChunk checks a verdict that cannot be
+// encoded after the first chunk went out aborts the response (the
+// client sees a broken connection) instead of ending a short 200.
+func TestWriteVerdictsEncodeErrorAfterChunk(t *testing.T) {
+	preds := bulkPreds()
+	preds[len(preds)-1].Score = math.Inf(1)
+	w := httptest.NewRecorder()
+	defer func() {
+		if r := recover(); r != http.ErrAbortHandler {
+			t.Fatalf("recovered %v, want http.ErrAbortHandler", r)
+		}
+		if bytes.Contains(w.Body.Bytes(), []byte("encode verdicts")) {
+			t.Fatal("error text appended to a 200 stream")
+		}
+	}()
+	(&batcher{}).writeVerdicts(w, preds)
+}
+
 // encodePreds renders predictions the way a default json.Encoder does,
 // the reference the verdict appender must match byte for byte.
 func encodePreds(t *testing.T, preds []ghsom.Prediction) []byte {

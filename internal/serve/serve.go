@@ -997,15 +997,29 @@ func (b *batcher) release(j *job) {
 	j.buf = nil
 }
 
-// appendVerdicts encodes preds as NDJSON onto dst.
-func appendVerdicts(dst []byte, preds []ghsom.Prediction) ([]byte, error) {
+// verdictChunkBytes is how many encoded verdict bytes a response holds
+// before writing them. A bulk response goes out in chunks of about this
+// size, so it never holds more than one chunk and its buffer stays small
+// enough for verdictPool.
+const verdictChunkBytes = maxPooledVerdictBytes / 2
+
+// writeVerdictChunks encodes preds as NDJSON after dst and writes the
+// bytes to w each time they reach verdictChunkBytes. It returns the
+// unwritten tail and whether any chunk went out. An encode error stops at
+// the verdict that failed; a write error (the client went away) has no
+// one to tell.
+func writeVerdictChunks(w io.Writer, dst []byte, preds []ghsom.Prediction) (tail []byte, wrote bool, err error) {
 	for i := range preds {
-		var err error
 		if dst, err = anomaly.AppendPredictionJSON(dst, &preds[i]); err != nil {
-			return dst, fmt.Errorf("verdict %d: %w", i+1, err)
+			return dst, wrote, fmt.Errorf("verdict %d: %w", i+1, err)
+		}
+		if len(dst) >= verdictChunkBytes {
+			w.Write(dst)
+			wrote = true
+			dst = dst[:0]
 		}
 	}
-	return dst, nil
+	return dst, wrote, nil
 }
 
 // columnarPool recycles decoded-frame buffers across columnar requests.
@@ -1126,22 +1140,29 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 	b.writeVerdicts(w, preds)
 }
 
-// writeVerdicts answers one NDJSON response in a single Write with a
-// Content-Length, from a pooled buffer. A verdict encoding/json could
-// not encode either (a NaN or infinite score) fails the whole response
-// with a 500 rather than a truncated 200.
+// writeVerdicts answers one NDJSON response from a pooled buffer: in a
+// single Write with a Content-Length when it fits in one chunk, else in
+// chunks. A verdict encoding/json could not encode either (a NaN or
+// infinite score) fails the response with a 500 rather than a truncated
+// 200; once a chunk has gone out it aborts the connection instead.
 func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction) {
 	buf := verdictPool.Get().(*[]byte)
 	defer putVerdictBuf(buf)
-	out, err := appendVerdicts((*buf)[:0], preds)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	out, wrote, err := writeVerdictChunks(w, (*buf)[:0], preds)
 	*buf = out
-	if err != nil {
+	switch {
+	case err == nil:
+		if !wrote {
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		}
+		w.Write(out) // a client gone mid-response has no one to tell
+	case wrote:
+		b.stats.noteError(err, false)
+		panic(http.ErrAbortHandler) // the client sees a broken response, not a short one
+	default:
 		b.stats.noteError(err, false)
 		http.Error(w, "encode verdicts: "+err.Error(), http.StatusInternalServerError)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		w.Write(out) // a client gone mid-response has no one to tell
 	}
 }
 
@@ -1228,15 +1249,17 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		b.stats.record(cb.Rows(), time.Since(start))
-		out, err := appendVerdicts((*buf)[:0], preds)
+		if frames == 0 {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+		}
+		out, wrote, err := writeVerdictChunks(w, (*buf)[:0], preds)
 		*buf = out
 		if err != nil {
 			b.stats.noteError(err, false)
-			fail("encode verdicts: "+err.Error(), http.StatusInternalServerError)
+			if !wrote {
+				fail("encode verdicts: "+err.Error(), http.StatusInternalServerError)
+			}
 			return
-		}
-		if frames == 0 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
 		frames++
 		if _, err := w.Write(out); err != nil {
