@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ghsom/internal/anomaly"
+	"ghsom/internal/core"
 	"ghsom/internal/eval"
 	"ghsom/internal/trafficgen"
 )
@@ -232,17 +233,19 @@ func BenchmarkTrainGHSOM(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteRecord measures hierarchical BMU routing of one record.
+// BenchmarkRouteRecord measures hierarchical BMU routing of one record on
+// the shipped path: the compiled effective-codebook descent.
 func BenchmarkRouteRecord(b *testing.B) {
 	enc := benchEncoded(b)
 	_, model, _, err := eval.RunGHSOM(enc, eval.DefaultModelConfig(1), anomaly.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	compiled := core.Compile(model)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.RouteTrained(enc.TestX[i%len(enc.TestX)])
+		compiled.RouteTrained(enc.TestX[i%len(enc.TestX)])
 	}
 }
 

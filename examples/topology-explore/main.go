@@ -15,6 +15,7 @@ import (
 
 	"ghsom"
 	"ghsom/internal/anomaly"
+	"ghsom/internal/core"
 	"ghsom/internal/kdd"
 	"ghsom/internal/preprocess"
 	"ghsom/internal/viz"
@@ -84,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, data, labels, anomaly.Config{})
+	det, err := anomaly.Fit(anomaly.NewGHSOMQuantizer(core.Compile(model)), data, labels, anomaly.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,23 +16,17 @@ import (
 // RouteTrained so classification stays on the effective codebook (units
 // that won training data).
 //
-// Build it with NewGHSOMQuantizer over a compiled model (core.Compile)
-// on the inference hot path: routing then runs on the flat-arena
-// table-driven descent — no pointer chasing, no map lookups — and the
-// constructor precomputes the "nodeID/unit" cell name of every unit in
-// the hierarchy, so Quantize and QuantizeBatch hand out shared immutable
-// strings instead of formatting one per record. The plain composite
-// literal GHSOMQuantizer{Model: m} remains valid and routes identically
-// through the pointer tree, falling back to per-call formatting.
+// Build it with NewGHSOMQuantizer over a compiled model (core.Compile):
+// routing runs on the flat-arena table-driven descent — no pointer
+// chasing, no map lookups — and the constructor precomputes the
+// "nodeID/unit" cell name of every unit in the hierarchy, so Quantize and
+// QuantizeBatch hand out shared immutable strings instead of formatting
+// one per record. The zero value is not a usable quantizer.
 type GHSOMQuantizer struct {
-	// Model is the trained pointer-tree hierarchy, used when no compiled
-	// model is present.
-	Model *core.GHSOM
-	// compiled is the flat-arena model the hot path routes on; nil when
-	// built from the composite literal.
+	// compiled is the flat-arena model the quantizer routes on.
 	compiled *core.Compiled
 	// names caches the cell name of every (node, unit) pair, indexed by
-	// node ID then unit; nil when built without NewGHSOMQuantizer.
+	// node ID then unit.
 	names [][]string
 }
 
@@ -43,8 +37,7 @@ var (
 )
 
 // NewGHSOMQuantizer builds the adapter over a compiled model, with its
-// cell-name cache — the allocation-free form used by the batch inference
-// dataplane. Placements (and therefore cells and verdicts) are
+// cell-name cache. Placements (and therefore cells and verdicts) are
 // byte-identical to routing through the pointer tree the model was
 // compiled from.
 func NewGHSOMQuantizer(compiled *core.Compiled) GHSOMQuantizer {
@@ -59,22 +52,12 @@ func NewGHSOMQuantizer(compiled *core.Compiled) GHSOMQuantizer {
 	return GHSOMQuantizer{compiled: compiled, names: names}
 }
 
-// Compiled returns the compiled model the adapter routes on, or nil for
-// a tree-backed adapter.
+// Compiled returns the compiled model the adapter routes on.
 func (g GHSOMQuantizer) Compiled() *core.Compiled { return g.compiled }
-
-// routeTrained routes through the compiled model when present, else the
-// pointer tree.
-func (g GHSOMQuantizer) routeTrained(x []float64) core.Placement {
-	if g.compiled != nil {
-		return g.compiled.RouteTrained(x)
-	}
-	return g.Model.RouteTrained(x)
-}
 
 // Quantize routes x down the hierarchy.
 func (g GHSOMQuantizer) Quantize(x []float64) (string, float64) {
-	p := g.routeTrained(x)
+	p := g.compiled.RouteTrained(x)
 	return g.cellName(p), p.QE
 }
 
@@ -107,32 +90,20 @@ func padSentinel(out []CellQE, rows, n int, cell string) {
 	}
 }
 
-// QuantizeBatch routes the flat batch down the hierarchy via the batch
-// descent (the compiled RouteTrainedFlat when the adapter was built with
-// NewGHSOMQuantizer, the tree's otherwise; serial within the batch —
+// QuantizeBatch routes the flat batch down the hierarchy via the
+// compiled batch descent (RouteTrainedFlat, serial within the batch —
 // ClassifyBatch parallelizes across chunks), writing cells and
-// quantization errors into out. With a cached name table the steady
-// state performs no per-row allocation; the Placement scratch is pooled.
-// Rows whose width d does not match the model keep Quantize's
-// dimension-mismatch sentinel, and a truncated flat (fewer than n
-// complete rows) yields sentinels for the missing tail instead of
-// panicking.
+// quantization errors into out. The steady state performs no per-row
+// allocation; the Placement scratch is pooled. Rows whose width d does
+// not match the model get Quantize's dimension-mismatch sentinel, and a
+// truncated flat (fewer than n complete rows) yields sentinels for the
+// missing tail instead of panicking.
 func (g GHSOMQuantizer) QuantizeBatch(flat []float64, n, d int, out []CellQE) {
 	rows := completeRows(flat, n, d)
+	if d != g.compiled.Dim() {
+		rows = 0
+	}
 	defer padSentinel(out, rows, n, "-1/-1")
-	dim := 0
-	if g.compiled != nil {
-		dim = g.compiled.Dim()
-	} else {
-		dim = g.Model.Dim()
-	}
-	if d != dim {
-		for i := 0; i < rows; i++ {
-			p := g.routeTrained(flat[i*d : (i+1)*d])
-			out[i] = CellQE{Cell: g.cellName(p), QE: p.QE}
-		}
-		return
-	}
 	if rows == 0 {
 		return
 	}
@@ -143,11 +114,7 @@ func (g GHSOMQuantizer) QuantizeBatch(flat []float64, n, d int, out []CellQE) {
 	places := scratch.buf[:rows]
 	// rows complete full-width rows are guaranteed above, so the descent
 	// cannot fail.
-	if g.compiled != nil {
-		_ = g.compiled.RouteTrainedFlat(flat, rows, places, 1)
-	} else {
-		_ = g.Model.RouteTrainedFlat(flat, rows, places, 1)
-	}
+	_ = g.compiled.RouteTrainedFlat(flat, rows, places, 1)
 	for i := 0; i < rows; i++ {
 		out[i] = CellQE{Cell: g.cellName(places[i]), QE: places[i].QE}
 	}
@@ -173,10 +140,7 @@ func (g GHSOMQuantizer) CellWeight(cell string) []float64 {
 	if _, err := fmt.Sscanf(cell, "%d/%d", &nodeID, &unit); err != nil {
 		return nil
 	}
-	if g.compiled != nil {
-		return g.compiled.UnitWeight(nodeID, unit)
-	}
-	return g.Model.NearestUnitWeight(core.UnitKey{NodeID: nodeID, Unit: unit})
+	return g.compiled.UnitWeight(nodeID, unit)
 }
 
 // SOMQuantizer adapts a flat SOM: the cell is the BMU index. When

@@ -8,6 +8,7 @@ import (
 	"ghsom/internal/baseline"
 	"ghsom/internal/core"
 	"ghsom/internal/som"
+	"ghsom/internal/vecmath"
 )
 
 // tinyClusters returns two tight, well-separated blobs.
@@ -37,7 +38,7 @@ func TestGHSOMQuantizerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := GHSOMQuantizer{Model: model}
+	q := NewGHSOMQuantizer(core.Compile(model))
 	det, err := Fit(q, data, labels, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +77,16 @@ func TestSOMQuantizerEndToEnd(t *testing.T) {
 	if err := m.InitSample(data, rng); err != nil {
 		t.Fatal(err)
 	}
+	mat, err := vecmath.MatrixFromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tc := som.DefaultTrainConfig(rng)
-	if _, err := m.TrainOnline(data, tc); err != nil {
+	if _, err := m.TrainOnlineView(mat.View(), tc); err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, m.Units())
-	for _, b := range m.Assign(data) {
+	for _, b := range m.AssignView(mat.View()) {
 		counts[b]++
 	}
 	det, err := Fit(SOMQuantizer{Map: m, UnitCounts: counts}, data, labels, Config{})

@@ -7,6 +7,7 @@ import (
 
 	"ghsom/internal/core"
 	"ghsom/internal/som"
+	"ghsom/internal/vecmath"
 )
 
 // flatten packs rows into one row-major array.
@@ -104,8 +105,8 @@ func TestClassifyBatchValidation(t *testing.T) {
 }
 
 // TestGHSOMQuantizeBatchMatchesQuantize verifies the GHSOM adapter's batch
-// path (with cached cell names) equals per-row Quantize, and that the
-// cached names are identical to the composite-literal fallback's.
+// path (with cached cell names) and per-row Quantize both equal the
+// pointer-tree reference walk.
 func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	data, _ := tinyClusters(5, 60)
 	cfg := core.DefaultConfig()
@@ -118,7 +119,6 @@ func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := NewGHSOMQuantizer(core.Compile(model))
-	plain := GHSOMQuantizer{Model: model}
 	rng := rand.New(rand.NewSource(6))
 	n := 150
 	rows := make([][]float64, n)
@@ -129,17 +129,18 @@ func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	out := make([]CellQE, n)
 	cached.QuantizeBatch(flat, n, d, out)
 	for i := range rows {
-		wantCell, wantQE := plain.Quantize(rows[i])
+		ref := model.RouteTrained(rows[i])
+		wantCell, wantQE := ref.Key().String(), ref.QE
 		if out[i].Cell != wantCell || out[i].QE != wantQE {
-			t.Fatalf("row %d: batch (%q, %v), per-row (%q, %v)",
+			t.Fatalf("row %d: batch (%q, %v), tree (%q, %v)",
 				i, out[i].Cell, out[i].QE, wantCell, wantQE)
 		}
 		gotCell, gotQE := cached.Quantize(rows[i])
 		if gotCell != wantCell || gotQE != wantQE {
-			t.Fatalf("row %d: cached (%q, %v), plain (%q, %v)", i, gotCell, gotQE, wantCell, wantQE)
+			t.Fatalf("row %d: Quantize (%q, %v), tree (%q, %v)", i, gotCell, gotQE, wantCell, wantQE)
 		}
 	}
-	// Dimension-mismatch rows keep Quantize's sentinel cell via fallback.
+	// Dimension-mismatch rows get the sentinel cell on both paths.
 	badCell, badQE := cached.Quantize([]float64{1, 2, 3})
 	if badCell != "-1/-1" || !math.IsNaN(badQE) {
 		t.Errorf("dim mismatch = (%q, %v), want (-1/-1, NaN)", badCell, badQE)
@@ -162,6 +163,11 @@ func TestGHSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	// Degenerate dims must not panic either.
 	cached.QuantizeBatch(nil, 3, 0, shortOut[:3])
 	cached.QuantizeBatch(flat, 2, d+1, shortOut[:2])
+	for i, o := range shortOut[:3] {
+		if o.Cell != "-1/-1" || !math.IsNaN(o.QE) {
+			t.Fatalf("mismatched-width batch row %d = %+v, want sentinel", i, o)
+		}
+	}
 }
 
 // TestSOMQuantizeBatchMatchesQuantize verifies the flat-SOM adapter's
@@ -176,7 +182,11 @@ func TestSOMQuantizeBatchMatchesQuantize(t *testing.T) {
 	if err := m.InitSample(data, rand.New(rand.NewSource(2))); err != nil {
 		t.Fatal(err)
 	}
-	counts := m.Assign(data)
+	mat, err := vecmath.MatrixFromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := m.AssignView(mat.View())
 	unitCounts := make([]int, m.Units())
 	for _, u := range counts {
 		unitCounts[u]++

@@ -925,9 +925,9 @@ type routeScratch struct {
 const routeGemmMin = 8
 
 // RouteTrainedFlat routes every row of the flat row-major batch through
-// the effective codebook into out — the compiled counterpart of
-// GHSOM.RouteTrainedFlat, with byte-identical placements at every
-// parallelism setting and zero per-row steady-state allocation.
+// the effective codebook into out, with placements byte-identical to
+// GHSOM.RouteTrained per row at every parallelism setting and zero
+// per-row steady-state allocation.
 //
 // The descent is level-synchronous and blocked: within a worker chunk,
 // records are deduplicated (byte-identical rows — common in real

@@ -95,8 +95,8 @@ func TestCompiledRouteFlatParallelism(t *testing.T) {
 		}
 	}
 	want := make([]Placement, n)
-	if err := g.RouteTrainedFlat(flat, n, want, 1); err != nil {
-		t.Fatal(err)
+	for i := range want {
+		want[i] = g.RouteTrained(flat[i*dim : (i+1)*dim])
 	}
 	for _, par := range []int{1, 2, 3, 8, 0} {
 		got := make([]Placement, n)
@@ -108,17 +108,6 @@ func TestCompiledRouteFlatParallelism(t *testing.T) {
 				t.Fatalf("par %d row %d: tree %+v, compiled %+v", par, i, want[i], got[i])
 			}
 		}
-	}
-	// Undersized inputs are rejected, not panics.
-	if err := c.RouteTrainedFlat(flat[:dim], 2, make([]Placement, 2), 1); err == nil {
-		t.Error("short flat accepted")
-	}
-	if err := c.RouteTrainedFlat(flat, n, make([]Placement, n-1), 1); err == nil {
-		t.Error("short out accepted")
-	}
-	// Empty batches are no-ops, like the tree walk.
-	if err := c.RouteTrainedFlat(nil, 0, nil, 1); err != nil {
-		t.Errorf("empty batch: %v", err)
 	}
 }
 
@@ -308,11 +297,11 @@ func benchRouteSetup(b *testing.B) (*GHSOM, *Compiled, []float64, int) {
 
 func BenchmarkRouteTree(b *testing.B) {
 	g, _, flat, n := benchRouteSetup(b)
-	out := make([]Placement, n)
+	dim := g.Dim()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.RouteTrainedFlat(flat, n, out, 1); err != nil {
-			b.Fatal(err)
+		for r := 0; r < n; r++ {
+			g.RouteTrained(flat[r*dim : (r+1)*dim])
 		}
 	}
 	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "records/sec")

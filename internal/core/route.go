@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"ghsom/internal/parallel"
-	"ghsom/internal/vecmath"
 )
 
 // Placement identifies where a vector lands in the hierarchy: the leaf node
@@ -43,11 +40,12 @@ func (k UnitKey) String() string { return fmt.Sprintf("%d/%d", k.NodeID, k.Unit)
 // final placement. Route never fails on a trained model; a dimension
 // mismatch returns a Placement with QE = NaN.
 //
-// This is the pointer-tree reference walk. The serving hot path routes
-// through the compiled representation instead (Compile → Compiled.Route
-// and friends), which produces byte-identical placements from flat
-// tables; the tree walk remains the semantic baseline the compiled
-// kernels are equivalence-tested against.
+// This is the pointer-tree reference walk, kept only as the per-row
+// reference the compiled kernels are equivalence-tested against. All
+// production routing — serving, the evaluation suite, the examples'
+// detectors — goes through the compiled representation (Compile →
+// Compiled.Route and friends), which produces byte-identical placements
+// from flat tables.
 func (g *GHSOM) Route(x []float64) Placement {
 	if len(x) != g.dim {
 		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}
@@ -73,14 +71,6 @@ func (g *GHSOM) RouteTrained(x []float64) Placement {
 	if len(x) != g.dim {
 		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}
 	}
-	return g.routeTrainedRow(x)
-}
-
-// routeTrainedRow is the validated effective-codebook descent kernel:
-// len(x) == g.dim. It is allocation-free (BMUMasked instead of a
-// per-level predicate closure) and shared by RouteTrained and
-// RouteTrainedFlat so the per-record and batch paths cannot diverge.
-func (g *GHSOM) routeTrainedRow(x []float64) Placement {
 	node := g.root
 	for {
 		bmu, d2, ok := node.Map.BMUMasked(x, node.UnitCount)
@@ -93,39 +83,6 @@ func (g *GHSOM) routeTrainedRow(x []float64) Placement {
 		}
 		node = child
 	}
-}
-
-// RouteTrainedFlat routes every row of the flat row-major batch (n rows
-// of Dim() values) through the effective codebook, writing placements
-// into out, which must have length at least n. Rows are routed
-// concurrently in chunks of one GEMM tile of rows (0 = GOMAXPROCS
-// workers, 1 = serial); placements are positionally stable and
-// identical to calling RouteTrained per row at every setting. This is the
-// batch BMU descent under anomaly batch quantization: beyond the worker
-// goroutines it performs no per-row allocation.
-func (g *GHSOM) RouteTrainedFlat(flat []float64, n int, out []Placement, parallelism int) error {
-	if len(flat) < n*g.dim {
-		return fmt.Errorf("core: route flat batch of %d rows from %d values, want >= %d", n, len(flat), n*g.dim)
-	}
-	if len(out) < n {
-		return fmt.Errorf("core: route flat batch of %d rows into %d placements", n, len(out))
-	}
-	parallel.ForEachChunk(nil, parallelism, n, vecmath.DefaultTileRows, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = g.routeTrainedRow(flat[i*g.dim : (i+1)*g.dim])
-		}
-		return nil
-	})
-	return nil
-}
-
-// RouteAll routes every row of data and returns the placements.
-func (g *GHSOM) RouteAll(data [][]float64) []Placement {
-	out := make([]Placement, len(data))
-	for i, x := range data {
-		out[i] = g.Route(x)
-	}
-	return out
 }
 
 // Path returns the chain of (nodeID, unit) hops from the root map to the
@@ -145,21 +102,4 @@ func (g *GHSOM) Path(x []float64) []UnitKey {
 		}
 		node = child
 	}
-}
-
-// LeafQE returns the quantization error of x at its leaf placement. It is
-// the model's raw anomaly score: large errors mean the input is far from
-// everything the model learned.
-func (g *GHSOM) LeafQE(x []float64) float64 {
-	return g.Route(x).QE
-}
-
-// NearestUnitWeight returns a copy of the weight vector of the unit
-// identified by key, or nil if the key does not exist in the model.
-func (g *GHSOM) NearestUnitWeight(key UnitKey) []float64 {
-	n := g.Node(key.NodeID)
-	if n == nil || key.Unit < 0 || key.Unit >= n.Map.Units() {
-		return nil
-	}
-	return vecmath.Clone(n.Map.Weight(key.Unit))
 }

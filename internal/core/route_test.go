@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"ghsom/internal/vecmath"
 )
 
 func trainedModel(t *testing.T) *GHSOM {
@@ -49,20 +51,6 @@ func TestRouteDimensionMismatch(t *testing.T) {
 	}
 	if g.Path([]float64{1}) != nil {
 		t.Error("Path with wrong dim should be nil")
-	}
-}
-
-func TestRouteAll(t *testing.T) {
-	g := trainedModel(t)
-	data := fourBlobs(21, 10)
-	ps := g.RouteAll(data)
-	if len(ps) != len(data) {
-		t.Fatalf("got %d placements for %d rows", len(ps), len(data))
-	}
-	for i, p := range ps {
-		if p.NodeID < 0 {
-			t.Errorf("row %d invalid placement", i)
-		}
 	}
 }
 
@@ -157,10 +145,12 @@ func TestRouteTrainedDimMismatch(t *testing.T) {
 	}
 }
 
-// TestRouteTrainedFlatMatchesPerRow verifies the flat batch descent is
-// bit-identical to RouteTrained per row at every worker count.
+// TestRouteTrainedFlatMatchesPerRow verifies the compiled flat batch
+// descent is bit-identical to the tree walk's RouteTrained per row at
+// every worker count.
 func TestRouteTrainedFlatMatchesPerRow(t *testing.T) {
 	g := trainedModel(t)
+	c := Compile(g)
 	rng := rand.New(rand.NewSource(44))
 	n := 400
 	flat := make([]float64, n*g.Dim())
@@ -173,7 +163,7 @@ func TestRouteTrainedFlatMatchesPerRow(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 8, 0} {
 		out := make([]Placement, n)
-		if err := g.RouteTrainedFlat(flat, n, out, p); err != nil {
+		if err := c.RouteTrainedFlat(flat, n, out, p); err != nil {
 			t.Fatal(err)
 		}
 		for i := range out {
@@ -185,45 +175,41 @@ func TestRouteTrainedFlatMatchesPerRow(t *testing.T) {
 }
 
 func TestRouteTrainedFlatValidation(t *testing.T) {
-	g := trainedModel(t)
-	flat := make([]float64, 3*g.Dim())
-	if err := g.RouteTrainedFlat(flat, 4, make([]Placement, 4), 1); err == nil {
+	c := Compile(trainedModel(t))
+	flat := make([]float64, 3*c.Dim())
+	if err := c.RouteTrainedFlat(flat, 4, make([]Placement, 4), 1); err == nil {
 		t.Error("short flat accepted")
 	}
-	if err := g.RouteTrainedFlat(flat, 3, make([]Placement, 2), 1); err == nil {
+	if err := c.RouteTrainedFlat(flat, 3, make([]Placement, 2), 1); err == nil {
 		t.Error("short out accepted")
 	}
-}
-
-func TestLeafQEMatchesRoute(t *testing.T) {
-	g := trainedModel(t)
-	x := []float64{3, 7}
-	if got, want := g.LeafQE(x), g.Route(x).QE; got != want {
-		t.Errorf("LeafQE = %v, Route QE = %v", got, want)
+	// Empty batches are no-ops.
+	if err := c.RouteTrainedFlat(nil, 0, nil, 1); err != nil {
+		t.Errorf("empty batch: %v", err)
 	}
 }
 
-func TestNearestUnitWeight(t *testing.T) {
+func TestCompiledUnitWeight(t *testing.T) {
 	g := trainedModel(t)
-	p := g.Route([]float64{0, 0})
-	w := g.NearestUnitWeight(p.Key())
+	c := Compile(g)
+	p := c.Route([]float64{0, 0})
+	w := c.UnitWeight(p.NodeID, p.Unit)
 	if w == nil {
 		t.Fatal("nil weight for valid key")
 	}
-	if len(w) != g.Dim() {
-		t.Errorf("weight dim %d", len(w))
+	if !vecmath.Equal(w, g.Node(p.NodeID).Map.Weight(p.Unit), 0) {
+		t.Errorf("UnitWeight = %v, tree weight %v", w, g.Node(p.NodeID).Map.Weight(p.Unit))
 	}
 	// Mutating the returned slice must not affect the model.
 	w[0] = 1e9
-	w2 := g.NearestUnitWeight(p.Key())
-	if w2[0] == 1e9 {
-		t.Error("NearestUnitWeight exposes internal storage")
+	if c.UnitWeight(p.NodeID, p.Unit)[0] == 1e9 {
+		t.Error("UnitWeight exposes internal storage")
 	}
-	if g.NearestUnitWeight(UnitKey{NodeID: -1, Unit: 0}) != nil {
-		t.Error("invalid node key should return nil")
+	if c.UnitWeight(-1, 0) != nil {
+		t.Error("invalid node should return nil")
 	}
-	if g.NearestUnitWeight(UnitKey{NodeID: 0, Unit: 9999}) != nil {
-		t.Error("invalid unit key should return nil")
+	if c.UnitWeight(0, 9999) != nil {
+		t.Error("invalid unit should return nil")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Route), instead of the effective-codebook RouteTrained the production
 // detector uses.
 type fullRouteQuantizer struct {
-	model *core.GHSOM
+	model *core.Compiled
 }
 
 func (q fullRouteQuantizer) Quantize(x []float64) (string, float64) {
@@ -31,13 +31,14 @@ func RoutingAblation(enc *Encoded, seed int64) ([]DetectorResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: routing ablation train: %w", err)
 	}
+	compiled := core.Compile(model)
 	var out []DetectorResult
 	variants := []struct {
 		name string
 		q    anomaly.Quantizer
 	}{
-		{"ghsom-route-trained", anomaly.GHSOMQuantizer{Model: model}},
-		{"ghsom-route-all-units", fullRouteQuantizer{model: model}},
+		{"ghsom-route-trained", anomaly.NewGHSOMQuantizer(compiled)},
+		{"ghsom-route-all-units", fullRouteQuantizer{model: compiled}},
 	}
 	for _, v := range variants {
 		det, err := anomaly.Fit(v.q, enc.TrainX, enc.TrainLabels, anomaly.Config{})
@@ -71,9 +72,10 @@ func MarginSweep(enc *Encoded, margins []float64, seed int64) ([]MarginRow, erro
 	if err != nil {
 		return nil, fmt.Errorf("eval: margin sweep train: %w", err)
 	}
+	q := anomaly.NewGHSOMQuantizer(core.Compile(model))
 	var rows []MarginRow
 	for _, margin := range margins {
-		det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, enc.TrainX, enc.TrainLabels,
+		det, err := anomaly.Fit(q, enc.TrainX, enc.TrainLabels,
 			anomaly.Config{NoveltyMargin: margin})
 		if err != nil {
 			return nil, fmt.Errorf("eval: margin %v: %w", margin, err)

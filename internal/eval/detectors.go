@@ -117,7 +117,7 @@ func RunGHSOM(enc *Encoded, mcfg core.Config, dcfg anomaly.Config) (DetectorResu
 	if err != nil {
 		return DetectorResult{}, nil, nil, fmt.Errorf("eval: train ghsom: %w", err)
 	}
-	det, err := anomaly.Fit(anomaly.GHSOMQuantizer{Model: model}, enc.TrainX, enc.TrainLabels, dcfg)
+	det, err := anomaly.Fit(anomaly.NewGHSOMQuantizer(core.Compile(model)), enc.TrainX, enc.TrainLabels, dcfg)
 	if err != nil {
 		return DetectorResult{}, nil, nil, fmt.Errorf("eval: fit ghsom detector: %w", err)
 	}
@@ -133,57 +133,41 @@ func RunGHSOM(enc *Encoded, mcfg core.Config, dcfg anomaly.Config) (DetectorResu
 
 // RunSOM trains a flat fixed-size SOM detector and evaluates it.
 func RunSOM(enc *Encoded, rows, cols, epochs int, seed int64, dcfg anomaly.Config) (DetectorResult, error) {
-	modelData := capForModel(enc, seed)
-	rng := rand.New(rand.NewSource(seed))
 	start := time.Now()
-	m, err := som.New(rows, cols, len(enc.TrainX[0]))
+	det, err := somDetector(enc, rows, cols, epochs, seed, dcfg)
 	if err != nil {
-		return DetectorResult{}, fmt.Errorf("eval: som: %w", err)
-	}
-	if err := m.InitSample(modelData, rng); err != nil {
-		return DetectorResult{}, fmt.Errorf("eval: som init: %w", err)
-	}
-	tc := som.DefaultTrainConfig(rng)
-	tc.Epochs = epochs
-	if _, err := m.TrainOnline(modelData, tc); err != nil {
-		return DetectorResult{}, fmt.Errorf("eval: som train: %w", err)
-	}
-	counts := make([]int, m.Units())
-	for _, b := range m.Assign(modelData) {
-		counts[b]++
-	}
-	det, err := anomaly.Fit(anomaly.SOMQuantizer{Map: m, UnitCounts: counts}, enc.TrainX, enc.TrainLabels, dcfg)
-	if err != nil {
-		return DetectorResult{}, fmt.Errorf("eval: fit som detector: %w", err)
+		return DetectorResult{}, err
 	}
 	trainSecs := time.Since(start).Seconds()
 	res, err := evaluate(fmt.Sprintf("som-%dx%d", rows, cols), det, enc, trainSecs)
 	if err != nil {
 		return DetectorResult{}, err
 	}
-	res.Cells = m.Units()
+	res.Cells = rows * cols
 	return res, nil
 }
 
-// somDetector trains a flat SOM and returns its fitted detector (used by
-// experiments that need the detector itself rather than a result row).
+// somDetector trains a flat SOM on the label-capped rows, through the
+// zero-copy subset view of the encoded matrix, and returns its fitted
+// detector.
 func somDetector(enc *Encoded, rows, cols, epochs int, seed int64, dcfg anomaly.Config) (*anomaly.Detector, error) {
-	modelData := capForModel(enc, seed)
+	idx := capIdxForModel(enc, seed)
+	modelData := enc.TrainMat.Subset(idx)
 	rng := rand.New(rand.NewSource(seed))
-	m, err := som.New(rows, cols, len(enc.TrainX[0]))
+	m, err := som.New(rows, cols, enc.TrainMat.Cols())
 	if err != nil {
 		return nil, fmt.Errorf("eval: som: %w", err)
 	}
-	if err := m.InitSample(modelData, rng); err != nil {
+	if err := m.InitSample(preprocess.Gather(enc.TrainX, idx), rng); err != nil {
 		return nil, fmt.Errorf("eval: som init: %w", err)
 	}
 	tc := som.DefaultTrainConfig(rng)
 	tc.Epochs = epochs
-	if _, err := m.TrainOnline(modelData, tc); err != nil {
+	if _, err := m.TrainOnlineView(modelData, tc); err != nil {
 		return nil, fmt.Errorf("eval: som train: %w", err)
 	}
 	counts := make([]int, m.Units())
-	for _, b := range m.Assign(modelData) {
+	for _, b := range m.AssignView(modelData) {
 		counts[b]++
 	}
 	det, err := anomaly.Fit(anomaly.SOMQuantizer{Map: m, UnitCounts: counts}, enc.TrainX, enc.TrainLabels, dcfg)

@@ -222,7 +222,8 @@ type ScaleRow struct {
 	TrainSeconds float64
 	// Units is the trained structure size.
 	Units int
-	// ClassifyPerSec is classification throughput on held-out records.
+	// ClassifyPerSec is the throughput of the shipped routing path
+	// (compiled effective-codebook descent) on held-out records.
 	ClassifyPerSec float64
 }
 
@@ -255,9 +256,10 @@ func Scalability(enc *Encoded, sizes []int, seed int64) ([]ScaleRow, error) {
 		if len(probe) > 5000 {
 			probe = probe[:5000]
 		}
+		compiled := core.Compile(model)
 		cstart := time.Now()
 		for _, x := range probe {
-			model.Route(x)
+			compiled.RouteTrained(x)
 		}
 		elapsed := time.Since(cstart).Seconds()
 		row := ScaleRow{N: n, TrainSeconds: trainSecs, Units: model.Stats().Units}

@@ -42,7 +42,7 @@ func (m *Map) BMUMasked(x []float64, counts []int) (bmu int, dist2 float64, ok b
 // AssignFlat computes the BMU index and squared distance of every row of
 // the flat row-major matrix (n rows of Dim() values) into bmus and d2s,
 // which must both have length at least n. Unlike the map-level batch ops
-// (Assign, MQE) it takes the worker bound explicitly — 0 = GOMAXPROCS,
+// (AssignView, UnitErrorsView) it takes the worker bound explicitly — 0 = GOMAXPROCS,
 // 1 = serial — so callers embedding it under an outer parallel loop (the
 // anomaly batch quantizer) can pin it to 1 instead of inheriting the
 // map's knob. The search runs on the blocked BMU engine (norm-cached

@@ -107,14 +107,16 @@ func TestBMUShortQueryStaysInRange(t *testing.T) {
 }
 
 // TestBatchOpsIdenticalAcrossParallelism verifies the determinism contract
-// of the parallel batch operations: Assign, MQE, UnitErrors, TrainBatch and
-// TopographicError produce bit-identical results for every worker count.
+// of the parallel batch operations: AssignView, the view MQE, UnitErrorsView,
+// TrainBatchView and TopographicError produce bit-identical results for
+// every worker count.
 func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([][]float64, 500)
 	for i := range data {
 		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
+	v := rowsView(t, data)
 	build := func(p int) *Map {
 		m, err := New(4, 4, 3)
 		if err != nil {
@@ -127,15 +129,15 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 		cfg := DefaultTrainConfig(nil)
 		cfg.Shuffle = false
 		cfg.Parallelism = p
-		if _, err := m.TrainBatch(data, cfg); err != nil {
+		if _, err := m.TrainBatchView(v, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	ref := build(1)
-	refAssign := ref.Assign(data)
-	refMQE := ref.MQE(data)
-	refSum, refCounts := ref.UnitErrors(data)
+	refAssign := ref.AssignView(v)
+	refMQE := ref.mqeView(v, ref.Parallelism(), nil)
+	refSum, refCounts := ref.UnitErrorsView(v)
 	refTE := ref.TopographicError(data)
 	for _, p := range []int{2, 4, 8, 0} {
 		m := build(p)
@@ -144,19 +146,19 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 				t.Fatalf("p=%d: trained weights differ at flat index %d", p, i)
 			}
 		}
-		assign := m.Assign(data)
+		assign := m.AssignView(v)
 		for i := range assign {
 			if assign[i] != refAssign[i] {
-				t.Fatalf("p=%d: Assign[%d] = %d, want %d", p, i, assign[i], refAssign[i])
+				t.Fatalf("p=%d: AssignView[%d] = %d, want %d", p, i, assign[i], refAssign[i])
 			}
 		}
-		if mqe := m.MQE(data); mqe != refMQE {
-			t.Errorf("p=%d: MQE = %v, want %v", p, mqe, refMQE)
+		if mqe := m.mqeView(v, m.Parallelism(), nil); mqe != refMQE {
+			t.Errorf("p=%d: mqeView = %v, want %v", p, mqe, refMQE)
 		}
-		sum, counts := m.UnitErrors(data)
+		sum, counts := m.UnitErrorsView(v)
 		for u := range sum {
 			if sum[u] != refSum[u] || counts[u] != refCounts[u] {
-				t.Fatalf("p=%d: UnitErrors[%d] = (%v, %d), want (%v, %d)",
+				t.Fatalf("p=%d: UnitErrorsView[%d] = (%v, %d), want (%v, %d)",
 					p, u, sum[u], counts[u], refSum[u], refCounts[u])
 			}
 		}

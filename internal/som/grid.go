@@ -47,9 +47,9 @@ type Map struct {
 	// norms caches the per-unit squared weight norms for the blocked BMU
 	// engine, keyed by version. The cache is an atomic snapshot
 	// (lock-free reads, copy-on-invalidate), so concurrent read-only
-	// batch operations (Assign, AssignFlat, MQE) on a trained map never
-	// serialize on it. Weight mutation itself requires exclusive access,
-	// exactly as it always has.
+	// batch operations (AssignView, AssignFlat, UnitErrorsView) on a
+	// trained map never serialize on it. Weight mutation itself requires
+	// exclusive access, exactly as it always has.
 	norms vecmath.NormCache
 
 	// bmuPrec selects the candidate-generation precision of the blocked
@@ -166,7 +166,8 @@ func (m *Map) SetBMUPrecision(p vecmath.Precision) { m.bmuPrec = p }
 func (m *Map) BMUPrecision() vecmath.Precision { return m.bmuPrec }
 
 // SetParallelism sets the worker bound used by the map's batch operations
-// (Assign, MQE, UnitErrors, TrainBatch's BMU pass): 0 (the default) means
+// (AssignView, UnitErrorsView, UnitMeanErrorsView, TopographicError;
+// training reads TrainConfig.Parallelism instead): 0 (the default) means
 // runtime.GOMAXPROCS, 1 forces serial execution, n > 1 caps the fan-out at
 // n goroutines. Results are bit-for-bit identical for every setting; see
 // internal/parallel.

@@ -4,7 +4,20 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ghsom/internal/vecmath"
 )
+
+// rowsView copies rows into a contiguous matrix and returns its view —
+// the form the map's data-set operations take.
+func rowsView(t testing.TB, rows [][]float64) vecmath.View {
+	t.Helper()
+	mat, err := vecmath.MatrixFromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mat.View()
+}
 
 // lineMap returns a 1x3 map with weights 0, 5, 10 in one dimension.
 func lineMap(t *testing.T) *Map {
@@ -22,10 +35,10 @@ func lineMap(t *testing.T) *Map {
 func TestMQE(t *testing.T) {
 	m := lineMap(t)
 	data := [][]float64{{1}, {4}, {11}} // distances 1, 1, 1
-	if got := m.MQE(data); math.Abs(got-1) > 1e-12 {
+	if got := m.mqeView(rowsView(t, data), 0, nil); math.Abs(got-1) > 1e-12 {
 		t.Errorf("MQE = %v, want 1", got)
 	}
-	if !math.IsNaN(m.MQE(nil)) {
+	if !math.IsNaN(m.mqeView(vecmath.View{}, 0, nil)) {
 		t.Error("MQE of empty data should be NaN")
 	}
 }
@@ -33,7 +46,7 @@ func TestMQE(t *testing.T) {
 func TestUnitErrorsAndCounts(t *testing.T) {
 	m := lineMap(t)
 	data := [][]float64{{0}, {1}, {6}} // units 0,0,1
-	sum, counts := m.UnitErrors(data)
+	sum, counts := m.UnitErrorsView(rowsView(t, data))
 	if counts[0] != 2 || counts[1] != 1 || counts[2] != 0 {
 		t.Errorf("counts = %v", counts)
 	}
@@ -43,7 +56,7 @@ func TestUnitErrorsAndCounts(t *testing.T) {
 	if math.Abs(sum[1]-1) > 1e-12 {
 		t.Errorf("sumQE[1] = %v, want 1", sum[1])
 	}
-	mean, counts2 := m.UnitMeanErrors(data)
+	mean, counts2 := m.UnitMeanErrorsView(rowsView(t, data))
 	if counts2[0] != 2 {
 		t.Errorf("mean counts = %v", counts2)
 	}
@@ -52,16 +65,6 @@ func TestUnitErrorsAndCounts(t *testing.T) {
 	}
 	if mean[2] != 0 {
 		t.Errorf("meanQE of empty unit = %v, want 0", mean[2])
-	}
-}
-
-func TestMeanUnitMQE(t *testing.T) {
-	m := lineMap(t)
-	data := [][]float64{{0}, {1}, {6}}
-	// Unit 0 mean = 0.5, unit 1 mean = 1, unit 2 empty.
-	want := (0.5 + 1.0) / 2
-	if got := m.MeanUnitMQE(data); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MeanUnitMQE = %v, want %v", got, want)
 	}
 }
 
@@ -90,11 +93,11 @@ func TestTopographicError(t *testing.T) {
 
 func TestAssign(t *testing.T) {
 	m := lineMap(t)
-	got := m.Assign([][]float64{{-1}, {6}, {100}})
+	got := m.AssignView(rowsView(t, [][]float64{{-1}, {6}, {100}}))
 	want := []int{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Assign[%d] = %d, want %d", i, got[i], want[i])
+			t.Errorf("AssignView[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }

@@ -31,8 +31,9 @@ type TrainConfig struct {
 	Rng *rand.Rand
 	// SkipEpochMQE disables the per-epoch MQE measurement (TrainStats is
 	// returned with an empty EpochMQE). Callers that track map quality
-	// themselves — the GHSOM growth loop measures MeanUnitMQE after every
-	// training call — set it to drop the extra per-epoch data scan.
+	// themselves — the GHSOM growth loop measures its growth criterion
+	// after every training call — set it to drop the extra per-epoch data
+	// scan.
 	SkipEpochMQE bool
 	// Parallelism bounds the workers used inside a training call — batch
 	// training's BMU pass and the per-epoch MQE measurement of both rules:
@@ -283,43 +284,4 @@ func (m *Map) BMU2(x []float64) (first, second int) {
 		second = first
 	}
 	return first, second
-}
-
-// TrainOnline trains the map with stochastic (per-record) updates and
-// returns per-epoch statistics. The data slice itself is never modified;
-// presentation order is shuffled on a private index slice. It is a thin
-// adapter over TrainOnlineView: the data is copied once into a contiguous
-// matrix and trained on the flat kernel.
-func (m *Map) TrainOnline(data [][]float64, cfg TrainConfig) (TrainStats, error) {
-	if err := cfg.validate(); err != nil {
-		return TrainStats{}, err
-	}
-	if err := m.checkData(data); err != nil {
-		return TrainStats{}, err
-	}
-	mat, err := vecmath.MatrixFromRows(data)
-	if err != nil {
-		return TrainStats{}, fmt.Errorf("som: %w", err)
-	}
-	return m.TrainOnlineView(mat.View(), cfg)
-}
-
-// TrainBatch trains the map with the deterministic batch rule: each epoch
-// every unit moves to the neighborhood-weighted mean of all data. Batch
-// training ignores Alpha and Shuffle, and is bit-for-bit identical at
-// every cfg.Parallelism setting. It is a thin adapter over
-// TrainBatchView: the data is copied once into a contiguous matrix and
-// trained on the flat BMU-class accumulation kernel.
-func (m *Map) TrainBatch(data [][]float64, cfg TrainConfig) (TrainStats, error) {
-	if err := cfg.validate(); err != nil {
-		return TrainStats{}, err
-	}
-	if err := m.checkData(data); err != nil {
-		return TrainStats{}, err
-	}
-	mat, err := vecmath.MatrixFromRows(data)
-	if err != nil {
-		return TrainStats{}, fmt.Errorf("som: %w", err)
-	}
-	return m.TrainBatchView(mat.View(), cfg)
 }

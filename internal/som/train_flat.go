@@ -11,9 +11,9 @@ import (
 
 // This file holds the flat training dataplane: batch and online training
 // kernels over a vecmath.View (a row-major matrix plus an optional row
-// subset), mirroring the inference dataplane in batch.go. The slice-based
-// TrainBatch/TrainOnline in train.go are thin adapters that copy their
-// data into a Matrix once and delegate here.
+// subset), mirroring the inference dataplane in batch.go, and the
+// quantization-error measures over a view. A slice-of-rows data set
+// reaches them through vecmath.MatrixFromRows.
 //
 // Both kernels hoist the neighborhood kernel out of the per-record loop:
 // the training parameters are per-epoch constants (see scheduleFrac), so
@@ -413,10 +413,6 @@ func (m *Map) mqeView(v vecmath.View, p int, d2s []float64) float64 {
 	return sum / float64(n)
 }
 
-// MQEView returns the map's mean quantization error over the view, on the
-// map's configured Parallelism.
-func (m *Map) MQEView(v vecmath.View) float64 { return m.mqeView(v, m.parallelism, nil) }
-
 // AssignView returns the BMU index of every view row, on the map's
 // configured Parallelism.
 func (m *Map) AssignView(v vecmath.View) []int {
@@ -451,23 +447,4 @@ func (m *Map) UnitMeanErrorsView(v vecmath.View) (meanQE []float64, counts []int
 		}
 	}
 	return meanQE, counts
-}
-
-// MeanUnitMQEView returns the GHSOM growth criterion over the view: the
-// mean of the per-unit mean quantization errors, over units with at least
-// one mapped row. Returns NaN when no unit has data.
-func (m *Map) MeanUnitMQEView(v vecmath.View) float64 {
-	meanQE, counts := m.UnitMeanErrorsView(v)
-	var sum float64
-	var cnt int
-	for i, c := range counts {
-		if c > 0 {
-			sum += meanQE[i]
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return math.NaN()
-	}
-	return sum / float64(cnt)
 }

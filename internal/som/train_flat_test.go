@@ -103,7 +103,7 @@ func TestTrainBatchMatchesRetiredAccumulation(t *testing.T) {
 			cfg := batchCfg(7, kernel)
 			flat, _ := New(3, 4, 6)
 			initDeterministic(flat, data)
-			stats, err := flat.TrainBatch(data, cfg)
+			stats, err := flat.TrainBatchView(rowsView(t, data), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestTrainBatchBitIdenticalAcrossParallelism(t *testing.T) {
 		initDeterministic(m, data)
 		cfg := batchCfg(6, KernelGaussian)
 		cfg.Parallelism = p
-		stats, err := m.TrainBatch(data, cfg)
+		stats, err := m.TrainBatchView(rowsView(t, data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestSkipEpochMQE(t *testing.T) {
 		initDeterministic(m, data)
 		cfg := batchCfg(4, KernelGaussian)
 		cfg.SkipEpochMQE = skip
-		stats, err := m.TrainBatch(data, cfg)
+		stats, err := m.TrainBatchView(rowsView(t, data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,11 @@ func TestTrainOnlineReducesMQE(t *testing.T) {
 	if err := m.InitRandomUniform(data, rng); err != nil {
 		t.Fatal(err)
 	}
-	before := m.MQE(data)
+	v := rowsView(t, data)
+	before := m.mqeView(v, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 20
-	stats, err := m.TrainOnline(data, cfg)
+	stats, err := m.TrainOnlineView(v, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,11 @@ func TestTrainBatchReducesMQE(t *testing.T) {
 	for i := 0; i < m.Units(); i++ {
 		_ = m.SetWeight(i, []float64{5, 5})
 	}
-	before := m.MQE(data)
+	v := rowsView(t, data)
+	before := m.mqeView(v, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 15
-	stats, err := m.TrainBatch(data, cfg)
+	stats, err := m.TrainBatchView(v, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestTrainSeparatesClusters(t *testing.T) {
 	}
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 30
-	if _, err := m.TrainOnline(data, cfg); err != nil {
+	if _, err := m.TrainOnlineView(rowsView(t, data), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// The BMUs of the two cluster centers must differ.
@@ -120,11 +122,11 @@ func TestTrainConfigValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := base
 			tt.mutate(&cfg)
-			if _, err := m.TrainOnline(data, cfg); err == nil {
-				t.Error("TrainOnline accepted invalid config")
+			if _, err := m.TrainOnlineView(rowsView(t, data), cfg); err == nil {
+				t.Error("TrainOnlineView accepted invalid config")
 			}
-			if _, err := m.TrainBatch(data, cfg); err == nil {
-				t.Error("TrainBatch accepted invalid config")
+			if _, err := m.TrainBatchView(rowsView(t, data), cfg); err == nil {
+				t.Error("TrainBatchView accepted invalid config")
 			}
 		})
 	}
@@ -134,31 +136,28 @@ func TestTrainDataValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m, _ := New(2, 2, 2)
 	cfg := DefaultTrainConfig(rng)
-	if _, err := m.TrainOnline(nil, cfg); !errors.Is(err, ErrNoData) {
-		t.Errorf("TrainOnline(nil) err = %v, want ErrNoData", err)
+	if _, err := m.TrainOnlineView(vecmath.View{}, cfg); !errors.Is(err, ErrNoData) {
+		t.Errorf("TrainOnlineView(empty) err = %v, want ErrNoData", err)
 	}
-	if _, err := m.TrainOnline([][]float64{{1, 2, 3}}, cfg); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("TrainOnline wrong-dim err = %v, want ErrDimMismatch", err)
+	if _, err := m.TrainOnlineView(rowsView(t, [][]float64{{1, 2, 3}}), cfg); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("TrainOnlineView wrong-dim err = %v, want ErrDimMismatch", err)
 	}
 }
 
 func TestTrainDoesNotMutateData(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	data := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	snapshot := make([][]float64, len(data))
-	for i, row := range data {
-		snapshot[i] = vecmath.Clone(row)
-	}
+	v := rowsView(t, data)
 	m, _ := New(2, 2, 2)
 	_ = m.InitSample(data, rng)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 3
-	if _, err := m.TrainOnline(data, cfg); err != nil {
+	if _, err := m.TrainOnlineView(v, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !vecmath.Equal(data[i], snapshot[i], 0) {
-			t.Fatalf("TrainOnline mutated data row %d", i)
+		if !vecmath.Equal(v.Row(i), data[i], 0) {
+			t.Fatalf("TrainOnlineView mutated view row %d", i)
 		}
 	}
 }
@@ -171,7 +170,7 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 		_ = m.InitRandomUniform(data, rng)
 		cfg := DefaultTrainConfig(rng)
 		cfg.Epochs = 5
-		_, _ = m.TrainOnline(data, cfg)
+		_, _ = m.TrainOnlineView(rowsView(t, data), cfg)
 		return m
 	}
 	m1, m2 := run(), run()
@@ -370,23 +369,24 @@ func TestInitLinearOrderingAdvantage(t *testing.T) {
 	if err := lin.InitLinear(data, rng); err != nil {
 		t.Fatal(err)
 	}
-	linMQE := lin.MQE(data)
+	v := rowsView(t, data)
+	linMQE := lin.mqeView(v, 0, nil)
 
 	rnd, _ := New(6, 6, 2)
 	if err := rnd.InitRandomUniform(data, rng); err != nil {
 		t.Fatal(err)
 	}
-	rndMQE := rnd.MQE(data)
+	rndMQE := rnd.mqeView(v, 0, nil)
 	if linMQE > rndMQE*3 {
 		t.Errorf("linear init MQE %v wildly worse than random %v", linMQE, rndMQE)
 	}
 
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 3
-	if _, err := lin.TrainOnline(data, cfg); err != nil {
+	if _, err := lin.TrainOnlineView(v, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rnd.TrainOnline(data, cfg); err != nil {
+	if _, err := rnd.TrainOnlineView(v, cfg); err != nil {
 		t.Fatal(err)
 	}
 	linTE := lin.TopographicError(data)
@@ -420,7 +420,7 @@ func TestBatchTrainingIsDeterministicGivenInit(t *testing.T) {
 			Radius0: 2, RadiusEnd: 0.5,
 			Kernel: KernelGaussian, Decay: DecayLinear,
 		}
-		_, _ = m.TrainBatch(data, cfg)
+		_, _ = m.TrainBatchView(rowsView(t, data), cfg)
 		return m
 	}
 	m1, m2 := mk(), mk()

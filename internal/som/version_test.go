@@ -30,15 +30,15 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 		{"InsertRowBetween", func() error { return m.InsertRowBetween(0) }},
 		{"InsertColBetween", func() error { return m.InsertColBetween(0) }},
 		{"GrowBetween", func() error { return m.GrowBetween(0, 1) }},
-		{"TrainBatch", func() error {
-			_, err := m.TrainBatch(data, TrainConfig{
+		{"TrainBatchView", func() error {
+			_, err := m.TrainBatchView(rowsView(t, data), TrainConfig{
 				Epochs: 2, Alpha0: 0.5, AlphaEnd: 0.01, RadiusEnd: 0.5,
 				Kernel: KernelGaussian, Decay: DecayLinear,
 			})
 			return err
 		}},
-		{"TrainOnline", func() error {
-			_, err := m.TrainOnline(data, TrainConfig{
+		{"TrainOnlineView", func() error {
+			_, err := m.TrainOnlineView(rowsView(t, data), TrainConfig{
 				Epochs: 1, Alpha0: 0.5, AlphaEnd: 0.01, RadiusEnd: 0.5,
 				Kernel: KernelGaussian, Decay: DecayLinear,
 			})
@@ -121,7 +121,7 @@ func TestNormCacheNeverStaleAcrossGrowth(t *testing.T) {
 	check("after column growth")
 	// Training rewrites every weight each epoch; the engine's per-epoch
 	// BMU passes must track it.
-	if _, err := m.TrainBatch(data, TrainConfig{
+	if _, err := m.TrainBatchView(rowsView(t, data), TrainConfig{
 		Epochs: 3, Alpha0: 0.5, AlphaEnd: 0.01, RadiusEnd: 0.5,
 		Kernel: KernelGaussian, Decay: DecayExponential,
 	}); err != nil {

@@ -13,10 +13,11 @@ import (
 var scalingParSweep = []int{2, 3, 8, 0}
 
 // TestDataplanesByteIdenticalAcrossParallelism is the scaling engine's
-// regression suite: every parallel dataplane — TrainPipeline,
-// RouteTrainedFlat (tree walk and compiled), DetectBatch, and
-// DetectColumnar — must produce byte-identical serialized models and
-// verdicts at every worker bound. The scheduler's determinism contract
+// regression suite: every parallel dataplane — TrainPipeline, the
+// compiled RouteTrainedFlat, DetectBatch, and DetectColumnar — must
+// produce byte-identical serialized models and verdicts at every worker
+// bound, and the compiled placements must equal the per-row tree walk on
+// the production-shape pipeline model. The scheduler's determinism contract
 // makes this exact, not approximate: chunk layout is a pure function of
 // (n, grain), never P, and partial results fold in ascending chunk
 // order, so P=1 executes the identical chunked computation tree.
@@ -55,13 +56,15 @@ func TestDataplanesByteIdenticalAcrossParallelism(t *testing.T) {
 		}
 		flat = append(flat, x...)
 	}
-	baseTree := make([]Placement, n)
-	if err := model.RouteTrainedFlat(flat, n, baseTree, 1); err != nil {
-		t.Fatal(err)
-	}
+	dim := compiled.Dim()
 	baseCompiled := make([]Placement, n)
 	if err := compiled.RouteTrainedFlat(flat, n, baseCompiled, 1); err != nil {
 		t.Fatal(err)
+	}
+	for i := range baseCompiled {
+		if tree := model.RouteTrained(flat[i*dim : (i+1)*dim]); tree != baseCompiled[i] {
+			t.Fatalf("placement %d: compiled %+v, tree walk %+v", i, baseCompiled[i], tree)
+		}
 	}
 
 	var frame bytes.Buffer
@@ -95,7 +98,6 @@ func TestDataplanesByteIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatal("P=1 baseline: DetectColumnar verdicts differ from DetectBatch")
 	}
 
-	tree := make([]Placement, n)
 	comp := make([]Placement, n)
 	for _, p := range scalingParSweep {
 		pipe, err := TrainPipeline(records, benchParallelConfig(p))
@@ -107,16 +109,10 @@ func TestDataplanesByteIdenticalAcrossParallelism(t *testing.T) {
 				p, len(got), len(baseBytes))
 		}
 
-		if err := model.RouteTrainedFlat(flat, n, tree, p); err != nil {
-			t.Fatalf("P=%d: route tree: %v", p, err)
-		}
 		if err := compiled.RouteTrainedFlat(flat, n, comp, p); err != nil {
 			t.Fatalf("P=%d: route compiled: %v", p, err)
 		}
 		for i := 0; i < n; i++ {
-			if tree[i] != baseTree[i] {
-				t.Fatalf("P=%d: tree placement %d = %+v, P=1 %+v", p, i, tree[i], baseTree[i])
-			}
 			if comp[i] != baseCompiled[i] {
 				t.Fatalf("P=%d: compiled placement %d = %+v, P=1 %+v", p, i, comp[i], baseCompiled[i])
 			}
