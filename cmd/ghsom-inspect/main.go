@@ -56,12 +56,10 @@ func run(args []string) error {
 	if pipe.MappedBytes() > 0 {
 		residency = fmt.Sprintf("mmap, %s page-cache shared", humanBytes(pipe.MappedBytes()))
 	}
-	fmt.Printf("compiled: nodes=%d units=%d leaf-units=%d arena=%s tables=%s norm-cache=%s residency=%s\n",
+	fmt.Printf("compiled: nodes=%d units=%d leaf-units=%d arena=%s tables=%s norm-cache=%s residency=%s\n\n",
 		cst.Maps, cst.Units, cst.LeafUnits,
 		humanBytes(compiled.ArenaBytes()), humanBytes(compiled.TableBytes()),
 		humanBytes(compiled.NormBytes()), residency)
-	fmt.Printf("bmu: precision=%s quant-arena=%s\n\n",
-		compiled.BMUPrecision(), humanBytes(compiled.QuantBytes()))
 
 	fmt.Println("per-depth structure (tree | compiled):")
 	rows := make([][]string, 0, len(st.MapsPerDepth))

@@ -129,7 +129,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	instance := fs.String("instance", "", "stable instance identity surfaced in X-GHSOM-Instance and /stats (default hostname:port)")
 	maxBatch := fs.Int("batch", 256, "micro-batch flush size (records)")
 	par := fs.Int("parallelism", 0, "detection worker bound: workers per dataplane pass and concurrent micro-batch flushes per model (0 = GOMAXPROCS)")
-	bmuPrec := fs.String("bmu-precision", "auto", "BMU candidate-generation precision: f64, f32, i8, or auto (verdicts are identical at every setting)")
 	useStdin := fs.Bool("stdin", false, "serve NDJSON records from stdin to stdout instead of HTTP")
 	useMmap := fs.Bool("mmap", false, "mmap the model file: the weight arena serves as views of the page cache instead of heap copies")
 	maxBody := fs.Int64("max-body", serve.DefaultMaxBodyBytes, "cap on one /detect request body in bytes (413 beyond)")
@@ -174,17 +173,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintln(os.Stderr, "ghsom-serve: fault injection armed from -faults")
 	}
 
-	prec, err := ghsom.ParsePrecision(*bmuPrec)
-	if err != nil {
-		return err
-	}
-
 	pipe, err := ghsom.LoadPipelineFile(*modelPath, *useMmap)
 	if err != nil {
 		return err
 	}
 	pipe.SetParallelism(*par)
-	pipe.SetBMUPrecision(prec)
 	if *useMmap {
 		fmt.Fprintf(os.Stderr, "ghsom-serve: model mapped, %d bytes page-cache shared\n", pipe.MappedBytes())
 	}
@@ -200,7 +193,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		Instance:       *instance,
 		MaxBatch:       *maxBatch,
 		Parallelism:    *par,
-		Precision:      prec,
 		QueueCap:       *queueCap,
 		DefaultTimeout: *defaultTimeout,
 		MaxBody:        *maxBody,

@@ -35,13 +35,14 @@
 package ghsom
 
 import (
+	"fmt"
 	"io"
+	"strings"
 
 	"ghsom/internal/anomaly"
 	"ghsom/internal/core"
 	"ghsom/internal/kdd"
 	"ghsom/internal/trafficgen"
-	"ghsom/internal/vecmath"
 )
 
 // Record is one KDD-99 connection record (41 features plus label).
@@ -73,29 +74,27 @@ func CompileModel(m *Model) *CompiledModel { return core.Compile(m) }
 // ModelConfig controls GHSOM training (tau1, tau2, depth caps, ...).
 type ModelConfig = core.Config
 
-// Precision selects the candidate-generation rung of the blocked BMU
-// engine (see ModelConfig.BMUPrecision and Pipeline.SetBMUPrecision).
-// Results are bit-for-bit identical at every setting — reduced-precision
-// shadow arenas only nominate candidates and every winner is settled
-// with the canonical f64 kernel — so the knob is purely a performance
-// control, like Parallelism.
-type Precision = vecmath.Precision
+// Precision is the BMU search precision, which is always f64.
+//
+// Deprecated: the BMU engine has a single f64 precision; Precision,
+// ParsePrecision and Pipeline.SetBMUPrecision/BMUPrecision remain only
+// so existing callers keep compiling.
+type Precision struct{}
 
-// The candidate-generation precision rungs. PrecisionAuto (the zero
-// value) engages the int8 shadow arena only on codebooks large enough to
-// pay for it; the GHSOM_BMU_PRECISION environment variable (f64, f32,
-// i8, auto) overrides Auto without code changes.
-const (
-	PrecisionAuto = vecmath.PrecisionAuto
-	PrecisionF64  = vecmath.PrecisionF64
-	PrecisionF32  = vecmath.PrecisionF32
-	PrecisionI8   = vecmath.PrecisionI8
-)
+// String returns "f64".
+func (Precision) String() string { return "f64" }
 
-// ParsePrecision parses a precision name ("f64", "f32", "i8", "auto",
-// "" for auto) as accepted by the GHSOM_BMU_PRECISION environment
-// variable and the CLI flags.
-func ParsePrecision(s string) (Precision, error) { return vecmath.ParsePrecision(s) }
+// ParsePrecision accepts "", "auto" and "f64" (case-insensitive) and
+// rejects every other name.
+//
+// Deprecated: there is no precision to choose; see Precision.
+func ParsePrecision(s string) (Precision, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "auto", "f64":
+		return Precision{}, nil
+	}
+	return Precision{}, fmt.Errorf("ghsom: unsupported BMU precision %q (the BMU engine is f64 only)", s)
+}
 
 // Placement identifies where a vector lands in a trained hierarchy.
 type Placement = core.Placement

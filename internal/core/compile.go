@@ -52,8 +52,11 @@ type compiledNode struct {
 // from all levels live in one contiguous row-major arena, and the
 // hierarchy is a flat node table plus a flat child index (one int32 per
 // unit, -1 = leaf). Routing methods produce placements byte-identical to
-// the equivalent *GHSOM tree walk at every Parallelism setting. A
-// Compiled is immutable after construction and safe for concurrent use.
+// the equivalent *GHSOM tree walk at every Parallelism setting. The BMU
+// search is f64 throughout: single records and small node groups take
+// the screened scalar probes (bmuMasked, bmuFull), and larger groups of
+// a batch take the blocked GEMM descent (RouteTrainedFlat). A Compiled
+// is immutable after construction and safe for concurrent use.
 type Compiled struct {
 	cfg  Config
 	dim  int
@@ -96,14 +99,6 @@ type Compiled struct {
 	// magnitude term of the batch descent's settle margin and overflow
 	// guard. Derived, never serialized.
 	nodeMaxNorm []float64
-	// quant[i] is node i's reduced-precision shadow codebook for the
-	// descent's candidate generation, or nil where the resolved BMU
-	// precision leaves the node on the f64 engine (tiny codebooks under
-	// auto). Like the norm tables: derived from the arena in
-	// buildNormTables, never serialized, and immutable once built —
-	// placements stay byte-identical because quantized scores only
-	// nominate candidates for the canonical settle.
-	quant []*vecmath.QuantArena
 	// tile is the GEMM block shape of the batch descent, resolved at
 	// compile/load time from the model's widest codebook and the
 	// machine's core count (vecmath.ResolveTile). Tile size never
@@ -297,51 +292,10 @@ func (c *Compiled) buildNormTables() {
 			maxUnits = nd.units
 		}
 	}
-	// Per-node quantized shadow codebooks: the configured precision
-	// (after GHSOM_BMU_PRECISION resolution) is sized per node, so under
-	// auto only codebooks big enough to pay for quantization carry an
-	// arena and the rest stay nil (f64 engine). Derived here with the
-	// other tables so every load path gets them; never serialized.
-	prec := vecmath.ResolvePrecision(c.cfg.BMUPrecision)
-	c.quant = make([]*vecmath.QuantArena, len(c.nodes))
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		if eff := prec.Effective(nd.units, c.dim); eff != vecmath.PrecisionF64 {
-			c.quant[i] = vecmath.BuildQuantArena(
-				c.arena[nd.weightOff:nd.weightOff+nd.units*c.dim], c.dim, eff)
-		}
-	}
 	// Sized for the widest codebook of the hierarchy (the root dominates
 	// the descent's GEMM work) under the machine's full worker budget —
-	// the routing pool's steady-state concurrency — at the record element
-	// width of that codebook's resolved precision.
-	c.tile = vecmath.ResolveTileElem(c.dim, maxUnits, parallel.Resolve(0),
-		prec.Effective(maxUnits, c.dim).RecordElemBytes())
-}
-
-// SetBMUPrecision reconfigures the candidate-generation precision of the
-// descent and rebuilds the derived quantized tables. Placements are
-// bit-identical at every setting; the knob only moves the
-// speed/footprint point, like SetParallelism on the pipeline. Not safe
-// to call concurrently with routing — reconfigure at load time or
-// behind the owner's swap mechanism.
-func (c *Compiled) SetBMUPrecision(p vecmath.Precision) {
-	c.cfg.BMUPrecision = p
-	c.buildNormTables()
-}
-
-// BMUPrecision returns the effective candidate-generation rung of the
-// model's widest codebook (which dominates descent work) under the
-// configured precision and environment — what an operator should read
-// as "the precision this model routes at".
-func (c *Compiled) BMUPrecision() vecmath.Precision {
-	maxUnits := 0
-	for i := range c.nodes {
-		if c.nodes[i].units > maxUnits {
-			maxUnits = c.nodes[i].units
-		}
-	}
-	return vecmath.ResolvePrecision(c.cfg.BMUPrecision).Effective(maxUnits, c.dim)
+	// the routing pool's steady-state concurrency.
+	c.tile = vecmath.ResolveTile(c.dim, maxUnits, parallel.Resolve(0))
 }
 
 // Dim returns the input dimension.
@@ -401,8 +355,7 @@ func (c *Compiled) TableBytes() int {
 		len(c.probeIdx)*4 +
 		len(c.pairDist)*8 +
 		len(c.parentDist)*8 +
-		c.NormBytes() +
-		c.QuantBytes()
+		c.NormBytes()
 }
 
 // NormBytes returns the memory footprint of the norm caches the blocked
@@ -412,16 +365,11 @@ func (c *Compiled) NormBytes() int {
 	return len(c.norms)*8 + len(c.nodeMaxNorm)*8
 }
 
-// QuantBytes returns the memory footprint of the quantized shadow
-// codebooks of the descent's candidate generation (0 when the resolved
-// precision leaves every node on the f64 engine).
-func (c *Compiled) QuantBytes() int {
-	total := 0
-	for _, qa := range c.quant {
-		total += qa.Bytes()
-	}
-	return total
-}
+// QuantBytes returns 0: the BMU search keeps no reduced-precision copy
+// of the arena.
+//
+// Deprecated: kept only so existing callers keep compiling.
+func (c *Compiled) QuantBytes() int { return 0 }
 
 // BlockShape describes the GEMM block of one hierarchy level as the
 // blocked batch descent tiles it: at a level (depth), each record group
@@ -907,14 +855,6 @@ type routeScratch struct {
 	allIdx []int32   // 0..units-1 candidate set for untrained nodes
 	scores []float64 // GEMM tile: records×units dots, then expanded distances
 
-	// Quantized candidate-generation tile state (nil/empty until a node
-	// with a shadow codebook is descended): per-tile record codes or
-	// narrowed rows plus the per-record quantization scale/residual-norm
-	// tables the int8 settle margin consumes.
-	xq       []int8
-	x32      []float32
-	rowScale []float64
-	rowResid []float64
 }
 
 // routeGemmMin is the smallest per-node group the descent scores through
@@ -1111,7 +1051,6 @@ func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32,
 		}
 		units = all
 	}
-	qa := c.quant[ni]
 	tileRows := c.tile.Rows()
 	for gLo := 0; gLo < len(group); gLo += tileRows {
 		gHi := gLo + tileRows
@@ -1119,10 +1058,6 @@ func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32,
 			gHi = len(group)
 		}
 		blk := group[gLo:gHi]
-		if qa != nil {
-			nxt = c.routeTileQuant(mat, lo, ni, nd, blk, qa, norms, maxN, units, masked, xn, pd, cur, out, nxt, sc)
-			continue
-		}
 		gidx := sc.gidx[:0]
 		for _, r := range blk {
 			gidx = append(gidx, lo+int(r))
@@ -1138,66 +1073,6 @@ func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32,
 			bmu, d2, haveD2 := c.settleNode(row, xn[r], nd, norms, maxN, units, masked, scores[k*nd.units:(k+1)*nd.units])
 			nxt = c.stepRecord(ni, nd, int(r), bmu, d2, haveD2, row, cur, pd, out, lo, nxt)
 		}
-	}
-	return nxt
-}
-
-// routeTileQuant scores one GEMM tile of records against a node's
-// quantized shadow codebook instead of the f64 arena: record rows are
-// quantized (int8, with per-record scale and residual norm) or narrowed
-// (float32) into the scratch, the reduced-precision dot block runs over
-// the node's full padded unit range, and each record settles through
-// settleNodeQuant — same placements as the f64 tile path, bit for bit.
-func (c *Compiled) routeTileQuant(mat vecmath.Matrix, lo, ni int, nd *compiledNode, blk []int32, qa *vecmath.QuantArena, norms []float64, maxN float64, units []int32, masked bool, xn, pd []float64, cur []int32, out []Placement, nxt []int32, sc *routeScratch) []int32 {
-	dim := c.dim
-	stride := qa.Stride()
-	upad := qa.UnitsPadded()
-	rows := len(blk)
-	if cap(sc.scores) < rows*upad {
-		sc.scores = make([]float64, rows*upad)
-	}
-	scores := sc.scores[:rows*upad]
-	i8 := qa.Precision() == vecmath.PrecisionI8
-	if i8 {
-		if cap(sc.xq) < rows*stride {
-			sc.xq = make([]int8, rows*stride)
-		}
-		if cap(sc.rowScale) < rows {
-			sc.rowScale = make([]float64, rows)
-			sc.rowResid = make([]float64, rows)
-		}
-		xq := sc.xq[:rows*stride]
-		rowScale, rowResid := sc.rowScale[:rows], sc.rowResid[:rows]
-		for k, r := range blk {
-			rowScale[k], rowResid[k] = vecmath.QuantizeRecordQ8(
-				mat.Row(lo+int(r)), xq[k*stride:k*stride+dim])
-			for j := k*stride + dim; j < (k+1)*stride; j++ {
-				xq[j] = 0 // pooled scratch may hold another model's tile
-			}
-		}
-		qa.MulBatchQ8(xq, rows, scores)
-	} else {
-		if cap(sc.x32) < rows*stride {
-			sc.x32 = make([]float32, rows*stride)
-		}
-		x32 := sc.x32[:rows*stride]
-		for k, r := range blk {
-			vecmath.NarrowRecord(mat.Row(lo+int(r)), x32[k*stride:k*stride+dim])
-			for j := k*stride + dim; j < (k+1)*stride; j++ {
-				x32[j] = 0
-			}
-		}
-		qa.MulBatchF32(x32, rows, scores)
-	}
-	for k, r := range blk {
-		row := mat.Row(lo + int(r))
-		var xs, exn float64
-		if i8 {
-			xs, exn = sc.rowScale[:rows][k], sc.rowResid[:rows][k]
-		}
-		bmu, d2, haveD2 := c.settleNodeQuant(row, xn[r], nd, norms, maxN, units, masked, qa, xs, exn,
-			scores[k*upad:k*upad+nd.units])
-		nxt = c.stepRecord(ni, nd, int(r), bmu, d2, haveD2, row, cur, pd, out, lo, nxt)
 	}
 	return nxt
 }
@@ -1288,81 +1163,6 @@ func (c *Compiled) settleNode(row []float64, xn float64, nd *compiledNode, norms
 	}
 	// All candidate distances were NaN: defer to the scalar kernels,
 	// whose degenerate contracts are authoritative.
-	return scalar()
-}
-
-// settleNodeQuant is settleNode with the shadow codebook as candidate
-// generator: the expanded-form rescale uses the quantized dots (int8
-// dots rescaled by the record and unit scales; float32 dots used as
-// is), and the settle margin is widened by the rung's rigorous
-// per-call dot-error bound so the true winner — judged canonically,
-// ties to the lowest unit index — can never be screened out. xs/exn
-// carry the record's int8 scale and residual norm (unused for f32).
-func (c *Compiled) settleNodeQuant(row []float64, xn float64, nd *compiledNode, norms []float64, maxN float64, units []int32, masked bool, qa *vecmath.QuantArena, xs, exn float64, dots []float64) (int, float64, bool) {
-	scalar := func() (int, float64, bool) {
-		if masked {
-			if bmu, d2, ok := c.bmuMasked(row, nd, math.NaN()); ok {
-				return bmu, d2, true
-			}
-		}
-		bmu, d2 := c.bmuFull(row, nd)
-		return bmu, d2, true
-	}
-	if !vecmath.ExpandGuardOK(xn, maxN) {
-		return scalar()
-	}
-	var slack float64
-	minD := math.Inf(1)
-	if qa.Precision() == vecmath.PrecisionI8 {
-		scales := qa.Scales()
-		for _, u32 := range units {
-			u := u32
-			d := xn + norms[u] - 2*(xs*scales[u]*dots[u])
-			dots[u] = d
-			if d < minD {
-				minD = d
-			}
-		}
-		slack = vecmath.QuantSettleSlack(qa.DotErrBoundQ8(math.Sqrt(xn), exn))
-	} else {
-		if !vecmath.F32GuardOK(xn, maxN) {
-			return scalar()
-		}
-		for _, u32 := range units {
-			u := u32
-			d := xn + norms[u] - 2*dots[u]
-			dots[u] = d
-			if d < minD {
-				minD = d
-			}
-		}
-		slack = vecmath.QuantSettleSlack(vecmath.F32DotErrBound(c.dim, xn, maxN))
-	}
-	thr := minD + vecmath.ExpandSettleRel*(xn+maxN) + slack
-	cand, ncand := -1, 0
-	for _, u32 := range units {
-		if dots[u32] <= thr {
-			cand = int(u32)
-			if ncand++; ncand > 1 {
-				break
-			}
-		}
-	}
-	if ncand == 1 {
-		return cand, 0, false
-	}
-	best, bestVal := -1, math.Inf(1)
-	for _, u32 := range units {
-		u := int(u32)
-		if dots[u] <= thr {
-			if d := vecmath.SquaredDistanceFlat(row, c.arena, nd.weightOff+u*c.dim); d < bestVal {
-				best, bestVal = u, d
-			}
-		}
-	}
-	if best >= 0 {
-		return best, bestVal, true
-	}
 	return scalar()
 }
 

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 
 	"ghsom/internal/som"
-	"ghsom/internal/vecmath"
 )
 
 // Errors returned by the package.
@@ -100,13 +99,6 @@ type Config struct {
 	// identical for every setting. The knob is an execution detail, not
 	// model state, and is excluded from serialized models.
 	Parallelism int `json:"-"`
-	// BMUPrecision selects the candidate-generation rung of the blocked
-	// BMU engine (vecmath.PrecisionAuto/F64/F32/I8) for training and
-	// compiled routing. Like Parallelism, it never changes results —
-	// reduced-precision arenas only nominate candidates and the exact
-	// settle keeps winners bit-identical — so it is an execution detail
-	// excluded from serialized models.
-	BMUPrecision vecmath.Precision `json:"-"`
 }
 
 // DefaultConfig returns the configuration used by the reproduction

@@ -278,7 +278,6 @@ func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, erro
 		return nil, nil, err
 	}
 	m.SetParallelism(innerP)
-	m.SetBMUPrecision(cfg.BMUPrecision)
 	if err := m.InitAroundMean(jb.mean, cfg.InitSpread, rng); err != nil {
 		return nil, nil, err
 	}

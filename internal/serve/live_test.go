@@ -9,11 +9,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"ghsom"
 	"ghsom/internal/faultinject"
+	"ghsom/internal/kdd"
 	"ghsom/internal/trafficgen"
 )
 
@@ -217,6 +219,83 @@ func TestWriteVerdictsEncodeErrorAfterChunk(t *testing.T) {
 		}
 	}()
 	(&batcher{}).writeVerdicts(w, preds)
+}
+
+// TestDetectColumnarEncodeErrorAfterFrame checks a columnar body whose
+// second frame scores a verdict that cannot be encoded aborts the
+// response after the first frame's verdicts went out, instead of ending
+// a short 200. The model's envelope is edited so one cell's novelty
+// threshold is the smallest denormal: qe/threshold overflows to +Inf and
+// that cell's verdicts score NaN, which JSON cannot encode.
+func TestDetectColumnarEncodeErrorAfterFrame(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	recs = recs[:64]
+	preds, err := pipe.DetectAll(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := -1
+	for i := range preds {
+		if preds[i].QE > 1e-9 {
+			poison = i
+			break
+		}
+	}
+	if poison < 0 {
+		t.Fatal("no record with a positive QE")
+	}
+	var env bytes.Buffer
+	if err := pipe.Save(&env); err != nil {
+		t.Fatal(err)
+	}
+	raw := env.Bytes()
+	cell, _ := json.Marshal(preds[poison].Cell)
+	at := bytes.Index(raw, append(append([]byte(`{"cell":`), cell...), ','))
+	if at < 0 {
+		t.Fatalf("cell %s not in the envelope", cell)
+	}
+	lo := at + bytes.Index(raw[at:], []byte(`"qeThreshold":`)) + len(`"qeThreshold":`)
+	hi := lo + bytes.IndexByte(raw[lo:], '}')
+	const tiny = "5e-324"
+	if hi-lo < len(tiny) {
+		t.Fatalf("threshold %q too short to overwrite in place", raw[lo:hi])
+	}
+	copy(raw[lo:hi], tiny+strings.Repeat(" ", hi-lo-len(tiny)))
+	bad, err := ghsom.LoadPipeline(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPreds, err := bad.DetectAll(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(badPreds[poison].Score) {
+		t.Fatalf("poisoned record scores %v, want NaN", badPreds[poison].Score)
+	}
+	var clean []kdd.Record
+	for i := range recs {
+		if badPreds[i].Cell != preds[poison].Cell {
+			clean = append(clean, recs[i])
+		}
+	}
+	if len(clean) == 0 {
+		t.Fatal("every record lands in the poisoned cell")
+	}
+	body := append(columnarBody(t, clean), columnarBody(t, recs[poison:poison+1])...)
+	b := newBatcher(bad, testConfig(64, 1))
+	defer b.close()
+	req := httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(body))
+	req.Header.Set("Content-Type", kdd.ColumnarContentType)
+	w := httptest.NewRecorder()
+	defer func() {
+		if r := recover(); r != http.ErrAbortHandler {
+			t.Fatalf("recovered %v, want http.ErrAbortHandler (status %d, body %d bytes)", r, w.Code, w.Body.Len())
+		}
+		if w.Code != http.StatusOK || bytes.Contains(w.Body.Bytes(), []byte("encode verdicts")) {
+			t.Fatalf("status %d body %q: want the first frame's verdicts only", w.Code, w.Body)
+		}
+	}()
+	b.handleDetectColumnar(w, req)
 }
 
 // encodePreds renders predictions the way a default json.Encoder does,

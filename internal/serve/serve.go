@@ -83,9 +83,7 @@ type Config struct {
 	// bounds each dataplane pass's workers and the number of micro-batch
 	// flushes one model runs at once.
 	Parallelism int
-	// Precision is the BMU candidate-generation precision applied to
-	// every loaded model (the -bmu-precision flag); a pure performance
-	// knob — verdicts are bit-identical at every setting.
+	// Deprecated: ignored; the BMU engine has a single f64 precision.
 	Precision ghsom.Precision
 	// QueueCap bounds each model's admission queue; beyond it requests
 	// shed with 429 instead of building an unbounded backlog.
@@ -420,7 +418,6 @@ func (reg *Registry) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pipe.SetParallelism(reg.cfg.Parallelism)
-	pipe.SetBMUPrecision(reg.cfg.Precision)
 	view, swapped, err := reg.Swap(name, pipe)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
@@ -570,10 +567,6 @@ type StatsView struct {
 	// WorkerBound is the resolved per-batch worker count (the
 	// -parallelism knob, 0 resolved to GOMAXPROCS).
 	WorkerBound int `json:"workerBound"`
-	// BMUPrecision is the effective candidate-generation rung of the
-	// model's routing descent (the -bmu-precision knob with auto
-	// resolved against the model's widest codebook).
-	BMUPrecision string `json:"bmuPrecision"`
 	// BusyWorkers counts the detection passes executing right now (flush
 	// loops mid-flush plus columnar requests), clamped to WorkerBound, so
 	// one busy loop reads 1 and every loop busy reads the bound;
@@ -1005,13 +998,24 @@ const verdictChunkBytes = maxPooledVerdictBytes / 2
 
 // writeVerdictChunks encodes preds as NDJSON after dst and writes the
 // bytes to w each time they reach verdictChunkBytes. It returns the
-// unwritten tail and whether any chunk went out. An encode error stops at
-// the verdict that failed; a write error (the client went away) has no
-// one to tell.
-func writeVerdictChunks(w io.Writer, dst []byte, preds []ghsom.Prediction) (tail []byte, wrote bool, err error) {
+// unwritten tail and whether any chunk went out; a write error (the
+// client went away) has no one to tell. It is the one tail of both
+// /detect formats: a verdict that cannot be encoded (a NaN or infinite
+// score) fails the response with a 500 and ok false when no output has
+// gone out, and once output has begun — begun, or a chunk of this call
+// written — it aborts the connection, so the client sees a broken
+// response, never a short 200.
+func (b *batcher) writeVerdictChunks(w http.ResponseWriter, dst []byte, preds []ghsom.Prediction, begun bool) (tail []byte, wrote, ok bool) {
 	for i := range preds {
+		var err error
 		if dst, err = anomaly.AppendPredictionJSON(dst, &preds[i]); err != nil {
-			return dst, wrote, fmt.Errorf("verdict %d: %w", i+1, err)
+			err = fmt.Errorf("verdict %d: %w", i+1, err)
+			b.stats.noteError(err, false)
+			if begun || wrote {
+				panic(http.ErrAbortHandler)
+			}
+			http.Error(w, "encode verdicts: "+err.Error(), http.StatusInternalServerError)
+			return dst, false, false
 		}
 		if len(dst) >= verdictChunkBytes {
 			w.Write(dst)
@@ -1019,7 +1023,7 @@ func writeVerdictChunks(w io.Writer, dst []byte, preds []ghsom.Prediction) (tail
 			dst = dst[:0]
 		}
 	}
-	return dst, wrote, nil
+	return dst, wrote, true
 }
 
 // columnarPool recycles decoded-frame buffers across columnar requests.
@@ -1142,28 +1146,20 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 // writeVerdicts answers one NDJSON response from a pooled buffer: in a
 // single Write with a Content-Length when it fits in one chunk, else in
-// chunks. A verdict encoding/json could not encode either (a NaN or
-// infinite score) fails the response with a 500 rather than a truncated
-// 200; once a chunk has gone out it aborts the connection instead.
+// chunks (see writeVerdictChunks for a verdict that cannot be encoded).
 func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction) {
 	buf := verdictPool.Get().(*[]byte)
 	defer putVerdictBuf(buf)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	out, wrote, err := writeVerdictChunks(w, (*buf)[:0], preds)
+	out, wrote, ok := b.writeVerdictChunks(w, (*buf)[:0], preds, false)
 	*buf = out
-	switch {
-	case err == nil:
-		if !wrote {
-			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-		}
-		w.Write(out) // a client gone mid-response has no one to tell
-	case wrote:
-		b.stats.noteError(err, false)
-		panic(http.ErrAbortHandler) // the client sees a broken response, not a short one
-	default:
-		b.stats.noteError(err, false)
-		http.Error(w, "encode verdicts: "+err.Error(), http.StatusInternalServerError)
+	if !ok {
+		return
 	}
+	if !wrote {
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	}
+	w.Write(out) // a client gone mid-response has no one to tell
 }
 
 // handleDetectColumnar is the wire-format fast path: each GHSOMWB1 frame
@@ -1173,7 +1169,8 @@ func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction)
 // — against one atomically-loaded pipeline per frame. Predictions stream
 // out as NDJSON in record order, frame by frame. Errors on the first
 // frame map to a status code (400/413/422); once output has begun a
-// malformed trailing frame just ends the response.
+// malformed trailing frame just ends the response, and a verdict that
+// cannot be encoded aborts it (writeVerdictChunks).
 func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 	// The HTTP/1 server closes the request body on the first response
 	// write; a multi-frame body interleaves reads with prediction writes,
@@ -1252,13 +1249,9 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 		if frames == 0 {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
-		out, wrote, err := writeVerdictChunks(w, (*buf)[:0], preds)
+		out, _, ok := b.writeVerdictChunks(w, (*buf)[:0], preds, frames > 0)
 		*buf = out
-		if err != nil {
-			b.stats.noteError(err, false)
-			if !wrote {
-				fail("encode verdicts: "+err.Error(), http.StatusInternalServerError)
-			}
+		if !ok {
 			return
 		}
 		frames++
@@ -1278,9 +1271,6 @@ func (b *batcher) statsSnapshot() StatsView {
 	bound := int64(b.loops)
 	busy := min(b.inflight.Load(), bound)
 	out.WorkerBound = int(bound)
-	if pipe := b.pipe.Load(); pipe != nil {
-		out.BMUPrecision = pipe.BMUPrecision().String()
-	}
 	out.BusyWorkers = busy
 	out.IdleWorkers = bound - busy
 	out.QueueDepth = b.q.Depth()

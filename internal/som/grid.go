@@ -51,16 +51,6 @@ type Map struct {
 	// trained map never serialize on it. Weight mutation itself requires
 	// exclusive access, exactly as it always has.
 	norms vecmath.NormCache
-
-	// bmuPrec selects the candidate-generation precision of the blocked
-	// BMU engine (f64/f32/i8/auto); results are bit-identical at every
-	// setting — only the candidate generator changes. See SetBMUPrecision.
-	bmuPrec vecmath.Precision
-	// quant caches the reduced-precision shadow arena beside the norm
-	// cache, under the same version-keyed copy-on-invalidate staleness
-	// contract: weight mutations bump version, and the next BMU pass
-	// re-quantizes lazily.
-	quant vecmath.QuantCache
 }
 
 // New returns an untrained map of the given shape with zero-valued weights.
@@ -153,18 +143,6 @@ func (m *Map) SetWeight(i int, w []float64) error {
 	return nil
 }
 
-// SetBMUPrecision sets the candidate-generation precision of the map's
-// blocked BMU searches: PrecisionAuto (the default) engages the int8
-// shadow arena only on codebooks large enough to pay for it, and
-// explicit f64/f32/i8 force a rung. BMU results are bit-for-bit
-// identical at every setting — reduced precision only nominates
-// candidates, which are always settled with the canonical f64 kernel —
-// so the knob is purely a performance control, like SetParallelism.
-func (m *Map) SetBMUPrecision(p vecmath.Precision) { m.bmuPrec = p }
-
-// BMUPrecision returns the configured candidate-generation precision.
-func (m *Map) BMUPrecision() vecmath.Precision { return m.bmuPrec }
-
 // SetParallelism sets the worker bound used by the map's batch operations
 // (AssignView, UnitErrorsView, UnitMeanErrorsView, TopographicError;
 // training reads TrainConfig.Parallelism instead): 0 (the default) means
@@ -222,10 +200,9 @@ func (m *Map) Neighbors(i int, dst []int) []int {
 }
 
 // Clone returns a deep copy of the map. The clone starts with a fresh
-// version counter and empty norm/shadow-arena caches of its own.
+// version counter and an empty norm cache of its own.
 func (m *Map) Clone() *Map {
-	out := &Map{rows: m.rows, cols: m.cols, dim: m.dim, parallelism: m.parallelism,
-		bmuPrec: m.bmuPrec, version: 1}
+	out := &Map{rows: m.rows, cols: m.cols, dim: m.dim, parallelism: m.parallelism, version: 1}
 	out.flat = make([]float64, len(m.flat))
 	copy(out.flat, m.flat)
 	return out

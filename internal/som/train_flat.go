@@ -119,25 +119,13 @@ var bmuScratchPool = sync.Pool{New: func() any { return new(vecmath.BMUScratch) 
 // skips the canonical distance settle for every unambiguous record.
 // Each chunk writes only its own slots, so results are identical at
 // every worker count.
-//
-// When the map's BMU precision (SetBMUPrecision) resolves to a reduced
-// rung for this codebook, the quantized shadow arena is synced from its
-// version-keyed cache — the same lock-free copy-on-invalidate contract
-// as the norm cache — and candidate generation runs through it, with
-// the tile resized for the narrower record elements; results stay
-// bit-identical (the exact settle guarantees the same winners).
 func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
 	n := v.Rows()
 	if n == 0 || (bmus == nil && d2s == nil) {
 		return
 	}
 	norms := m.syncedNorms()
-	prec := vecmath.ResolvePrecision(m.bmuPrec).Effective(m.Units(), m.dim)
-	var qa *vecmath.QuantArena
-	if prec != vecmath.PrecisionF64 {
-		qa = m.quant.Sync(m.flat, m.dim, m.version, prec)
-	}
-	tile := vecmath.ResolveTileElem(m.dim, m.Units(), parallel.Workers(p, n), prec.RecordElemBytes())
+	tile := vecmath.ResolveTile(m.dim, m.Units(), parallel.Workers(p, n))
 	grain := tile.RecRows
 	w := parallel.WorkersGrain(p, n, grain)
 	scratches := make([]*vecmath.BMUScratch, w)
@@ -155,11 +143,7 @@ func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
 		if d2s != nil {
 			od = d2s[lo:hi]
 		}
-		if qa != nil {
-			scratches[wk].ArgMinDistanceBatchQuant(v.Slice(lo, hi), m.flat, norms, qa, ob, od)
-		} else {
-			scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), m.flat, norms, ob, od)
-		}
+		scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), m.flat, norms, ob, od)
 		for i := range ob {
 			if ob[i] < 0 {
 				ob[i] = 0 // degenerate query: keep the BMU contract of unit 0

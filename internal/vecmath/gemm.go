@@ -35,13 +35,13 @@ import (
 // Block shape of the engine: the number of record rows scored per tile
 // is no longer a constant — it is a TileConfig resolved at engine init
 // from the codebook shape and the worker count sharing the cache (see
-// ResolveTile in tile.go; GHSOM_GEMM_TILE overrides it). The scores
-// scratch is RecRows×units floats, sized to stay cache-resident. The
-// micro-kernel inside MulBatchT processes 4 record rows × 2 weight rows
-// per accumulator group (8 independent accumulator chains: enough to
-// saturate two FMA ports at 4-cycle add latency, while the 14 live
-// values still fit the register file); each loaded record value is
-// reused across 2 weight rows and each weight value across 4 records.
+// ResolveTile in tile.go). The scores scratch is RecRows×units floats,
+// sized to stay cache-resident. The micro-kernel inside MulBatchT
+// processes 4 record rows × 2 weight rows per accumulator group (8
+// independent accumulator chains: enough to saturate two FMA ports at
+// 4-cycle add latency, while the 14 live values still fit the register
+// file); each loaded record value is reused across 2 weight rows and
+// each weight value across 4 records.
 
 // gemmMinBlock is the smallest units×dim codebook the blocked engine
 // engages for; below it (a handful of very short rows) the per-record
@@ -294,15 +294,6 @@ type BMUScratch struct {
 	Tile   TileConfig
 	scores []float64
 	norms  []float64
-
-	// Quantized candidate-generation working state (see
-	// ArgMinDistanceBatchQuant in quant.go): per-tile record codes /
-	// narrowed rows plus the per-row scale and residual-norm tables the
-	// int8 settle margin consumes.
-	xq       []int8
-	x32      []float32
-	rowScale []float64
-	rowResid []float64
 }
 
 // bmuBatchPool recycles scratches for the package-level
@@ -441,15 +432,6 @@ func settleRow(xi, flat, norms []float64, maxN float64, dots []float64, dim int,
 		}
 	}
 	thr := minD + ExpandSettleRel*(xn+maxN)
-	return settleCandidates(xi, flat, dots, thr, dim, needDist)
-}
-
-// settleCandidates is the exact-settle tail shared by every candidate
-// generator (f64, f32, int8): judge the expanded distances in dots
-// against the already-widened threshold, short-circuiting the unique
-// candidate in index-only mode, and fall back to the scalar scan when
-// no candidate survives (NaN-saturated rows).
-func settleCandidates(xi, flat, dots []float64, thr float64, dim int, needDist bool) (int, float64) {
 	if !needDist {
 		// Index-only mode: count the candidates; a unique one needs no
 		// canonical judging.

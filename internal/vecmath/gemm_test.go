@@ -200,6 +200,77 @@ func TestArgMinDistanceBatchMatchesScalar(t *testing.T) {
 		mat, _ := MatrixOver(data, 2, 2)
 		assertBatchMatchesScalar(t, "overflow", mat.View(), flat)
 	})
+	t.Run("ulp ladder near ties blocked", func(t *testing.T) {
+		// A codebook big enough for the blocked engine (units*dim >=
+		// gemmMinBlock): units 0..7 tie exactly, units 8+ walk away one
+		// ULP at a time, and probes walk off the tie one ULP per row. An
+		// unsound settle margin would pick the wrong winner or break the
+		// lowest-index tie rule.
+		const dim, units = 9, 32
+		base := make([]float64, dim)
+		for j := range base {
+			base[j] = float64(j%5) - 2.25
+		}
+		flat := make([]float64, units*dim)
+		for u := 0; u < units; u++ {
+			copy(flat[u*dim:], base)
+		}
+		for u := 8; u < units; u++ {
+			w := flat[u*dim : (u+1)*dim]
+			w[0] = math.Nextafter(w[0], math.Inf(1))
+			for k := 8; k < u; k++ {
+				w[1] = math.Nextafter(w[1], math.Inf(1))
+			}
+		}
+		var data []float64
+		probe := append([]float64(nil), base...)
+		for i := 0; i < 48; i++ {
+			data = append(data, probe...)
+			probe[i%dim] = math.Nextafter(probe[i%dim], math.Inf(-1))
+		}
+		mat, _ := MatrixOver(data, len(data)/dim, dim)
+		assertBatchMatchesScalar(t, "ulp ladder", mat.View(), flat)
+	})
+	t.Run("special values blocked", func(t *testing.T) {
+		// Overflow-scale, Inf, NaN, denormal and ±0 rows and weights at a
+		// blocked shape, so the guards run inside the tiled engine rather
+		// than the small-codebook scalar shortcut.
+		const dim, units = 8, 24
+		big := 1.5e154 // squares exceed overflowGuard in pairs
+		tiny := math.SmallestNonzeroFloat64
+		rows := [][]float64{
+			{big, -big, big, -big, big, -big, big, -big},
+			{math.Inf(1), 0, 0, 0, 0, 0, 0, 0},
+			{math.NaN(), 1, 2, 3, 4, 5, 6, 7},
+			{tiny, -tiny, tiny * 4, 0, math.Copysign(0, -1), tiny, -tiny, 0},
+			{0, 0, 0, 0, 0, 0, 0, 0},
+			{1e-300, -1e-300, 1e-308, -1e-308, 0, 0, 0, 0},
+			{1, 2, 3, 4, 5, 6, 7, 8},
+		}
+		specials := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1e-310, math.Inf(1), math.NaN(), big}
+		for c := 0; c < 3; c++ {
+			flat := make([]float64, units*dim)
+			for i := range flat {
+				switch {
+				case c == 1 && rng.Intn(7) == 0:
+					flat[i] = specials[rng.Intn(len(specials))]
+				case c == 2:
+					flat[i] = specials[rng.Intn(4)] // denormal/zero-only codebook
+				default:
+					flat[i] = rng.NormFloat64()
+				}
+			}
+			var data []float64
+			for _, r := range rows {
+				data = append(data, r...)
+			}
+			for i := 0; i < 16*dim; i++ {
+				data = append(data, rng.NormFloat64())
+			}
+			mat, _ := MatrixOver(data, len(data)/dim, dim)
+			assertBatchMatchesScalar(t, "specials", mat.View(), flat)
+		}
+	})
 	t.Run("trailing partial weight row", func(t *testing.T) {
 		flat := []float64{1, 2, 3, 4, 5} // 2 complete rows of dim 2 + partial
 		data := []float64{4.4, 5.5, 1, 2}

@@ -1,12 +1,5 @@
 package vecmath
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-	"sync"
-)
-
 // TileConfig is the resolved block shape of one blocked BMU engine
 // instance: how many record rows each GEMM score tile spans. It is
 // computed once at engine init (ResolveTile) from the codebook shape and
@@ -45,63 +38,24 @@ const (
 	tileSharedBudgetBytes = tileBudgetBytes / 2
 )
 
-// tileEnvOverride reads the GHSOM_GEMM_TILE escape hatch once: a positive
-// integer forces that many record rows per tile on every engine instance,
-// for A/B measurement on hardware the resolver's cache model mispredicts.
-// Values the engine could not actually run well — non-numeric,
-// non-positive, outside the [minTileRows, maxTileRows] clamp, or not a
-// multiple of 4 (the micro-kernel's record-row group) — are rejected with
-// a one-time warning instead of silently steering the tile.
-var tileEnvOverride = sync.OnceValue(func() int {
-	v := os.Getenv("GHSOM_GEMM_TILE")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < minTileRows || n > maxTileRows || n%4 != 0 {
-		fmt.Fprintf(os.Stderr, "ghsom: ignoring GHSOM_GEMM_TILE=%q: want a multiple of 4 in [%d, %d]\n",
-			v, minTileRows, maxTileRows)
-		return 0
-	}
-	return n
-})
-
 // ResolveTile returns the GEMM tile for a dim-wide codebook of units rows
 // searched by the given number of concurrent workers (values < 1 are
 // treated as 1). The tile working set — rows×(dim+units) float64s — is
 // fitted into a per-worker cache budget that shrinks when workers share
 // the cache hierarchy, clamped to [8, 128] rows and rounded down to a
-// multiple of 4 (the micro-kernel's record-row group). The
-// GHSOM_GEMM_TILE environment variable overrides the resolved row count
-// wholesale.
+// multiple of 4 (the micro-kernel's record-row group).
 func ResolveTile(dim, units, workers int) TileConfig {
-	return ResolveTileElem(dim, units, workers, 8)
-}
-
-// ResolveTileElem is ResolveTile with the record-side element width made
-// explicit: quantized candidate generation streams 1-byte int8 codes or
-// 4-byte float32 rows instead of 8-byte float64s, so the same cache
-// budget fits proportionally more record rows per tile (the score tile
-// stays rows×units float64s either way). elemBytes of 8 is exactly
-// ResolveTile.
-func ResolveTileElem(dim, units, workers, elemBytes int) TileConfig {
-	if n := tileEnvOverride(); n > 0 {
-		return TileConfig{RecRows: n}
-	}
 	if dim < 1 {
 		dim = 1
 	}
 	if units < 1 {
 		units = 1
 	}
-	if elemBytes < 1 {
-		elemBytes = 8
-	}
 	budget := tileBudgetBytes
 	if workers > 1 {
 		budget = tileSharedBudgetBytes
 	}
-	rows := budget / (dim*elemBytes + units*8)
+	rows := budget / ((dim + units) * 8)
 	if rows > maxTileRows {
 		rows = maxTileRows
 	}

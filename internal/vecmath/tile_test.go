@@ -47,14 +47,7 @@ func TestResolveTileShrinksWhenShared(t *testing.T) {
 	}
 }
 
-func TestResolveTileEnvOverride(t *testing.T) {
-	// tileEnvOverride is a sync.OnceValue read at first use, so the test
-	// cannot flip it per-case; it only verifies the parse helper contract
-	// indirectly: with no env set (the test environment), ResolveTile obeys
-	// the cache model.
-	if got := tileEnvOverride(); got != 0 {
-		t.Skipf("GHSOM_GEMM_TILE set in environment (%d); skipping model check", got)
-	}
+func TestResolveTileTinyCodebookClampsToMax(t *testing.T) {
 	if rows := ResolveTile(8, 4, 1).Rows(); rows != maxTileRows {
 		t.Errorf("tiny codebook resolved %d rows, want max %d", rows, maxTileRows)
 	}

@@ -512,20 +512,15 @@ func (p *Pipeline) SetParallelism(par int) {
 	p.detector.SetParallelism(par)
 }
 
-// SetBMUPrecision adjusts the candidate-generation precision of the
-// compiled model's routing descent on an already trained or loaded
-// pipeline (loaded pipelines default to PrecisionAuto — like
-// Parallelism, the knob is an execution detail never serialized into
-// envelopes). Verdicts are bit-for-bit identical at every setting; see
-// vecmath.Precision. Not safe to call concurrently with inference.
-func (p *Pipeline) SetBMUPrecision(prec vecmath.Precision) {
-	p.cfg.Model.BMUPrecision = prec
-	p.compiled.SetBMUPrecision(prec)
-}
+// SetBMUPrecision does nothing.
+//
+// Deprecated: the BMU engine has a single f64 precision; see Precision.
+func (p *Pipeline) SetBMUPrecision(Precision) {}
 
-// BMUPrecision returns the effective candidate-generation rung of the
-// pipeline's compiled model (auto resolved against its widest codebook).
-func (p *Pipeline) BMUPrecision() vecmath.Precision { return p.compiled.BMUPrecision() }
+// BMUPrecision returns the BMU search precision, which is always f64.
+//
+// Deprecated: see Precision.
+func (p *Pipeline) BMUPrecision() Precision { return Precision{} }
 
 // Stream wraps the pipeline's detector for online use with the given
 // rolling-window alarm configuration.

@@ -282,3 +282,28 @@ func TestTrainModelDirect(t *testing.T) {
 		t.Errorf("Dim = %d", m.Dim())
 	}
 }
+
+// TestParsePrecision pins the deprecated precision shim: the names that
+// mean f64 parse, the removed reduced-precision rungs are rejected, and
+// every precision reports f64.
+func TestParsePrecision(t *testing.T) {
+	for _, s := range []string{"", "auto", "f64", " F64 ", "AUTO"} {
+		p, err := ParsePrecision(s)
+		if err != nil {
+			t.Errorf("ParsePrecision(%q): %v", s, err)
+		}
+		if p.String() != "f64" {
+			t.Errorf("ParsePrecision(%q) = %v, want f64", s, p)
+		}
+	}
+	for _, s := range []string{"f32", "i8", "f16", "bogus"} {
+		if _, err := ParsePrecision(s); err == nil {
+			t.Errorf("ParsePrecision(%q) accepted", s)
+		}
+	}
+	var pipe Pipeline
+	pipe.SetBMUPrecision(Precision{})
+	if got := pipe.BMUPrecision().String(); got != "f64" {
+		t.Errorf("BMUPrecision() = %q, want f64", got)
+	}
+}
