@@ -375,25 +375,36 @@ func BenchmarkDetectBatch(b *testing.B) {
 }
 
 // BenchmarkTrainPipeline measures end-to-end pipeline training (encoding,
-// scaling, GHSOM growth with parallel sibling subtrees, detector fitting)
-// at each Parallelism setting, reporting training records/sec.
+// scaling, GHSOM growth as a dataflow tree of maps, detector fitting) at
+// each Parallelism setting, reporting training records/sec. The kdd99
+// case trains the production model — DefaultPipelineConfig on
+// KDD99Scenario(1), the model the serving benchmark deploys — so it is
+// the in-process twin of servebench's setup.train_s.
 func BenchmarkTrainPipeline(b *testing.B) {
 	benchEncoded(b)
-	records := benchState.ds.Train
+	run := func(b *testing.B, records []Record, cfg PipelineConfig) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := TrainPipeline(records, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		recPerSec := float64(len(records)) * float64(b.N) / b.Elapsed().Seconds()
+		b.ReportMetric(recPerSec, "records/sec")
+	}
 	for _, pc := range benchParallelism {
 		b.Run(pc.name, func(b *testing.B) {
-			cfg := benchParallelConfig(pc.p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := TrainPipeline(records, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			recPerSec := float64(len(records)) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(recPerSec, "records/sec")
+			run(b, benchState.ds.Train, benchParallelConfig(pc.p))
 		})
 	}
+	b.Run("kdd99", func(b *testing.B) {
+		records, err := GenerateTraffic(KDD99Scenario(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, records, DefaultPipelineConfig())
+	})
 }
 
 // BenchmarkDetectColumnar measures the columnar wire-format dataplane —

@@ -135,6 +135,42 @@ func TestLoadPipelineVersion2JSONCompat(t *testing.T) {
 	}
 }
 
+// TestTrainReproducesFixtureV3 retrains the v3 fixture from its recipe
+// and requires the saved envelope to equal the frozen file byte for byte,
+// serially and at the full worker budget: training changes that claim to
+// keep models identical are checked against an artifact no change can
+// regenerate. The recipe's Parallelism knob (saved in the envelope) is
+// reset to the fixture's 0 before saving.
+func TestTrainReproducesFixtureV3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a pipeline; skipped with -short")
+	}
+	recs, err := GenerateTraffic(SmallScenario(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readFixture(t, fixtureV3)
+	for _, p := range []int{1, 0} {
+		cfg := quickPipelineConfig()
+		cfg.Model.MaxDepth = 2
+		cfg.TrainCapPerLabel = 100
+		cfg.Parallelism, cfg.Model.Parallelism, cfg.Detector.Parallelism = p, p, p
+		pipe, err := TrainPipeline(recs[:600], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe.SetParallelism(0)
+		var got bytes.Buffer
+		if err := pipe.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("Parallelism %d: retrained envelope (%d bytes) differs from the %d-byte fixture %s",
+				p, got.Len(), len(want), fixtureV3)
+		}
+	}
+}
+
 // TestLegacyFixturesClassifyIdentically loads both fixtures through
 // LoadPipeline and both LoadPipelineFile modes: every load classifies
 // the evaluation set identically, and only a mapped binary envelope

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -208,6 +209,44 @@ func TestGatewayPassThroughAndDeadlineRewrite(t *testing.T) {
 	// larger than what the client sent.
 	if ms := sawDeadline.Load(); ms < 1 || ms > 5000 {
 		t.Errorf("replica saw deadline %dms, want (0, 5000]", ms)
+	}
+}
+
+// TestGatewayForwardsModelNameEscaped pins that /detect reaches the
+// replica under the exact model name the client asked for, including
+// names with query metacharacters: forwarded unescaped, "a&b" arrived as
+// model "a" (a 404, or another model's verdicts if "a" existed).
+func TestGatewayForwardsModelNameEscaped(t *testing.T) {
+	f := newFakeReplica(t, "rep-a")
+	var saw atomic.Pointer[string]
+	f.script(func(w http.ResponseWriter, r *http.Request) {
+		name := r.URL.Query().Get("model")
+		saw.Store(&name)
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, "verdict")
+	})
+	g := newTestGateway(t, Config{Replicas: []string{f.srv.URL}})
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	for _, name := range []string{"a&b", "a b", "x+y", "c#d", "p%q", "m=n&model=o", "default"} {
+		saw.Store(nil)
+		resp, err := http.Post(srv.URL+"/detect?model="+url.QueryEscape(name), "application/x-ndjson", strings.NewReader("{}\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("model %q: status %d", name, resp.StatusCode)
+		}
+		got := "<no request>"
+		if p := saw.Load(); p != nil {
+			got = *p
+		}
+		if got != name {
+			t.Errorf("model %q reached the replica as %q", name, got)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -450,7 +451,7 @@ func (g *Gateway) send(ctx context.Context, rep *replica, probe bool, model, con
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/detect?model="+model, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/detect?model="+url.QueryEscape(model), bytes.NewReader(body))
 	if err != nil {
 		rep.breaker.success()
 		return proxyResult{err: err}

@@ -93,11 +93,13 @@ type Config struct {
 	// CollectTrace enables recording of the per-map growth trace used by
 	// the convergence and growth figures. Off by default to save memory.
 	CollectTrace bool
-	// Parallelism bounds the worker goroutines used to train independent
-	// sibling subtrees concurrently and to run batch BMU passes: 0 means
-	// GOMAXPROCS, 1 forces serial execution. Models are bit-for-bit
-	// identical for every setting. The knob is an execution detail, not
-	// model state, and is excluded from serialized models.
+	// Parallelism is the worker budget of training: 0 means GOMAXPROCS,
+	// 1 forces serial execution. Each map starts as soon as its parent
+	// has trained and holds one worker; workers no map holds join the
+	// running maps' batch BMU passes. The trained model's batch
+	// operations use the same bound. Models are bit-for-bit identical for
+	// every setting. The knob is an execution detail, not model state,
+	// and is excluded from serialized models.
 	Parallelism int `json:"-"`
 }
 
@@ -160,7 +162,7 @@ func (c Config) Validate() error {
 
 // Node is one map in the GHSOM hierarchy.
 type Node struct {
-	// ID is a stable, training-order identifier unique within the model.
+	// ID is a stable, breadth-first identifier unique within the model.
 	ID int
 	// Depth is the node's layer: the root (layer-1) map has depth 1.
 	Depth int
@@ -192,7 +194,7 @@ type GHSOM struct {
 	mean  []float64
 	mqe0  float64
 	root  *Node
-	nodes []*Node // all nodes in training (BFS) order, nodes[i].ID == i
+	nodes []*Node // all nodes in registration (BFS) order, nodes[i].ID == i
 	trace *GrowthTrace
 }
 
@@ -216,8 +218,8 @@ func (g *GHSOM) Mean() []float64 {
 // Root returns the layer-1 node.
 func (g *GHSOM) Root() *Node { return g.root }
 
-// Nodes returns all nodes in stable training order. The returned slice is
-// shared; callers must not modify it.
+// Nodes returns all nodes in stable breadth-first order. The returned
+// slice is shared; callers must not modify it.
 func (g *GHSOM) Nodes() []*Node { return g.nodes }
 
 // Node returns the node with the given ID, or nil if out of range.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ghsom/internal/parallel"
 	"ghsom/internal/som"
 	"ghsom/internal/vecmath"
 )
@@ -47,19 +46,26 @@ func (t *GrowthTrace) ForNode(id int) []GrowthEvent {
 
 // nodeJob describes one map to train: the root, or the expansion of one
 // parent unit. The job's data is a zero-copy index view into the one
-// shared training matrix — hierarchical expansion never rebuilds
-// [][]float64 subsets. Jobs within a breadth-first level are independent
-// (sibling subtrees see disjoint rows), which is what makes them safe to
-// train concurrently.
+// shared training matrix; the job gathers those rows into a contiguous
+// training set only while it trains. Sibling and cousin subtrees see
+// disjoint rows and share no mutable state, which is what makes jobs
+// safe to train concurrently. Training fills in the result fields.
 type nodeJob struct {
-	parent     *Node // nil for the root
-	parentUnit int   // -1 for the root
+	parent     *nodeJob // nil for the root
+	parentUnit int      // -1 for the root
 	view       vecmath.View
 	mean       []float64
 	parentQE   float64
 	depth      int
 	corners    [][]float64
 	seed       int64 // RNG seed for this node's private stream
+
+	node      *Node
+	events    []GrowthEvent
+	err       error      // training failure, reported under the parent's ID
+	children  []*nodeJob // expansion jobs in unit order
+	expandErr error      // child-mean failure at unit expandU, reported under this node's ID
+	expandU   int
 }
 
 // Train builds a GHSOM from data. Every row must have the same dimension.
@@ -68,9 +74,9 @@ type nodeJob struct {
 // Training is deterministic for a fixed Config (including Seed) and data:
 // every node trains on a private RNG stream derived from Seed and the
 // node's position in the tree, node IDs are assigned in breadth-first
-// order after each level completes, and all floating-point reductions run
-// in data order — so the model is bit-for-bit identical at every
-// Parallelism setting.
+// order once the whole tree has trained, and all floating-point
+// reductions run in data order — so the model is bit-for-bit identical
+// at every Parallelism setting.
 func Train(data [][]float64, cfg Config) (*GHSOM, error) {
 	if len(data) == 0 {
 		return nil, ErrNoData
@@ -125,129 +131,123 @@ func TrainMatrix(mat vecmath.Matrix, idx []int, cfg Config) (*GHSOM, error) {
 		g.trace = &GrowthTrace{}
 	}
 
-	// Level-synchronous breadth-first expansion: train every map of a
-	// level concurrently (sibling subtrees are embarrassingly parallel),
-	// then register the results and derive the next level's jobs in the
-	// deterministic (parent training order, unit index) order.
-	type trained struct {
-		node   *Node
-		events []GrowthEvent
-		err    error
-	}
-	jobs := []nodeJob{{
+	// Train the whole tree as a dataflow (see trainQueue), then register
+	// it in the order the level-by-level expansion defines: breadth
+	// first, each node's children in unit order.
+	root := &nodeJob{
 		parentUnit: -1,
 		view:       view,
 		mean:       mean,
 		parentQE:   mqe0, // layer 1 grows against the layer-0 unit's error
 		depth:      1,
 		seed:       deriveSeed(cfg.Seed, -1),
-	}}
-	for len(jobs) > 0 {
-		// Split the worker budget between the level fan-out and each job's
-		// inner batch passes: with W jobs training concurrently, each gets
-		// ~budget/W inner workers instead of multiplying the fan-out to
-		// W*budget goroutines contending for the same cores. Results are
-		// identical either way; only scheduling pressure changes.
-		levelWorkers := parallel.Workers(cfg.Parallelism, len(jobs))
-		innerP := parallel.Resolve(cfg.Parallelism) / levelWorkers
-		if innerP < 1 {
-			innerP = 1
+	}
+	q := &trainQueue{g: g, mat: mat}
+	q.run(root)
+	order := []*nodeJob{root}
+	for i := 0; i < len(order); i++ {
+		jb := order[i]
+		if jb.err != nil {
+			if jb.parent != nil {
+				return nil, fmt.Errorf("core: expand node %d unit %d: %w", jb.parent.node.ID, jb.parentUnit, jb.err)
+			}
+			return nil, jb.err
 		}
-		results := make([]trained, len(jobs))
-		// One job per chunk: jobs are whole maps of very different sizes,
-		// so the cursor hands them out one at a time.
-		parallel.ForEachChunk(nil, cfg.Parallelism, len(jobs), 1, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				n, ev, err := g.trainNodeMap(jobs[i], innerP)
-				results[i] = trained{node: n, events: ev, err: err}
+		n := jb.node
+		n.ID = len(g.nodes)
+		g.nodes = append(g.nodes, n)
+		// Training is over for this map; from here on (routing, quality
+		// measures) its batch operations get the full worker budget.
+		n.Map.SetParallelism(cfg.Parallelism)
+		if jb.parent == nil {
+			g.root = n
+		} else {
+			p := jb.parent.node
+			if p.Children == nil {
+				p.Children = make(map[int]*Node)
 			}
-			return nil
-		})
-		var next []nodeJob
-		for i, res := range results {
-			jb := jobs[i]
-			if res.err != nil {
-				if jb.parent != nil {
-					return nil, fmt.Errorf("core: expand node %d unit %d: %w", jb.parent.ID, jb.parentUnit, res.err)
-				}
-				return nil, res.err
-			}
-			n := res.node
-			n.ID = len(g.nodes)
-			g.nodes = append(g.nodes, n)
-			// Training is over for this map; from here on (expansion
-			// assignment, routing, quality measures) it runs outside the
-			// level fan-out and gets the full worker budget.
-			n.Map.SetParallelism(cfg.Parallelism)
-			if jb.parent == nil {
-				g.root = n
-			} else {
-				if jb.parent.Children == nil {
-					jb.parent.Children = make(map[int]*Node)
-				}
-				jb.parent.Children[jb.parentUnit] = n
-			}
-			if g.trace != nil {
-				for k := range res.events {
-					res.events[k].NodeID = n.ID
-				}
-				g.trace.Events = append(g.trace.Events, res.events...)
-			}
-			children, err := g.expandJobs(n, jb)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, children...)
+			p.Children[jb.parentUnit] = n
 		}
-		jobs = next
+		if g.trace != nil {
+			for k := range jb.events {
+				jb.events[k].NodeID = n.ID
+			}
+			g.trace.Events = append(g.trace.Events, jb.events...)
+		}
+		if jb.expandErr != nil {
+			return nil, fmt.Errorf("core: child mean for node %d unit %d: %w", n.ID, jb.expandU, jb.expandErr)
+		}
+		order = append(order, jb.children...)
 	}
 	return g, nil
 }
 
-// expandJobs derives the child-map training jobs for a freshly registered
+// trainJob trains one job's map on its gathered rows and derives the
+// child jobs from the final BMU assignment. A failed job expands nothing;
+// its error waits for registration, which reports the first failure in
+// registration order whichever job failed first in time.
+func (g *GHSOM) trainJob(jb *nodeJob, q *trainQueue) {
+	set := som.NewTrainSet(jb.view)
+	node, events, bmus, err := g.trainNodeMap(jb, set, q)
+	if err != nil {
+		jb.err = err
+		return
+	}
+	jb.node, jb.events = node, events
+	jb.children, jb.expandU, jb.expandErr = g.expandJobs(jb, bmus, q.mat)
+}
+
+// expandJobs derives the child-map training jobs of a freshly trained
 // node: every unit holding enough data and still exceeding the tau2
-// granularity criterion is queued for vertical expansion.
-func (g *GHSOM) expandJobs(n *Node, jb nodeJob) ([]nodeJob, error) {
+// granularity criterion is queued for vertical expansion. bmus is the
+// node's final BMU assignment of its job's rows; one pass over it
+// buckets the rows of every expanded unit. On a failure it returns the
+// unit it failed on.
+func (g *GHSOM) expandJobs(jb *nodeJob, bmus []int, mat vecmath.Matrix) ([]*nodeJob, int, error) {
 	cfg := g.cfg
+	n := jb.node
 	if n.Depth >= cfg.MaxDepth {
-		return nil, nil
+		return nil, 0, nil
 	}
 	// A (near-)zero layer-0 error means the data is degenerate (all
 	// records identical); any vertical expansion would be noise-chasing.
 	if g.mqe0 <= 1e-12 {
-		return nil, nil
+		return nil, 0, nil
 	}
-	assignments := n.Map.AssignView(jb.view)
-	var out []nodeJob
-	for u := 0; u < n.Map.Units(); u++ {
-		if n.UnitCount[u] < cfg.MinMapData {
+	// The child trains on an index view of the shared matrix: only the
+	// row indices are materialized, never the rows themselves.
+	sub := make([][]int, n.Map.Units())
+	expand := false
+	for u := range sub {
+		if n.UnitCount[u] >= cfg.MinMapData && n.UnitQE[u] > cfg.Tau2*g.mqe0 {
+			sub[u] = make([]int, 0, n.UnitCount[u])
+			expand = true
+		}
+	}
+	if !expand {
+		return nil, 0, nil
+	}
+	for i, u := range bmus {
+		if sub[u] != nil {
+			sub[u] = append(sub[u], jb.view.Index(i))
+		}
+	}
+	var out []*nodeJob
+	for u, rows := range sub {
+		if rows == nil {
 			continue
 		}
-		if n.UnitQE[u] <= cfg.Tau2*g.mqe0 {
-			continue
-		}
-		// The child trains on an index view of the shared matrix: only the
-		// row indices are materialized, never the rows themselves.
-		sub := make([]int, 0, n.UnitCount[u])
-		for i, a := range assignments {
-			if a == u {
-				sub = append(sub, i)
-			}
-		}
-		if len(sub) < cfg.MinMapData {
-			continue
-		}
-		childView := jb.view.Subview(sub)
+		childView := mat.Subset(rows)
 		childMean, err := childView.Mean()
 		if err != nil {
-			return nil, fmt.Errorf("core: child mean for node %d unit %d: %w", n.ID, u, err)
+			return nil, u, err
 		}
 		var corners [][]float64
 		if cfg.OrientChildren {
 			corners = orientationCorners(n.Map, u)
 		}
-		out = append(out, nodeJob{
-			parent:     n,
+		out = append(out, &nodeJob{
+			parent:     jb,
 			parentUnit: u,
 			view:       childView,
 			mean:       childMean,
@@ -257,29 +257,31 @@ func (g *GHSOM) expandJobs(n *Node, jb nodeJob) ([]nodeJob, error) {
 			seed:       deriveSeed(jb.seed, u),
 		})
 	}
-	return out, nil
+	return out, 0, nil
 }
 
-// trainNodeMap creates, grows, and fine-tunes a single map on jb.data,
-// stopping when its mean unit error falls below Tau1 * jb.parentQE. It is
-// a pure function of the job (plus the read-only model config): it touches
-// no shared GHSOM state and draws randomness only from the job's private
-// seed, so jobs of one level may run concurrently. innerP bounds the
-// workers of the map's own batch passes while it trains inside the level
-// fan-out. The returned node has no ID yet (the caller assigns IDs in
+// trainNodeMap creates, grows, and fine-tunes a single map on the job's
+// gathered rows, stopping when its mean unit error falls below Tau1 *
+// jb.parentQE. It is a pure function of the job (plus the read-only
+// model config): it touches no shared GHSOM state and draws randomness
+// only from the job's private seed, so jobs may run concurrently. Its
+// batch passes run on the workers q lends them. Every weight state is
+// scored by exactly one BMU pass, which feeds the growth criterion, the
+// trace, the error-unit choice, and (for the final state) the unit
+// statistics and the returned BMU assignment the children are split by.
+// The returned node has no ID yet (the caller assigns IDs in
 // registration order), and growth events carry a placeholder NodeID for
 // the caller to fill in.
-func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, error) {
+func (g *GHSOM) trainNodeMap(jb *nodeJob, set som.TrainSet, q *trainQueue) (*Node, []GrowthEvent, []int, error) {
 	cfg := g.cfg
 	rng := newRNG(jb.seed)
-	data := jb.view
+	data := set.View()
 	m, err := som.New(2, 2, g.dim)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	m.SetParallelism(innerP)
 	if err := m.InitAroundMean(jb.mean, cfg.InitSpread, rng); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(jb.corners) == 4 {
 		// Coherent orientation: bias each corner of the new 2x2 map in
@@ -293,14 +295,15 @@ func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, erro
 			copy(w, jb.mean)
 			vecmath.AXPYInPlace(w, orientationBlend, jb.corners[i])
 			if err := m.SetWeight(i, w); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
 	node := &Node{ID: -1, Depth: jb.depth, Map: m, ParentUnit: jb.parentUnit}
 	var events []GrowthEvent
+	bmus := make([]int, data.Rows())
 
-	train := func(epochs int) error {
+	train := func(epochs int) (err error) {
 		tc := som.TrainConfig{
 			Epochs:      epochs,
 			Alpha0:      cfg.Alpha0,
@@ -311,24 +314,38 @@ func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, erro
 			Decay:       cfg.Decay,
 			Shuffle:     !cfg.Batch,
 			Rng:         rng,
-			Parallelism: innerP,
+			Parallelism: 1,
 			// The growth loop measures MeanUnitMQE after every call; the
 			// per-epoch MQE series would be recomputed work it never reads.
 			SkipEpochMQE: true,
 		}
-		if cfg.Batch {
-			_, err := m.TrainBatchView(data, tc)
+		if !cfg.Batch {
+			// Online steps are serial; with SkipEpochMQE the call runs
+			// no pass to lend workers to.
+			_, err = m.TrainOnlineView(data, tc)
 			return err
 		}
-		_, err := m.TrainOnlineView(data, tc)
+		q.pass(data.Rows(), m.Units(), func(p int) {
+			tc.Parallelism = p
+			_, err = m.TrainBatchSet(set, tc)
+		})
 		return err
 	}
 
-	record := func(iter int) float64 {
+	// measure scores the current weights in one BMU pass: per-unit error
+	// sums and counts, with every row's BMU left in bmus.
+	measure := func() (sumQE []float64, counts []int) {
+		q.pass(data.Rows(), m.Units(), func(p int) {
+			m.SetParallelism(p)
+			sumQE, counts = m.UnitErrorsSet(set, bmus)
+		})
+		return sumQE, counts
+	}
+
+	record := func(iter int, sumQE []float64, counts []int) float64 {
 		// One BMU pass serves both quality measures: the growth criterion
 		// (mean of per-unit mean errors) and, under tracing, the plain MQE
 		// (total error over all rows).
-		sumQE, counts := m.UnitErrorsView(data)
 		var perUnit, total float64
 		var won int
 		for i, c := range counts {
@@ -357,9 +374,10 @@ func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, erro
 	}
 
 	if err := train(cfg.EpochsPerGrowth); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	muMQE := record(0)
+	sumQE, counts := measure()
+	muMQE := record(0, sumQE, counts)
 
 	// The growth target: stop once the map represents its data tau1 times
 	// better than the parent unit did. A (near-)zero parent error means
@@ -377,26 +395,28 @@ func (g *GHSOM) trainNodeMap(jb nodeJob, innerP int) (*Node, []GrowthEvent, erro
 		if m.Units() >= data.Rows() {
 			break
 		}
-		e, d, ok := errorUnitAndNeighbor(m, data)
+		e, d, ok := errorUnitAndNeighbor(m, som.MeanErrors(sumQE, counts), counts)
 		if !ok {
 			break
 		}
 		if err := m.GrowBetween(e, d); err != nil {
-			return nil, nil, fmt.Errorf("core: grow map: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: grow map: %w", err)
 		}
 		if err := train(cfg.EpochsPerGrowth); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		muMQE = record(iter)
+		sumQE, counts = measure()
+		muMQE = record(iter, sumQE, counts)
 	}
 
 	if cfg.FineTuneEpochs > 0 {
 		if err := train(cfg.FineTuneEpochs); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
+		sumQE, counts = measure()
 	}
-	node.UnitQE, node.UnitCount = m.UnitMeanErrorsView(data)
-	return node, events, nil
+	node.UnitQE, node.UnitCount = som.MeanErrors(sumQE, counts), counts
+	return node, events, bmus, nil
 }
 
 // deriveSeed maps a parent stream seed and a unit index to the child
@@ -458,8 +478,7 @@ func orientationCorners(m *som.Map, u int) [][]float64 {
 // errorUnitAndNeighbor finds the unit with the largest mean quantization
 // error (among units that won data) and its most dissimilar direct grid
 // neighbor in weight space. It returns ok=false when no unit won any data.
-func errorUnitAndNeighbor(m *som.Map, data vecmath.View) (e, d int, ok bool) {
-	meanQE, counts := m.UnitMeanErrorsView(data)
+func errorUnitAndNeighbor(m *som.Map, meanQE []float64, counts []int) (e, d int, ok bool) {
 	e = -1
 	best := math.Inf(-1)
 	for i, qe := range meanQE {

@@ -64,6 +64,6 @@ func (m *Map) AssignFlat(flat []float64, n int, bmus []int, d2s []float64, paral
 	if err != nil {
 		return fmt.Errorf("assign flat batch: %w", err)
 	}
-	m.bmuView(mat.View(), bmus, d2s, parallelism)
+	m.bmuView(mat.View(), nil, bmus, d2s, parallelism)
 	return nil
 }

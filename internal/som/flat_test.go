@@ -136,7 +136,7 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 	}
 	ref := build(1)
 	refAssign := ref.AssignView(v)
-	refMQE := ref.mqeView(v, ref.Parallelism(), nil)
+	refMQE := ref.mqeView(v, nil, ref.Parallelism(), nil)
 	refSum, refCounts := ref.UnitErrorsView(v)
 	refTE := ref.TopographicError(data)
 	for _, p := range []int{2, 4, 8, 0} {
@@ -152,7 +152,7 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 				t.Fatalf("p=%d: AssignView[%d] = %d, want %d", p, i, assign[i], refAssign[i])
 			}
 		}
-		if mqe := m.mqeView(v, m.Parallelism(), nil); mqe != refMQE {
+		if mqe := m.mqeView(v, nil, m.Parallelism(), nil); mqe != refMQE {
 			t.Errorf("p=%d: mqeView = %v, want %v", p, mqe, refMQE)
 		}
 		sum, counts := m.UnitErrorsView(v)

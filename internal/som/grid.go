@@ -144,7 +144,7 @@ func (m *Map) SetWeight(i int, w []float64) error {
 }
 
 // SetParallelism sets the worker bound used by the map's batch operations
-// (AssignView, UnitErrorsView, UnitMeanErrorsView, TopographicError;
+// (AssignView, UnitErrorsView, UnitErrorsSet, TopographicError;
 // training reads TrainConfig.Parallelism instead): 0 (the default) means
 // runtime.GOMAXPROCS, 1 forces serial execution, n > 1 caps the fan-out at
 // n goroutines. Results are bit-for-bit identical for every setting; see

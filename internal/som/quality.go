@@ -12,8 +12,8 @@ import (
 // tile of rows (vecmath.DefaultTileRows); its integer count folds
 // exactly, so the result is identical for every worker count. The
 // quantization-error measures over a data view (AssignView,
-// UnitErrorsView, UnitMeanErrorsView) live beside the training kernels
-// in train_flat.go.
+// UnitErrorsView, UnitErrorsSet) live beside the training kernels in
+// train_flat.go.
 
 // TopographicError returns the fraction of data vectors whose first and
 // second BMUs are not grid neighbors — the standard measure of topology

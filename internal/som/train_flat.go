@@ -109,7 +109,9 @@ var bmuScratchPool = sync.Pool{New: func() any { return new(vecmath.BMUScratch) 
 // work-stealing workers (parallel.ForEachChunk) take GEMM-tile-sized row
 // chunks and run the norm-cached expanded-distance kernel
 // (vecmath.BMUScratch.ArgMinDistanceBatch) over them, which is
-// bit-for-bit identical to the per-row ArgMinDistance scan. The tile
+// bit-for-bit identical to the per-row ArgMinDistance scan. xNorms, when
+// non-nil, holds each row's vecmath.SumSquares (a TrainSet's table), so
+// the engine skips its per-row record-norm pass. The tile
 // shape is resolved per call from the codebook and worker count
 // (vecmath.ResolveTile); the worker count is clamped so no worker gets
 // less than one tile (parallel.WorkersGrain); each worker owns a pooled
@@ -119,7 +121,7 @@ var bmuScratchPool = sync.Pool{New: func() any { return new(vecmath.BMUScratch) 
 // skips the canonical distance settle for every unambiguous record.
 // Each chunk writes only its own slots, so results are identical at
 // every worker count.
-func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
+func (m *Map) bmuView(v vecmath.View, xNorms []float64, bmus []int, d2s []float64, p int) {
 	n := v.Rows()
 	if n == 0 || (bmus == nil && d2s == nil) {
 		return
@@ -136,14 +138,17 @@ func (m *Map) bmuView(v vecmath.View, bmus []int, d2s []float64, p int) {
 	}
 	parallel.ForEachChunk(nil, p, n, grain, func(wk, lo, hi int) error {
 		var ob []int
-		var od []float64
+		var od, xn []float64
 		if bmus != nil {
 			ob = bmus[lo:hi]
 		}
 		if d2s != nil {
 			od = d2s[lo:hi]
 		}
-		scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), m.flat, norms, ob, od)
+		if xNorms != nil {
+			xn = xNorms[lo:hi]
+		}
+		scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), xn, m.flat, norms, ob, od)
 		for i := range ob {
 			if ob[i] < 0 {
 				ob[i] = 0 // degenerate query: keep the BMU contract of unit 0
@@ -204,8 +209,38 @@ func classFoldGrain(n int) int {
 // MQE): constant, so the layout depends on the row count only.
 const mqeFoldGrain = 8192
 
+// TrainSet is a training data set prepared for the many BMU passes a
+// growing map runs over it: the rows gathered into one contiguous matrix,
+// so every pass streams them in memory order, and the squared norm of
+// each row (the ‖x‖² term of the blocked BMU engine), computed once
+// instead of once per pass. A TrainSet is read-only and may be shared by
+// concurrent passes.
+type TrainSet struct {
+	rows  vecmath.View
+	norms []float64
+}
+
+// NewTrainSet gathers v's rows (no copy when v is a whole matrix) and
+// computes their squared norms.
+func NewTrainSet(v vecmath.View) TrainSet {
+	mat := v.Gather()
+	return TrainSet{
+		rows:  mat.View(),
+		norms: vecmath.SquaredNorms(mat.Data(), mat.Cols(), make([]float64, 0, mat.Rows())),
+	}
+}
+
+// View returns the set's rows, in the order of the view it was built from.
+func (s TrainSet) View() vecmath.View { return s.rows }
+
 // TrainBatchView trains the map with the deterministic batch rule over a
-// flat data view. Each epoch runs one parallel BMU pass, accumulates
+// flat data view: TrainBatchSet over NewTrainSet(v).
+func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error) {
+	return m.TrainBatchSet(NewTrainSet(v), cfg)
+}
+
+// TrainBatchSet trains the map with the deterministic batch rule over a
+// prepared training set. Each epoch runs one parallel BMU pass, accumulates
 // per-BMU-class sums and counts with a chunked deterministic fold
 // (parallel.MapReduceChunk: fixed row-count-only chunk layout, partials
 // folded in ascending chunk order), and moves every unit to its
@@ -216,10 +251,11 @@ const mqeFoldGrain = 8192
 // final epoch completes the stats. Batch training ignores Alpha and
 // Shuffle. Results are bit-for-bit identical at every cfg.Parallelism
 // setting.
-func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error) {
+func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 	if err := cfg.validate(); err != nil {
 		return TrainStats{}, err
 	}
+	v := s.rows
 	if err := m.checkView(v); err != nil {
 		return TrainStats{}, err
 	}
@@ -241,7 +277,7 @@ func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error
 		radius := cfg.Decay.Interp(radius0, cfg.RadiusEnd, cfg.scheduleFrac(epoch))
 		m.neighborhoodTable(h, radius, 1, cfg.Kernel, false)
 
-		m.bmuView(v, bmus, d2s, cfg.Parallelism)
+		m.bmuView(v, s.norms, bmus, d2s, cfg.Parallelism)
 		acc := parallel.MapReduceChunk(cfg.Parallelism, n, foldGrain, (*classAccum)(nil),
 			func(lo, hi int) *classAccum {
 				a := classAccumPool.Get().(*classAccum)
@@ -249,7 +285,7 @@ func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error
 				for i := lo; i < hi; i++ {
 					c := bmus[i]
 					a.cnt[c]++
-					vecmath.AXPYInPlace(a.sum[c*dim:(c+1)*dim], 1, v.Row(i))
+					vecmath.AddInPlace(a.sum[c*dim:(c+1)*dim], v.Row(i))
 				}
 				return a
 			},
@@ -257,7 +293,7 @@ func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error
 				if acc == nil {
 					return part
 				}
-				vecmath.AXPYInPlace(acc.sum, 1, part.sum)
+				vecmath.AddInPlace(acc.sum, part.sum)
 				for i, c := range part.cnt {
 					acc.cnt[i] += c
 				}
@@ -313,7 +349,7 @@ func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error
 		m.touch()
 	}
 	if !cfg.SkipEpochMQE {
-		stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, cfg.Parallelism, d2s))
+		stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, s.norms, cfg.Parallelism, d2s))
 	}
 	return stats, nil
 }
@@ -366,17 +402,17 @@ func (m *Map) TrainOnlineView(v vecmath.View, cfg TrainConfig) (TrainStats, erro
 			m.touch() // MoveToward mutated the arena: invalidate norms
 		}
 		if !cfg.SkipEpochMQE {
-			stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, cfg.Parallelism, d2scratch))
+			stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, nil, cfg.Parallelism, d2scratch))
 		}
 	}
 	return stats, nil
 }
 
-// mqeView returns the mean quantization error of the view on p workers,
-// reusing d2s (length >= v.Rows(), or nil to allocate) as distance
+// mqeView returns the mean quantization error of the view on p workers
+// (xNorms as in bmuView), reusing d2s (length >= v.Rows(), or nil to allocate) as distance
 // scratch. The sum folds on the chunked deterministic scheduler: the
 // result is bit-identical at every worker count.
-func (m *Map) mqeView(v vecmath.View, p int, d2s []float64) float64 {
+func (m *Map) mqeView(v vecmath.View, xNorms []float64, p int, d2s []float64) float64 {
 	n := v.Rows()
 	if n == 0 {
 		return math.NaN()
@@ -384,7 +420,7 @@ func (m *Map) mqeView(v vecmath.View, p int, d2s []float64) float64 {
 	if len(d2s) < n {
 		d2s = make([]float64, n)
 	}
-	m.bmuView(v, nil, d2s, p)
+	m.bmuView(v, xNorms, nil, d2s, p)
 	sum := parallel.MapReduceChunk(p, n, mqeFoldGrain, 0.0,
 		func(lo, hi int) float64 {
 			var s float64
@@ -401,19 +437,33 @@ func (m *Map) mqeView(v vecmath.View, p int, d2s []float64) float64 {
 // configured Parallelism.
 func (m *Map) AssignView(v vecmath.View) []int {
 	out := make([]int, v.Rows())
-	m.bmuView(v, out, nil, m.parallelism)
+	m.bmuView(v, nil, out, nil, m.parallelism)
 	return out
 }
 
 // UnitErrorsView returns, per unit, the summed quantization error of the
 // view rows mapped to it and the number of rows mapped.
 func (m *Map) UnitErrorsView(v vecmath.View) (sumQE []float64, counts []int) {
+	return m.unitErrors(v, nil, make([]int, v.Rows()))
+}
+
+// UnitErrorsSet is UnitErrorsView over a prepared training set, and it
+// also writes every row's BMU into bmus (length at least the set's row
+// count): one BMU pass yields the per-unit errors, the counts, and the
+// assignment a caller splits the set by.
+func (m *Map) UnitErrorsSet(s TrainSet, bmus []int) (sumQE []float64, counts []int) {
+	return m.unitErrors(s.rows, s.norms, bmus[:s.rows.Rows()])
+}
+
+// unitErrors runs one BMU pass over v at the map's Parallelism, writing
+// the BMUs into bmus, and folds the per-unit error sums and counts in row
+// order.
+func (m *Map) unitErrors(v vecmath.View, xNorms []float64, bmus []int) (sumQE []float64, counts []int) {
 	sumQE = make([]float64, m.Units())
 	counts = make([]int, m.Units())
 	n := v.Rows()
-	bmus := make([]int, n)
 	d2s := make([]float64, n)
-	m.bmuView(v, bmus, d2s, m.parallelism)
+	m.bmuView(v, xNorms, bmus, d2s, m.parallelism)
 	for i := 0; i < n; i++ {
 		sumQE[bmus[i]] += math.Sqrt(d2s[i])
 		counts[bmus[i]]++
@@ -421,14 +471,15 @@ func (m *Map) UnitErrorsView(v vecmath.View) (sumQE []float64, counts []int) {
 	return sumQE, counts
 }
 
-// UnitMeanErrorsView returns the per-unit mean quantization error over
-// the view (zero for empty units), plus the counts.
-func (m *Map) UnitMeanErrorsView(v vecmath.View) (meanQE []float64, counts []int) {
-	meanQE, counts = m.UnitErrorsView(v)
-	for i := range meanQE {
-		if counts[i] > 0 {
-			meanQE[i] /= float64(counts[i])
+// MeanErrors returns the per-unit mean quantization error (zero for
+// units that won nothing) from the per-unit error sums and counts of
+// UnitErrorsView or UnitErrorsSet.
+func MeanErrors(sumQE []float64, counts []int) []float64 {
+	out := make([]float64, len(sumQE))
+	for i, c := range counts {
+		if c > 0 {
+			out[i] = sumQE[i] / float64(c)
 		}
 	}
-	return meanQE, counts
+	return out
 }

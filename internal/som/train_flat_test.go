@@ -3,6 +3,7 @@ package som
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ghsom/internal/vecmath"
@@ -209,6 +210,53 @@ func TestTrainViewSubsetMatchesGatheredRows(t *testing.T) {
 			if math.Float64bits(sub.flat[i]) != math.Float64bits(full.flat[i]) {
 				t.Fatalf("batch=%v: subset-view training differs from gathered-rows training at value %d", batch, i)
 			}
+		}
+	}
+}
+
+// TestTrainSetMatchesView pins the prepared training set to the view it
+// was gathered from: the same rows in the same order, and a BMU pass
+// over the set (precomputed record norms) bit-identical to the same pass
+// over the index view (norms computed per row) — errors, counts and
+// assignment alike. At dim 24 and 16 units the blocked engine runs.
+func TestTrainSetMatchesView(t *testing.T) {
+	const dim = 24
+	data := flatTrainData(400, dim, 45)
+	mat, err := vecmath.MatrixFromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	for i := 399; i >= 0; i -= 3 {
+		idx = append(idx, i)
+	}
+	view := mat.Subset(idx)
+	set := NewTrainSet(view)
+	if set.View().Rows() != len(idx) {
+		t.Fatalf("set has %d rows, want %d", set.View().Rows(), len(idx))
+	}
+	for i := range idx {
+		if !slices.Equal(set.View().Row(i), view.Row(i)) {
+			t.Fatalf("set row %d differs from view row %d", i, i)
+		}
+	}
+	m, _ := New(4, 4, dim)
+	initDeterministic(m, data)
+	if _, err := m.TrainBatchSet(set, batchCfg(3, KernelGaussian)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 3} {
+		m.SetParallelism(p)
+		bmus := make([]int, len(idx))
+		sum, cnt := m.UnitErrorsSet(set, bmus)
+		wantSum, wantCnt := m.UnitErrorsView(view)
+		for u := range sum {
+			if math.Float64bits(sum[u]) != math.Float64bits(wantSum[u]) || cnt[u] != wantCnt[u] {
+				t.Fatalf("P=%d unit %d: set (%v, %d), view (%v, %d)", p, u, sum[u], cnt[u], wantSum[u], wantCnt[u])
+			}
+		}
+		if want := m.AssignView(view); !slices.Equal(bmus, want) {
+			t.Fatalf("P=%d: set BMUs differ from AssignView", p)
 		}
 	}
 }

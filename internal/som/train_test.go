@@ -35,7 +35,7 @@ func TestTrainOnlineReducesMQE(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := rowsView(t, data)
-	before := m.mqeView(v, 0, nil)
+	before := m.mqeView(v, nil, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 20
 	stats, err := m.TrainOnlineView(v, cfg)
@@ -67,7 +67,7 @@ func TestTrainBatchReducesMQE(t *testing.T) {
 		_ = m.SetWeight(i, []float64{5, 5})
 	}
 	v := rowsView(t, data)
-	before := m.mqeView(v, 0, nil)
+	before := m.mqeView(v, nil, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 15
 	stats, err := m.TrainBatchView(v, cfg)
@@ -370,13 +370,13 @@ func TestInitLinearOrderingAdvantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := rowsView(t, data)
-	linMQE := lin.mqeView(v, 0, nil)
+	linMQE := lin.mqeView(v, nil, 0, nil)
 
 	rnd, _ := New(6, 6, 2)
 	if err := rnd.InitRandomUniform(data, rng); err != nil {
 		t.Fatal(err)
 	}
-	rndMQE := rnd.mqeView(v, 0, nil)
+	rndMQE := rnd.mqeView(v, nil, 0, nil)
 	if linMQE > rndMQE*3 {
 		t.Errorf("linear init MQE %v wildly worse than random %v", linMQE, rndMQE)
 	}

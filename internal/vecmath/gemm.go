@@ -331,7 +331,7 @@ var bmuBatchPool = sync.Pool{New: func() any { return &BMUScratch{} }}
 // identity from an internal pool. Steady-state heap allocation is zero.
 func ArgMinDistanceBatch(x View, flat []float64, norms []float64, out []int, outDist []float64) {
 	sc := bmuBatchPool.Get().(*BMUScratch)
-	sc.ArgMinDistanceBatch(x, flat, norms, out, outDist)
+	sc.ArgMinDistanceBatch(x, nil, flat, norms, out, outDist)
 	bmuBatchPool.Put(sc)
 }
 
@@ -339,7 +339,12 @@ func ArgMinDistanceBatch(x View, flat []float64, norms []float64, out []int, out
 // function: identical contract and bit-identical results, with the score
 // tile, fallback norm table, and tile shape held by s. One scratch per
 // worker is the contention-free steady state of the parallel dataplanes.
-func (s *BMUScratch) ArgMinDistanceBatch(x View, flat []float64, norms []float64, out []int, outDist []float64) {
+//
+// xNorms optionally carries SumSquares of every row of x (length at
+// least x.Rows()); nil computes them per row. Callers that search the
+// same records many times — a training set across epochs — compute the
+// table once and skip the per-row record-norm pass on every later call.
+func (s *BMUScratch) ArgMinDistanceBatch(x View, xNorms []float64, flat []float64, norms []float64, out []int, outDist []float64) {
 	n := x.Rows()
 	if n == 0 {
 		return
@@ -399,7 +404,13 @@ func (s *BMUScratch) ArgMinDistanceBatch(x View, flat []float64, norms []float64
 		MulBatchT(sub, flat, scores)
 		for i := 0; i < hi-lo; i++ {
 			xi := sub.Row(i)
-			best, bestVal := settleRow(xi, flat, norms, maxN, scores[i*units:(i+1)*units], dim, outDist != nil)
+			var xn float64
+			if xNorms != nil {
+				xn = xNorms[lo+i]
+			} else {
+				xn = sumSquares(xi)
+			}
+			best, bestVal := settleRow(xi, xn, flat, norms, maxN, scores[i*units:(i+1)*units], dim, outDist != nil)
 			if out != nil {
 				out[lo+i] = best
 			}
@@ -410,44 +421,46 @@ func (s *BMUScratch) ArgMinDistanceBatch(x View, flat []float64, norms []float64
 	}
 }
 
-// settleRow turns one record's dot-product row into the exact argmin:
-// expanded-form distances select candidates within the settle margin of
-// the blocked minimum, the canonical kernel judges them, and degenerate
-// magnitudes (overflow risk, non-finite norms, or an empty candidate set)
-// fall back to the scalar scan. dots is overwritten with the expanded
-// distances. When needDist is false and a single candidate survives the
-// margin, the canonical scan is skipped: the scalar argmin is always
-// inside the margin, so a unique candidate is it.
-func settleRow(xi, flat, norms []float64, maxN float64, dots []float64, dim int, needDist bool) (int, float64) {
-	xn := sumSquares(xi)
+// settleRow turns one record's dot-product row (xn is the record's
+// SumSquares) into the exact argmin: expanded-form distances select
+// candidates within the settle margin of the blocked minimum, the
+// canonical kernel judges them, and degenerate magnitudes (overflow
+// risk, non-finite norms, or an empty candidate set) fall back to the
+// scalar scan. dots is overwritten with the expanded distances. The
+// scalar argmin is always inside the margin, so when a single candidate
+// survives it is the winner: the candidate scan is skipped, and so is
+// the canonical distance when needDist is false.
+func settleRow(xi []float64, xn float64, flat, norms []float64, maxN float64, dots []float64, dim int, needDist bool) (int, float64) {
 	if !(xn+maxN < overflowGuard) {
 		return ArgMinDistance(xi, flat)
 	}
-	minD := math.Inf(1)
+	// One scan finds the smallest expanded distance and the runner-up
+	// (NaN distances never compare, so they are skipped as in the
+	// candidate scan below).
+	minD, next := math.Inf(1), math.Inf(1)
+	arg := -1
 	for u, nrm := range norms {
 		d := xn + nrm - 2*dots[u]
 		dots[u] = d
-		if d < minD {
-			minD = d
+		if d < next {
+			if d < minD {
+				minD, next, arg = d, minD, u
+			} else {
+				next = d
+			}
 		}
 	}
 	thr := minD + ExpandSettleRel*(xn+maxN)
-	if !needDist {
-		// Index-only mode: count the candidates; a unique one needs no
-		// canonical judging.
-		cand, nc := -1, 0
-		for u, d := range dots {
-			if d <= thr {
-				cand = u
-				nc++
-				if nc > 1 {
-					break
-				}
-			}
+	if arg >= 0 && !(next <= thr) {
+		// A unique candidate needs no canonical judging; with needDist
+		// it is the only distance the candidate scan would compute.
+		if !needDist {
+			return arg, math.NaN()
 		}
-		if nc == 1 {
-			return cand, math.NaN()
+		if e := SquaredDistanceFlat(xi, flat, arg*dim); e < math.Inf(1) {
+			return arg, e
 		}
+		return ArgMinDistance(xi, flat)
 	}
 	best, bestVal := -1, math.Inf(1)
 	for u, d := range dots {

@@ -16,6 +16,9 @@ func mul2x4AVX(x0, x1, w0, w1, w2, w3 *float64, n int, out *float64)
 //go:noescape
 func sumSquaresAVX(x *float64, n int) float64
 
+//go:noescape
+func addAVX(dst, x *float64, n int)
+
 // useAVX gates the assembly micro-kernels. It is a variable (not a
 // constant) so tests can force the portable path and assert both produce
 // identical candidate blocks.
@@ -52,6 +55,16 @@ func sumSquares(v []float64) float64 {
 		return sum
 	}
 	return sumSquaresGeneric(v)
+}
+
+// addInPlace is AddInPlace's kernel: element-wise adds, exact in every
+// lane, so the AVX path is bit-identical to the portable one.
+func addInPlace(dst, x []float64) {
+	if n := len(dst) &^ 3; useAVX && n > 0 {
+		addAVX(&dst[0], &x[0], n)
+		dst, x = dst[n:], x[n:]
+	}
+	addGeneric(dst, x)
 }
 
 // mulBatchT dispatches the records×units dot block to the AVX or the

@@ -1,10 +1,10 @@
 // AVX2+FMA micro-kernels of the blocked BMU engine. Plan 9 assembler,
 // operand order src..dst: VFMADD231PD a, b, c computes c += b*a.
 //
-// Both kernels require n > 0 and n ≡ 0 (mod 4); the Go wrappers round
-// the dimension down and add the scalar tail themselves. Accumulation
-// order differs from the canonical scalar kernels by design — these feed
-// the candidate generator only (see gemm.go).
+// All kernels require n > 0 and n ≡ 0 (mod 4); the Go wrappers round
+// the dimension down and add the scalar tail themselves. The dot-product
+// kernels' accumulation order differs from the canonical scalar kernels
+// by design — they feed the candidate generator only (see gemm.go).
 
 #include "textflag.h"
 
@@ -141,5 +141,24 @@ reduce:
 	VADDPD       X1, X0, X0
 	VHADDPD      X0, X0, X0
 	VMOVSD       X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func addAVX(dst, x *float64, n int)
+// dst[i] += x[i] for i < n. Element-wise IEEE adds, so the result is
+// bit-identical to the scalar loop (unlike the kernels above).
+TEXT ·addAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+addloop:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JNZ  addloop
 	VZEROUPPER
 	RET

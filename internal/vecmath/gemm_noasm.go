@@ -9,6 +9,8 @@ var useAVX = false
 
 func sumSquares(v []float64) float64 { return sumSquaresGeneric(v) }
 
+func addInPlace(dst, x []float64) { addGeneric(dst, x) }
+
 func mulBatchT(x View, flat []float64, out []float64, n, units, dim int) {
 	mulBatchGeneric(x, flat, out, n, units, dim)
 }

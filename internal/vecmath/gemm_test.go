@@ -121,7 +121,26 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 					name, withNorms, i, idxOnly[i], wantIdx[i])
 			}
 		}
+		// Precomputed record norms must not change a bit either.
+		var sc BMUScratch
+		sc.ArgMinDistanceBatch(x, recordNorms(x), flat, norms, gotIdx, gotD2)
+		for i := range wantIdx {
+			if gotIdx[i] != wantIdx[i] || math.Float64bits(gotD2[i]) != math.Float64bits(wantD2[i]) {
+				t.Fatalf("%s (norms=%v, record norms): row %d = (%d, %v), want (%d, %v)",
+					name, withNorms, i, gotIdx[i], gotD2[i], wantIdx[i], wantD2[i])
+			}
+		}
 	}
+}
+
+// recordNorms returns SumSquares of every row of x, the record-norm table
+// a caller hands the blocked engine.
+func recordNorms(x View) []float64 {
+	out := make([]float64, x.Rows())
+	for i := range out {
+		out[i] = SumSquares(x.Row(i))
+	}
+	return out
 }
 
 func TestArgMinDistanceBatchMatchesScalar(t *testing.T) {

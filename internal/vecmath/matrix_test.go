@@ -136,3 +136,25 @@ func TestMatrixCheckIndex(t *testing.T) {
 		t.Errorf("negative err = %v", err)
 	}
 }
+
+// TestViewGather checks Gather: a whole-matrix view returns the backing
+// matrix itself, and an index view a fresh contiguous copy of its rows
+// in index order.
+func TestViewGather(t *testing.T) {
+	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := m.View().Gather(); &g.Data()[0] != &m.Data()[0] || g.Rows() != 3 {
+		t.Error("whole-matrix Gather copied the rows")
+	}
+	g := m.Subset([]int{2, 0, 2}).Gather()
+	want := []float64{5, 6, 1, 2, 5, 6}
+	if g.Rows() != 3 || g.Cols() != 2 || !Equal(g.Data(), want, 0) {
+		t.Fatalf("subset Gather = %dx%d %v, want 3x2 %v", g.Rows(), g.Cols(), g.Data(), want)
+	}
+	g.Data()[0] = -1
+	if m.Row(2)[0] != 5 {
+		t.Error("subset Gather aliases the source matrix")
+	}
+}

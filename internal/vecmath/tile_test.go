@@ -73,11 +73,13 @@ func TestBMUScratchMatchesPackageForm(t *testing.T) {
 		sc := &BMUScratch{Tile: TileConfig{RecRows: rows}}
 		idx := make([]int, n)
 		dist := make([]float64, n)
-		sc.ArgMinDistanceBatch(x, flat, norms, idx, dist)
-		for i := range idx {
-			if idx[i] != refIdx[i] || dist[i] != refDist[i] {
-				t.Fatalf("rows=%d row %d: (%d, %v) != ref (%d, %v)",
-					rows, i, idx[i], dist[i], refIdx[i], refDist[i])
+		for _, xNorms := range [][]float64{nil, recordNorms(x)} {
+			sc.ArgMinDistanceBatch(x, xNorms, flat, norms, idx, dist)
+			for i := range idx {
+				if idx[i] != refIdx[i] || dist[i] != refDist[i] {
+					t.Fatalf("rows=%d recordNorms=%v row %d: (%d, %v) != ref (%d, %v)",
+						rows, xNorms != nil, i, idx[i], dist[i], refIdx[i], refDist[i])
+				}
 			}
 		}
 	}
@@ -149,7 +151,7 @@ func TestBMUHotPathMutexFree(t *testing.T) {
 			dist := make([]float64, n)
 			for i := 0; i < iters; i++ {
 				norms := cache.Sync(flat, dim, 1)
-				sc.ArgMinDistanceBatch(x, flat, norms, idx, dist)
+				sc.ArgMinDistanceBatch(x, nil, flat, norms, idx, dist)
 			}
 		}()
 	}

@@ -161,12 +161,40 @@ func Scale(v []float64, s float64) []float64 {
 	return out
 }
 
-// AXPYInPlace computes dst += alpha * x in place. The caller must guarantee
-// len(dst) == len(x).
+// AXPYInPlace computes dst += alpha * x in place, four independent
+// elements per step. The caller must guarantee len(dst) == len(x).
 func AXPYInPlace(dst []float64, alpha float64, x []float64) {
-	_ = x[len(dst)-1]
+	x = x[:len(dst)]
+	for len(dst) >= 4 && len(x) >= 4 {
+		dst[0] += alpha * x[0]
+		dst[1] += alpha * x[1]
+		dst[2] += alpha * x[2]
+		dst[3] += alpha * x[3]
+		dst, x = dst[4:], x[4:]
+	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
+	}
+}
+
+// AddInPlace computes dst += x in place. It rounds exactly like
+// AXPYInPlace(dst, 1, x) — 1·x is exact — without the multiply, and adds
+// four independent elements per step (one AVX instruction where the CPU
+// has it; element-wise adds are exact in every lane). The caller must
+// guarantee len(x) >= len(dst).
+func AddInPlace(dst, x []float64) { addInPlace(dst, x[:len(dst)]) }
+
+// addGeneric is the portable AddInPlace kernel; len(x) == len(dst).
+func addGeneric(dst, x []float64) {
+	for len(dst) >= 4 && len(x) >= 4 {
+		dst[0] += x[0]
+		dst[1] += x[1]
+		dst[2] += x[2]
+		dst[3] += x[3]
+		dst, x = dst[4:], x[4:]
+	}
+	for i := range dst {
+		dst[i] += x[i]
 	}
 }
 

@@ -347,3 +347,36 @@ func BenchmarkMoveToward41(b *testing.B) {
 		MoveToward(x, 0.05, y)
 	}
 }
+
+// TestAddInPlaceMatchesAXPYOne pins AddInPlace to AXPYInPlace(dst, 1, x)
+// bit for bit at every tail length of the unrolled loop, on the AVX
+// kernel (where the CPU has it) and on the portable one.
+func TestAddInPlaceMatchesAXPYOne(t *testing.T) {
+	t.Run("dispatch", testAddInPlaceMatchesAXPYOne)
+	if useAVX {
+		useAVX = false
+		defer func() { useAVX = true }()
+		t.Run("portable", testAddInPlaceMatchesAXPYOne)
+	}
+}
+
+func testAddInPlaceMatchesAXPYOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 19; n++ {
+		dst, x := make([]float64, n), make([]float64, n+2)
+		for i := range dst {
+			dst[i] = rng.NormFloat64() * 1e3
+		}
+		for i := range x {
+			x[i] = rng.NormFloat64() * 1e-3
+		}
+		want := append([]float64(nil), dst...)
+		AXPYInPlace(want, 1, x)
+		AddInPlace(dst, x)
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d element %d: %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+	}
+}
