@@ -111,6 +111,23 @@ func TestDetectBatchRejectsNaNPoison(t *testing.T) {
 	if _, err := pipe.DetectBatch(eval[:4], nil); err != nil {
 		t.Fatal(err)
 	}
+	// The single-record entry points run the same guard: DetectBatch is
+	// byte-identical to Detect per record, errors included.
+	nonFinite := func(api string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s err = %v, want non-finite failure", api, err)
+		}
+	}
+	_, err = pipe.Detect(&eval[4])
+	nonFinite("Detect", err)
+	_, err = pipe.Score(&eval[4])
+	nonFinite("Score", err)
+	_, err = pipe.Explain(&eval[4], 3)
+	nonFinite("Explain", err)
+	if _, err := pipe.Detect(&eval[3]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDetectColumnarRejectsNaNPoison pins the guard on the wire path: a

@@ -17,9 +17,9 @@ import (
 // that won training data).
 //
 // Build it with NewGHSOMQuantizer over a compiled model (core.Compile):
-// routing runs on the flat-arena table-driven f64 descent — no pointer
-// chasing, no map lookups; QuantizeBatch takes its blocked GEMM form —
-// and the constructor precomputes the
+// routing runs on the flat-arena blocked GEMM descent — no pointer
+// chasing, no map lookups; Quantize is its one-row call, QuantizeBatch
+// its batch form — and the constructor precomputes the
 // "nodeID/unit" cell name of every unit in the hierarchy, so Quantize and
 // QuantizeBatch hand out shared immutable strings instead of formatting
 // one per record. The zero value is not a usable quantizer.

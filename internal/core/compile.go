@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -15,11 +14,12 @@ import (
 // This file implements the compiled model representation: a trained GHSOM
 // packed into one shared row-major weight arena plus flat routing tables,
 // so the hierarchy descent — the per-record hot loop of serving — runs as
-// a tight table-driven scan with zero pointer chasing, zero map lookups,
-// and zero allocations. Placements are byte-identical to the pointer-tree
-// walk (Route/RouteTrained): the distance kernels accumulate in the exact
-// same term order, only abandoning a unit once its partial sum can no
-// longer win, which never changes the winner or its error.
+// a blocked, table-driven pass with zero pointer chasing, zero map
+// lookups, and zero steady-state allocations. Placements are
+// byte-identical to the pointer-tree walk (Route/RouteTrained):
+// expanded-form GEMM scores only nominate candidates, and every distance
+// a winner or its error depends on is accumulated in the reference
+// kernel's exact term order.
 
 // compiledNode is one map of the hierarchy in the flat node table. All
 // offsets index the Compiled arrays, never the heap.
@@ -43,9 +43,6 @@ type compiledNode struct {
 	// ascending unit indices that won at least one training record (the
 	// effective codebook of RouteTrained).
 	trainedBase, trainedLen int
-	// pairBase is the node's offset into pairDist (units*units entries),
-	// or -1 when the node has no pairwise pruning table.
-	pairBase int
 }
 
 // Compiled is a trained GHSOM compiled for serving: every map's weights
@@ -53,10 +50,11 @@ type compiledNode struct {
 // hierarchy is a flat node table plus a flat child index (one int32 per
 // unit, -1 = leaf). Routing methods produce placements byte-identical to
 // the equivalent *GHSOM tree walk at every Parallelism setting. The BMU
-// search is f64 throughout: single records and small node groups take
-// the screened scalar probes (bmuMasked, bmuFull), and larger groups of
-// a batch take the blocked GEMM descent (RouteTrainedFlat). A Compiled
-// is immutable after construction and safe for concurrent use.
+// search is f64 throughout and has one engine: every routing call — a
+// batch (RouteTrainedFlat), a single record (RouteTrained) or the
+// all-units walk (Route) — runs the blocked GEMM descent described at
+// RouteTrainedFlat. A Compiled is immutable after construction and safe
+// for concurrent use.
 type Compiled struct {
 	cfg  Config
 	dim  int
@@ -74,22 +72,6 @@ type Compiled struct {
 	// trainedIdx holds, per node, the ascending unit indices with
 	// counts > 0 (see compiledNode.trainedBase/trainedLen).
 	trainedIdx []int32
-	// probeIdx is trainedIdx reordered for the masked BMU search: the
-	// four highest-count units first (the opening group), the rest by
-	// proximity to the top unit. Probing likely winners first makes the
-	// pruning bounds tight from the start; explicit tie rules keep the
-	// result identical to the ascending scan.
-	probeIdx []int32
-	// pairDist holds per-node units×units matrices of quarter-squared
-	// distances between unit weights ((d/2)^2, see compiledNode.pairBase),
-	// the triangle-inequality pruning tables of the masked BMU search.
-	// Derived from the arena at compile/load time, never serialized.
-	pairDist []float64
-	// parentDist[unitBase+u] is the linear distance from unit u to the
-	// weight of the parent unit this node expands — the parent-ball
-	// screening row of the masked BMU search (zero for the root, which
-	// has no parent). Derived, never serialized.
-	parentDist []float64
 	// norms[unitBase+u] is the squared Euclidean norm of unit u's arena
 	// row — the ‖w‖² term of the blocked batch descent's expanded-form
 	// BMU search. A Compiled is immutable, so unlike som.Map's versioned
@@ -172,12 +154,8 @@ func Compile(g *GHSOM) *Compiled {
 }
 
 // buildTrainedIndex derives the per-node effective-codebook unit lists
-// from the counts table, plus the count-ordered probe lists the masked
-// BMU search scans.
+// from the counts table, then the norm tables of the descent.
 func (c *Compiled) buildTrainedIndex() {
-	if len(c.parentDist) != len(c.childIndex) {
-		c.parentDist = make([]float64, len(c.childIndex))
-	}
 	c.trainedIdx = c.trainedIdx[:0]
 	for i := range c.nodes {
 		nd := &c.nodes[i]
@@ -189,87 +167,7 @@ func (c *Compiled) buildTrainedIndex() {
 		}
 		nd.trainedLen = len(c.trainedIdx) - nd.trainedBase
 	}
-	c.probeIdx = append(c.probeIdx[:0], c.trainedIdx...)
-	c.buildPairTables()
 	c.buildNormTables()
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		probe := c.probeIdx[nd.trainedBase : nd.trainedBase+nd.trainedLen]
-		counts := c.counts[nd.unitBase : nd.unitBase+nd.units]
-		sort.SliceStable(probe, func(a, b int) bool {
-			ca, cb := counts[probe[a]], counts[probe[b]]
-			if ca != cb {
-				return ca > cb
-			}
-			return probe[a] < probe[b]
-		})
-		// Parent-ball row: the linear distance from every unit to the
-		// parent unit's weight. The descent knows the exact distance
-		// d(x, parent unit) when it enters this node, so the row turns
-		// into a screening annulus at zero extra distance computations.
-		if nd.parent >= 0 {
-			pn := &c.nodes[nd.parent]
-			pOff := pn.weightOff + nd.parentUnit*c.dim
-			pw := c.arena[pOff : pOff+c.dim]
-			pRow := c.parentDist[nd.unitBase : nd.unitBase+nd.units]
-			for u := 0; u < nd.units; u++ {
-				pRow[u] = math.Sqrt(vecmath.SquaredDistanceFlat(pw, c.arena, nd.weightOff+u*c.dim))
-			}
-		}
-		// Probes beyond the opening group are reordered by proximity to
-		// the top probe: when screening lets a near-tie through, meeting
-		// it early tightens the best bound for everything after it. Scan
-		// order never changes the result (the tie rules in bmuMasked are
-		// order-independent), only the pruning rate.
-		if len(probe) > 4 && nd.pairBase >= 0 {
-			pd := c.pairDist[nd.pairBase+int(probe[0])*nd.units:][:nd.units]
-			rest := probe[4:]
-			sort.SliceStable(rest, func(a, b int) bool {
-				da, db := pd[rest[a]], pd[rest[b]]
-				if da != db {
-					return da < db
-				}
-				return rest[a] < rest[b]
-			})
-		}
-	}
-}
-
-// Pairwise-table build caps: a degenerate model with one huge map must
-// not force a quadratic allocation, so oversized nodes simply run without
-// a pruning table.
-const (
-	pairMaxUnits  = 2048    // per-node unit cap for a units×units table
-	pairMaxFloats = 1 << 22 // total pairwise entries across the model
-)
-
-// buildPairTables precomputes, per node, the quarter-squared distances
-// ((d/2)^2) between every pair of unit weights — the triangle-inequality
-// pruning tables of bmuMasked, stored in squared space so the hot-path
-// comparison needs no square roots. Derived deterministically from the
-// arena.
-func (c *Compiled) buildPairTables() {
-	c.pairDist = c.pairDist[:0]
-	for i := range c.nodes {
-		nd := &c.nodes[i]
-		nd.pairBase = -1
-		units := nd.units
-		if units > pairMaxUnits || len(c.pairDist)+units*units > pairMaxFloats {
-			continue
-		}
-		base := len(c.pairDist)
-		nd.pairBase = base
-		c.pairDist = append(c.pairDist, make([]float64, units*units)...)
-		pd := c.pairDist[base : base+units*units]
-		for a := 0; a < units; a++ {
-			rowA := c.arena[nd.weightOff+a*c.dim : nd.weightOff+(a+1)*c.dim]
-			for b := a + 1; b < units; b++ {
-				d := vecmath.SquaredDistanceFlat(rowA, c.arena, nd.weightOff+b*c.dim) * 0.25
-				pd[a*units+b] = d
-				pd[b*units+a] = d
-			}
-		}
-	}
 }
 
 // buildNormTables precomputes the per-unit squared weight norms and the
@@ -343,18 +241,15 @@ func (c *Compiled) UnitWeight(nodeID, unit int) []float64 {
 func (c *Compiled) ArenaBytes() int { return len(c.arena) * 8 }
 
 // TableBytes returns the memory footprint of the routing tables (node
-// table, child index, counts, unit errors, trained/probe unit lists,
-// pairwise pruning tables, and the norm caches of the batch descent).
+// table, child index, counts, unit errors, trained unit lists, and the
+// norm caches of the descent).
 func (c *Compiled) TableBytes() int {
-	const nodeBytes = 11 * 8 // compiledNode fields
+	const nodeBytes = 10 * 8 // compiledNode fields
 	return len(c.nodes)*nodeBytes +
 		len(c.childIndex)*4 +
 		len(c.counts)*8 +
 		len(c.unitQE)*8 +
 		len(c.trainedIdx)*4 +
-		len(c.probeIdx)*4 +
-		len(c.pairDist)*8 +
-		len(c.parentDist)*8 +
 		c.NormBytes()
 }
 
@@ -444,425 +339,59 @@ func (c *Compiled) Stats() Stats {
 	return s
 }
 
-// The BMU kernels below accumulate each unit's squared Euclidean
-// distance in the exact term order of vecmath.SquaredDistanceFlat,
-// abandoning a unit once its partial sum reaches the current best: the
-// remaining terms are non-negative, so the final sum could only be >= the
-// partial and the unit can no longer win. A winning unit is never
-// abandoned, so the chosen BMUs and their distances — and therefore every
-// placement — are bit-identical to the unbounded tree-walk kernels. The
-// distance loop is written inline (not as a helper) so the hot descent
-// carries no per-unit call overhead.
-
-// bmuFull is the full-map BMU search of one compiled node, mirroring
-// som.Map.BMU on the dimension-matched path (including the degenerate
-// all-NaN contract of reporting unit 0).
-func (c *Compiled) bmuFull(x []float64, nd *compiledNode) (int, float64) {
-	best, bestVal := -1, math.Inf(1)
-	dim := len(x)
-	off := nd.weightOff
-	for u := 0; u < nd.units; u, off = u+1, off+dim {
-		row := c.arena[off : off+dim]
-		var sum float64
-		j := 0
-		for ; j+4 <= dim; j += 4 {
-			d0 := x[j] - row[j]
-			sum += d0 * d0
-			d1 := x[j+1] - row[j+1]
-			sum += d1 * d1
-			d2 := x[j+2] - row[j+2]
-			sum += d2 * d2
-			d3 := x[j+3] - row[j+3]
-			sum += d3 * d3
-			if sum >= bestVal {
-				break
-			}
-		}
-		if j+4 <= dim {
-			continue // abandoned: this unit cannot win
-		}
-		for ; j < dim; j++ {
-			d := x[j] - row[j]
-			sum += d * d
-		}
-		if sum < bestVal {
-			best, bestVal = u, sum
-		}
-	}
-	if best < 0 {
-		return 0, bestVal
-	}
-	return best, bestVal
-}
-
-// pairSkipMargin is the relative safety factor of the pairwise-distance
-// pruning rule, applied in squared space: a probe u is skipped only when
-// (d(u,best)/2)^2 > d2(x,best) * pairSkipMargin. The triangle inequality
-// d(x,u) >= d(u,best) - d(x,best) makes the unmargined rule exact in real
-// arithmetic; the compiled tables and the running best are computed in
-// floating point, whose accumulated relative error over a distance sum is
-// ~1e-13 at most. Inflating the threshold by 1e-9 therefore only ever
-// keeps extra candidates (which are then judged by their exact canonical
-// distance) — it can never skip a unit that would have won or tied — so
-// placements remain bit-identical.
-const pairSkipMargin = 1 + 1e-9
-
-// bmuMasked is the effective-codebook BMU search of one compiled node,
-// mirroring som.Map.BMUMasked: only units that won training data compete,
-// and ok is false when the node has none.
-//
-// The scan is organized for speed without changing the result:
-//
-//   - Units are probed in descending training-count order (probeIdx), so
-//     the likeliest winner is met first and the pruning bound is tight
-//     from the start.
-//   - The first four probes are scanned together with four independent
-//     accumulators, so their serial float-add chains overlap in the
-//     pipeline. Each unit's sum is still accumulated in the exact term
-//     order of vecmath.SquaredDistanceFlat, so every distance is
-//     bit-identical to the tree walk's.
-//   - Remaining units are screened by the compiled pairwise-distance
-//     table: unit u cannot beat (or tie) the best b when
-//     d(u, b) > 2*d(x, b), by the triangle inequality, so most units
-//     cost one table load and one compare instead of a distance scan.
-//   - Survivors run the canonical distance loop with partial-sum
-//     abandonment (strictly above best only — an exact tie must finish
-//     so the index rule below can judge it).
-//   - Ties resolve to the lowest unit index — exactly the result of
-//     BMUMasked's ascending scan.
-func (c *Compiled) bmuMasked(x []float64, nd *compiledNode, parentDelta float64) (int, float64, bool) {
-	dim := len(x)
-	probe := c.probeIdx[nd.trainedBase : nd.trainedBase+nd.trainedLen]
-	if len(probe) == 0 {
-		return 0, 0, false
-	}
-	best, bestVal := -1, math.Inf(1)
-	arena := c.arena
-	// Opening group: up to four probes scanned with independent
-	// accumulators so their serial float-add chains overlap in the
-	// pipeline. NaN or +Inf sums never pass the comparisons below,
-	// mirroring the reference kernel where such units are never selected.
-	start := len(probe)
-	if start > 4 {
-		start = 4
-	}
-	switch start {
-	case 4:
-		u0, u1, u2, u3 := int(probe[0]), int(probe[1]), int(probe[2]), int(probe[3])
-		r0 := arena[nd.weightOff+u0*dim:][:dim]
-		r1 := arena[nd.weightOff+u1*dim:][:dim]
-		r2 := arena[nd.weightOff+u2*dim:][:dim]
-		r3 := arena[nd.weightOff+u3*dim:][:dim]
-		var s0, s1, s2, s3 float64
-		for j := 0; j < dim; j++ {
-			xv := x[j]
-			d0 := xv - r0[j]
-			s0 += d0 * d0
-			d1 := xv - r1[j]
-			s1 += d1 * d1
-			d2 := xv - r2[j]
-			s2 += d2 * d2
-			d3 := xv - r3[j]
-			s3 += d3 * d3
-		}
-		if s0 < bestVal {
-			best, bestVal = u0, s0
-		}
-		if s1 < bestVal || (s1 == bestVal && u1 < best) {
-			best, bestVal = u1, s1
-		}
-		if s2 < bestVal || (s2 == bestVal && u2 < best) {
-			best, bestVal = u2, s2
-		}
-		if s3 < bestVal || (s3 == bestVal && u3 < best) {
-			best, bestVal = u3, s3
-		}
-	case 3:
-		u0, u1, u2 := int(probe[0]), int(probe[1]), int(probe[2])
-		r0 := arena[nd.weightOff+u0*dim:][:dim]
-		r1 := arena[nd.weightOff+u1*dim:][:dim]
-		r2 := arena[nd.weightOff+u2*dim:][:dim]
-		var s0, s1, s2 float64
-		for j := 0; j < dim; j++ {
-			xv := x[j]
-			d0 := xv - r0[j]
-			s0 += d0 * d0
-			d1 := xv - r1[j]
-			s1 += d1 * d1
-			d2 := xv - r2[j]
-			s2 += d2 * d2
-		}
-		if s0 < bestVal {
-			best, bestVal = u0, s0
-		}
-		if s1 < bestVal || (s1 == bestVal && u1 < best) {
-			best, bestVal = u1, s1
-		}
-		if s2 < bestVal || (s2 == bestVal && u2 < best) {
-			best, bestVal = u2, s2
-		}
-	case 2:
-		u0, u1 := int(probe[0]), int(probe[1])
-		r0 := arena[nd.weightOff+u0*dim:][:dim]
-		r1 := arena[nd.weightOff+u1*dim:][:dim]
-		var s0, s1 float64
-		for j := 0; j < dim; j++ {
-			xv := x[j]
-			d0 := xv - r0[j]
-			s0 += d0 * d0
-			d1 := xv - r1[j]
-			s1 += d1 * d1
-		}
-		if s0 < bestVal {
-			best, bestVal = u0, s0
-		}
-		if s1 < bestVal || (s1 == bestVal && u1 < best) {
-			best, bestVal = u1, s1
-		}
-	case 1:
-		u0 := int(probe[0])
-		r0 := arena[nd.weightOff+u0*dim:][:dim]
-		var s0 float64
-		for j := 0; j < dim; j++ {
-			d0 := x[j] - r0[j]
-			s0 += d0 * d0
-		}
-		if s0 < bestVal {
-			best, bestVal = u0, s0
-		}
-	}
-	// Screening rules — a probe u is skipped when either triangle-
-	// inequality test excludes it:
-	//
-	//  1. Best ball: d(u,b) > 2*d(x,b) for the running best b. The
-	//     pairwise table stores (d(u,b)/2)^2, so this is one load and one
-	//     compare against the running best squared distance, square-root
-	//     free.
-	//  2. Parent annulus: |d(u,p) - d(x,p)| > d(x,b) for the parent unit
-	//     p this node expands, whose exact distance parentDelta the
-	//     descent computed one level up: then d(x,u) >= |d(u,p) - d(x,p)|
-	//     > d(x,b), so u cannot win or tie. Units outside the annulus
-	//     [parentDelta-delta, parentDelta+delta] are skipped with one
-	//     table load and two compares.
-	var pdRow, pRow []float64
-	qbound := math.Inf(1)
-	pHi, pLo := math.Inf(1), math.Inf(-1)
-	if best >= 0 {
-		qbound = bestVal * pairSkipMargin
-		if nd.pairBase >= 0 {
-			pdRow = c.pairDist[nd.pairBase+best*nd.units:][:nd.units]
-		}
-		if nd.parent >= 0 && parentDelta == parentDelta {
-			pRow = c.parentDist[nd.unitBase : nd.unitBase+nd.units]
-			delta := math.Sqrt(bestVal)
-			pHi = (parentDelta + delta) * pairSkipMargin
-			// The lower bound subtracts two near-equal magnitudes, so a
-			// relative margin on the difference would not cover the
-			// subtraction's own rounding error; the safety margin must be
-			// absolute, scaled to the operands' magnitude.
-			pLo = parentDelta - delta - parentDelta*(pairSkipMargin-1)
-		}
-	}
-	// Scan the survivors four at a time with independent accumulators and
-	// group abandonment (all four partial sums strictly above best —
-	// strict, because an exact tie must finish so the index rule can judge
-	// it). The bound only tightens as the scan advances, so screening a
-	// later probe against an older, looser bound is always conservative.
-	i := start
-	for i < len(probe) {
-		var pend [4]int
-		np := 0
-		for ; i < len(probe) && np < 4; i++ {
-			u := int(probe[i])
-			if pdRow != nil && pdRow[u] > qbound {
-				continue // best ball: u cannot win or tie
-			}
-			if pRow != nil && (pRow[u] > pHi || pRow[u] < pLo) {
-				continue // parent annulus: u cannot win or tie
-			}
-			pend[np] = u
-			np++
-		}
-		prevBest := best
-		if np == 4 {
-			u0, u1, u2, u3 := pend[0], pend[1], pend[2], pend[3]
-			r0 := arena[nd.weightOff+u0*dim:][:dim]
-			r1 := arena[nd.weightOff+u1*dim:][:dim]
-			r2 := arena[nd.weightOff+u2*dim:][:dim]
-			r3 := arena[nd.weightOff+u3*dim:][:dim]
-			var s0, s1, s2, s3 float64
-			j := 0
-			abandoned := false
-			for j+8 <= dim {
-				lim := j + 8
-				for ; j < lim; j++ {
-					xv := x[j]
-					d0 := xv - r0[j]
-					s0 += d0 * d0
-					d1 := xv - r1[j]
-					s1 += d1 * d1
-					d2 := xv - r2[j]
-					s2 += d2 * d2
-					d3 := xv - r3[j]
-					s3 += d3 * d3
-				}
-				if s0 > bestVal && s1 > bestVal && s2 > bestVal && s3 > bestVal {
-					abandoned = true
-					break
-				}
-			}
-			if !abandoned {
-				for ; j < dim; j++ {
-					xv := x[j]
-					d0 := xv - r0[j]
-					s0 += d0 * d0
-					d1 := xv - r1[j]
-					s1 += d1 * d1
-					d2 := xv - r2[j]
-					s2 += d2 * d2
-					d3 := xv - r3[j]
-					s3 += d3 * d3
-				}
-				if s0 < bestVal || (s0 == bestVal && u0 < best) {
-					best, bestVal = u0, s0
-				}
-				if s1 < bestVal || (s1 == bestVal && u1 < best) {
-					best, bestVal = u1, s1
-				}
-				if s2 < bestVal || (s2 == bestVal && u2 < best) {
-					best, bestVal = u2, s2
-				}
-				if s3 < bestVal || (s3 == bestVal && u3 < best) {
-					best, bestVal = u3, s3
-				}
-			}
-		} else {
-			for k := 0; k < np; k++ {
-				u := pend[k]
-				row := arena[nd.weightOff+u*dim:][:dim]
-				var sum float64
-				j := 0
-				abandoned := false
-				for j+8 <= dim {
-					lim := j + 8
-					for ; j < lim; j++ {
-						d := x[j] - row[j]
-						sum += d * d
-					}
-					if sum > bestVal {
-						abandoned = true
-						break
-					}
-				}
-				if abandoned {
-					continue
-				}
-				for ; j < dim; j++ {
-					d := x[j] - row[j]
-					sum += d * d
-				}
-				if sum < bestVal || (sum == bestVal && u < best) {
-					best, bestVal = u, sum
-				}
-			}
-		}
-		if best != prevBest {
-			qbound = bestVal * pairSkipMargin
-			if nd.pairBase >= 0 {
-				pdRow = c.pairDist[nd.pairBase+best*nd.units:][:nd.units]
-			}
-			if pRow != nil {
-				delta := math.Sqrt(bestVal)
-				pHi = (parentDelta + delta) * pairSkipMargin
-				pLo = parentDelta - delta - parentDelta*(pairSkipMargin-1)
-			}
-		}
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	return best, bestVal, true
-}
-
 // Route descends the compiled hierarchy by full-map best-matching units,
 // exactly like GHSOM.Route: a dimension mismatch returns a Placement with
-// QE = NaN, and placements are byte-identical to the tree walk.
-func (c *Compiled) Route(x []float64) Placement {
-	if len(x) != c.dim {
-		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}
-	}
-	ni := 0
-	for {
-		nd := &c.nodes[ni]
-		bmu, d2 := c.bmuFull(x, nd)
-		child := c.childIndex[nd.unitBase+bmu]
-		if child < 0 {
-			return Placement{NodeID: ni, Unit: bmu, Depth: nd.depth, QE: math.Sqrt(d2)}
-		}
-		ni = int(child)
-	}
-}
+// QE = NaN, and placements are byte-identical to the tree walk. It is a
+// one-row call of the blocked descent with every unit as the candidate
+// set.
+func (c *Compiled) Route(x []float64) Placement { return c.routeRow(x, false) }
 
 // RouteTrained descends through the effective codebook (units that won
 // training data, falling back to the full map when a node has none),
-// exactly like GHSOM.RouteTrained, with byte-identical placements.
-func (c *Compiled) RouteTrained(x []float64) Placement {
+// exactly like GHSOM.RouteTrained, with byte-identical placements. It is
+// a one-row call of the same blocked descent as RouteTrainedFlat.
+func (c *Compiled) RouteTrained(x []float64) Placement { return c.routeRow(x, true) }
+
+// routeRow routes one record through routeChunk on pooled scratch, so a
+// lone record costs no steady-state allocation.
+func (c *Compiled) routeRow(x []float64, trained bool) Placement {
 	if len(x) != c.dim {
 		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}
 	}
-	return c.routeTrainedRow(x)
-}
-
-// routeTrainedRow is the table-driven descent kernel: one scan over the
-// node's trained-unit list per level, one child-index load to descend.
-func (c *Compiled) routeTrainedRow(x []float64) Placement {
-	ni := 0
-	parentDelta := math.NaN() // no parent ball at the root
-	for {
-		nd := &c.nodes[ni]
-		bmu, d2, ok := c.bmuMasked(x, nd, parentDelta)
-		if !ok {
-			bmu, d2 = c.bmuFull(x, nd)
-		}
-		child := c.childIndex[nd.unitBase+bmu]
-		if child < 0 {
-			return Placement{NodeID: ni, Unit: bmu, Depth: nd.depth, QE: math.Sqrt(d2)}
-		}
-		parentDelta = math.Sqrt(d2)
-		ni = int(child)
+	mat, err := vecmath.MatrixOver(x, 1, c.dim)
+	if err != nil {
+		return Placement{NodeID: -1, Unit: -1, QE: math.NaN()}
 	}
+	sc := routeScratchPool.Get().(*routeScratch)
+	c.routeChunk(mat, 0, 1, sc.one[:], sc, trained)
+	p := sc.one[0]
+	routeScratchPool.Put(sc)
+	return p
 }
 
-// routeScratchPool recycles the per-worker state of the blocked batch
-// descent: the duplicate-row index, the per-record descent state, and
-// the GEMM score tiles. The maps are cleared before being pooled, so no
+// routeScratchPool recycles the per-worker state of the blocked descent:
+// the duplicate-row index, the per-record descent state, and the GEMM
+// score tiles. The dedup index is emptied before a chunk returns, so no
 // caller memory is retained across calls.
 var routeScratchPool = sync.Pool{
-	New: func() any { return &routeScratch{seen: make(map[string]int, 512)} },
+	New: func() any { return &routeScratch{seen: make(map[string]int)} },
 }
 
 type routeScratch struct {
 	seen   map[string]int
 	ref    []int32   // per chunk row: chunk-relative representative (dedup)
 	xn     []float64 // per unique row: squared record norm
-	pd     []float64 // per unique row: exact distance at the parent level (NaN = unknown)
 	cur    []int32   // per unique row: current node of the descent
 	act    []int32   // active unique rows (not yet placed)
 	nxt    []int32   // next level's active rows (double buffer)
-	counts []int32   // per node: counting-sort state
+	counts []int32   // per node: counting-sort state, all zero between levels
+	live   []int32   // nodes holding active rows this level, first-seen order
 	order  []int32   // active rows grouped by node
 	gidx   []int     // absolute matrix rows of one GEMM tile
-	allIdx []int32   // 0..units-1 candidate set for untrained nodes
+	allIdx []int32   // 0..units-1 candidate set (untrained nodes, Route)
 	scores []float64 // GEMM tile: records×units dots, then expanded distances
-
+	one    [1]Placement
 }
-
-// routeGemmMin is the smallest per-node group the descent scores through
-// the blocked engine — smaller groups take the scalar screened probe
-// path (bmuMasked), which wins when there is no batch to amortize the
-// block over. The record rows per GEMM block are no longer a constant:
-// they come from the per-model TileConfig resolved in buildNormTables.
-const routeGemmMin = 8
 
 // RouteTrainedFlat routes every row of the flat row-major batch through
 // the effective codebook into out, with placements byte-identical to
@@ -875,17 +404,15 @@ const routeGemmMin = 8
 // then all records sitting at the same node of the hierarchy are scored
 // against that node's units×dim weight block with one blocked
 // expanded-form matrix product per group (vecmath.MulBatchT plus the
-// compiled norm tables) instead of one scalar probe loop per record.
-// Expanded distances only nominate candidates; winners are settled with
-// the canonical kernel exactly as bmuMasked would, interior levels skip
+// compiled norm tables). Expanded distances only nominate candidates;
+// winners are settled with the canonical kernel, interior levels skip
 // the canonical scan entirely when a single candidate survives the
-// margin, and groups too small to fill a block — or records whose
-// magnitudes fall outside the expanded form's error model — take the
-// scalar screened path, so placements stay byte-identical to the
-// per-record tree walk. The dedup index keys alias the caller's flat
-// buffer only for the duration of the call (the caller must not mutate
-// flat concurrently, which the batch contract already requires) and are
-// dropped before the scratch returns to its pool.
+// margin, and records whose magnitudes fall outside the expanded form's
+// error model take a plain canonical scan, so placements stay
+// byte-identical to the per-record tree walk. The dedup index keys alias
+// the caller's flat buffer only for the duration of the call (the caller
+// must not mutate flat concurrently, which the batch contract already
+// requires) and are deleted before the scratch returns to its pool.
 func (c *Compiled) RouteTrainedFlat(flat []float64, n int, out []Placement, parallelism int) error {
 	if len(flat) < n*c.dim {
 		return fmt.Errorf("core: route flat batch of %d rows from %d values, want >= %d", n, len(flat), n*c.dim)
@@ -918,7 +445,7 @@ func (c *Compiled) RouteTrainedFlat(flat []float64, n int, out []Placement, para
 		scratches[i] = routeScratchPool.Get().(*routeScratch)
 	}
 	parallel.ForEachChunk(nil, parallelism, n, grain, func(wk, lo, hi int) error {
-		c.routeTrainedChunk(mat, lo, hi, out, scratches[wk])
+		c.routeChunk(mat, lo, hi, out, scratches[wk], true)
 		return nil
 	})
 	for _, sc := range scratches {
@@ -945,46 +472,66 @@ func growF(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// routeTrainedChunk runs the deduplicated level-synchronous descent for
-// chunk rows [lo, hi) of mat, writing placements into out at absolute
-// row positions.
-func (c *Compiled) routeTrainedChunk(mat vecmath.Matrix, lo, hi int, out []Placement, sc *routeScratch) {
+// rowKey is the dedup index key of a row: its bytes, aliased in place.
+func rowKey(row []float64) string {
+	return unsafe.String((*byte)(unsafe.Pointer(&row[0])), len(row)*8)
+}
+
+// routeChunk runs the deduplicated level-synchronous descent for chunk
+// rows [lo, hi) of mat, writing placements into out at absolute row
+// positions. trained selects the effective codebook (RouteTrained) over
+// the full map (Route). Its fixed cost scales with the chunk: a lone row
+// skips the dedup index, and each level groups only the nodes that
+// active rows occupy.
+func (c *Compiled) routeChunk(mat vecmath.Matrix, lo, hi int, out []Placement, sc *routeScratch, trained bool) {
 	m := hi - lo
 	ref := grow32(&sc.ref, m)
 	xn := growF(&sc.xn, m)
-	pd := growF(&sc.pd, m)
 	cur := grow32(&sc.cur, m)
 	act := sc.act[:0]
 	for i := 0; i < m; i++ {
 		row := mat.Row(lo + i)
-		key := unsafe.String((*byte)(unsafe.Pointer(&row[0])), len(row)*8)
-		if j, ok := sc.seen[key]; ok {
-			ref[i] = int32(j)
-			continue
+		if m > 1 {
+			key := rowKey(row)
+			if j, ok := sc.seen[key]; ok {
+				ref[i] = int32(j)
+				continue
+			}
+			sc.seen[key] = i
 		}
-		sc.seen[key] = i
 		ref[i] = int32(i)
 		cur[i] = 0
 		xn[i] = vecmath.SumSquares(row)
-		pd[i] = math.NaN() // no parent ball at the root
 		act = append(act, int32(i))
 	}
-	clear(sc.seen)
+	if m > 1 {
+		for _, r := range act {
+			delete(sc.seen, rowKey(mat.Row(lo+int(r))))
+		}
+	}
 
-	nodes := len(c.nodes)
-	counts := grow32(&sc.counts, nodes)
+	// The counts table is sized for the model but kept all zero between
+	// levels, so each level touches only the entries of live nodes.
+	counts := sc.counts
+	if len(counts) < len(c.nodes) {
+		counts = make([]int32, len(c.nodes))
+		sc.counts = counts
+	}
 	for len(act) > 0 {
 		// Counting sort groups the active records by their current node:
-		// one pass to count, one stable scatter pass. Every record at the
-		// same node then shares that node's GEMM blocks this level.
-		for i := range counts {
-			counts[i] = 0
-		}
+		// one pass to count (noting each node on first sight), one stable
+		// scatter pass. Every record at the same node then shares that
+		// node's GEMM blocks this level.
+		live := sc.live[:0]
 		for _, r := range act {
+			if counts[cur[r]] == 0 {
+				live = append(live, cur[r])
+			}
 			counts[cur[r]]++
 		}
+		sc.live = live
 		sum := int32(0)
-		for ni := 0; ni < nodes; ni++ {
+		for _, ni := range live {
 			cnt := counts[ni]
 			counts[ni] = sum
 			sum += cnt
@@ -996,17 +543,14 @@ func (c *Compiled) routeTrainedChunk(mat vecmath.Matrix, lo, hi int, out []Place
 		}
 		nxt := sc.nxt[:0]
 		start := int32(0)
-		for ni := 0; ni < nodes && int(start) < len(order); ni++ {
+		for _, ni := range live {
 			end := counts[ni] // post-scatter: end offset of node ni's group
-			if end == start {
-				continue
-			}
-			nxt = c.routeLevelNode(mat, lo, ni, order[start:end], xn, pd, cur, out, nxt, sc)
+			counts[ni] = 0
+			nxt = c.routeLevelNode(mat, lo, int(ni), order[start:end], xn, cur, out, nxt, sc, trained)
 			start = end
 		}
-		sc.act = act
+		sc.act, sc.nxt = nxt, act
 		act = nxt
-		sc.act, sc.nxt = nxt, sc.act
 	}
 	sc.act = act[:0]
 
@@ -1020,31 +564,21 @@ func (c *Compiled) routeTrainedChunk(mat vecmath.Matrix, lo, hi int, out []Place
 
 // routeLevelNode advances one node's record group by one level: the
 // group is scored in GEMM blocks of the model's resolved tile rows
-// against the node's weight block (or probed scalar when too small),
-// each record's BMU is settled exactly, and records descending into a
-// child are appended to nxt.
-func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32, xn, pd []float64, cur []int32, out []Placement, nxt []int32, sc *routeScratch) []int32 {
+// against the node's weight block, each record's BMU is settled exactly,
+// and records descending into a child are appended to nxt.
+func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32, xn []float64, cur []int32, out []Placement, nxt []int32, sc *routeScratch, trained bool) []int32 {
 	nd := &c.nodes[ni]
 	dim := c.dim
-	if len(group) < routeGemmMin {
-		for _, r := range group {
-			row := mat.Row(lo + int(r))
-			bmu, d2, ok := c.bmuMasked(row, nd, pd[r])
-			if !ok {
-				bmu, d2 = c.bmuFull(row, nd)
-			}
-			nxt = c.stepRecord(ni, nd, int(r), bmu, d2, true, row, cur, pd, out, lo, nxt)
-		}
-		return nxt
-	}
 	weights := c.arena[nd.weightOff : nd.weightOff+nd.units*dim]
 	norms := c.norms[nd.unitBase : nd.unitBase+nd.units]
 	maxN := c.nodeMaxNorm[ni]
 	// The candidate set is the effective codebook; a node with no trained
-	// units falls back to the full map, exactly like the scalar descent.
-	units := c.trainedIdx[nd.trainedBase : nd.trainedBase+nd.trainedLen]
-	masked := len(units) > 0
-	if !masked {
+	// units — or any node of the all-units walk — takes the full map.
+	var units []int32
+	if trained {
+		units = c.trainedIdx[nd.trainedBase : nd.trainedBase+nd.trainedLen]
+	}
+	if len(units) == 0 {
 		all := grow32(&sc.allIdx, nd.units)
 		for u := range all {
 			all[u] = int32(u)
@@ -1063,15 +597,12 @@ func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32,
 			gidx = append(gidx, lo+int(r))
 		}
 		sc.gidx = gidx
-		if cap(sc.scores) < len(blk)*nd.units {
-			sc.scores = make([]float64, len(blk)*nd.units)
-		}
-		scores := sc.scores[:len(blk)*nd.units]
+		scores := growF(&sc.scores, len(blk)*nd.units)
 		vecmath.MulBatchT(mat.Subset(gidx), weights, scores)
 		for k, r := range blk {
 			row := mat.Row(lo + int(r))
-			bmu, d2, haveD2 := c.settleNode(row, xn[r], nd, norms, maxN, units, masked, scores[k*nd.units:(k+1)*nd.units])
-			nxt = c.stepRecord(ni, nd, int(r), bmu, d2, haveD2, row, cur, pd, out, lo, nxt)
+			bmu, d2, haveD2 := c.settleNode(row, xn[r], nd, norms, maxN, units, scores[k*nd.units:(k+1)*nd.units])
+			nxt = c.stepRecord(ni, nd, int(r), bmu, d2, haveD2, row, cur, out, lo, nxt)
 		}
 	}
 	return nxt
@@ -1082,7 +613,7 @@ func (c *Compiled) routeLevelNode(mat vecmath.Matrix, lo, ni int, group []int32,
 // fast path) and the unit turns out to be a leaf, the canonical distance
 // of the winner is computed here — exactly one canonical scan per
 // record, at the only level whose QE is observable.
-func (c *Compiled) stepRecord(ni int, nd *compiledNode, r, bmu int, d2 float64, haveD2 bool, row []float64, cur []int32, pd []float64, out []Placement, lo int, nxt []int32) []int32 {
+func (c *Compiled) stepRecord(ni int, nd *compiledNode, r, bmu int, d2 float64, haveD2 bool, row []float64, cur []int32, out []Placement, lo int, nxt []int32) []int32 {
 	child := c.childIndex[nd.unitBase+bmu]
 	if child < 0 {
 		if !haveD2 {
@@ -1092,41 +623,26 @@ func (c *Compiled) stepRecord(ni int, nd *compiledNode, r, bmu int, d2 float64, 
 		return nxt
 	}
 	cur[r] = child
-	if haveD2 {
-		pd[r] = math.Sqrt(d2)
-	} else {
-		pd[r] = math.NaN() // scalar fallback below just skips the annulus screen
-	}
 	return append(nxt, int32(r))
 }
 
 // settleNode resolves one record's BMU at one node from its GEMM dot
-// row, byte-identically to the scalar descent (bmuMasked with bmuFull
-// fallback): expanded-form distances nominate candidates within the
-// settle margin, the canonical kernel judges them (ties to the lowest
-// unit index), and degenerate magnitudes or empty candidate sets fall
-// back to the scalar kernels. units is the ascending candidate set —
-// the node's trained units (masked true) or every unit when none
-// trained, mirroring the scalar fallback chain. haveD2 reports whether
-// d2 is the settled canonical distance; it is false on the interior
-// fast path where a single candidate survived and no canonical scan was
-// needed. dots is overwritten with expanded distances.
-func (c *Compiled) settleNode(row []float64, xn float64, nd *compiledNode, norms []float64, maxN float64, units []int32, masked bool, dots []float64) (int, float64, bool) {
-	scalar := func() (int, float64, bool) {
-		if masked {
-			if bmu, d2, ok := c.bmuMasked(row, nd, math.NaN()); ok {
-				return bmu, d2, true
-			}
-		}
-		bmu, d2 := c.bmuFull(row, nd)
+// row, byte-identically to the tree walk's ascending scan (BMUMasked
+// with BMU fallback): expanded-form distances nominate candidates within
+// the settle margin, the canonical kernel judges them (ties to the
+// lowest unit index), and degenerate magnitudes or all-NaN candidates
+// fall back to scanNode. units is the ascending candidate set. haveD2
+// reports whether d2 is the settled canonical distance; it is false on
+// the interior fast path where a single candidate survived and no
+// canonical scan was needed. dots is overwritten with expanded
+// distances.
+func (c *Compiled) settleNode(row []float64, xn float64, nd *compiledNode, norms []float64, maxN float64, units []int32, dots []float64) (int, float64, bool) {
+	if !vecmath.ExpandGuardOK(xn, maxN) {
+		bmu, d2 := c.scanNode(row, nd, units)
 		return bmu, d2, true
 	}
-	if !vecmath.ExpandGuardOK(xn, maxN) {
-		return scalar()
-	}
 	minD := math.Inf(1)
-	for _, u32 := range units {
-		u := u32
+	for _, u := range units {
 		d := xn + norms[u] - 2*dots[u]
 		dots[u] = d
 		if d < minD {
@@ -1135,16 +651,16 @@ func (c *Compiled) settleNode(row []float64, xn float64, nd *compiledNode, norms
 	}
 	thr := minD + vecmath.ExpandSettleRel*(xn+maxN)
 	cand, ncand := -1, 0
-	for _, u32 := range units {
-		if dots[u32] <= thr {
-			cand = int(u32)
+	for _, u := range units {
+		if dots[u] <= thr {
+			cand = int(u)
 			if ncand++; ncand > 1 {
 				break
 			}
 		}
 	}
 	if ncand == 1 {
-		// The scalar winner is always within the margin, so a unique
+		// The canonical winner is always within the margin, so a unique
 		// candidate is it; its canonical distance is deferred until
 		// observable (leaf QE).
 		return cand, 0, false
@@ -1161,9 +677,29 @@ func (c *Compiled) settleNode(row []float64, xn float64, nd *compiledNode, norms
 	if best >= 0 {
 		return best, bestVal, true
 	}
-	// All candidate distances were NaN: defer to the scalar kernels,
-	// whose degenerate contracts are authoritative.
-	return scalar()
+	bmu, d2 := c.scanNode(row, nd, units)
+	return bmu, d2, true
+}
+
+// scanNode is the plain ascending canonical BMU scan of one node — the
+// contract of som.Map.BMUMasked falling back to BMU in the tree walk:
+// the lowest-index strict minimum over the candidate set, else over the
+// full map, else unit 0 at +Inf (every distance NaN or +Inf).
+func (c *Compiled) scanNode(row []float64, nd *compiledNode, units []int32) (int, float64) {
+	best, bestVal := -1, math.Inf(1)
+	for _, u32 := range units {
+		u := int(u32)
+		if d := vecmath.SquaredDistanceFlat(row, c.arena, nd.weightOff+u*c.dim); d < bestVal {
+			best, bestVal = u, d
+		}
+	}
+	if best < 0 {
+		best, bestVal = vecmath.ArgMinDistance(row, c.arena[nd.weightOff:nd.weightOff+nd.units*c.dim])
+	}
+	if best < 0 {
+		return 0, math.Inf(1)
+	}
+	return best, bestVal
 }
 
 // Decompile rebuilds the pointer-tree GHSOM from the compiled tables —

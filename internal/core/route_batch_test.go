@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ghsom/internal/som"
+	"ghsom/internal/vecmath"
 )
 
 // nearTieModel hand-builds a hierarchy whose unit weights are
@@ -60,10 +61,10 @@ func nearTieModel(t *testing.T) *GHSOM {
 	return g
 }
 
-// TestRouteTrainedFlatNearTies pins the blocked batch descent bitwise to
-// the scalar walks on the adversarial fixture, with enough distinct rows
-// per node group to force the GEMM path and duplicates to exercise the
-// dedup replay.
+// TestRouteTrainedFlatNearTies pins the blocked descent bitwise to the
+// tree walks on the adversarial fixture, at one-row and batch shapes
+// (RouteTrained, Route, RouteTrainedFlat), with duplicates to exercise
+// the dedup replay.
 func TestRouteTrainedFlatNearTies(t *testing.T) {
 	g := nearTieModel(t)
 	c := Compile(g)
@@ -90,8 +91,8 @@ func TestRouteTrainedFlatNearTies(t *testing.T) {
 		}
 		rows = append(rows, r)
 	}
-	// A cloud of tiny perturbations around base: ≥ routeGemmMin distinct
-	// rows at the root and in child A, so the GEMM path engages.
+	// A cloud of tiny perturbations around base: many distinct rows at
+	// the root and in child A, so GEMM groups span several rows.
 	for i := 0; i < 24; i++ {
 		r := make([]float64, dim)
 		for d := range r {
@@ -99,8 +100,9 @@ func TestRouteTrainedFlatNearTies(t *testing.T) {
 		}
 		rows = append(rows, r)
 	}
-	// Degenerate rows: NaN (scalar-contract fallback) and overflow-scale
-	// magnitudes (expanded-form guard fallback).
+	// Degenerate rows: NaN and overflow-scale magnitudes, which fail the
+	// expanded-form guard and take the plain canonical scan (for NaN, down
+	// to its unit-0 contract).
 	nanRow := make([]float64, dim)
 	for d := range nanRow {
 		nanRow[d] = math.NaN()
@@ -114,24 +116,43 @@ func TestRouteTrainedFlatNearTies(t *testing.T) {
 	// Duplicates interleaved across the batch for the dedup replay.
 	rows = append(rows, base, rows[3], mid)
 
+	// Both reach the fallback at every shape: the guard is decided per
+	// record before any GEMM score is read.
+	for _, r := range [][]float64{nanRow, huge} {
+		if vecmath.ExpandGuardOK(vecmath.SumSquares(r), c.nodeMaxNorm[0]) {
+			t.Fatalf("row %v passes the expanded-form guard; it must take the plain scan", r)
+		}
+	}
+
 	flat := make([]float64, 0, len(rows)*dim)
 	for _, r := range rows {
 		flat = append(flat, r...)
 	}
 	n := len(rows)
 
+	one := make([]Placement, 1)
+	for i, r := range rows {
+		wantTree := g.RouteTrained(r)
+		if got := c.RouteTrained(r); !placementsBitIdentical(wantTree, got) {
+			t.Fatalf("row %d: tree %+v != compiled per-record %+v", i, wantTree, got)
+		}
+		if err := c.RouteTrainedFlat(r, 1, one, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !placementsBitIdentical(wantTree, one[0]) {
+			t.Fatalf("row %d: one-row batch %+v != tree %+v", i, one[0], wantTree)
+		}
+		if want, got := g.Route(r), c.Route(r); !placementsBitIdentical(want, got) {
+			t.Fatalf("row %d: Route tree %+v != compiled %+v", i, want, got)
+		}
+	}
 	for _, par := range []int{1, 2, 8, 0} {
 		got := make([]Placement, n)
 		if err := c.RouteTrainedFlat(flat, n, got, par); err != nil {
 			t.Fatal(err)
 		}
 		for i, r := range rows {
-			wantTree := g.RouteTrained(r)
-			wantCompiled := c.RouteTrained(r)
-			if !placementsBitIdentical(wantTree, wantCompiled) {
-				t.Fatalf("row %d: tree %+v != compiled per-record %+v", i, wantTree, wantCompiled)
-			}
-			if !placementsBitIdentical(wantTree, got[i]) {
+			if wantTree := g.RouteTrained(r); !placementsBitIdentical(wantTree, got[i]) {
 				t.Fatalf("par %d row %d: batch %+v != tree %+v", par, i, got[i], wantTree)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // until routing first reads it, and every process serving the same file
 // sharing one physical copy. Without zero-copy (or when the tables land
 // unaligned) the tables are decoded into heap slices. The small derived
-// tables (child index, probe order, pruning and norm tables) are always
+// tables (child index, trained-unit lists and norm tables) are always
 // rebuilt heap-side, so routing on a mapped model is byte-identical to
 // routing on a heap-loaded one.
 

@@ -14,6 +14,9 @@ func xgetbv0() (eax, edx uint32)
 func mul2x4AVX(x0, x1, w0, w1, w2, w3 *float64, n int, out *float64)
 
 //go:noescape
+func mul1x8AVX(x, w *float64, stride, n int, out *float64)
+
+//go:noescape
 func sumSquaresAVX(x *float64, n int) float64
 
 //go:noescape
@@ -86,6 +89,9 @@ func mulBatchT(x View, flat []float64, out []float64, n, units, dim int) {
 			o1 = out[(r+1)*units : (r+2)*units]
 		}
 		u := 0
+		if r+1 == n {
+			u = mulLoneRow(x0, flat, o0, units, dim, dim4)
+		}
 		var res [8]float64
 		for ; u+4 <= units; u += 4 {
 			w0 := flat[(u+0)*dim : (u+1)*dim]
@@ -133,4 +139,25 @@ func mulBatchT(x View, flat []float64, out []float64, n, units, dim int) {
 			}
 		}
 	}
+}
+
+// mulLoneRow scores a record row that has no partner for the 2×4
+// micro-kernel (a one-row call, or the last row of an odd group) eight
+// units at a time with mul1x8AVX, so no FMA is spent on a duplicated
+// second record. It returns how many leading units it wrote; the caller
+// finishes the last 0–7 with the 2×4 path.
+func mulLoneRow(x0, flat, o0 []float64, units, dim, dim4 int) int {
+	var res [8]float64
+	u := 0
+	for ; u+8 <= units; u += 8 {
+		mul1x8AVX(&x0[0], &flat[u*dim], dim*8, dim4, &res[0])
+		for j := dim4; j < dim; j++ {
+			v := x0[j]
+			for k := range res {
+				res[k] += v * flat[(u+k)*dim+j]
+			}
+		}
+		copy(o0[u:u+8], res[:])
+	}
+	return u
 }

@@ -108,6 +108,85 @@ loop:
 	VZEROUPPER
 	RET
 
+// func mul1x8AVX(x, w *float64, stride, n int, out *float64)
+//
+// The 1-record × 8-unit dot micro-block of a lone record row:
+// out[k] = x·w_k over the first n elements, where weight row w_k starts
+// k*stride bytes after w. Eight independent FMA chains, each reading its
+// weight vector straight from memory, keep both FMA ports busy without
+// the 2×4 kernel's duplicated second record.
+TEXT ·mul1x8AVX(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ w+8(FP), DI
+	MOVQ stride+16(FP), DX
+	MOVQ n+24(FP), CX
+	LEAQ (DI)(DX*1), R8
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	LEAQ (R12)(DX*1), R13
+	LEAQ (R13)(DX*1), BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+
+loop:
+	VMOVUPD     (SI)(AX*1), Y8
+	VFMADD231PD (DI)(AX*1), Y8, Y0
+	VFMADD231PD (R8)(AX*1), Y8, Y1
+	VFMADD231PD (R9)(AX*1), Y8, Y2
+	VFMADD231PD (R10)(AX*1), Y8, Y3
+	VFMADD231PD (R11)(AX*1), Y8, Y4
+	VFMADD231PD (R12)(AX*1), Y8, Y5
+	VFMADD231PD (R13)(AX*1), Y8, Y6
+	VFMADD231PD (BX)(AX*1), Y8, Y7
+	ADDQ $32, AX
+	SUBQ $4, CX
+	JNZ  loop
+
+	MOVQ         out+32(FP), DX
+	VEXTRACTF128 $1, Y0, X8
+	VADDPD       X8, X0, X0
+	VHADDPD      X0, X0, X0
+	VMOVSD       X0, (DX)
+	VEXTRACTF128 $1, Y1, X8
+	VADDPD       X8, X1, X1
+	VHADDPD      X1, X1, X1
+	VMOVSD       X1, 8(DX)
+	VEXTRACTF128 $1, Y2, X8
+	VADDPD       X8, X2, X2
+	VHADDPD      X2, X2, X2
+	VMOVSD       X2, 16(DX)
+	VEXTRACTF128 $1, Y3, X8
+	VADDPD       X8, X3, X3
+	VHADDPD      X3, X3, X3
+	VMOVSD       X3, 24(DX)
+	VEXTRACTF128 $1, Y4, X8
+	VADDPD       X8, X4, X4
+	VHADDPD      X4, X4, X4
+	VMOVSD       X4, 32(DX)
+	VEXTRACTF128 $1, Y5, X8
+	VADDPD       X8, X5, X5
+	VHADDPD      X5, X5, X5
+	VMOVSD       X5, 40(DX)
+	VEXTRACTF128 $1, Y6, X8
+	VADDPD       X8, X6, X6
+	VHADDPD      X6, X6, X6
+	VMOVSD       X6, 48(DX)
+	VEXTRACTF128 $1, Y7, X8
+	VADDPD       X8, X7, X7
+	VHADDPD      X7, X7, X7
+	VMOVSD       X7, 56(DX)
+	VZEROUPPER
+	RET
+
 // func sumSquaresAVX(x *float64, n int) float64
 //
 // Two-chain squared-norm reduction over the first n elements.

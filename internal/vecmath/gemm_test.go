@@ -25,6 +25,9 @@ func TestMulBatchTMatchesDot(t *testing.T) {
 	for _, tc := range []struct{ n, units, dim int }{
 		{1, 1, 1}, {2, 3, 5}, {4, 2, 8}, {5, 7, 3}, {9, 5, 17},
 		{33, 9, 118}, {4, 4, 4}, {7, 1, 31}, {3, 8, 2},
+		// Lone record rows (one-row calls, odd groups) against eight or
+		// more units take the 1×8 kernel.
+		{1, 52, 68}, {3, 19, 6}, {1, 16, 4},
 	} {
 		flat := make([]float64, tc.units*tc.dim)
 		data := make([]float64, tc.n*tc.dim)

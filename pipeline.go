@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"unsafe"
 
 	"ghsom/internal/anomaly"
 	"ghsom/internal/core"
@@ -253,13 +254,21 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 // The returned slice is freshly allocated and owned by the caller.
 func (p *Pipeline) Encode(rec *Record) ([]float64, error) {
 	out := make([]float64, p.encoder.Dim())
-	if err := p.encoder.EncodeInto(rec, out); err != nil {
-		return nil, fmt.Errorf("ghsom: encode: %w", err)
-	}
-	if err := p.scaler.TransformInPlace(out); err != nil {
-		return nil, fmt.Errorf("ghsom: scale: %w", err)
+	if err := p.encodeOne(rec, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// encodeOne encodes and scales one record into row with encodeScaleRows,
+// the batch kernel, so every single-record entry point (Detect, Encode,
+// Score, Explain) rejects a non-finite feature exactly as DetectBatch
+// does.
+func (p *Pipeline) encodeOne(rec *Record, row []float64) error {
+	if err := encodeScaleRows(p.encoder, p.scaler, unsafe.Slice(rec, 1), 0, row); err != nil {
+		return fmt.Errorf("ghsom: %w", err)
+	}
+	return nil
 }
 
 // Detect classifies one record. It runs on the same flat dataplane as
@@ -271,11 +280,8 @@ func (p *Pipeline) Detect(rec *Record) (Prediction, error) {
 	buf := p.getBuf(d)
 	defer p.putBuf(buf)
 	row := buf.flat[:d]
-	if err := p.encoder.EncodeInto(rec, row); err != nil {
-		return Prediction{}, fmt.Errorf("ghsom: encode: %w", err)
-	}
-	if err := p.scaler.TransformInPlace(row); err != nil {
-		return Prediction{}, fmt.Errorf("ghsom: scale: %w", err)
+	if err := p.encodeOne(rec, row); err != nil {
+		return Prediction{}, err
 	}
 	return p.detector.Classify(row), nil
 }
