@@ -111,8 +111,9 @@ func TestDetectBatchFirstErrorSemantics(t *testing.T) {
 	}
 }
 
-// TestPipelineSaveLoadPersistsConfig verifies envelope v2 round-trips the
-// pipeline-level training configuration that v1 dropped.
+// TestPipelineSaveLoadPersistsConfig verifies the envelope round-trips
+// the pipeline-level training configuration (TrainCapPerLabel, Seed,
+// Parallelism, LogTransform) along with the model and detector configs.
 func TestPipelineSaveLoadPersistsConfig(t *testing.T) {
 	train := testRecords(t)
 	cfg := quickPipelineConfig()
@@ -145,32 +146,5 @@ func TestPipelineSaveLoadPersistsConfig(t *testing.T) {
 	if got.Detector.QEQuantile != pipe.Config().Detector.QEQuantile &&
 		got.Detector.QEQuantile != 0.99 {
 		t.Errorf("loaded detector config = %+v", got.Detector)
-	}
-}
-
-// TestLoadPipelineVersion1Compat verifies a v1 envelope (no config
-// fields) still loads, with the config fields at their zero values.
-func TestLoadPipelineVersion1Compat(t *testing.T) {
-	v2 := readFixture(t, fixtureV2)
-	loaded, err := LoadPipeline(bytes.NewReader(v1Envelope(t, v2)))
-	if err != nil {
-		t.Fatalf("v1 envelope rejected: %v", err)
-	}
-	if loaded.EnvelopeVersion() != 1 {
-		t.Fatalf("envelope version = %d, want 1", loaded.EnvelopeVersion())
-	}
-	if got := loaded.Config(); got.TrainCapPerLabel != 0 || got.Seed != 0 || got.Parallelism != 0 {
-		t.Errorf("v1 config fields = %+v, want zero values", got)
-	}
-	// Verdicts still identical to the v2 load.
-	ref, err := LoadPipeline(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := fixtureVerdicts(t, ref), fixtureVerdicts(t, loaded)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d verdict differs after v1 load: %+v vs %+v", i, got[i], want[i])
-		}
 	}
 }

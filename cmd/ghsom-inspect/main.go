@@ -47,11 +47,7 @@ func run(args []string) error {
 	fmt.Printf("model: %s\n", st)
 	fmt.Printf("tau1=%.3f tau2=%.3f maxDepth=%d seed=%d\n",
 		model.Config().Tau1, model.Config().Tau2, model.Config().MaxDepth, model.Config().Seed)
-	format := "binary"
-	if pipe.EnvelopeVersion() < 3 {
-		format = "json, compiled on load"
-	}
-	fmt.Printf("envelope: v%d (%s)\n", pipe.EnvelopeVersion(), format)
+	fmt.Printf("envelope: v%d (binary)\n", pipe.EnvelopeVersion())
 	residency := "heap"
 	if pipe.MappedBytes() > 0 {
 		residency = fmt.Sprintf("mmap, %s page-cache shared", humanBytes(pipe.MappedBytes()))

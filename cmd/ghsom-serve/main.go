@@ -9,9 +9,9 @@
 // small requests use every core.
 //
 // The server hosts a registry of named models with atomic hot-swap:
-// POST /model loads a new envelope (binary v3 or legacy JSON) under a
-// name without interrupting traffic — in-flight batches finish on the
-// pipeline they started with, and the next batch picks up the new one.
+// POST /model loads a new envelope (binary v3) under a name without
+// interrupting traffic — in-flight batches finish on the pipeline they
+// started with, and the next batch picks up the new one.
 // Requests select a model with ?model=NAME (default "default").
 //
 // HTTP endpoints:

@@ -3,7 +3,7 @@ package ghsom
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -62,15 +62,11 @@ func TestEnvelopeV3RoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// The legacy-format fixtures hold one small pipeline, frozen in the JSON
-// envelope v2 (which is load-only now) and in the binary envelope v3.
-// Both were written from the same trained pipeline: SmallScenario(5),
-// first 600 records, quickPipelineConfig with MaxDepth 2 and
-// TrainCapPerLabel 100.
-const (
-	fixtureV2 = "testdata/pipeline_v2.json"
-	fixtureV3 = "testdata/pipeline_v3.bin"
-)
+// fixtureV3 holds one small pipeline frozen in the binary envelope v3:
+// SmallScenario(5), first 600 records, quickPipelineConfig with MaxDepth
+// 2 and TrainCapPerLabel 100. TestTrainReproducesFixtureV3 retrains it
+// byte for byte; never regenerate it.
+const fixtureV3 = "testdata/pipeline_v3.bin"
 
 func readFixture(t testing.TB, path string) []byte {
 	t.Helper()
@@ -79,25 +75,6 @@ func readFixture(t testing.TB, path string) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// v1Envelope rewrites a v2 JSON envelope as version 1, without the v2
-// config fields.
-func v1Envelope(t testing.TB, v2 []byte) []byte {
-	t.Helper()
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(v2, &env); err != nil {
-		t.Fatal(err)
-	}
-	env["version"] = json.RawMessage("1")
-	delete(env, "trainCapPerLabel")
-	delete(env, "seed")
-	delete(env, "parallelism")
-	v1, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v1
 }
 
 // fixtureVerdicts classifies the fixed evaluation set serially.
@@ -111,27 +88,61 @@ func fixtureVerdicts(t *testing.T, p *Pipeline) []Prediction {
 	return out
 }
 
-// TestLoadPipelineVersion2JSONCompat verifies the legacy JSON envelope
-// still loads (compile-on-load) and converts to exactly the binary
-// envelope the same pipeline was saved as.
-func TestLoadPipelineVersion2JSONCompat(t *testing.T) {
-	loaded, err := LoadPipeline(bytes.NewReader(readFixture(t, fixtureV2)))
+// jsonEnvelopeHead is how a retired JSON envelope v2 file begins (the
+// first bytes of the fixture the JSON loader was once pinned by).
+const jsonEnvelopeHead = `{"version":2,"logTransform":true,"services":["auth","dns","domain_u","eco_i",`
+
+// mappingsOf counts the live mappings of path in this process, or skips
+// the test where /proc/self/maps is unavailable.
+func mappingsOf(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("cannot count mappings: %v", err)
 	}
-	if loaded.EnvelopeVersion() != 2 {
-		t.Fatalf("JSON envelope version = %d, want 2", loaded.EnvelopeVersion())
+	return strings.Count(string(maps), path)
+}
+
+// TestLoadPipelineRejectsJSONEnvelope pins the retirement of the JSON
+// envelopes v1/v2: a '{'-led input fails LoadPipeline and both
+// LoadPipelineFile modes with an error that names the retired format and
+// says to retrain, and the mapped load leaves no mapping behind. Other
+// input without the v3 magic is simply not an envelope.
+func TestLoadPipelineRejectsJSONEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name, body string
+		want       []string
+	}{
+		{"v2 head", jsonEnvelopeHead, []string{"JSON pipeline envelope v1/v2", "retrain"}},
+		{"empty object", "{}", []string{"JSON pipeline envelope v1/v2", "retrain"}},
+		{"leading whitespace", " \r\n\t{}", []string{"JSON pipeline envelope v1/v2", "retrain"}},
+		{"wrong magic", "GHSOMPV2" + jsonEnvelopeHead, []string{"not a GHSOM pipeline envelope"}},
 	}
-	if loaded.Compiled() == nil {
-		t.Fatal("JSON-loaded pipeline has no compiled model")
-	}
-	var resaved bytes.Buffer
-	if err := loaded.Save(&resaved); err != nil {
-		t.Fatal(err)
-	}
-	if want := readFixture(t, fixtureV3); !bytes.Equal(resaved.Bytes(), want) {
-		t.Fatalf("v2 fixture re-saved to %d bytes that differ from the %d-byte v3 fixture",
-			resaved.Len(), len(want))
+	for i, tc := range cases {
+		_, err := LoadPipeline(strings.NewReader(tc.body))
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: LoadPipeline error %v, want it to mention %q", tc.name, err, w)
+			}
+		}
+		path := filepath.Join(dir, fmt.Sprintf("model%d.bin", i))
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mapped := range []bool{false, true} {
+			p, ferr := LoadPipelineFile(path, mapped)
+			if ferr == nil {
+				p.Close()
+				t.Fatalf("%s: LoadPipelineFile(mapped=%v) accepted the input", tc.name, mapped)
+			}
+			if ferr.Error() != err.Error() {
+				t.Fatalf("%s: LoadPipelineFile(mapped=%v) error %v, want %v", tc.name, mapped, ferr, err)
+			}
+		}
+		if n := mappingsOf(t, path); n != 0 {
+			t.Fatalf("%s: rejected mapped load left %d mappings of %s", tc.name, n, path)
+		}
 	}
 }
 
@@ -171,9 +182,9 @@ func TestTrainReproducesFixtureV3(t *testing.T) {
 	}
 }
 
-// TestLegacyFixturesClassifyIdentically loads both fixtures through
-// LoadPipeline and both LoadPipelineFile modes: every load classifies
-// the evaluation set identically, and only a mapped binary envelope
+// TestLegacyFixturesClassifyIdentically loads the frozen v3 fixture
+// through LoadPipeline and both LoadPipelineFile modes: every load
+// classifies the evaluation set identically, and only the mapped load
 // views its file.
 func TestLegacyFixturesClassifyIdentically(t *testing.T) {
 	ref, err := LoadPipeline(bytes.NewReader(readFixture(t, fixtureV3)))
@@ -191,25 +202,22 @@ func TestLegacyFixturesClassifyIdentically(t *testing.T) {
 		{"heap file", func(path string) (*Pipeline, error) { return LoadPipelineFile(path, false) }},
 		{"mapped file", func(path string) (*Pipeline, error) { return LoadPipelineFile(path, true) }},
 	}
-	for _, path := range []string{fixtureV2, fixtureV3} {
-		for _, l := range loaders {
-			p, err := l.load(path)
-			if err != nil {
-				t.Fatalf("%s via %s: %v", path, l.name, err)
+	for _, l := range loaders {
+		p, err := l.load(fixtureV3)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if wantViews := l.name == "mapped file"; (p.MappedBytes() > 0) != wantViews {
+			t.Errorf("%s: MappedBytes = %d", l.name, p.MappedBytes())
+		}
+		got := fixtureVerdicts(t, p)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d verdict %+v, want %+v", l.name, i, got[i], want[i])
 			}
-			wantViews := path == fixtureV3 && l.name == "mapped file"
-			if (p.MappedBytes() > 0) != wantViews {
-				t.Errorf("%s via %s: MappedBytes = %d", path, l.name, p.MappedBytes())
-			}
-			got := fixtureVerdicts(t, p)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s via %s: record %d verdict %+v, want %+v", path, l.name, i, got[i], want[i])
-				}
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -139,7 +139,8 @@ func TestCompiledStatsMatchTree(t *testing.T) {
 
 // TestCompiledDecompileRoundTrip verifies Compile → Decompile preserves
 // the model exactly: the decompiled tree serializes byte-identically to
-// the original and routes identically.
+// the original, keeps every node's ID and depth (which the blob derives
+// rather than stores), and routes identically.
 func TestCompiledDecompileRoundTrip(t *testing.T) {
 	g, data := compileTestModel(t, 9, 60)
 	c := Compile(g)
@@ -147,15 +148,17 @@ func TestCompiledDecompileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var orig, rt bytes.Buffer
-	if err := g.Save(&orig); err != nil {
-		t.Fatal(err)
+	orig, rt := modelBytes(t, g), modelBytes(t, back)
+	if !bytes.Equal(orig, rt) {
+		t.Fatalf("decompiled model serializes differently (%d vs %d bytes)", len(orig), len(rt))
 	}
-	if err := back.Save(&rt); err != nil {
-		t.Fatal(err)
+	if len(back.Nodes()) != len(g.Nodes()) {
+		t.Fatalf("decompiled model has %d nodes, want %d", len(back.Nodes()), len(g.Nodes()))
 	}
-	if !bytes.Equal(orig.Bytes(), rt.Bytes()) {
-		t.Fatalf("decompiled model serializes differently (%d vs %d bytes)", orig.Len(), rt.Len())
+	for i, n := range g.Nodes() {
+		if m := back.Nodes()[i]; m.ID != n.ID || m.Depth != n.Depth {
+			t.Fatalf("node %d: decompiled ID/depth %d/%d, want %d/%d", i, m.ID, m.Depth, n.ID, n.Depth)
+		}
 	}
 	for i, x := range data {
 		if want, got := g.RouteTrained(x), back.RouteTrained(x); !placementsBitIdentical(want, got) {

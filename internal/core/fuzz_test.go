@@ -4,50 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
-
-// FuzzLoad asserts that arbitrary bytes never panic the model loader, and
-// that a loaded model (when loading succeeds) routes without panicking.
-func FuzzLoad(f *testing.F) {
-	// Seed with a real serialized model and mutations of it.
-	data := fourBlobs(99, 30)
-	cfg := quickConfig()
-	g, err := Train(data, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.String()
-	f.Add(valid)
-	f.Add(strings.Replace(valid, `"rows":2`, `"rows":9999`, 1))
-	f.Add(strings.Replace(valid, `"version":1`, `"version":2`, 1))
-	f.Add("{}")
-	f.Add("")
-	f.Add(`{"version":1,"dim":1,"nodes":[{"id":0,"depth":1,"parentId":-1,"rows":1,"cols":1,"weights":[0]}]}`)
-
-	f.Fuzz(func(t *testing.T, in string) {
-		m, err := Load(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		// Any successfully loaded model must route safely.
-		x := make([]float64, m.Dim())
-		p := m.Route(x)
-		if p.NodeID < 0 {
-			t.Fatal("loaded model routed to invalid node")
-		}
-		pt := m.RouteTrained(x)
-		if pt.NodeID < 0 {
-			t.Fatal("loaded model RouteTrained to invalid node")
-		}
-		_ = m.Stats()
-	})
-}
 
 // FuzzReadCompiledBinary asserts that arbitrary bytes never panic the
 // compiled-blob reader, and that its two residency modes agree: parsing

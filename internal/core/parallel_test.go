@@ -104,11 +104,7 @@ func TestTrainByteIdenticalAcrossParallelism(t *testing.T) {
 						t.Fatalf("%s batch=%v: depth %d, want >= %d", in.name, batch, d, in.depth)
 					}
 				}
-				var buf bytes.Buffer
-				if err := g.Save(&buf); err != nil {
-					t.Fatalf("%s parallelism %d: save: %v", in.name, p, err)
-				}
-				return buf.Bytes()
+				return modelBytes(t, g)
 			}
 			ref := serialize(1)
 			for _, p := range parallelTestWidths {

@@ -22,6 +22,18 @@ import (
 // rebuilt heap-side, so routing on a mapped model is byte-identical to
 // routing on a heap-loaded one.
 
+// Structural caps of the compiled-blob reader. They reject absurd shapes
+// before any proportional allocation happens, so corrupt or hostile blobs
+// fail with an error instead of an out-of-memory panic.
+const (
+	maxModelDim    = 1 << 20 // feature dimensions
+	maxModelNodes  = 1 << 20 // maps per hierarchy
+	maxMapSide     = 1 << 16 // rows or cols of one map
+	maxUnitsPerMap = 1 << 20 // rows*cols of one map
+	maxTotalUnits  = 1 << 24 // units across the hierarchy
+	maxArenaFloats = 1 << 27 // total weight float64s (1 GiB)
+)
+
 // compiledMagic identifies the binary compiled-model blob (format
 // version in the trailing byte).
 var compiledMagic = [8]byte{'G', 'H', 'S', 'O', 'M', 'C', 'B', '1'}

@@ -2,12 +2,55 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 )
+
+// modelBytes is a model's compiled blob: the bytes a saved pipeline
+// carries for it (config, mean, mqe0, every node's parent link, parent
+// unit and shape, the counts, unitQE and weight arena). Tests compare it
+// to pin "same model".
+func modelBytes(t testing.TB, g *GHSOM) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Compile(g).WriteBinaryAt(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawBlob hand-assembles a compiled blob of dimension dim from node
+// headers {parent, parentUnit, rows, cols}, with a valid config, zero
+// mean and mqe0, and zeroed counts, unitQE and arena tables sized for the
+// declared units; arenaDelta adds (or, negative, drops) arena floats.
+func rawBlob(t testing.TB, dim int, nodes [][4]int32, arenaDelta int) []byte {
+	t.Helper()
+	cfgJSON, err := json.Marshal(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	b := append([]byte(nil), compiledMagic[:]...)
+	b = le.AppendUint32(b, uint32(len(cfgJSON)))
+	b = append(b, cfgJSON...)
+	b = le.AppendUint32(b, uint32(dim))
+	b = append(b, make([]byte, 8+8*dim)...) // mqe0, mean
+	b = le.AppendUint32(b, uint32(len(nodes)))
+	units := 0
+	for _, n := range nodes {
+		for _, v := range n {
+			b = le.AppendUint32(b, uint32(v))
+		}
+		units += int(n[2] * n[3])
+	}
+	return append(b, make([]byte, 16*units+8*(units*dim+arenaDelta))...)
+}
 
 // alignedCopyAt places blob into an 8-aligned backing buffer so that the
 // returned slice's base address has the same (mod 8) residue as file
@@ -208,4 +251,118 @@ func FuzzReadCompiledBinaryBytes(f *testing.F) {
 			t.Fatalf("input plus one byte: got %v, want a trailing-bytes error", err)
 		}
 	})
+}
+
+// TestLoadRejectsGarbage feeds the compiled-blob reader malformed
+// inputs, from non-blobs to structurally broken hierarchies; each must
+// be rejected in both residency modes. The well-formed control blob the
+// structural cases are derived from must load.
+func TestLoadRejectsGarbage(t *testing.T) {
+	root2 := [4]int32{-1, -1, 1, 2}
+	if _, err := ReadCompiledBinaryBytes(rawBlob(t, 2, [][4]int32{root2, {0, 1, 1, 1}}, 0), false); err != nil {
+		t.Fatalf("control blob rejected: %v", err)
+	}
+	wrongVersion := rawBlob(t, 2, [][4]int32{root2}, 0)
+	wrongVersion[7] = '9'
+	negCount := rawBlob(t, 1, [][4]int32{root2}, 0)
+	binary.LittleEndian.PutUint64(negCount[len(negCount)-6*8:], math.MaxUint64)
+	tests := []struct {
+		name string
+		in   []byte
+	}{
+		{"not json", []byte("this is not json")},
+		{"empty object", []byte("{}")},
+		{"wrong version", wrongVersion},
+		{"no nodes", rawBlob(t, 2, nil, 0)},
+		{"bad dim", rawBlob(t, 0, [][4]int32{root2}, 0)},
+		{"bad shape", rawBlob(t, 2, [][4]int32{{-1, -1, 0, 2}}, 0)},
+		{"weight count mismatch", rawBlob(t, 2, [][4]int32{root2}, -1)},
+		{"out of order ids", rawBlob(t, 1, [][4]int32{{1, 0, 1, 1}, root2}, 0)},
+		{"dangling child", rawBlob(t, 1, [][4]int32{root2, {9, 0, 1, 1}}, 0)},
+		{"child unit out of range", rawBlob(t, 1, [][4]int32{root2, {0, 7, 1, 1}}, 0)},
+		{"unit expanded twice", rawBlob(t, 1, [][4]int32{root2, {0, 0, 1, 1}, {0, 0, 1, 1}}, 0)},
+		{"no root", rawBlob(t, 1, [][4]int32{{0, 0, 1, 1}}, 0)},
+		{"negative count", negCount},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			for _, zeroCopy := range []bool{false, true} {
+				if _, err := ReadCompiledBinaryBytes(tt.in, zeroCopy); err == nil {
+					t.Errorf("zeroCopy=%v: malformed blob accepted", zeroCopy)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadRejectsNonBFSOrder pins the training-order invariant the
+// compiled representation relies on: the root must be node 0 and every
+// node's parent must precede it. A blob with the root at node 1 would
+// otherwise be misrouted by the compiled descent, which starts at node 0.
+func TestLoadRejectsNonBFSOrder(t *testing.T) {
+	cases := map[string][][4]int32{
+		// Root at node 1, its child (depth-2 map) stored first.
+		"root at 1":           {{1, 0, 1, 1}, {-1, -1, 1, 2}},
+		"self child":          {{-1, -1, 1, 2}, {1, 0, 1, 1}},
+		"child before parent": {{-1, -1, 1, 2}, {2, 0, 1, 1}, {0, 1, 1, 1}},
+	}
+	for name, nodes := range cases {
+		_, err := ReadCompiledBinaryBytes(rawBlob(t, 1, nodes, 0), false)
+		if err == nil {
+			t.Fatalf("%s: blob accepted", name)
+		}
+		if !strings.Contains(err.Error(), "parent") {
+			t.Fatalf("%s: unexpected error: %v", name, err)
+		}
+	}
+}
+
+// TestReadCompiledBinaryHugeClaimTinyBody pins the memory-safety contract
+// of the binary loader: a few hundred bytes of headers claiming a
+// near-cap model (16 maps of 1024x1024 units) must fail on the missing
+// payload having allocated less than 1 MiB, not the claimed tables.
+func TestReadCompiledBinaryHugeClaimTinyBody(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString("GHSOMCB1")
+	le := binary.LittleEndian
+	cfgJSON, err := json.Marshal(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.Write(&b, le, uint32(len(cfgJSON)))
+	b.Write(cfgJSON)
+	binary.Write(&b, le, uint32(8))  // dim
+	binary.Write(&b, le, float64(1)) // mqe0
+	for i := 0; i < 8; i++ {
+		binary.Write(&b, le, float64(0)) // mean
+	}
+	binary.Write(&b, le, uint32(16)) // node count
+	for i := 0; i < 16; i++ {
+		parent := int32(-1)
+		if i > 0 {
+			parent = 0
+		}
+		binary.Write(&b, le, [4]int32{parent, int32(i), 1024, 1024})
+	}
+	// No payload tables follow: 16 Mi units were claimed by ~300 bytes.
+	for _, zeroCopy := range []bool{false, true} {
+		var err error
+		alloc := allocatedBytes(func() { _, err = ReadCompiledBinaryBytes(b.Bytes(), zeroCopy) })
+		if err == nil {
+			t.Fatalf("zeroCopy=%v: header-only blob claiming 16Mi units accepted", zeroCopy)
+		}
+		if alloc >= 1<<20 {
+			t.Fatalf("zeroCopy=%v: rejecting the blob allocated %d bytes, want < 1 MiB", zeroCopy, alloc)
+		}
+	}
+}
+
+// allocatedBytes reports how many heap bytes f allocates, as the
+// runtime.MemStats TotalAlloc delta.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

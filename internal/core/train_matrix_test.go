@@ -29,14 +29,7 @@ func TestTrainMatrixMatchesSliceAdapter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var a, b bytes.Buffer
-		if err := fromSlices.Save(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := fromMatrix.Save(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(modelBytes(t, fromSlices), modelBytes(t, fromMatrix)) {
 			t.Errorf("batch=%v: TrainMatrix model differs from Train model", batch)
 		}
 	}
@@ -67,14 +60,7 @@ func TestTrainMatrixSubsetMatchesGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := fromView.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromRows.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(modelBytes(t, fromView), modelBytes(t, fromRows)) {
 		t.Error("subset-view model differs from gathered-rows model")
 	}
 }

@@ -77,9 +77,6 @@ type Pipeline struct {
 	compiled *core.Compiled
 	detector *anomaly.Detector
 	cfg      PipelineConfig
-	// envVersion is the envelope version the pipeline was loaded from
-	// (pipelineVersion for freshly trained pipelines).
-	envVersion int
 	// modelOnce guards the lazy Decompile of loaded pipelines: rebuilding
 	// the pointer tree copies the whole weight arena, so it is deferred
 	// until Model() is first called. Mapped loads in particular stay
@@ -240,13 +237,12 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("ghsom: fit detector: %w", err)
 	}
 	return &Pipeline{
-		encoder:    encoder,
-		scaler:     scaler,
-		model:      model,
-		compiled:   compiled,
-		detector:   det,
-		cfg:        cfg,
-		envVersion: pipelineVersion,
+		encoder:  encoder,
+		scaler:   scaler,
+		model:    model,
+		compiled: compiled,
+		detector: det,
+		cfg:      cfg,
 	}, nil
 }
 
@@ -499,9 +495,9 @@ func (p *Pipeline) MappedBytes() int { return p.compiled.MappedBytes() }
 // pipeline's inference routes on.
 func (p *Pipeline) Compiled() *CompiledModel { return p.compiled }
 
-// EnvelopeVersion reports the envelope version this pipeline was loaded
-// from; freshly trained pipelines report the current version.
-func (p *Pipeline) EnvelopeVersion() int { return p.envVersion }
+// EnvelopeVersion reports the model file envelope version: the binary
+// envelope v3 that Save writes and LoadPipeline reads, the only format.
+func (p *Pipeline) EnvelopeVersion() int { return pipelineVersion }
 
 // Detector returns the fitted anomaly detector.
 func (p *Pipeline) Detector() *anomaly.Detector { return p.detector }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,43 +17,14 @@ import (
 	"ghsom/internal/preprocess"
 )
 
-// pipelineJSON is the legacy JSON envelope for a trained pipeline
-// (versions 1 and 2). It is load-only: Save writes version 3.
-//
-// Version history:
-//
-//	1 — JSON: encoder vocabulary, scaler state, model, detector.
-//	2 — JSON: adds the pipeline-level training configuration
-//	    (trainCapPerLabel, seed, parallelism), which version 1 silently
-//	    dropped: a loaded pipeline reverted to zero values, so a retrain
-//	    from the same config file would not reproduce the original model.
-//	3 — binary: a single length-prefixed blob carrying the compiled
-//	    model (weight arena + flat tables), scaler state, encoder
-//	    vocabulary, pipeline configuration, and detector cell table.
-//	    Round-trips bit-identically and is the only format written.
-//	    Versions 1 and 2 still load, with the model compiled on load.
-type pipelineJSON struct {
-	Version      int       `json:"version"`
-	LogTransform bool      `json:"logTransform"`
-	Services     []string  `json:"services"`
-	ScalerMin    []float64 `json:"scalerMin"`
-	ScalerSpan   []float64 `json:"scalerSpan"`
-	// TrainCapPerLabel, Seed, and Parallelism mirror the PipelineConfig
-	// fields of the same names (version >= 2; absent in version 1).
-	TrainCapPerLabel int             `json:"trainCapPerLabel,omitempty"`
-	Seed             int64           `json:"seed,omitempty"`
-	Parallelism      int             `json:"parallelism,omitempty"`
-	Model            json.RawMessage `json:"model"`
-	Detector         anomaly.State   `json:"detector"`
-}
+// pipelineVersion is the envelope version Save writes and LoadPipeline
+// reads: the binary envelope v3, a single length-prefixed blob carrying
+// the compiled model (weight arena + flat tables), scaler state, encoder
+// vocabulary, pipeline configuration, and detector cell table. Versions
+// 1 and 2 were JSON envelopes; they are retired and no longer load.
+const pipelineVersion = 3
 
-const (
-	pipelineVersion     = 3
-	pipelineJSONVersion = 2
-)
-
-// envMagic opens a binary v3 envelope. The loader sniffs it to tell the
-// binary format from the legacy JSON envelopes (which start with '{').
+// envMagic opens a binary v3 envelope.
 var envMagic = [8]byte{'G', 'H', 'S', 'O', 'M', 'P', 'V', '3'}
 
 // Caps applied while parsing a binary envelope. Every claimed length is
@@ -155,14 +127,12 @@ func (p *Pipeline) Save(w io.Writer) error {
 }
 
 // LoadPipeline reads a pipeline previously written by Save (binary
-// envelope v3) or by an older release (JSON envelopes v1 and v2); the
-// format is sniffed from the first bytes. The whole input is read into
-// memory and parsed there, so the caller's reader bounds what loading
-// allocates. JSON envelopes carry the pointer-tree model and are
-// compiled on load; the binary envelope carries the compiled model
-// directly and the tree is rebuilt from it on demand. Either way the
-// loaded pipeline serves on the compiled dataplane and classifies
-// identically to the pipeline that was saved.
+// envelope v3). The whole input is read into memory and parsed there, so
+// the caller's reader bounds what loading allocates. The envelope
+// carries the compiled model directly, so the loaded pipeline serves on
+// the compiled dataplane and classifies identically to the pipeline that
+// was saved; the pointer tree is rebuilt from it on demand. A retired
+// JSON envelope (v1/v2) is rejected with an error that says to retrain.
 //
 // Note the persisted Parallelism is the knob the pipeline was trained
 // with on the training machine — a model trained serially will serve
@@ -176,88 +146,6 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	return parsePipeline(data, false)
 }
 
-// loadPipelineJSON reads the legacy v1/v2 JSON envelope and compiles the
-// model on load.
-func loadPipelineJSON(r io.Reader) (*Pipeline, error) {
-	var env pipelineJSON
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("ghsom: decode pipeline: %w", err)
-	}
-	if env.Version < 1 || env.Version > pipelineJSONVersion {
-		return nil, fmt.Errorf("ghsom: unsupported JSON pipeline version %d, want 1..%d (version %d is the binary envelope)",
-			env.Version, pipelineJSONVersion, pipelineVersion)
-	}
-	model, err := core.Load(bytes.NewReader(env.Model))
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: load model: %w", err)
-	}
-	return assemblePipeline(pipelineParts{
-		version:          env.Version,
-		logTransform:     env.LogTransform,
-		services:         env.Services,
-		scalerMin:        env.ScalerMin,
-		scalerSpan:       env.ScalerSpan,
-		trainCapPerLabel: env.TrainCapPerLabel,
-		seed:             env.Seed,
-		parallelism:      env.Parallelism,
-		model:            model,
-		compiled:         core.Compile(model),
-		detector:         env.Detector,
-	})
-}
-
-// pipelineParts is the format-independent bundle assemblePipeline builds
-// a Pipeline from.
-type pipelineParts struct {
-	version          int
-	logTransform     bool
-	services         []string
-	scalerMin        []float64
-	scalerSpan       []float64
-	trainCapPerLabel int
-	seed             int64
-	parallelism      int
-	model            *core.GHSOM
-	compiled         *core.Compiled
-	detector         anomaly.State
-}
-
-// assemblePipeline validates the cross-component invariants (matching
-// dimensions) and wires the detector onto the compiled dataplane.
-func assemblePipeline(parts pipelineParts) (*Pipeline, error) {
-	scaler, err := preprocess.NewMinMaxScalerFromState(parts.scalerMin, parts.scalerSpan)
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: load scaler: %w", err)
-	}
-	encoder := kdd.NewEncoderFromServices(parts.services, kdd.EncoderConfig{LogTransform: parts.logTransform})
-	if encoder.Dim() != scaler.Dim() {
-		return nil, fmt.Errorf("ghsom: encoder dim %d does not match scaler dim %d", encoder.Dim(), scaler.Dim())
-	}
-	if scaler.Dim() != parts.compiled.Dim() {
-		return nil, fmt.Errorf("ghsom: scaler dim %d does not match model dim %d", scaler.Dim(), parts.compiled.Dim())
-	}
-	det, err := anomaly.FromState(anomaly.NewGHSOMQuantizer(parts.compiled), parts.detector)
-	if err != nil {
-		return nil, fmt.Errorf("ghsom: load detector: %w", err)
-	}
-	return &Pipeline{
-		encoder:    encoder,
-		scaler:     scaler,
-		model:      parts.model,
-		compiled:   parts.compiled,
-		detector:   det,
-		envVersion: parts.version,
-		cfg: PipelineConfig{
-			Model:            parts.compiled.Config(),
-			Detector:         parts.detector.Config,
-			LogTransform:     parts.logTransform,
-			TrainCapPerLabel: parts.trainCapPerLabel,
-			Seed:             parts.seed,
-			Parallelism:      parts.parallelism,
-		},
-	}, nil
-}
-
 // LoadPipelineFile loads a pipeline envelope from a file. With mapped
 // false the file is read into memory and parsed like LoadPipeline. With
 // mapped true the file is mapped read-only (core.OpenMapping) and, for a
@@ -268,9 +156,9 @@ func assemblePipeline(parts pipelineParts) (*Pipeline, error) {
 // through the page cache. Classification is byte-identical to a heap
 // load. The returned pipeline owns the mapping; release it with Close
 // only when the pipeline is retired — the model reads the mapped pages
-// for as long as it serves. Legacy JSON envelopes and pre-alignment
-// binary envelopes load correctly in mapped mode too, falling back to
-// heap copies (and then need no Close).
+// for as long as it serves. A binary envelope written before alignment
+// padding loads correctly in mapped mode too, falling back to heap
+// copies (and then needs no Close).
 func LoadPipelineFile(path string, mapped bool) (*Pipeline, error) {
 	if !mapped {
 		data, err := os.ReadFile(path)
@@ -291,9 +179,9 @@ func LoadPipelineFile(path string, mapped bool) (*Pipeline, error) {
 	if p.MappedBytes() > 0 {
 		p.mapping = m
 	} else {
-		// Nothing in the pipeline views the mapping (JSON envelope, or a
-		// legacy blob whose tables landed unaligned): release it here so
-		// the caller need not Close.
+		// Nothing in the pipeline views the mapping (a pre-alignment blob
+		// whose tables landed unaligned): release it here so the caller
+		// need not Close.
 		m.Close()
 	}
 	return p, nil
@@ -307,7 +195,10 @@ func LoadPipelineFile(path string, mapped bool) (*Pipeline, error) {
 // pipeline keeps no reference to data.
 func parsePipeline(data []byte, zeroCopy bool) (*Pipeline, error) {
 	if len(data) < len(envMagic) || !bytes.Equal(data[:len(envMagic)], envMagic[:]) {
-		return loadPipelineJSON(bytes.NewReader(data))
+		if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
+			return nil, errors.New("ghsom: JSON pipeline envelope v1/v2 is retired and no longer loads; retrain the model with ghsom-train")
+		}
+		return nil, errors.New("ghsom: not a GHSOM pipeline envelope (no GHSOMPV3 magic)")
 	}
 	cur := &envCursor{data: data, off: len(envMagic)}
 	flags, err := cur.u8("envelope flags")
@@ -393,20 +284,38 @@ func parsePipeline(data []byte, zeroCopy bool) (*Pipeline, error) {
 	if err := json.Unmarshal(detJSON, &det); err != nil {
 		return nil, fmt.Errorf("ghsom: decode detector state: %w", err)
 	}
-	return assemblePipeline(pipelineParts{
-		version:          pipelineVersion,
-		logTransform:     flags == 1,
-		services:         services,
-		scalerMin:        scalerMin,
-		scalerSpan:       scalerSpan,
-		trainCapPerLabel: int(cap64),
-		seed:             seed,
-		parallelism:      int(par),
-		// model stays nil — rebuilt lazily by Model(), copying the arena
-		// only if a caller actually asks for the pointer tree.
+	scaler, err := preprocess.NewMinMaxScalerFromState(scalerMin, scalerSpan)
+	if err != nil {
+		return nil, fmt.Errorf("ghsom: load scaler: %w", err)
+	}
+	logTransform := flags == 1
+	encoder := kdd.NewEncoderFromServices(services, kdd.EncoderConfig{LogTransform: logTransform})
+	if encoder.Dim() != scaler.Dim() {
+		return nil, fmt.Errorf("ghsom: encoder dim %d does not match scaler dim %d", encoder.Dim(), scaler.Dim())
+	}
+	if scaler.Dim() != compiled.Dim() {
+		return nil, fmt.Errorf("ghsom: scaler dim %d does not match model dim %d", scaler.Dim(), compiled.Dim())
+	}
+	detector, err := anomaly.FromState(anomaly.NewGHSOMQuantizer(compiled), det)
+	if err != nil {
+		return nil, fmt.Errorf("ghsom: load detector: %w", err)
+	}
+	// model stays nil: Model() rebuilds the pointer tree lazily, copying
+	// the arena only if a caller actually asks for it.
+	return &Pipeline{
+		encoder:  encoder,
+		scaler:   scaler,
 		compiled: compiled,
-		detector: det,
-	})
+		detector: detector,
+		cfg: PipelineConfig{
+			Model:            compiled.Config(),
+			Detector:         det.Config,
+			LogTransform:     logTransform,
+			TrainCapPerLabel: int(cap64),
+			Seed:             seed,
+			Parallelism:      int(par),
+		},
+	}, nil
 }
 
 // envCursor walks a fully-resident envelope with bounds-checked reads.

@@ -186,37 +186,6 @@ func TestLoadPipelineFileMapped(t *testing.T) {
 	}
 }
 
-// TestLoadPipelineFileMappedJSONFallback: a legacy JSON envelope loaded
-// in mapped mode must work, own no mapping, and need no Close.
-func TestLoadPipelineFileMappedJSONFallback(t *testing.T) {
-	ref, err := LoadPipeline(bytes.NewReader(readFixture(t, fixtureV3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPipelineFile(fixtureV2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.MappedBytes() != 0 {
-		t.Fatalf("JSON envelope reports %d mapped bytes", loaded.MappedBytes())
-	}
-	if err := loaded.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec := batchEvalRecords(t)[0]
-	p1, err := ref.Detect(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := loaded.Detect(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatalf("JSON mapped-mode load diverged: %+v vs %+v", p1, p2)
-	}
-}
-
 // TestLoadPipelineFileMappedRejectsCorrupt walks truncations of the
 // envelope through the mapped loader: error or clean load, never panic.
 func TestLoadPipelineFileMappedRejectsCorrupt(t *testing.T) {
