@@ -9,6 +9,7 @@ package ghsom
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"ghsom/internal/anomaly"
 	"ghsom/internal/core"
 	"ghsom/internal/eval"
+	"ghsom/internal/kdd"
 	"ghsom/internal/trafficgen"
 )
 
@@ -436,8 +438,11 @@ func BenchmarkTrainPipeline(b *testing.B) {
 // BenchmarkDetectColumnar measures the columnar wire-format dataplane —
 // DetectColumnar over one decoded GHSOMWB1 frame of the test set — on the
 // same Parallelism sweep as BenchmarkDetectBatch, reporting records/sec.
-// Frame decoding is outside the timed loop; BenchmarkIngestColumnar in
-// internal/kdd measures it.
+// The live16 case is the live request shape instead: the test set as
+// 16-record NDJSON bodies decoded into batches, classified one batch per
+// call at P=1. Decoding is outside the timed loop;
+// BenchmarkIngestColumnar and BenchmarkReadRecordsBody in internal/kdd
+// measure it.
 func BenchmarkDetectColumnar(b *testing.B) {
 	benchEncoded(b)
 	records := benchState.ds.Test
@@ -471,6 +476,37 @@ func BenchmarkDetectColumnar(b *testing.B) {
 			b.ReportMetric(float64(len(records))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 		})
 	}
+	b.Run("live16", func(b *testing.B) {
+		const body = 16
+		var batches []*ColumnarBatch
+		p := kdd.NewRecordParser(nil)
+		for lo := 0; lo+body <= len(records); lo += body {
+			var nd bytes.Buffer
+			enc := json.NewEncoder(&nd)
+			for i := range records[lo : lo+body] {
+				if err := enc.Encode(&records[lo+i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cb := new(ColumnarBatch)
+			p.Reset(&nd)
+			if err := p.AppendColumnar(cb, 0); err != nil {
+				b.Fatal(err)
+			}
+			batches = append(batches, cb)
+		}
+		pipe.SetParallelism(1)
+		out := make([]Prediction, body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pipe.DetectColumnar(batches[i%len(batches)], out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(body)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+	})
 }
 
 // BenchmarkLoadPipelineFile measures a cold model load of one saved

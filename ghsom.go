@@ -117,11 +117,13 @@ type DetectorConfig = anomaly.Config
 // GeneratorConfig describes a synthetic traffic scenario.
 type GeneratorConfig = trafficgen.Config
 
-// ColumnarBatch is one decoded frame of the columnar batch wire format
-// (magic GHSOMWB1): numeric features as contiguous column runs and
-// categoricals as small-int codes against per-frame symbol tables. Frames
-// are read with ReadColumnarBatch and classified with
-// Pipeline.DetectColumnar, which encodes the columns straight into the
+// ColumnarBatch is one decoded batch of records: a frame of the columnar
+// batch wire format (magic GHSOMWB1) — numeric features as contiguous
+// column runs and categoricals as small-int codes against per-frame
+// symbol tables — or NDJSON records decoded by
+// kdd.RecordParser.AppendColumnar into the same symbol tables. Frames are
+// read with ReadColumnarBatch; either kind is classified with
+// Pipeline.DetectColumnar, which encodes the rows straight into the
 // inference dataplane's flat matrix — no intermediate Record structs.
 type ColumnarBatch = kdd.ColumnarBatch
 

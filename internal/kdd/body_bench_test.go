@@ -13,9 +13,11 @@ import (
 // 16-record NDJSON bodies.
 const bodyRecords = 16
 
-// BenchmarkReadRecordsBody decodes 16-record NDJSON request bodies the
-// way ghsom-serve's /detect does: a reused parser draining each body
-// with AppendAll into a reused record slice. One op is one body.
+// BenchmarkReadRecordsBody decodes 16-record NDJSON request bodies with
+// a reused parser, one body per op: AppendAll into a reused record slice
+// (the library path of ghsom-serve -stdin and servebench's replay), and,
+// in kdd99like-columnar, AppendColumnar into a reused batch — the decode
+// ghsom-serve's /detect runs.
 //
 // The columnar corpus is the package's test records, whose numbers are
 // mostly short integers; kdd99like is trafficgen's headline scenario,
@@ -30,25 +32,37 @@ func BenchmarkReadRecordsBody(b *testing.B) {
 		live[i] = traffic[i*len(traffic)/len(live)]
 	}
 	for _, corpus := range []struct {
-		name    string
-		records []kdd.Record
+		name     string
+		records  []kdd.Record
+		columnar bool
 	}{
-		{"columnar", kdd.ColumnarTestRecords(64 * bodyRecords)},
-		{"kdd99like", live},
+		{"columnar", kdd.ColumnarTestRecords(64 * bodyRecords), false},
+		{"kdd99like", live, false},
+		{"kdd99like-columnar", live, true},
 	} {
 		b.Run(corpus.name, func(b *testing.B) {
 			bodies := ndjsonBodies(b, corpus.records)
 			p := kdd.NewRecordParser(nil)
 			rd := bytes.NewReader(nil)
 			dst := make([]kdd.Record, 0, bodyRecords)
+			var cb kdd.ColumnarBatch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(bodies[i%len(bodies)])
 				p.Reset(rd)
-				out, err := p.AppendAll(dst[:0], 0)
-				if err != nil || len(out) != bodyRecords {
-					b.Fatalf("decoded %d records, err %v", len(out), err)
+				n := 0
+				if corpus.columnar {
+					cb.Reset()
+					err = p.AppendColumnar(&cb, 0)
+					n = cb.Rows()
+				} else {
+					var out []kdd.Record
+					out, err = p.AppendAll(dst[:0], 0)
+					n = len(out)
+				}
+				if err != nil || n != bodyRecords {
+					b.Fatalf("decoded %d records, err %v", n, err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bodyRecords), "ns/record")

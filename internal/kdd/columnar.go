@@ -65,6 +65,10 @@ const (
 // schema: protocol, service, flag.
 const numCategoricalColumns = 3
 
+// numNumeric is the schema's numeric column count, the length of
+// NumericFeatureNames.
+const numNumeric = 38
+
 // categoricalNames names the categorical columns for error messages.
 var categoricalNames = [numCategoricalColumns]string{"protocol", "service", "flag"}
 
@@ -79,8 +83,8 @@ const (
 
 // isLogFeature marks the log-transformed numeric columns (see
 // logFeatureIdxs) for the columnar encode pass.
-var isLogFeature = func() [38]bool {
-	var m [38]bool
+var isLogFeature = func() [numNumeric]bool {
+	var m [numNumeric]bool
 	for _, i := range logFeatureIdxs {
 		m[i] = true
 	}
@@ -99,15 +103,26 @@ type ColumnarLimits struct {
 // DefaultColumnarLimits are the package-cap limits.
 var DefaultColumnarLimits = ColumnarLimits{MaxRows: columnarMaxRows, MaxFrameBytes: columnarMaxBytes}
 
-// ColumnarBatch is one decoded frame. Its buffers are reused across
-// ReadColumnarBatch calls, so a steady-state reader allocates only for
-// the per-frame symbol strings. The payload stays in the raw frame
-// buffer — decoding to float64 happens during EncodeColumnarRows,
-// straight into the caller's row-major matrix.
+// ColumnarBatch is one decoded batch of records, from either wire
+// format: a GHSOMWB1 frame (ReadColumnarBatch) or an NDJSON stream
+// (RecordParser.AppendColumnar). Its buffers are reused across calls,
+// so a steady-state reader allocates only for the per-frame symbol
+// strings of frames. A frame's payload stays in the raw frame buffer —
+// decoding to float64 happens during the encode pass, straight into the
+// caller's row-major matrix. NDJSON records are staged one row each:
+// their numeric columns as float64 and their categorical values as
+// codes into the batch's symbol tables, the same tables a frame
+// carries.
 type ColumnarBatch struct {
 	rows      int
 	f32       bool
 	hasLabels bool
+	// staging marks a batch decoded from NDJSON: its records live in
+	// staged, not buf. epoch names the parser binding that last appended
+	// to it (see RecordParser.bind).
+	staging bool
+	staged  []stagedRow
+	epoch   uint64
 	// buf holds the raw frame body; all offsets below index it.
 	buf []byte
 	// numOff is the offset of the first numeric run.
@@ -117,7 +132,7 @@ type ColumnarBatch struct {
 	catW   [numCategoricalColumns]int
 	// labelOff/labelW locate the optional label run.
 	labelOff, labelW int
-	// syms holds the frame's symbol tables: protocol, service, flag,
+	// syms holds the batch's symbol tables: protocol, service, flag,
 	// label (label only when hasLabels).
 	syms [numCategoricalColumns + 1][]string
 	// resolved maps each categorical column's codes to offsets inside
@@ -127,14 +142,46 @@ type ColumnarBatch struct {
 	bound    bool
 }
 
-// Rows returns the frame's record count.
+// stagedRow is one NDJSON record of a batch: its numeric features in
+// NumericFeatureNames order, and the codes of its protocol, service,
+// flag and label in the batch's symbol tables.
+type stagedRow struct {
+	num   [numNumeric]float64
+	codes [numCategoricalColumns + 1]uint32
+}
+
+// noCode marks a staged categorical value the record has not set.
+const noCode = ^uint32(0)
+
+// Reset empties the batch, keeping its buffers for the next decode.
+func (cb *ColumnarBatch) Reset() {
+	cb.rows, cb.f32, cb.hasLabels = 0, false, true
+	cb.staging, cb.staged, cb.epoch = true, cb.staged[:0], 0
+	cb.buf = cb.buf[:0]
+	for t := range cb.syms {
+		cb.syms[t] = cb.syms[t][:0]
+	}
+	cb.bound = false
+}
+
+// addSymbol appends s to the symbol table of categorical column t (3 is
+// the label) and returns its code.
+func (cb *ColumnarBatch) addSymbol(t int, s string) uint32 {
+	cb.syms[t] = append(cb.syms[t], s)
+	cb.bound = false
+	return uint32(len(cb.syms[t]) - 1)
+}
+
+// Rows returns the batch's record count.
 func (cb *ColumnarBatch) Rows() int { return cb.rows }
 
-// Float32 reports whether the frame carries float32 numeric values.
+// Float32 reports whether the batch carries float32 numeric values
+// (only a frame written with ColumnarWriteOptions.Float32 does).
 func (cb *ColumnarBatch) Float32() bool { return cb.f32 }
 
-// HasLabels reports whether the frame carries a ground-truth label
+// HasLabels reports whether the batch carries a ground-truth label
 // column (training and evaluation traffic; the serving path ignores it).
+// A batch decoded from NDJSON always does.
 func (cb *ColumnarBatch) HasLabels() bool { return cb.hasLabels }
 
 // Label returns record r's label, or "" when the frame has none.
@@ -142,7 +189,7 @@ func (cb *ColumnarBatch) Label(r int) string {
 	if !cb.hasLabels || r < 0 || r >= cb.rows {
 		return ""
 	}
-	return cb.syms[numCategoricalColumns][cb.code(cb.labelOff, cb.labelW, r)]
+	return cb.syms[numCategoricalColumns][cb.catCode(numCategoricalColumns, r)]
 }
 
 // AppendLabels appends all labels to dst (no-op when the frame has no
@@ -165,14 +212,37 @@ func (cb *ColumnarBatch) code(off, w, r int) int {
 	return int(binary.LittleEndian.Uint16(cb.buf[off+2*r:]))
 }
 
-// numeric reads one numeric value from column j, record r.
-func (cb *ColumnarBatch) numeric(j, r int) float64 {
-	if cb.f32 {
-		off := cb.numOff + (j*cb.rows+r)*4
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(cb.buf[off:])))
+// catCode reads record r's code in categorical column c (the label when
+// c is numCategoricalColumns).
+func (cb *ColumnarBatch) catCode(c, r int) int {
+	if cb.staging {
+		return int(cb.staged[r].codes[c])
 	}
-	off := cb.numOff + (j*cb.rows+r)*8
-	return math.Float64frombits(binary.LittleEndian.Uint64(cb.buf[off:]))
+	if c == numCategoricalColumns {
+		return cb.code(cb.labelOff, cb.labelW, r)
+	}
+	return cb.code(cb.catOff[c], cb.catW[c], r)
+}
+
+// numericRow writes record r's raw numeric features into dst.
+func (cb *ColumnarBatch) numericRow(r int, dst []float64) {
+	dst = dst[:numNumeric]
+	switch {
+	case cb.staging:
+		copy(dst, cb.staged[r].num[:])
+	case cb.f32:
+		off, stride := cb.numOff+r*4, cb.rows*4
+		for j := range dst {
+			dst[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(cb.buf[off:])))
+			off += stride
+		}
+	default:
+		off, stride := cb.numOff+r*8, cb.rows*8
+		for j := range dst {
+			dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(cb.buf[off:]))
+			off += stride
+		}
+	}
 }
 
 // Record materializes record r as a Record struct — the slow path for
@@ -181,20 +251,18 @@ func (cb *ColumnarBatch) Record(r int) (Record, error) {
 	if r < 0 || r >= cb.rows {
 		return Record{}, fmt.Errorf("kdd: columnar record %d of %d", r, cb.rows)
 	}
-	var vals [38]float64
-	for j := range vals {
-		vals[j] = cb.numeric(j, r)
-	}
+	var vals [numNumeric]float64
+	cb.numericRow(r, vals[:])
 	rec := recordFromNumeric(vals)
-	rec.Protocol = cb.syms[0][cb.code(cb.catOff[0], cb.catW[0], r)]
-	rec.Service = cb.syms[1][cb.code(cb.catOff[1], cb.catW[1], r)]
-	rec.Flag = cb.syms[2][cb.code(cb.catOff[2], cb.catW[2], r)]
+	rec.Protocol = cb.syms[0][cb.catCode(0, r)]
+	rec.Service = cb.syms[1][cb.catCode(1, r)]
+	rec.Flag = cb.syms[2][cb.catCode(2, r)]
 	rec.Label = cb.Label(r)
 	return rec, nil
 }
 
 // recordFromNumeric is the inverse of Record.NumericFeaturesInto.
-func recordFromNumeric(v [38]float64) Record {
+func recordFromNumeric(v [numNumeric]float64) Record {
 	return Record{
 		Duration: v[0], SrcBytes: v[1], DstBytes: v[2],
 		Land: v[3] != 0, WrongFragment: v[4], Urgent: v[5],
@@ -294,6 +362,7 @@ func noEOF(err error) error {
 // parse validates the frame body in cb.buf and records the payload
 // offsets.
 func (cb *ColumnarBatch) parse(lim ColumnarLimits) error {
+	cb.staging, cb.staged, cb.epoch = false, cb.staged[:0], 0
 	buf := cb.buf
 	flags := buf[0]
 	if flags&^(columnarFlagF32|columnarFlagLabels) != 0 {
@@ -434,14 +503,16 @@ func (e *Encoder) BindColumnar(cb *ColumnarBatch) error {
 	return nil
 }
 
-// EncodeColumnarRows encodes frame records [lo, hi) into the row-major
+// EncodeColumnarRows encodes batch records [lo, hi) into the row-major
 // matrix dst — record lo+r occupies dst[r*Dim() : (r+1)*Dim()] — with
 // the same semantics as EncodeInto on the equivalent Record (log1p on
 // the heavy-tailed columns, one-hot categoricals, unknown services in
-// the other bucket). The frame must have been bound to this encoder
-// with BindColumnar. The pass is allocation-free: numeric runs stream
-// from the raw frame buffer into dst, and categoricals are one table
-// lookup per value. Errors report absolute record indices.
+// the other bucket), unscaled. The batch must have been bound to this
+// encoder with BindColumnar. The pass is allocation-free: numeric
+// values go straight from the batch into dst, and categoricals are one
+// table lookup per value. Errors name the lowest bad record by its
+// index in the batch. Inference runs ScaledEncoder.EncodeColumnar; this
+// is the unscaled pass for tooling.
 func (e *Encoder) EncodeColumnarRows(cb *ColumnarBatch, lo, hi int, dst []float64) error {
 	if !cb.bound {
 		return fmt.Errorf("kdd: columnar batch not bound to an encoder")
@@ -454,54 +525,34 @@ func (e *Encoder) EncodeColumnarRows(cb *ColumnarBatch, lo, hi int, dst []float6
 	if len(dst) < n*d {
 		return fmt.Errorf("kdd: encode %d columnar rows into buffer of length %d, want >= %d", n, len(dst), n*d)
 	}
-	nNum := len(NumericFeatureNames)
-	logT := e.cfg.LogTransform
-
-	// Numeric columns: one sequential scan of each run, strided writes
-	// into the row-major destination.
-	for j := 0; j < nNum; j++ {
-		lg := logT && isLogFeature[j]
-		if cb.f32 {
-			base := cb.numOff + (j*cb.rows+lo)*4
-			for r := 0; r < n; r++ {
-				v := float64(math.Float32frombits(binary.LittleEndian.Uint32(cb.buf[base+4*r:])))
-				if lg {
-					v = math.Log1p(v)
-				}
-				dst[r*d+j] = v
-			}
-		} else {
-			base := cb.numOff + (j*cb.rows+lo)*8
-			for r := 0; r < n; r++ {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(cb.buf[base+8*r:]))
-				if lg {
-					v = math.Log1p(v)
-				}
-				dst[r*d+j] = v
+	// Row by row: each numeric run is read sequentially across the rows,
+	// and each output row is written once, contiguously.
+	for r := lo; r < hi; r++ {
+		row := dst[(r-lo)*d : (r-lo+1)*d]
+		cb.numericRow(r, row[:numNumeric])
+		if e.cfg.LogTransform {
+			for _, j := range logFeatureIdxs {
+				row[j] = log1p(row[j])
 			}
 		}
-	}
-	// One-hot region: zero then set one bit per categorical column.
-	for r := 0; r < n; r++ {
-		oh := dst[r*d+nNum : r*d+d]
-		for i := range oh {
-			oh[i] = 0
-		}
-	}
-	for c := 0; c < numCategoricalColumns; c++ {
-		res := cb.resolved[c]
-		w := cb.catW[c]
-		base := cb.catOff[c] + lo*w
-		for r := 0; r < n; r++ {
-			off := res[cb.code(base, w, r)]
+		oh := row[numNumeric:]
+		clear(oh)
+		for c := 0; c < numCategoricalColumns; c++ {
+			code := cb.catCode(c, r)
+			off := cb.resolved[c][code]
 			if off < 0 {
-				return fmt.Errorf("record %d: kdd: encode: unknown %s %q",
-					lo+r, categoricalNames[c], cb.syms[c][cb.code(base, w, r)])
+				return unknownSymbol(r, c, cb.syms[c][code])
 			}
-			dst[r*d+nNum+int(off)] = 1
+			oh[off] = 1
 		}
 	}
 	return nil
+}
+
+// unknownSymbol is the error of record r, whose value sym in
+// categorical column c is outside the encoder's vocabulary.
+func unknownSymbol(r, c int, sym string) error {
+	return fmt.Errorf("record %d: kdd: encode: unknown %s %q", r, categoricalNames[c], sym)
 }
 
 // ColumnarWriteOptions controls WriteColumnarBatch.

@@ -24,6 +24,27 @@ type EncoderConfig struct {
 // dst_host_count, dst_host_srv_count.
 var logFeatureIdxs = [...]int{0, 1, 2, 19, 20, 28, 29}
 
+// smallLog1p[k] is math.Log1p(k). The log-transformed columns are mostly
+// connection counts and whole byte totals, so log1p serves those from
+// the table.
+var smallLog1p = func() (t [1024]float64) {
+	for k := range t {
+		t[k] = math.Log1p(float64(k))
+	}
+	return t
+}()
+
+// log1p is math.Log1p, bit for bit, reading whole numbers in
+// [1, len(smallLog1p)) from the table.
+func log1p(v float64) float64 {
+	if v >= 1 && v < float64(len(smallLog1p)) {
+		if k := int(v); float64(k) == v {
+			return smallLog1p[k]
+		}
+	}
+	return math.Log1p(v)
+}
+
 // Encoder converts Records into dense numeric vectors: 38 numeric/boolean
 // features followed by one-hot blocks for protocol, service, and flag.
 // Build one with NewEncoder over the training set so the service
@@ -166,7 +187,7 @@ func (e *Encoder) EncodeInto(r *Record, dst []float64) error {
 	r.NumericFeaturesInto(numeric)
 	if e.cfg.LogTransform {
 		for _, i := range logFeatureIdxs {
-			numeric[i] = math.Log1p(numeric[i])
+			numeric[i] = log1p(numeric[i])
 		}
 	}
 

@@ -20,15 +20,23 @@ package kdd
 // scanValue plus json.Unmarshal, so accept/reject behavior matches the
 // stock decoder. Read errors are sticky, so an error the newline
 // look-ahead met is what the fallback reports.
+//
+// The field loop has two destinations: a Record (Next, AppendAll), or a
+// staged row of a ColumnarBatch (AppendColumnar), where each value lands
+// in its column and each categorical value becomes a code in the
+// batch's symbol tables. Both run the same loop and the same fallback,
+// so they accept and reject the same streams.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -52,15 +60,42 @@ type RecordParser struct {
 	err error // first non-EOF read error; sticky
 	// buf[pos:lineEnd] holds no '\n': framing never rescans a byte.
 	lineEnd int
-	intern  map[string]string
-	// spare receives records AppendAll cannot place in dst; json.Unmarshal
-	// makes it escape, so it lives here rather than on AppendAll's stack.
+	// intern maps each categorical value seen to its symbol id, an index
+	// into syms; id 0 is the empty string. short caches the ids of values
+	// of up to 8 bytes by their bytes, so most lookups skip the map.
+	intern map[string]uint32
+	syms   []string
+	short  [256]shortSymbol
+	// spare receives records AppendAll cannot place in dst, and the
+	// fallback records of AppendColumnar; json.Unmarshal makes it escape,
+	// so it lives here rather than on the stack.
 	spare Record
+	// cb is the batch AppendColumnar is filling. codes maps a symbol id
+	// to its code in cb's symbol table of each categorical column; an
+	// entry is current only when its epoch is the parser's.
+	cb    *ColumnarBatch
+	epoch uint64
+	codes [numCategoricalColumns + 1][]symbolCode
+}
+
+// shortSymbol is one entry of the parser's short-value cache: a value's
+// bytes as a little-endian word, its length (0 for an empty slot) and
+// its symbol id.
+type shortSymbol struct {
+	key uint64
+	n   uint32
+	id  uint32
+}
+
+// symbolCode is one entry of the parser's symbol id -> batch code map.
+type symbolCode struct {
+	epoch uint64
+	code  uint32
 }
 
 // NewRecordParser returns a parser reading from r.
 func NewRecordParser(r io.Reader) *RecordParser {
-	p := &RecordParser{intern: make(map[string]string, 64)}
+	p := &RecordParser{intern: make(map[string]uint32, 64), syms: make([]string, 1, 64)}
 	p.Reset(r)
 	return p
 }
@@ -79,33 +114,53 @@ func (p *RecordParser) Reset(r io.Reader) {
 // first). It returns io.EOF exactly when the stream ends cleanly before
 // another value starts.
 func (p *RecordParser) Next(rec *Record) error {
+	return p.next(unsafe.Pointer(rec), toRecord)
+}
+
+// next parses the next value into dst, a *Record (sel toRecord) or a
+// *stagedRow (sel toRow), which it clears first.
+func (p *RecordParser) next(dst unsafe.Pointer, sel int) error {
 	if err := p.skipSpace(); err != nil {
 		return err // io.EOF here is a clean end of stream
 	}
-	*rec = Record{}
+	p.clear(dst, sel)
 	if p.buf[p.pos] == '{' {
-		if line, ok := p.frameLine(); ok && p.parseObjectFast(line, rec) {
+		if line, ok := p.frameLine(); ok && p.parseObjectFast(line, dst, sel) {
 			p.pos += len(line)
 			return nil
 		}
-		*rec = Record{}
+		p.clear(dst, sel)
 	}
 	val, err := p.scanValue()
 	if err != nil {
 		return err
 	}
 	if val[0] == '{' {
-		if p.parseObjectFast(val, rec) {
+		if p.parseObjectFast(val, dst, sel) {
 			return nil
 		}
-		*rec = Record{}
+		p.clear(dst, sel)
 	}
 	// Fallback: bytes outside the fast shape go through the stock
 	// decoder for identical accept/reject behavior.
-	if err := json.Unmarshal(val, rec); err != nil {
+	if sel == toRecord {
+		return json.Unmarshal(val, (*Record)(dst))
+	}
+	p.spare = Record{}
+	if err := json.Unmarshal(val, &p.spare); err != nil {
 		return err
 	}
+	p.stage((*stagedRow)(dst), &p.spare)
 	return nil
+}
+
+// clear zeroes dst: a Record, or a staged row whose codes are unset.
+func (p *RecordParser) clear(dst unsafe.Pointer, sel int) {
+	if sel == toRecord {
+		*(*Record)(dst) = Record{}
+		return
+	}
+	*(*stagedRow)(dst) = stagedRow{codes: [numCategoricalColumns + 1]uint32{noCode, noCode, noCode, noCode}}
 }
 
 // frameLine returns the line at p.pos minus its newline and trailing
@@ -283,6 +338,15 @@ func (p *RecordParser) scanValue() ([]byte, error) {
 				}
 				return nil, err
 			}
+			// json.Decoder ends a top-level literal at its last letter:
+			// "null0" is null, then 0. Null is the one scalar a Record
+			// accepts, so it alone must be split off to keep the record
+			// count.
+			if i-p.pos == 4 && string(p.buf[p.pos:i]) == "null" {
+				start := p.pos
+				p.pos = i
+				return p.buf[start:i], nil
+			}
 			b := p.buf[i]
 			if isJSONSpace(b) || b == ',' || b == '}' || b == ']' || b == '{' || b == '[' || b == '"' {
 				if i == p.pos {
@@ -305,60 +369,129 @@ func unexpectedEnd(err error) error {
 	return err
 }
 
-// fieldKind is the JSON value shape of one Record field.
+// fieldKind is how the field loop stores one value: into a Record
+// field, or into a staged row of a columnar batch.
 type fieldKind uint8
 
 const (
-	floatField fieldKind = iota
-	boolField
-	stringField
+	floatField   fieldKind = iota // float64 at off (Record field or row column)
+	boolField                     // Record bool at off
+	boolColumn                    // row float64 column at off, 0 or 1
+	stringField                   // Record string at off
+	symbolColumn                  // row symbol code of categorical column off
 )
 
-// recordField is one Record field as the fast parser sees it: the
-// compact key token encoding/json writes before its value, the value
-// shape, and where in a Record the value lands.
-type recordField struct {
-	key  string // `"Name":`
+// The field loop's two destinations: Next and AppendAll parse into a
+// Record, AppendColumnar into a staged row.
+const (
+	toRecord = iota
+	toRow
+)
+
+// fieldDst is where one field's value lands in one destination.
+type fieldDst struct {
 	kind fieldKind
 	off  uintptr
 }
 
+// recordField is one Record field as the fast parser sees it: the
+// compact key token encoding/json writes before its value, that token
+// as four little-endian words with masks covering its length, and where
+// the value lands in each destination.
+type recordField struct {
+	key   string // `"Name":`
+	words [4]uint64
+	masks [4]uint64
+	dst   [2]fieldDst
+}
+
 // recordFields lists Record's fields in declaration order, the order
 // encoding/json writes them in; recordFieldIndex maps a field name to
-// its entry. Both derive from the struct itself, so the parser cannot
-// drift from it.
+// its entry. Both derive from the struct itself (and a staged row's
+// columns from NumericFeaturesInto), so the parser cannot drift from
+// either.
 var recordFields, recordFieldIndex = buildRecordFields()
+
+// symbolColumns maps each string field to its categorical column.
+var symbolColumns = map[string]uintptr{"Protocol": 0, "Service": 1, "Flag": 2, "Label": numCategoricalColumns}
 
 func buildRecordFields() ([]recordField, map[string]int) {
 	t := reflect.TypeFor[Record]()
 	fields := make([]recordField, t.NumField())
 	index := make(map[string]int, len(fields))
-	kinds := map[reflect.Type]fieldKind{
-		reflect.TypeFor[float64](): floatField,
-		reflect.TypeFor[bool]():    boolField,
-		reflect.TypeFor[string]():  stringField,
-	}
 	for i := range fields {
 		f := t.Field(i)
-		kind, ok := kinds[f.Type]
-		if !ok || !f.IsExported() || f.Tag != "" {
-			panic(fmt.Sprintf("kdd: Record.%s (%s, tag %q) is outside the NDJSON parser's shape", f.Name, f.Type, f.Tag))
+		if !f.IsExported() || f.Tag != "" {
+			panic(fmt.Sprintf("kdd: Record.%s (tag %q) is outside the NDJSON parser's shape", f.Name, f.Tag))
 		}
-		fields[i] = recordField{key: `"` + f.Name + `":`, kind: kind, off: f.Offset}
+		rf := recordField{key: `"` + f.Name + `":`}
+		switch f.Type {
+		case reflect.TypeFor[float64]():
+			rf.dst = [2]fieldDst{{floatField, f.Offset}, {floatField, numericColumnOffset(f)}}
+		case reflect.TypeFor[bool]():
+			rf.dst = [2]fieldDst{{boolField, f.Offset}, {boolColumn, numericColumnOffset(f)}}
+		case reflect.TypeFor[string]():
+			c, ok := symbolColumns[f.Name]
+			if !ok {
+				panic(fmt.Sprintf("kdd: Record.%s has no categorical column", f.Name))
+			}
+			rf.dst = [2]fieldDst{{stringField, f.Offset}, {symbolColumn, c}}
+		default:
+			panic(fmt.Sprintf("kdd: Record.%s (%s) is outside the NDJSON parser's shape", f.Name, f.Type))
+		}
+		var padded, mask [32]byte
+		if copy(padded[:], rf.key) != len(rf.key) {
+			panic(fmt.Sprintf("kdd: Record.%s key token longer than %d bytes", f.Name, len(padded)))
+		}
+		for b := range rf.key {
+			mask[b] = 0xff
+		}
+		for w := range rf.words {
+			rf.words[w] = binary.LittleEndian.Uint64(padded[8*w:])
+			rf.masks[w] = binary.LittleEndian.Uint64(mask[8*w:])
+		}
+		fields[i] = rf
 		index[f.Name] = i
 	}
 	return fields, index
 }
 
+// numericColumnOffset returns the offset inside a stagedRow of the
+// numeric column NumericFeaturesInto fills from Record field f.
+func numericColumnOffset(f reflect.StructField) uintptr {
+	var probe Record
+	at := unsafe.Add(unsafe.Pointer(&probe), f.Offset)
+	if f.Type.Kind() == reflect.Bool {
+		*(*bool)(at) = true
+	} else {
+		*(*float64)(at) = 1
+	}
+	var vals [numNumeric]float64
+	probe.NumericFeaturesInto(vals[:])
+	col := -1
+	for j, v := range vals {
+		if v != 0 {
+			if col >= 0 {
+				panic(fmt.Sprintf("kdd: Record.%s fills several numeric columns", f.Name))
+			}
+			col = j
+		}
+	}
+	if col < 0 {
+		panic(fmt.Sprintf("kdd: Record.%s fills no numeric column", f.Name))
+	}
+	return unsafe.Offsetof(stagedRow{}.num) + uintptr(col)*8
+}
+
 // parseObjectFast parses a flat Record object with exact field names,
-// key by key in any order, with JSON whitespace between tokens. It
-// reports false, leaving rec partially written, whenever the input steps
-// outside that shape; the caller then falls back.
+// key by key in any order, with JSON whitespace between tokens, into dst
+// (see next). It reports false, leaving dst partially written, whenever
+// the input steps outside that shape; the caller then falls back.
 //
 // encoding/json writes a Record's fields in declaration order, so the
 // loop first tries the whole `"Key":` token of the field after the one
 // it just parsed and looks the key up only when that does not match.
-func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
+func (p *RecordParser) parseObjectFast(val []byte, dst unsafe.Pointer, sel int) bool {
 	i := skipJSONSpace(val, 1) // past '{'
 	if i < len(val) && val[i] == '}' {
 		return i == len(val)-1
@@ -366,14 +499,39 @@ func (p *RecordParser) parseObjectFast(val []byte, rec *Record) bool {
 	next := 0 // the field encoding/json writes next
 	for {
 		k := next
-		if k < len(recordFields) && hasPrefix(val[i:], recordFields[k].key) {
+		// Does val[i:] start with the key token? Four masked words are
+		// compared without a branch; only a token within 32 bytes of the
+		// end of val falls back to a byte compare.
+		match := false
+		if k < len(recordFields) {
+			f := &recordFields[k]
+			if len(val)-i >= 32 {
+				b := (*[32]byte)(val[i:])
+				le := binary.LittleEndian
+				match = (le.Uint64(b[0:8])^f.words[0])&f.masks[0]|
+					(le.Uint64(b[8:16])^f.words[1])&f.masks[1]|
+					(le.Uint64(b[16:24])^f.words[2])&f.masks[2]|
+					(le.Uint64(b[24:32])^f.words[3])&f.masks[3] == 0
+			} else {
+				match = hasPrefix(val[i:], f.key)
+			}
+		}
+		if match {
 			i += len(recordFields[k].key)
 		} else if k, i = lookupKey(val, i); k < 0 {
 			return false
 		}
-		var ok bool
-		if i, ok = p.parseField(&recordFields[k], val, i, rec); !ok {
-			return false
+		f := recordFields[k].dst[sel]
+		if i+1 < len(val) && f.kind == floatField && val[i]-'0' <= 9 && (val[i+1] == ',' || val[i+1] == '}') {
+			// A lone digit before the next field or the closing brace
+			// (flags and counters) is its own value.
+			*(*float64)(unsafe.Add(dst, f.off)) = float64(val[i] - '0')
+			i++
+		} else {
+			var ok bool
+			if i, ok = p.parseField(f, val, i, dst); !ok {
+				return false
+			}
 		}
 		next = k + 1
 		// ',' before the next key, or '}' as the scanned value's last byte.
@@ -411,8 +569,16 @@ func lookupKey(val []byte, i int) (k, j int) {
 }
 
 // skipJSONSpace returns the index of the first non-whitespace byte of
-// val at or after i.
+// val at or after i. Compact JSON has none, so the common case is one
+// inlined compare.
 func skipJSONSpace(val []byte, i int) int {
+	if i < len(val) && !isJSONSpace(val[i]) {
+		return i
+	}
+	return skipJSONSpaceRun(val, i)
+}
+
+func skipJSONSpaceRun(val []byte, i int) int {
 	for i < len(val) && isJSONSpace(val[i]) {
 		i++
 	}
@@ -420,20 +586,23 @@ func skipJSONSpace(val []byte, i int) int {
 }
 
 // parseField parses the value at or after val[i] (past any whitespace)
-// into rec's field f and returns the index past it. Type mismatches and
+// into dst as f says and returns the index past it. Type mismatches and
 // out-of-shape values report false.
-func (p *RecordParser) parseField(f *recordField, val []byte, i int, rec *Record) (int, bool) {
+func (p *RecordParser) parseField(f fieldDst, val []byte, i int, dst unsafe.Pointer) (int, bool) {
 	i = skipJSONSpace(val, i)
 	if i >= len(val) {
 		return i, false
 	}
 	// null leaves any field untouched, matching encoding/json.
-	if hasPrefix(val[i:], "null") {
-		return i + 4, true
+	if val[i] == 'n' {
+		if hasPrefix(val[i:], "null") {
+			return i + 4, true
+		}
+		return i, false
 	}
-	// f.off and f.kind were read off Record's own type, so each cast
-	// below is to the field's declared type.
-	at := unsafe.Add(unsafe.Pointer(rec), f.off)
+	// The offsets were read off Record's and stagedRow's own types, so
+	// each cast below is to the field's declared type.
+	at := unsafe.Add(dst, f.off)
 	switch f.kind {
 	case floatField:
 		v, n, ok := parseJSONNumber(val[i:])
@@ -442,16 +611,22 @@ func (p *RecordParser) parseField(f *recordField, val []byte, i int, rec *Record
 		}
 		*(*float64)(at) = v
 		return i + n, true
-	case boolField:
-		if hasPrefix(val[i:], "true") {
-			*(*bool)(at) = true
-			return i + 4, true
+	case boolField, boolColumn:
+		var v bool
+		switch {
+		case hasPrefix(val[i:], "true"):
+			v, i = true, i+4
+		case hasPrefix(val[i:], "false"):
+			v, i = false, i+5
+		default:
+			return i, false
 		}
-		if hasPrefix(val[i:], "false") {
-			*(*bool)(at) = false
-			return i + 5, true
+		if f.kind == boolField {
+			*(*bool)(at) = v
+		} else {
+			*(*float64)(at) = b2f(v)
 		}
-		return i, false
+		return i, true
 	default:
 		if val[i] != '"' {
 			return i, false
@@ -463,7 +638,12 @@ func (p *RecordParser) parseField(f *recordField, val []byte, i int, rec *Record
 		if j >= len(val) || val[j] != '"' || !utf8.Valid(val[i+1:j]) {
 			return i, false // escapes, control bytes, bad UTF-8: slow path
 		}
-		*(*string)(at) = p.internString(val[i+1 : j])
+		if f.kind == stringField {
+			*(*string)(at) = p.internString(val[i+1 : j])
+		} else {
+			row := (*stagedRow)(dst)
+			row.codes[f.off] = p.symbolCode(int(f.off), val[i+1:j])
+		}
 		return j + 1, true
 	}
 }
@@ -472,23 +652,113 @@ func hasPrefix(b []byte, s string) bool {
 	return len(b) >= len(s) && string(b[:len(s)]) == s
 }
 
-// internString returns a string for b, reusing a previously allocated
-// copy when the same bytes have been seen. The categorical vocabularies
+// Caps of the intern table: longer or further values are not interned.
+const (
+	maxInternBytes   = 64
+	maxInternSymbols = 4096
+)
+
+// internID returns b's symbol id, interning b on first sight, or -1 when
+// b is outside the table's caps. The categorical vocabularies
 // (protocols, services, flags, labels) are tiny, so after warm-up this
-// never allocates. Oversized or high-cardinality values skip the table.
-func (p *RecordParser) internString(b []byte) string {
+// never allocates.
+func (p *RecordParser) internID(b []byte) int {
 	if len(b) == 0 {
-		return ""
+		return 0
 	}
-	if len(b) > 64 || len(p.intern) >= 4096 {
-		return string(b)
+	if len(b) > 8 {
+		return p.internLookup(b)
 	}
-	if s, ok := p.intern[string(b)]; ok { // no-alloc map lookup idiom
-		return s
+	var key uint64
+	for i, c := range b {
+		key |= uint64(c) << (8 * i)
+	}
+	e := &p.short[(key*0x9E3779B97F4A7C15)>>56]
+	if e.n == uint32(len(b)) && e.key == key {
+		return int(e.id)
+	}
+	id := p.internLookup(b)
+	if id >= 0 {
+		*e = shortSymbol{key: key, n: uint32(len(b)), id: uint32(id)}
+	}
+	return id
+}
+
+// internLookup is internID through the intern map.
+func (p *RecordParser) internLookup(b []byte) int {
+	if len(b) > maxInternBytes {
+		return -1
+	}
+	if id, ok := p.intern[string(b)]; ok { // no-alloc map lookup idiom
+		return int(id)
+	}
+	if len(p.syms) > maxInternSymbols {
+		return -1
 	}
 	s := string(b)
-	p.intern[s] = s
-	return s
+	p.intern[s] = uint32(len(p.syms))
+	p.syms = append(p.syms, s)
+	return len(p.syms) - 1
+}
+
+// internString returns a string for b, reusing a previously allocated
+// copy when the same bytes have been seen.
+func (p *RecordParser) internString(b []byte) string {
+	if id := p.internID(b); id >= 0 {
+		return p.syms[id]
+	}
+	return string(b)
+}
+
+// symbolCode returns the code of b in the symbol table of p.cb's
+// categorical column c, adding b to that table on its first use in the
+// batch. One intern lookup finds b's id, and the id its code.
+func (p *RecordParser) symbolCode(c int, b []byte) uint32 {
+	id := p.internID(b)
+	if id < 0 {
+		return p.cb.addSymbol(c, string(b))
+	}
+	if id < len(p.codes[c]) && p.codes[c][id].epoch == p.epoch {
+		return p.codes[c][id].code
+	}
+	code := p.cb.addSymbol(c, p.syms[id])
+	p.setCode(c, id, code)
+	return code
+}
+
+// setCode records that symbol id has code in the current batch's column c.
+func (p *RecordParser) setCode(c, id int, code uint32) {
+	if id >= len(p.codes[c]) {
+		p.codes[c] = append(p.codes[c], make([]symbolCode, len(p.syms)-len(p.codes[c]))...)
+	}
+	p.codes[c][id] = symbolCode{epoch: p.epoch, code: code}
+}
+
+// batchEpochs numbers the parser-to-batch bindings of AppendColumnar
+// across all parsers, so an epoch names one binding.
+var batchEpochs atomic.Uint64
+
+// bind makes cb the batch symbolCode fills. A batch holding a frame (or
+// nothing) becomes an empty NDJSON batch. Unless p bound cb last, a new
+// epoch empties the code map: a value cb already holds then gets a
+// second code, which names the same symbol.
+func (p *RecordParser) bind(cb *ColumnarBatch) {
+	p.cb = cb
+	if !cb.staging {
+		cb.Reset()
+	}
+	if cb.epoch == 0 || cb.epoch != p.epoch {
+		p.epoch = batchEpochs.Add(1)
+		cb.epoch = p.epoch
+	}
+}
+
+// stage copies a record parsed by the fallback into a staged row.
+func (p *RecordParser) stage(row *stagedRow, rec *Record) {
+	rec.NumericFeaturesInto(row.num[:])
+	for c, s := range [...]string{rec.Protocol, rec.Service, rec.Flag, rec.Label} {
+		row.codes[c] = p.symbolCode(c, []byte(s))
+	}
 }
 
 // parseJSONNumber parses a strict JSON number at the head of b,
@@ -498,8 +768,9 @@ func (p *RecordParser) internString(b []byte) string {
 // the mantissa while they are scanned; with ≤ 19 digits, a mantissa of
 // at most 2^53 and a decimal exponent within ±22 the value is one exact
 // float multiply or divide, which is correctly rounded and therefore
-// bit-identical to strconv.ParseFloat. Everything else defers to
-// strconv.
+// bit-identical to strconv.ParseFloat. Other mantissas of ≤ 19 digits
+// go through eiselLemire, which is strconv's own first step. Everything
+// else defers to strconv.
 func parseJSONNumber(b []byte) (float64, int, bool) {
 	i := 0
 	neg := len(b) > 0 && b[0] == '-'
@@ -527,6 +798,15 @@ func parseJSONNumber(b []byte) (float64, int, bool) {
 	if i < len(b) && b[i] == '.' {
 		i++
 		start := i
+		// Long fractions (rates, byte counts) fold eight digits at a time.
+		for i+8 <= len(b) {
+			v, ok := eightDigits(b[i : i+8])
+			if !ok {
+				break
+			}
+			mant = mant*100_000_000 + v
+			i += 8
+		}
 		for ; i < len(b) && isDigit(b[i]); i++ {
 			mant = mant*10 + uint64(b[i]-'0')
 		}
@@ -555,17 +835,22 @@ func parseJSONNumber(b []byte) (float64, int, bool) {
 			exp = -exp
 		}
 	}
-	if e10 := exp - frac; nd <= 19 && mant <= 1<<53 && e10 >= -22 && e10 <= 22 {
-		v := float64(mant)
-		if e10 > 0 {
-			v *= pow10Table[e10]
-		} else if e10 < 0 {
-			v /= pow10Table[-e10]
+	if e10 := exp - frac; nd <= 19 {
+		if mant <= 1<<53 && e10 >= -22 && e10 <= 22 {
+			v := float64(mant)
+			if e10 > 0 {
+				v *= pow10Table[e10]
+			} else if e10 < 0 {
+				v /= pow10Table[-e10]
+			}
+			if neg {
+				v = -v
+			}
+			return v, i, true
 		}
-		if neg {
-			v = -v
+		if v, ok := eiselLemire(mant, e10, neg); ok {
+			return v, i, true
 		}
-		return v, i, true
 	}
 	v, err := strconv.ParseFloat(string(b[:i]), 64)
 	if err != nil || math.IsInf(v, 0) {
@@ -616,6 +901,47 @@ func (p *RecordParser) AppendAll(dst []Record, maxRecords int) ([]Record, error)
 		}
 		if maxRecords > 0 && len(dst) > maxRecords {
 			return dst, fmt.Errorf("request exceeds %d records", maxRecords)
+		}
+	}
+}
+
+// AppendColumnar drains the parser's stream into cb, after any rows cb
+// holds from an earlier AppendColumnar; a batch holding a GHSOMWB1 frame
+// is emptied first. It runs the field loop of AppendAll, so it accepts
+// and rejects exactly the streams AppendAll does, with the same 1-based
+// record positions in its errors and the same maxRecords cap; on an
+// error cb keeps the records before the bad one. The fast path builds
+// no Record: each value lands in the batch's staged row, and each
+// categorical value costs one intern lookup, which yields its symbol
+// code. A missing key or a null leaves its column zero (the empty
+// symbol for a string), and on a duplicate key the last value wins, as
+// with encoding/json. The batch keeps the labels.
+func (p *RecordParser) AppendColumnar(cb *ColumnarBatch, maxRecords int) error {
+	p.bind(cb)
+	defer func() { p.cb = nil }()
+	for line := cb.rows + 1; ; line++ {
+		if len(cb.staged) < cap(cb.staged) {
+			cb.staged = cb.staged[:len(cb.staged)+1]
+		} else {
+			cb.staged = append(cb.staged, stagedRow{})
+		}
+		row := &cb.staged[len(cb.staged)-1]
+		if err := p.next(unsafe.Pointer(row), toRow); err != nil {
+			cb.staged = cb.staged[:cb.rows]
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("record %d: %w", line, err)
+		}
+		// Keys the record did not carry name the empty symbol.
+		for c, code := range row.codes {
+			if code == noCode {
+				row.codes[c] = p.symbolCode(c, nil)
+			}
+		}
+		cb.rows++
+		if maxRecords > 0 && cb.rows > maxRecords {
+			return fmt.Errorf("request exceeds %d records", maxRecords)
 		}
 	}
 }

@@ -424,6 +424,15 @@ func TestReadRecordsNDJSONCapAndErrors(t *testing.T) {
 	}
 }
 
+// TestRecordParserNullThenValue pins literal splitting: json.Decoder
+// ends a top-level null at its last letter, so "null0" is a record
+// followed by a bad value, not one bad value.
+func TestRecordParserNullThenValue(t *testing.T) {
+	for _, input := range []string{"null0", "nullnull", "null-1", "nulltrue", "null{}", "nullx", "null", "nul", "null0\n{}"} {
+		checkParserEquivalence(t, input, strings.NewReader(input))
+	}
+}
+
 // FuzzRecordParserEquivalence cross-checks the fast parser against the
 // stock json.Decoder on arbitrary streams: identical records and
 // identical accept/reject decisions, never a panic.

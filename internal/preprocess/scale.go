@@ -115,18 +115,25 @@ func (s *MinMaxScaler) TransformInPlace(x []float64) error {
 // transformRow is the validated min-max kernel: len(x) == len(s.min).
 func (s *MinMaxScaler) transformRow(x []float64) {
 	for d, v := range x {
-		if s.span[d] <= 0 {
-			x[d] = 0
-			continue
-		}
-		u := (v - s.min[d]) / s.span[d]
-		if u < 0 {
-			u = 0
-		} else if u > 1 {
-			u = 1
-		}
-		x[d] = u
+		x[d] = MinMax(v, s.min[d], s.span[d])
 	}
+}
+
+// MinMax is the min-max expression of one dimension: v mapped by the
+// fitted min and span into [0, 1], clamped, and 0 for a constant
+// dimension (span <= 0). Every min-max path computes it here, so fused
+// kernels outside the scaler produce the scaler's bits.
+func MinMax(v, min, span float64) float64 {
+	if span <= 0 {
+		return 0
+	}
+	u := (v - min) / span
+	if u < 0 {
+		u = 0
+	} else if u > 1 {
+		u = 1
+	}
+	return u
 }
 
 // TransformBatch scales every d-wide row of the flat row-major matrix in

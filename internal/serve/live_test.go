@@ -19,15 +19,15 @@ import (
 	"ghsom/internal/trafficgen"
 )
 
-// TestRecordPoolSafeWhenClientCancels pins when a decoded body's pooled
-// record slice may be reused. A lone job flushes on its own records, so
-// a slice pooled while its job still sits in a held flush would be
-// overwritten by the next request's decode and the held flush would
-// score the wrong records. The client of the held job cancels, a second
-// request decodes into a pooled slice and is served by the other flush
-// loop, and after the hold both flushes' verdicts must equal DetectAll.
-// The steps are handleDetect's: decode, run, release.
-func TestRecordPoolSafeWhenClientCancels(t *testing.T) {
+// TestBatchPoolSafeWhenClientCancels pins when a decoded body's pooled
+// batch may be reused. A flush reads its jobs' batches, so a batch
+// pooled while its job still sits in a held flush would be overwritten
+// by the next request's decode and the held flush would score the wrong
+// records. The client of the held job cancels, a second request decodes
+// into a pooled batch and is served by the other flush loop, and after
+// the hold both flushes' verdicts must equal DetectAll. The steps are
+// handleDetect's: decode, run, release.
+func TestBatchPoolSafeWhenClientCancels(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	first, second := recs[:16], recs[16:32]
 	wantFirst, err := pipe.DetectAll(first)
@@ -63,11 +63,11 @@ func TestRecordPoolSafeWhenClientCancels(t *testing.T) {
 	if err := <-left; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled client: err %v, want context.Canceled", err)
 	}
-	// Release on this goroutine, so a wrongly pooled slice most likely
+	// Release on this goroutine, so a wrongly pooled batch most likely
 	// sits in the per-P pool the next decode draws from.
 	b.release(held)
-	if held.buf == nil {
-		t.Fatal("release pooled the record slice of a job still in a flush")
+	if held.batch == nil {
+		t.Fatal("release pooled the batch of a job still in a flush")
 	}
 	select {
 	case <-held.done:
@@ -98,9 +98,8 @@ func TestRecordPoolSafeWhenClientCancels(t *testing.T) {
 }
 
 // TestDecodePooledBodyAllocs pins the live decode at zero allocations:
-// once the pools are warm, a 16-record body decodes into a pooled record
-// slice with a pooled parser and goes back to the pool, allocating
-// nothing.
+// once the pools are warm, a 16-record body decodes into a pooled batch
+// with a pooled parser and goes back to the pool, allocating nothing.
 func TestDecodePooledBodyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -116,14 +115,42 @@ func TestDecodePooledBodyAllocs(t *testing.T) {
 	decode := func() {
 		rd.Reset(body)
 		j = job{}
-		if err := j.decode(rd); err != nil || len(j.records) != 16 {
-			t.Fatalf("decoded %d records, err %v", len(j.records), err)
+		if err := j.decode(rd); err != nil || j.batch.Rows() != 16 {
+			t.Fatalf("decoded %d records, err %v", j.batch.Rows(), err)
 		}
 		b.release(&j)
 	}
-	decode() // warm the parser, the intern table and the record pool
+	decode() // warm the parser, the intern table and the batch pool
 	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
 		t.Fatalf("a pooled 16-record body decode allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDetectNDJSONLowestBadRecord checks /detect names the lowest bad
+// record of an NDJSON body with DetectBatch's message: with an unknown
+// flag at record 1, a NaN after the log transform at record 3 and an
+// unknown protocol at record 5 the 422 names record 1, and once the
+// flag is repaired, record 3.
+func TestDetectNDJSONLowestBadRecord(t *testing.T) {
+	pipe, recs := testPipeline(t)
+	body := append([]kdd.Record(nil), recs[:8]...)
+	body[1].Flag = "BOGUSFLAG"
+	body[3].Count = -2 // log1p(-2) is NaN
+	body[5].Protocol = "bogusproto"
+	b := newBatcher(pipe, testConfig(64, 1))
+	defer b.close()
+	for _, want := range []int{1, 3} {
+		_, batchErr := pipe.DetectBatch(body, nil)
+		if batchErr == nil || !strings.HasPrefix(batchErr.Error(), fmt.Sprintf("record %d: ", want)) {
+			t.Fatalf("DetectBatch err %v, want record %d", batchErr, want)
+		}
+		w := httptest.NewRecorder()
+		b.handleDetect(w, httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(ndjson(t, body))))
+		var got struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != http.StatusUnprocessableEntity || got.Error != batchErr.Error() {
+			t.Fatalf("status %d body %q, want 422 with %q", w.Code, w.Body, batchErr)
+		}
+		body[1].Flag = body[0].Flag
 	}
 }
 

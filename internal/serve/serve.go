@@ -459,15 +459,14 @@ func (reg *Registry) handleModels(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(views)
 }
 
-// job is one client request moving through the batcher: its records, the
-// absolute deadline it must finish by (zero = none), the predictions
-// written back by the flush, and a done signal. Once done has closed no
-// flush touches the job again.
+// job is one client request moving through the batcher: its decoded
+// records, the absolute deadline it must finish by (zero = none), the
+// predictions written back by the flush, and a done signal. Once done
+// has closed no flush touches the job again.
 type job struct {
-	records []kdd.Record
-	// buf is the pooled backing of records when the job decoded its own
-	// body (nil when the caller owns records); release returns it.
-	buf        *[]kdd.Record
+	// batch holds the request's decoded records; release returns it to
+	// columnarPool.
+	batch      *kdd.ColumnarBatch
 	deadline   time.Time
 	enqueuedAt time.Time
 	preds      []ghsom.Prediction
@@ -625,9 +624,10 @@ func (s *serveStats) snapshot() StatsView {
 	return out
 }
 
-// batcher coalesces jobs into micro-batches, flushed through DetectBatch
-// by up to loops concurrent flush loops (the resolved Parallelism), each
-// flushing as soon as it is free, up to maxBatch records: jobs that
+// batcher coalesces jobs into micro-batches, each flushed through one
+// DetectMergedCtx pass by up to loops concurrent flush loops (the
+// resolved Parallelism), each flushing as soon as it is free, up to
+// maxBatch records: jobs that
 // arrive while every loop is busy share the next free loop's flush, so
 // batches grow with load and an idle server adds no linger. Rows are
 // independent, so concurrent flushes return the same verdicts as one
@@ -720,7 +720,7 @@ func (b *batcher) loop() {
 			return
 		}
 		pending = append(pending, j)
-		size += len(j.records)
+		size += j.batch.Rows()
 	}
 	// drain takes already-queued jobs, never blocking, until the batch
 	// holds at least limit records.
@@ -734,9 +734,10 @@ func (b *batcher) loop() {
 			}
 		}
 	}
+	var scratch flushScratch
 	flush := func() {
 		if len(pending) > 0 {
-			b.flush(pending, size)
+			b.flush(pending, size, &scratch)
 		}
 		pending, size = nil, 0
 	}
@@ -755,11 +756,12 @@ func (b *batcher) loop() {
 	}
 }
 
-// detectSafe runs one dataplane pass with the panic barrier and the
-// chaos-drill fault points. A panicking batch (poison model state, an
+// detectSafe runs one dataplane pass over batches (see
+// ghsom.Pipeline.DetectMergedCtx) with the panic barrier and the
+// chaos-drill fault points. A panicking pass (poison model state, an
 // injected classify-panic) is converted to an error so the flush loop —
 // and the process — survive it and quarantine only the offending jobs.
-func detectSafe(ctx context.Context, pipe *ghsom.Pipeline, recs []kdd.Record, out []ghsom.Prediction) (preds []ghsom.Prediction, err error) {
+func detectSafe(ctx context.Context, pipe *ghsom.Pipeline, batches []*kdd.ColumnarBatch, out []ghsom.Prediction, errs []error) (preds []ghsom.Prediction, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			preds, err = nil, fmt.Errorf("dataplane panic (job quarantined): %v", r)
@@ -770,22 +772,22 @@ func detectSafe(ctx context.Context, pipe *ghsom.Pipeline, recs []kdd.Record, ou
 		return nil, err
 	}
 	faultinject.Hit(faultinject.ClassifyPanic)
-	return pipe.DetectBatchCtx(ctx, recs, out)
+	return pipe.DetectMergedCtx(ctx, batches, out, errs)
 }
 
-// detectColumnarSafe is detectSafe for the columnar fast path.
-func detectColumnarSafe(ctx context.Context, pipe *ghsom.Pipeline, cb *kdd.ColumnarBatch, out []ghsom.Prediction) (preds []ghsom.Prediction, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			preds, err = nil, fmt.Errorf("dataplane panic (job quarantined): %v", r)
-		}
-	}()
-	faultinject.Hit(faultinject.DataplaneLatency)
-	if err := faultinject.Hit(faultinject.ScratchExhausted); err != nil {
+// detectOne is detectSafe over a single batch: its verdicts, or the
+// pass's error or the batch's own.
+func detectOne(ctx context.Context, pipe *ghsom.Pipeline, cb *kdd.ColumnarBatch, out []ghsom.Prediction) ([]ghsom.Prediction, error) {
+	batches := [1]*kdd.ColumnarBatch{cb}
+	var errs [1]error
+	preds, err := detectSafe(ctx, pipe, batches[:], out, errs[:])
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
 		return nil, err
 	}
-	faultinject.Hit(faultinject.ClassifyPanic)
-	return pipe.DetectColumnarCtx(ctx, cb, out)
+	return preds, nil
 }
 
 // batchContext bounds a merged flush by the latest deadline among its
@@ -804,22 +806,30 @@ func batchContext(pending []*job) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// flush concatenates the pending jobs into one record batch, runs the
-// dataplane, and scatters the predictions back per job. A failed merged
-// batch must not fail co-batched clients' valid requests (and its record
-// index refers to the concatenated batch, not any one client's payload),
-// so on error every job is retried individually: valid jobs succeed and
-// the bad job gets an error with job-local record indices. Jobs whose
-// deadline lapsed while pending are failed without dataplane work, and
-// each failure path is quarantined rather than allowed to escape.
-func (b *batcher) flush(pending []*job, size int) {
+// flushScratch is a flush loop's reusable per-flush slices.
+type flushScratch struct {
+	batches []*kdd.ColumnarBatch
+	errs    []error
+}
+
+// flush runs the pending jobs' batches through one dataplane pass, as
+// consecutive rows of one merged batch, and scatters the predictions
+// back per job. A job whose rows fail to encode fails alone, with
+// job-local record indices, and its co-batched neighbors are served by
+// the same pass. A pass that fails as a whole (a panic, an injected
+// fault, the batch deadline) must not fail co-batched clients' valid
+// requests either, so then every job is retried individually under its
+// own deadline. Jobs whose deadline lapsed while pending are failed
+// without dataplane work, and each failure path is quarantined rather
+// than allowed to escape.
+func (b *batcher) flush(pending []*job, size int, scratch *flushScratch) {
 	// Re-check deadlines at flush time: a job admitted alive may have
 	// expired while the batch accumulated.
 	now := time.Now()
 	live := pending[:0]
 	for _, j := range pending {
 		if !b.q.Alive(j, now) {
-			size -= len(j.records)
+			size -= j.batch.Rows()
 			j.err = errDeadline
 			close(j.done)
 			continue
@@ -830,24 +840,23 @@ func (b *batcher) flush(pending []*job, size int) {
 	if len(pending) == 0 {
 		return
 	}
-	// One pointer load per flush: the whole merged batch (and its per-job
+	// One pointer load per flush: the whole merged pass (and its per-job
 	// retries) runs against a single pipeline even if a hot-swap lands
 	// mid-flush.
 	pipe := b.pipe.Load()
-	// A lone job runs on its own records: nothing else reads them until
-	// its done channel closes. Merged jobs are copied into one batch.
-	batch := pending[0].records
-	if len(pending) > 1 {
-		batch = make([]kdd.Record, 0, size)
-		for _, j := range pending {
-			batch = append(batch, j.records...)
-		}
+	batches, errs := scratch.batches[:0], scratch.errs[:0]
+	for _, j := range pending {
+		batches = append(batches, j.batch)
+		errs = append(errs, nil)
 	}
+	scratch.batches, scratch.errs = batches, errs
+	// The scratch must not pin the batches once their jobs release them.
+	defer clear(batches)
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	ctx, cancel := batchContext(pending)
 	start := time.Now()
-	preds, err := detectSafe(ctx, pipe, batch, nil)
+	preds, err := detectSafe(ctx, pipe, batches, nil, errs)
 	cancel()
 	if err != nil {
 		// Only the per-job retries actually serve records, so only they
@@ -862,10 +871,10 @@ func (b *batcher) flush(pending []*job, size int) {
 			}
 			jctx, jcancel := j.context()
 			start := time.Now()
-			j.preds, j.err = detectSafe(jctx, pipe, j.records, nil)
+			j.preds, j.err = detectOne(jctx, pipe, j.batch, nil)
 			jcancel()
 			if j.err == nil {
-				b.stats.record(len(j.records), time.Since(start))
+				b.stats.record(j.batch.Rows(), time.Since(start))
 			} else if errors.Is(j.err, context.DeadlineExceeded) {
 				b.stats.noteError(j.err, false)
 				j.err = errDeadline
@@ -876,11 +885,22 @@ func (b *batcher) flush(pending []*job, size int) {
 		}
 		return
 	}
-	b.stats.record(len(batch), time.Since(start))
-	off := 0
+	served, off := 0, 0
+	for i, j := range pending {
+		rows := j.batch.Rows()
+		if errs[i] != nil {
+			j.err = errs[i]
+			b.stats.noteError(j.err, true)
+		} else {
+			j.preds = preds[off : off+rows]
+			served += rows
+		}
+		off += rows
+	}
+	if served > 0 {
+		b.stats.record(served, time.Since(start))
+	}
 	for _, j := range pending {
-		j.preds = preds[off : off+len(j.records)]
-		off += len(j.records)
 		close(j.done)
 	}
 }
@@ -921,13 +941,9 @@ func (b *batcher) run(ctx context.Context, j *job) ([]ghsom.Prediction, error) {
 // path costs near-zero steady-state allocation too.
 var parserPool = sync.Pool{New: func() any { return kdd.NewRecordParser(nil) }}
 
-// recordPool recycles the record slices NDJSON bodies decode into, and
-// verdictPool the buffers responses are encoded into; both hold pointers
-// so that Put does not allocate.
-var (
-	recordPool  = sync.Pool{New: func() any { return new([]kdd.Record) }}
-	verdictPool = sync.Pool{New: func() any { return new([]byte) }}
-)
+// verdictPool recycles the buffers responses are encoded into; it holds
+// pointers so that Put does not allocate.
+var verdictPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledVerdictBytes bounds the response buffers verdictPool keeps, so
 // one bulk request does not pin its whole response for later ones.
@@ -942,38 +958,31 @@ func putVerdictBuf(buf *[]byte) {
 	}
 }
 
-// readRecords parses NDJSON records into dst[:0] with the pooled
-// allocation-lean parser, reporting the 1-based index of the first
-// malformed record. Accept/reject behavior matches the json.Decoder loop
-// it replaced. The returned slice reuses dst's array while it has room.
-func readRecords(r io.Reader, dst []kdd.Record, maxRecords int) ([]kdd.Record, error) {
+// decode parses an NDJSON body into j.batch, a pooled batch that
+// batcher.release returns, with the pooled allocation-lean parser. A
+// malformed record is named by its 1-based index; accept/reject behavior
+// matches the json.Decoder loop the parser replaced.
+func (j *job) decode(body io.Reader) error {
+	j.batch = columnarPool.Get().(*kdd.ColumnarBatch)
+	j.batch.Reset()
 	if err := faultinject.Hit(faultinject.DecodeError); err != nil {
-		return dst[:0], err
+		return err
 	}
 	p := parserPool.Get().(*kdd.RecordParser)
-	p.Reset(r)
-	out, err := p.AppendAll(dst[:0], maxRecords)
+	p.Reset(body)
+	err := p.AppendColumnar(j.batch, maxRequestRecords)
 	p.Reset(nil) // drop the body reference before pooling
 	parserPool.Put(p)
-	return out, err
-}
-
-// decode parses an NDJSON body into j.records, backed by a pooled slice
-// that batcher.release returns.
-func (j *job) decode(body io.Reader) error {
-	j.buf = recordPool.Get().(*[]kdd.Record)
-	var err error
-	j.records, err = readRecords(body, *j.buf, maxRequestRecords)
 	return err
 }
 
-// release returns j's pooled record slice, but only once no flush can
-// read it again: after j.done has closed, or when j never ran. A job its
-// client abandoned may still be queued or mid-flush, so its slice is left
-// to the garbage collector. Slices longer than one flush's MaxBatch are
-// not pooled either.
+// release returns j's pooled batch, but only once no flush can read it
+// again: after j.done has closed, or when j never ran. A job its client
+// abandoned may still be queued or mid-flush, so its batch is left to
+// the garbage collector. Batches of more than one flush's MaxBatch
+// records are not pooled either.
 func (b *batcher) release(j *job) {
-	if j.buf == nil {
+	if j.batch == nil {
 		return
 	}
 	if j.done != nil {
@@ -983,11 +992,10 @@ func (b *batcher) release(j *job) {
 			return
 		}
 	}
-	if cap(j.records) <= b.maxBatch {
-		*j.buf = j.records[:0]
-		recordPool.Put(j.buf)
+	if j.batch.Rows() <= b.maxBatch {
+		columnarPool.Put(j.batch)
 	}
-	j.buf = nil
+	j.batch = nil
 }
 
 // verdictChunkBytes is how many encoded verdict bytes a response holds
@@ -1026,7 +1034,8 @@ func (b *batcher) writeVerdictChunks(w http.ResponseWriter, dst []byte, preds []
 	return dst, wrote, true
 }
 
-// columnarPool recycles decoded-frame buffers across columnar requests.
+// columnarPool recycles decoded batches across requests of both wire
+// formats.
 var columnarPool = sync.Pool{New: func() any { return new(kdd.ColumnarBatch) }}
 
 // maxRequestRecords bounds one HTTP request body by record count (the
@@ -1116,6 +1125,14 @@ func writeDetectError(w http.ResponseWriter, err error, retryAfterSec int) {
 	}
 }
 
+// handleDetect serves /detect. A columnar body goes to
+// handleDetectColumnar. An NDJSON body is decoded straight into a pooled
+// kdd.ColumnarBatch (RecordParser.AppendColumnar: no Record structs) and
+// submitted as one job to the admission queue; a flush loop merges it
+// with whatever else is queued into one DetectMergedCtx pass. A body that
+// fails to parse is a 400 naming the 1-based record; a record the
+// encoder rejects fails only its own job, with a 422 naming the record's
+// 0-based index in the body, the lowest bad one.
 func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && ct == kdd.ColumnarContentType {
 		b.handleDetectColumnar(w, r)
@@ -1132,7 +1149,7 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	if len(j.records) == 0 {
+	if j.batch.Rows() == 0 {
 		http.Error(w, "empty request: expected NDJSON records", http.StatusBadRequest)
 		return
 	}
@@ -1163,14 +1180,17 @@ func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction)
 }
 
 // handleDetectColumnar is the wire-format fast path: each GHSOMWB1 frame
-// in the body is already a formed batch, so it skips the micro-batcher
-// and runs whole through DetectColumnar — column runs decoded straight
-// into the pipeline's pooled flat matrix, no intermediate Record structs
-// — against one atomically-loaded pipeline per frame. Predictions stream
-// out as NDJSON in record order, frame by frame. Errors on the first
-// frame map to a status code (400/413/422); once output has begun a
-// malformed trailing frame just ends the response, and a verdict that
-// cannot be encoded aborts it (writeVerdictChunks).
+// in the body is already a formed batch — the same kdd.ColumnarBatch
+// type NDJSON jobs carry — so it skips the micro-batcher and runs whole,
+// on the handler goroutine, through the same dataplane pass as a flush
+// (detectOne: the encode kernel writes the column runs straight into the
+// pipeline's pooled flat matrix, no intermediate Record structs) against
+// one atomically-loaded pipeline per frame. Predictions stream out as
+// NDJSON in record order, frame by frame. Errors on the first frame map
+// to a status code (400/413/422, a bad record named by its 0-based index
+// in the frame, the lowest bad one); once output has begun a malformed
+// trailing frame just ends the response, and a verdict that cannot be
+// encoded aborts it (writeVerdictChunks).
 func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 	// The HTTP/1 server closes the request body on the first response
 	// write; a multi-frame body interleaves reads with prediction writes,
@@ -1229,7 +1249,7 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 		pipe := b.pipe.Load()
 		b.inflight.Add(1)
 		start := time.Now()
-		preds, err = detectColumnarSafe(frameCtx, pipe, cb, preds)
+		preds, err = detectOne(frameCtx, pipe, cb, preds)
 		b.inflight.Add(-1)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

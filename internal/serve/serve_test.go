@@ -96,9 +96,25 @@ func decodePreds(t *testing.T, r io.Reader) []ghsom.Prediction {
 	return out
 }
 
-// submit runs records, which the caller owns, through the batcher.
+// submit runs records through the batcher as one decoded NDJSON body.
 func (b *batcher) submit(ctx context.Context, records []kdd.Record, deadline time.Time) ([]ghsom.Prediction, error) {
-	return b.run(ctx, &job{records: records, deadline: deadline})
+	return b.run(ctx, &job{batch: recordBatch(records), deadline: deadline})
+}
+
+// recordBatch decodes records, rendered as NDJSON, into a fresh batch.
+func recordBatch(records []kdd.Record) *kdd.ColumnarBatch {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range records {
+		if err := enc.Encode(&records[i]); err != nil {
+			panic(err)
+		}
+	}
+	cb := new(kdd.ColumnarBatch)
+	if err := kdd.NewRecordParser(&buf).AppendColumnar(cb, 0); err != nil {
+		panic(err)
+	}
+	return cb
 }
 
 // flushHold is how long holdFlush stalls the dataplane: ample time for a

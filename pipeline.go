@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"unsafe"
@@ -71,8 +70,11 @@ func DefaultPipelineConfig() PipelineConfig {
 // the flat-arena, table-driven form built by core.Compile — while the
 // pointer-tree model stays available for structural inspection.
 type Pipeline struct {
-	encoder  *kdd.Encoder
-	scaler   *preprocess.MinMaxScaler
+	encoder *kdd.Encoder
+	scaler  *preprocess.MinMaxScaler
+	// rows is the inference encode kernel: the encoder fused with the
+	// scaler's tables.
+	rows     *kdd.ScaledEncoder
 	model    *core.GHSOM
 	compiled *core.Compiled
 	detector *anomaly.Detector
@@ -90,6 +92,8 @@ type Pipeline struct {
 	// DetectBatch calls, so steady-state inference performs no per-record
 	// heap allocation.
 	bufPool sync.Pool
+	// passPool recycles the state of merged detection passes.
+	passPool sync.Pool
 }
 
 // detectChunk is the largest number of records one DetectBatch worker
@@ -141,35 +145,25 @@ func (p *Pipeline) getBuf(size int) *inferenceBuffer {
 
 func (p *Pipeline) putBuf(b *inferenceBuffer) { p.bufPool.Put(b) }
 
-// encodeScaleRows is the single encode+scale kernel under TrainPipeline
-// and DetectBatch: it writes records[r] to flat[r*d : (r+1)*d], scaled in
-// place when scaler is non-nil (nil during training, before the scaler is
-// fitted). base offsets record indices in error messages so a chunk
-// reports positions in the caller's full batch.
-func encodeScaleRows(enc *kdd.Encoder, scaler *preprocess.MinMaxScaler, records []Record, base int, flat []float64) error {
+// newScaledEncoder builds the inference encode kernel of an encoder and
+// its fitted scaler: the scaler's min and span, and its own output for
+// an all-zero and an all-one row, which give every one-hot dimension's
+// scaled 0 and 1.
+func newScaledEncoder(enc *kdd.Encoder, scaler *preprocess.MinMaxScaler) (*kdd.ScaledEncoder, error) {
 	d := enc.Dim()
-	for r := range records {
-		row := flat[r*d : (r+1)*d]
-		if err := enc.EncodeInto(&records[r], row); err != nil {
-			return fmt.Errorf("record %d: %w", base+r, err)
-		}
-		if scaler != nil {
-			// Inference-side input hygiene (training encodes with a nil
-			// scaler and keeps its historical behavior): a NaN-poisoned
-			// record — e.g. a negative count driven through the log
-			// transform — would survive min-max scaling, poison its
-			// verdict, and break NDJSON response encoding downstream.
-			// Reject it here, naming the record, so the serving layer can
-			// quarantine exactly that job.
-			if err := firstNonFinite(row, len(row), base+r); err != nil {
-				return err
-			}
-			if err := scaler.TransformInPlace(row); err != nil {
-				return fmt.Errorf("record %d: %w", base+r, err)
-			}
-		}
+	min, span := scaler.State()
+	zero := make([]float64, d)
+	one := make([]float64, d)
+	for i := range one {
+		one[i] = 1
 	}
-	return nil
+	if err := scaler.TransformInPlace(zero); err != nil {
+		return nil, err
+	}
+	if err := scaler.TransformInPlace(one); err != nil {
+		return nil, err
+	}
+	return kdd.NewScaledEncoder(enc, min, span, zero, one)
 }
 
 // TrainPipeline builds the full detection chain from labeled records. The
@@ -189,7 +183,12 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 	flat := make([]float64, n*d)
 	chunk := batchChunk(cfg.Parallelism, n)
 	err := parallel.ForEachChunk(nil, cfg.Parallelism, n, chunk, func(_, lo, hi int) error {
-		return encodeScaleRows(encoder, nil, records[lo:hi], lo, flat[lo*d:hi*d])
+		for r := lo; r < hi; r++ {
+			if err := encoder.EncodeInto(&records[r], flat[r*d:(r+1)*d]); err != nil {
+				return fmt.Errorf("record %d: %w", r, err)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ghsom: encode training set: %w", err)
@@ -208,6 +207,10 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 	err = parallel.ForEachChunk(nil, cfg.Parallelism, n, chunk, func(_, lo, hi int) error {
 		return scaler.TransformBatch(flat[lo*d:hi*d], d)
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ghsom: scale training set: %w", err)
+	}
+	rows, err := newScaledEncoder(encoder, scaler)
 	if err != nil {
 		return nil, fmt.Errorf("ghsom: scale training set: %w", err)
 	}
@@ -239,6 +242,7 @@ func TrainPipeline(records []Record, cfg PipelineConfig) (*Pipeline, error) {
 	return &Pipeline{
 		encoder:  encoder,
 		scaler:   scaler,
+		rows:     rows,
 		model:    model,
 		compiled: compiled,
 		detector: det,
@@ -256,12 +260,11 @@ func (p *Pipeline) Encode(rec *Record) ([]float64, error) {
 	return out, nil
 }
 
-// encodeOne encodes and scales one record into row with encodeScaleRows,
-// the batch kernel, so every single-record entry point (Detect, Encode,
-// Score, Explain) rejects a non-finite feature exactly as DetectBatch
-// does.
+// encodeOne encodes and scales one record into row with the batch
+// kernel, so every single-record entry point (Detect, Encode, Score,
+// Explain) rejects a record exactly as DetectBatch does.
 func (p *Pipeline) encodeOne(rec *Record, row []float64) error {
-	if err := encodeScaleRows(p.encoder, p.scaler, unsafe.Slice(rec, 1), 0, row); err != nil {
+	if err := p.rows.EncodeRecords(unsafe.Slice(rec, 1), 0, row); err != nil {
 		return fmt.Errorf("ghsom: %w", err)
 	}
 	return nil
@@ -295,14 +298,18 @@ func (p *Pipeline) DetectAll(records []Record) ([]Prediction, error) {
 // allocated, so steady-state callers should pass the slice returned by
 // the previous call to reuse it. Records are processed in chunks of a few
 // hundred rows, concurrently on the pipeline's configured Parallelism;
-// each worker encodes and scales its chunk inside a pooled flat arena and
-// classifies it through the detector's batch path — whose hierarchy
-// descent runs on the blocked GEMM BMU engine, level-synchronously per
-// chunk — so in steady state the call performs no per-record heap
-// allocation. Predictions are
-// positionally stable and byte-identical to calling Detect per record at
-// every Parallelism setting. On failure the error of the lowest-index bad
-// record is returned and out's contents are unspecified.
+// each worker runs its chunk through the inference encode kernel
+// (kdd.ScaledEncoder: categorical lookup, log transform, finite check
+// and scaling in one pass per row, the kernel DetectColumnar runs) into
+// a pooled flat arena and classifies it through the detector's batch
+// path — whose hierarchy descent runs on the blocked GEMM BMU engine,
+// level-synchronously per chunk — so in steady state the call performs
+// no per-record heap allocation. Predictions are positionally stable and
+// byte-identical to calling Detect per record, and to DetectColumnar
+// over the same records, at every Parallelism setting. On failure the
+// error of the lowest-index bad record is returned and out's contents
+// are unspecified; each record is checked for an unknown protocol, then
+// an unknown flag, then a non-finite feature.
 func (p *Pipeline) DetectBatch(records []Record, out []Prediction) ([]Prediction, error) {
 	return p.DetectBatchCtx(nil, records, out)
 }
@@ -325,7 +332,7 @@ func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []P
 		buf := p.getBuf((hi - lo) * d)
 		defer p.putBuf(buf)
 		flat := buf.flat[:(hi-lo)*d]
-		if err := encodeScaleRows(p.encoder, p.scaler, records[lo:hi], lo, flat); err != nil {
+		if err := p.rows.EncodeRecords(records[lo:hi], lo, flat); err != nil {
 			return err
 		}
 		// Serial within the chunk: this loop is already one worker of the
@@ -338,69 +345,175 @@ func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []P
 	return out, nil
 }
 
-// DetectColumnar classifies one decoded columnar frame into out,
-// returning out[:cb.Rows()]. It is the wire-format twin of DetectBatch:
-// the frame's symbol tables are bound to the encoder's vocabulary once,
-// then each worker expands its chunk of column runs directly into a
-// pooled flat arena — decode, one-hot, log transform, and scaling fused
-// in a single pass with no intermediate Record structs — and classifies
-// it through the detector's batch path. Verdicts are byte-identical to
-// DetectBatch over the same records at every Parallelism setting, and
-// steady state performs no per-record heap allocation. On failure the
-// error of the lowest-index bad record is returned and out's contents
-// are unspecified.
+// DetectColumnar classifies one decoded batch — a GHSOMWB1 frame or
+// NDJSON records decoded by RecordParser.AppendColumnar — into out,
+// returning out[:cb.Rows()]. The batch's symbol tables are bound to the
+// encoder's vocabulary once, then each worker runs its chunk of rows
+// through the same encode kernel as DetectBatch — categorical lookup,
+// log transform, finite check and scaling fused in one pass per row,
+// with no intermediate Record structs — into a pooled flat arena, and
+// classifies it through the detector's batch path. Verdicts are
+// byte-identical to DetectBatch over the same records at every
+// Parallelism setting, and steady state performs no per-record heap
+// allocation. On failure the error of the lowest-index bad record is
+// returned, with DetectBatch's message, and out's contents are
+// unspecified.
 func (p *Pipeline) DetectColumnar(cb *ColumnarBatch, out []Prediction) ([]Prediction, error) {
 	return p.DetectColumnarCtx(nil, cb, out)
 }
 
 // DetectColumnarCtx is DetectColumnar with cancellation checkpoints
-// between chunks, under the same contract as DetectBatchCtx. It also
-// rejects non-finite feature values: unlike NDJSON (where JSON cannot
-// express NaN/Inf), a columnar frame carries raw float64 columns, and a
-// NaN smuggled through would poison the verdict and break the NDJSON
-// response encoding downstream. The failing record's index is named so
-// the serving layer can quarantine exactly that job.
+// between chunks, under the same contract as DetectBatchCtx. It rejects
+// non-finite feature values like DetectBatch: a frame carries raw
+// float64 columns, and a NaN smuggled through would poison the verdict
+// and break the NDJSON response encoding downstream. The failing
+// record's index is named so the serving layer can quarantine exactly
+// that job.
 func (p *Pipeline) DetectColumnarCtx(ctx context.Context, cb *ColumnarBatch, out []Prediction) ([]Prediction, error) {
-	if err := p.encoder.BindColumnar(cb); err != nil {
-		return nil, fmt.Errorf("ghsom: bind columnar frame: %w", err)
+	m := p.getPass()
+	defer p.putPass(m)
+	m.one[0] = cb
+	out, err := p.detectMerged(ctx, m, m.one[:], out, m.oneErr[:])
+	if err == nil {
+		err = m.oneErr[0]
 	}
-	n := cb.Rows()
-	if cap(out) < n {
-		out = make([]Prediction, n)
-	}
-	out = out[:n]
-	d := p.encoder.Dim()
-	chunk := batchChunk(p.cfg.Parallelism, n)
-	err := parallel.ForEachChunk(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
-		buf := p.getBuf((hi - lo) * d)
-		defer p.putBuf(buf)
-		flat := buf.flat[:(hi-lo)*d]
-		if err := p.encoder.EncodeColumnarRows(cb, lo, hi, flat); err != nil {
-			return err
-		}
-		if err := firstNonFinite(flat, d, lo); err != nil {
-			return err
-		}
-		if err := p.scaler.TransformBatch(flat, d); err != nil {
-			return err
-		}
-		return p.detector.ClassifyBatchAt(flat, hi-lo, d, out[lo:hi], 1)
-	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// firstNonFinite scans an encoded chunk for NaN/Inf features, reporting
-// the lowest offending record (base offsets indices into the caller's
-// full batch). One linear pass over values already hot in cache — noise
-// next to the classify descent it guards.
-func firstNonFinite(flat []float64, d, base int) error {
-	for i, v := range flat {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("record %d: non-finite feature value", base+i/d)
+// errAllFailed stops a merged pass once every batch has failed.
+var errAllFailed = errors.New("ghsom: every batch failed")
+
+// DetectMergedCtx classifies several decoded batches in one dataplane
+// pass, as if their rows were one batch: out[:total] receives the
+// verdicts of batches[0]'s rows, then batches[1]'s, and so on, with
+// total the sum of their Rows. Chunks of the merged rows run on the
+// pipeline's Parallelism exactly as in DetectColumnarCtx, so each
+// verdict is byte-identical to DetectColumnar over its own batch.
+//
+// A batch whose rows fail to encode fails alone: errs[i] (errs must be
+// at least as long as batches) receives DetectColumnar's error for
+// batches[i], naming the lowest bad record by its index in that batch,
+// and that batch's verdicts are unspecified; the other batches are
+// classified. The returned error is for the whole pass — cancellation,
+// or a classify failure — and leaves every output unspecified.
+func (p *Pipeline) DetectMergedCtx(ctx context.Context, batches []*ColumnarBatch, out []Prediction, errs []error) ([]Prediction, error) {
+	if len(errs) < len(batches) {
+		return nil, fmt.Errorf("ghsom: %d error slots for %d batches", len(errs), len(batches))
+	}
+	m := p.getPass()
+	defer p.putPass(m)
+	return p.detectMerged(ctx, m, batches, out, errs)
+}
+
+// mergedPass is the state one merged pass shares with its chunk
+// workers. Passes are pooled with their chunk function, so a pass
+// allocates nothing of its own.
+type mergedPass struct {
+	p       *Pipeline
+	batches []*ColumnarBatch
+	errs    []error
+	out     []Prediction
+	mu      sync.Mutex
+	failed  int
+	// errAt[i] is the first merged row of the chunk segment that failed
+	// batches[i]; the lowest one names its lowest bad record.
+	errAt  []int
+	chunk  func(w, lo, hi int) error
+	one    [1]*ColumnarBatch
+	oneErr [1]error
+}
+
+func (p *Pipeline) getPass() *mergedPass {
+	m, _ := p.passPool.Get().(*mergedPass)
+	if m == nil {
+		m = &mergedPass{p: p}
+		m.chunk = m.run
+	}
+	return m
+}
+
+func (p *Pipeline) putPass(m *mergedPass) {
+	m.batches, m.errs, m.out, m.one[0], m.oneErr[0] = nil, nil, nil, nil, nil
+	p.passPool.Put(m)
+}
+
+// detectMerged is DetectMergedCtx on a pass from the pool.
+func (p *Pipeline) detectMerged(ctx context.Context, m *mergedPass, batches []*ColumnarBatch, out []Prediction, errs []error) ([]Prediction, error) {
+	n := 0
+	m.failed = 0
+	for i, cb := range batches {
+		errs[i] = nil
+		if err := p.encoder.BindColumnar(cb); err != nil {
+			errs[i] = fmt.Errorf("ghsom: bind columnar frame: %w", err)
+			m.failed++
 		}
+		n += cb.Rows()
+	}
+	if m.failed == len(batches) {
+		return out[:0], nil
+	}
+	if cap(out) < n {
+		out = make([]Prediction, n)
+	}
+	out = out[:n]
+	m.batches, m.errs, m.out = batches, errs, out
+	m.errAt = m.errAt[:0]
+	err := parallel.ForEachChunk(ctx, p.cfg.Parallelism, n, batchChunk(p.cfg.Parallelism, n), m.chunk)
+	if err != nil && err != errAllFailed {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run encodes and classifies merged rows [lo, hi): the segments of the
+// batches that overlap them, into one pooled arena.
+func (m *mergedPass) run(w, lo, hi int) error {
+	p := m.p
+	d := p.encoder.Dim()
+	buf := p.getBuf((hi - lo) * d)
+	defer p.putBuf(buf)
+	flat := buf.flat[:(hi-lo)*d]
+	start := 0
+	for i, cb := range m.batches {
+		end := start + cb.Rows()
+		if a, b := max(lo, start), min(hi, end); a < b {
+			seg := flat[(a-lo)*d : (b-lo)*d]
+			if err := p.rows.EncodeColumnar(cb, a-start, b-start, seg); err != nil {
+				// The failed rows still go through classify with the
+				// chunk, so they must hold finite values.
+				clear(seg)
+				if err := m.fail(i, a, err); err != nil {
+					return err
+				}
+			}
+		}
+		if start = end; start >= hi {
+			break
+		}
+	}
+	return p.detector.ClassifyBatchAt(flat, hi-lo, d, m.out[lo:hi], 1)
+}
+
+// fail records err for batches[i], found in the segment starting at
+// merged row at, unless a lower segment of it already failed. It
+// returns errAllFailed once no batch is left to classify.
+func (m *mergedPass) fail(i, at int, err error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.errAt) == 0 {
+		m.errAt = append(m.errAt, make([]int, len(m.batches))...)
+	}
+	if m.errs[i] == nil {
+		m.failed++
+	} else if at > m.errAt[i] {
+		return nil
+	}
+	m.errs[i], m.errAt[i] = err, at
+	if m.failed == len(m.batches) {
+		return errAllFailed
 	}
 	return nil
 }

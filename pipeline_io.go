@@ -296,6 +296,10 @@ func parsePipeline(data []byte, zeroCopy bool) (*Pipeline, error) {
 	if scaler.Dim() != compiled.Dim() {
 		return nil, fmt.Errorf("ghsom: scaler dim %d does not match model dim %d", scaler.Dim(), compiled.Dim())
 	}
+	rows, err := newScaledEncoder(encoder, scaler)
+	if err != nil {
+		return nil, fmt.Errorf("ghsom: load scaler: %w", err)
+	}
 	detector, err := anomaly.FromState(anomaly.NewGHSOMQuantizer(compiled), det)
 	if err != nil {
 		return nil, fmt.Errorf("ghsom: load detector: %w", err)
@@ -305,6 +309,7 @@ func parsePipeline(data []byte, zeroCopy bool) (*Pipeline, error) {
 	return &Pipeline{
 		encoder:  encoder,
 		scaler:   scaler,
+		rows:     rows,
 		compiled: compiled,
 		detector: detector,
 		cfg: PipelineConfig{

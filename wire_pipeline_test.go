@@ -2,10 +2,14 @@ package ghsom
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ghsom/internal/kdd"
 )
 
 // wireDetectRecords returns a detection slice exercising the columnar
@@ -218,6 +222,9 @@ func TestLoadPipelineFileMappedRejectsCorrupt(t *testing.T) {
 // budget: decoding and classifying columnar frames in steady state must
 // cost at most 0.05 heap allocations per record.
 func TestDetectColumnarSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	recs := testRecords(t)[:2048]
 	pipe, err := TrainPipeline(testRecords(t), quickPipelineConfig())
 	if err != nil {
@@ -249,4 +256,151 @@ func TestDetectColumnarSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("columnar ingest costs %.4f allocs/record (%.0f per %d-row frame), budget 0.05",
 			perRecord, allocs, len(recs))
 	}
+}
+
+// ndjsonBatch decodes records, rendered as NDJSON, into a batch the way
+// ghsom-serve's /detect does.
+func ndjsonBatch(t *testing.T, recs []Record) *ColumnarBatch {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cb := new(ColumnarBatch)
+	if err := kdd.NewRecordParser(&body).AppendColumnar(cb, 0); err != nil {
+		t.Fatal(err)
+	}
+	return cb
+}
+
+// frameBatch writes records as one GHSOMWB1 frame and reads it back.
+func frameBatch(t *testing.T, recs []Record) *ColumnarBatch {
+	t.Helper()
+	var frame bytes.Buffer
+	if err := WriteColumnarBatch(&frame, recs, ColumnarWriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cb := new(ColumnarBatch)
+	if err := ReadColumnarBatch(&frame, cb, DefaultColumnarLimits()); err != nil {
+		t.Fatal(err)
+	}
+	return cb
+}
+
+// TestDetectNDJSONBatchMatchesDetectBatch pins the served NDJSON path:
+// records decoded straight into a batch classify byte-identically to
+// DetectBatch over the same records at every Parallelism setting.
+func TestDetectNDJSONBatchMatchesDetectBatch(t *testing.T) {
+	recs := wireDetectRecords(t)
+	pipe, err := TrainPipeline(testRecords(t), quickPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := ndjsonBatch(t, recs)
+	for _, par := range []int{1, 3, 0} {
+		pipe.SetParallelism(par)
+		want, err := pipe.DetectBatch(recs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pipe.DetectColumnar(cb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("par %d record %d: NDJSON batch %+v vs batch %+v", par, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDetectLowestBadRecordAcrossFormats pins the lowest-index error
+// contract on every record source: with an unknown flag at record 1, a
+// NaN after the log transform at record 3 and an unknown protocol at
+// record 5, DetectBatch, DetectColumnar over a frame and DetectColumnar
+// over a decoded NDJSON body all report record 1 with one message; with
+// the flag repaired, all report record 3. The wide layout spreads the
+// same faults across chunks.
+func TestDetectLowestBadRecordAcrossFormats(t *testing.T) {
+	pipe, err := TrainPipeline(testRecords(t), quickPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []struct {
+		name   string
+		n, gap int
+	}{{"8 records", 8, 1}, {"across chunks", 2048, 300}} {
+		recs := append([]Record(nil), wireDetectRecords(t)[:layout.n]...)
+		flagAt, nanAt, protoAt := layout.gap, 3*layout.gap, 5*layout.gap
+		recs[flagAt].Flag = "BOGUSFLAG"
+		recs[nanAt].Count = -2 // log1p(-2) is NaN
+		recs[protoAt].Protocol = "bogusproto"
+		check := func(want int) {
+			t.Helper()
+			prefix := fmt.Sprintf("record %d: ", want)
+			for _, par := range []int{1, 3} {
+				pipe.SetParallelism(par)
+				_, batchErr := pipe.DetectBatch(recs, nil)
+				if batchErr == nil || !strings.HasPrefix(batchErr.Error(), prefix) {
+					t.Fatalf("%s par %d: DetectBatch err %v, want %q...", layout.name, par, batchErr, prefix)
+				}
+				for name, cb := range map[string]*ColumnarBatch{"frame": frameBatch(t, recs), "NDJSON": ndjsonBatch(t, recs)} {
+					if _, err := pipe.DetectColumnar(cb, nil); err == nil || err.Error() != batchErr.Error() {
+						t.Fatalf("%s par %d: DetectColumnar over the %s err %v, want %v", layout.name, par, name, err, batchErr)
+					}
+				}
+			}
+		}
+		check(flagAt)
+		recs[flagAt].Flag = recs[0].Flag
+		check(nanAt)
+	}
+	pipe.SetParallelism(0)
+}
+
+// TestDetectMergedCtxIsolatesBadBatch checks a merged pass: a batch with
+// a bad record fails alone, naming the record by its index in that
+// batch, while the batches around it classify exactly as DetectBatch.
+func TestDetectMergedCtxIsolatesBadBatch(t *testing.T) {
+	recs := wireDetectRecords(t)
+	pipe, err := TrainPipeline(testRecords(t), quickPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, bad, last := recs[:300], append([]Record(nil), recs[300:340]...), recs[340:700]
+	bad[17].Flag = "BOGUSFLAG"
+	batches := []*ColumnarBatch{ndjsonBatch(t, first), ndjsonBatch(t, bad), frameBatch(t, last)}
+	errs := make([]error, len(batches))
+	for _, par := range []int{1, 3} {
+		pipe.SetParallelism(par)
+		out, err := pipe.DetectMergedCtx(nil, batches, nil, errs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(first)+len(bad)+len(last) {
+			t.Fatalf("par %d: %d verdicts", par, len(out))
+		}
+		if errs[0] != nil || errs[2] != nil || errs[1] == nil || !strings.HasPrefix(errs[1].Error(), "record 17: ") {
+			t.Fatalf("par %d: errs %v, want only the middle batch's record 17", par, errs)
+		}
+		for _, part := range []struct {
+			recs []Record
+			off  int
+		}{{first, 0}, {last, len(first) + len(bad)}} {
+			want, err := pipe.DetectBatch(part.recs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if out[part.off+i] != want[i] {
+					t.Fatalf("par %d merged row %d: %+v, want %+v", par, part.off+i, out[part.off+i], want[i])
+				}
+			}
+		}
+	}
+	pipe.SetParallelism(0)
 }
