@@ -118,11 +118,9 @@ type ColumnarBatch struct {
 	f32       bool
 	hasLabels bool
 	// staging marks a batch decoded from NDJSON: its records live in
-	// staged, not buf. epoch names the parser binding that last appended
-	// to it (see RecordParser.bind).
+	// staged, not buf.
 	staging bool
 	staged  []stagedRow
-	epoch   uint64
 	// buf holds the raw frame body; all offsets below index it.
 	buf []byte
 	// numOff is the offset of the first numeric run.
@@ -156,7 +154,7 @@ const noCode = ^uint32(0)
 // Reset empties the batch, keeping its buffers for the next decode.
 func (cb *ColumnarBatch) Reset() {
 	cb.rows, cb.f32, cb.hasLabels = 0, false, true
-	cb.staging, cb.staged, cb.epoch = true, cb.staged[:0], 0
+	cb.staging, cb.staged = true, cb.staged[:0]
 	cb.buf = cb.buf[:0]
 	for t := range cb.syms {
 		cb.syms[t] = cb.syms[t][:0]
@@ -362,7 +360,7 @@ func noEOF(err error) error {
 // parse validates the frame body in cb.buf and records the payload
 // offsets.
 func (cb *ColumnarBatch) parse(lim ColumnarLimits) error {
-	cb.staging, cb.staged, cb.epoch = false, cb.staged[:0], 0
+	cb.staging, cb.staged = false, cb.staged[:0]
 	buf := cb.buf
 	flags := buf[0]
 	if flags&^(columnarFlagF32|columnarFlagLabels) != 0 {
@@ -473,29 +471,10 @@ func (e *Encoder) BindColumnar(cb *ColumnarBatch) error {
 	if cb.rows == 0 {
 		return fmt.Errorf("kdd: bind an empty columnar batch")
 	}
-	svcBase := len(Protocols)
-	flagBase := len(Protocols) + len(e.services)
 	for c := 0; c < numCategoricalColumns; c++ {
 		res := cb.resolved[c][:0]
 		for _, sym := range cb.syms[c] {
-			idx := -1
-			switch c {
-			case 0:
-				if i, ok := e.protoIdx[sym]; ok {
-					idx = i
-				}
-			case 1:
-				i, ok := e.svcIndex[sym]
-				if !ok {
-					i = e.svcIndex[e.cfg.OtherService]
-				}
-				idx = svcBase + i
-			case 2:
-				if i, ok := e.flagIdx[sym]; ok {
-					idx = flagBase + i
-				}
-			}
-			res = append(res, int32(idx))
+			res = append(res, e.offset(c, sym))
 		}
 		cb.resolved[c] = res
 	}
@@ -532,7 +511,7 @@ func (e *Encoder) EncodeColumnarRows(cb *ColumnarBatch, lo, hi int, dst []float6
 		cb.numericRow(r, row[:numNumeric])
 		if e.cfg.LogTransform {
 			for _, j := range logFeatureIdxs {
-				row[j] = log1p(row[j])
+				row[j] = math.Log1p(row[j])
 			}
 		}
 		oh := row[numNumeric:]

@@ -24,27 +24,6 @@ type EncoderConfig struct {
 // dst_host_count, dst_host_srv_count.
 var logFeatureIdxs = [...]int{0, 1, 2, 19, 20, 28, 29}
 
-// smallLog1p[k] is math.Log1p(k). The log-transformed columns are mostly
-// connection counts and whole byte totals, so log1p serves those from
-// the table.
-var smallLog1p = func() (t [1024]float64) {
-	for k := range t {
-		t[k] = math.Log1p(float64(k))
-	}
-	return t
-}()
-
-// log1p is math.Log1p, bit for bit, reading whole numbers in
-// [1, len(smallLog1p)) from the table.
-func log1p(v float64) float64 {
-	if v >= 1 && v < float64(len(smallLog1p)) {
-		if k := int(v); float64(k) == v {
-			return smallLog1p[k]
-		}
-	}
-	return math.Log1p(v)
-}
-
 // Encoder converts Records into dense numeric vectors: 38 numeric/boolean
 // features followed by one-hot blocks for protocol, service, and flag.
 // Build one with NewEncoder over the training set so the service
@@ -187,7 +166,7 @@ func (e *Encoder) EncodeInto(r *Record, dst []float64) error {
 	r.NumericFeaturesInto(numeric)
 	if e.cfg.LogTransform {
 		for _, i := range logFeatureIdxs {
-			numeric[i] = log1p(numeric[i])
+			numeric[i] = math.Log1p(numeric[i])
 		}
 	}
 
@@ -195,24 +174,42 @@ func (e *Encoder) EncodeInto(r *Record, dst []float64) error {
 	for i := range oneHot {
 		oneHot[i] = 0
 	}
-	pi, ok := e.protoIdx[r.Protocol]
-	if !ok {
+	pi := e.offset(0, r.Protocol)
+	if pi < 0 {
 		return fmt.Errorf("kdd: encode: unknown protocol %q", r.Protocol)
 	}
 	oneHot[pi] = 1
-
-	si, ok := e.svcIndex[r.Service]
-	if !ok {
-		si = e.svcIndex[e.cfg.OtherService]
-	}
-	oneHot[len(Protocols)+si] = 1
-
-	fi, ok := e.flagIdx[r.Flag]
-	if !ok {
+	oneHot[e.offset(1, r.Service)] = 1
+	fi := e.offset(2, r.Flag)
+	if fi < 0 {
 		return fmt.Errorf("kdd: encode: unknown flag %q", r.Flag)
 	}
-	oneHot[len(Protocols)+len(e.services)+fi] = 1
+	oneHot[fi] = 1
 	return nil
+}
+
+// offset returns the position of categorical value sym of column c
+// (0 protocol, 1 service, 2 flag) inside the one-hot block, or -1 for a
+// protocol or flag outside the vocabulary. A service outside the
+// vocabulary falls into the other bucket.
+func (e *Encoder) offset(c int, sym string) int32 {
+	switch c {
+	case 0:
+		if i, ok := e.protoIdx[sym]; ok {
+			return int32(i)
+		}
+	case 1:
+		i, ok := e.svcIndex[sym]
+		if !ok {
+			i = e.svcIndex[e.cfg.OtherService]
+		}
+		return int32(len(Protocols) + i)
+	case 2:
+		if i, ok := e.flagIdx[sym]; ok {
+			return int32(len(Protocols) + len(e.services) + i)
+		}
+	}
+	return -1
 }
 
 // EncodeBatch encodes records into the flat row-major matrix dst: record i

@@ -36,7 +36,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"sync/atomic"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -61,30 +60,20 @@ type RecordParser struct {
 	// buf[pos:lineEnd] holds no '\n': framing never rescans a byte.
 	lineEnd int
 	// intern maps each categorical value seen to its symbol id, an index
-	// into syms; id 0 is the empty string. short caches the ids of values
-	// of up to 8 bytes by their bytes, so most lookups skip the map.
+	// into syms; id 0 is the empty string.
 	intern map[string]uint32
 	syms   []string
-	short  [256]shortSymbol
 	// spare receives records AppendAll cannot place in dst, and the
 	// fallback records of AppendColumnar; json.Unmarshal makes it escape,
 	// so it lives here rather than on the stack.
 	spare Record
 	// cb is the batch AppendColumnar is filling. codes maps a symbol id
 	// to its code in cb's symbol table of each categorical column; an
-	// entry is current only when its epoch is the parser's.
+	// entry is current only when its epoch is the parser's, which each
+	// AppendColumnar call advances.
 	cb    *ColumnarBatch
 	epoch uint64
 	codes [numCategoricalColumns + 1][]symbolCode
-}
-
-// shortSymbol is one entry of the parser's short-value cache: a value's
-// bytes as a little-endian word, its length (0 for an empty slot) and
-// its symbol id.
-type shortSymbol struct {
-	key uint64
-	n   uint32
-	id  uint32
 }
 
 // symbolCode is one entry of the parser's symbol id -> batch code map.
@@ -666,26 +655,6 @@ func (p *RecordParser) internID(b []byte) int {
 	if len(b) == 0 {
 		return 0
 	}
-	if len(b) > 8 {
-		return p.internLookup(b)
-	}
-	var key uint64
-	for i, c := range b {
-		key |= uint64(c) << (8 * i)
-	}
-	e := &p.short[(key*0x9E3779B97F4A7C15)>>56]
-	if e.n == uint32(len(b)) && e.key == key {
-		return int(e.id)
-	}
-	id := p.internLookup(b)
-	if id >= 0 {
-		*e = shortSymbol{key: key, n: uint32(len(b)), id: uint32(id)}
-	}
-	return id
-}
-
-// internLookup is internID through the intern map.
-func (p *RecordParser) internLookup(b []byte) int {
 	if len(b) > maxInternBytes {
 		return -1
 	}
@@ -734,23 +703,16 @@ func (p *RecordParser) setCode(c, id int, code uint32) {
 	p.codes[c][id] = symbolCode{epoch: p.epoch, code: code}
 }
 
-// batchEpochs numbers the parser-to-batch bindings of AppendColumnar
-// across all parsers, so an epoch names one binding.
-var batchEpochs atomic.Uint64
-
 // bind makes cb the batch symbolCode fills. A batch holding a frame (or
-// nothing) becomes an empty NDJSON batch. Unless p bound cb last, a new
-// epoch empties the code map: a value cb already holds then gets a
-// second code, which names the same symbol.
+// nothing) becomes an empty NDJSON batch. A new epoch empties the code
+// map: a value cb already holds then gets a second code, which names
+// the same symbol.
 func (p *RecordParser) bind(cb *ColumnarBatch) {
 	p.cb = cb
 	if !cb.staging {
 		cb.Reset()
 	}
-	if cb.epoch == 0 || cb.epoch != p.epoch {
-		p.epoch = batchEpochs.Add(1)
-		cb.epoch = p.epoch
-	}
+	p.epoch++
 }
 
 // stage copies a record parsed by the fallback into a staged row.
@@ -768,9 +730,8 @@ func (p *RecordParser) stage(row *stagedRow, rec *Record) {
 // the mantissa while they are scanned; with ≤ 19 digits, a mantissa of
 // at most 2^53 and a decimal exponent within ±22 the value is one exact
 // float multiply or divide, which is correctly rounded and therefore
-// bit-identical to strconv.ParseFloat. Other mantissas of ≤ 19 digits
-// go through eiselLemire, which is strconv's own first step. Everything
-// else defers to strconv.
+// bit-identical to strconv.ParseFloat. Everything else defers to
+// strconv.
 func parseJSONNumber(b []byte) (float64, int, bool) {
 	i := 0
 	neg := len(b) > 0 && b[0] == '-'
@@ -835,22 +796,17 @@ func parseJSONNumber(b []byte) (float64, int, bool) {
 			exp = -exp
 		}
 	}
-	if e10 := exp - frac; nd <= 19 {
-		if mant <= 1<<53 && e10 >= -22 && e10 <= 22 {
-			v := float64(mant)
-			if e10 > 0 {
-				v *= pow10Table[e10]
-			} else if e10 < 0 {
-				v /= pow10Table[-e10]
-			}
-			if neg {
-				v = -v
-			}
-			return v, i, true
+	if e10 := exp - frac; nd <= 19 && mant <= 1<<53 && e10 >= -22 && e10 <= 22 {
+		v := float64(mant)
+		if e10 > 0 {
+			v *= pow10Table[e10]
+		} else if e10 < 0 {
+			v /= pow10Table[-e10]
 		}
-		if v, ok := eiselLemire(mant, e10, neg); ok {
-			return v, i, true
+		if neg {
+			v = -v
 		}
+		return v, i, true
 	}
 	v, err := strconv.ParseFloat(string(b[:i]), 64)
 	if err != nil || math.IsInf(v, 0) {
@@ -861,6 +817,22 @@ func parseJSONNumber(b []byte) (float64, int, bool) {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// eightDigits reports whether b[:8] are all ASCII digits and, if so,
+// returns their decimal value, computed a word at a time.
+func eightDigits(b []byte) (uint64, bool) {
+	v := binary.LittleEndian.Uint64(b)
+	// Every byte is 0x30..0x39 exactly when its high nibble is 3 and
+	// adding 6 does not carry out of its low nibble.
+	if v&0xF0F0F0F0F0F0F0F0|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+		return 0, false
+	}
+	// The first digit is the low byte: combine digit pairs, then pairs
+	// of pairs, then the two halves.
+	v = (v & 0x0F0F0F0F0F0F0F0F) * (10<<8 + 1) >> 8
+	v = (v & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	return (v & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32, true
+}
 
 // pow10Table holds the exactly-representable powers of ten 1e0..1e22.
 var pow10Table = [23]float64{

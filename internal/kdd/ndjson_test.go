@@ -8,6 +8,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -450,4 +451,28 @@ func FuzzRecordParserEquivalence(f *testing.F) {
 			t.Fatalf("records diverged:\n decoder: %+v\n parser:  %+v", want, got)
 		}
 	})
+}
+
+// TestEightDigits checks the word-at-a-time digit fold against the
+// byte loop, and that any non-digit byte refuses the word.
+func TestEightDigits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for range 20000 {
+		var b [8]byte
+		want, digits := uint64(0), true
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+			if rng.Intn(16) == 0 {
+				b[i] = byte(rng.Intn(256))
+			}
+			if b[i] < '0' || b[i] > '9' {
+				digits = false
+			}
+			want = want*10 + uint64(b[i]-'0')
+		}
+		got, ok := eightDigits(b[:])
+		if ok != digits || ok && got != want {
+			t.Fatalf("%q: %d %v, want %d %v", b[:], got, ok, want, digits)
+		}
+	}
 }

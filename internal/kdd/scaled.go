@@ -84,7 +84,7 @@ func (s *ScaledEncoder) scaleRow(row []float64, proto, svc, flag int32) rowFault
 			continue
 		}
 		if s.log[j] {
-			v = log1p(v)
+			v = math.Log1p(v)
 		}
 		if v-v != 0 { // NaN or ±Inf
 			return nonFinite
@@ -151,24 +151,11 @@ func (s *ScaledEncoder) EncodeRecords(records []Record, base int, dst []float64)
 	if len(dst) < len(records)*d {
 		return fmt.Errorf("kdd: encode %d records into buffer of length %d, want >= %d", len(records), len(dst), len(records)*d)
 	}
-	svcBase := int32(len(Protocols))
-	flagBase := svcBase + int32(len(e.services))
 	for r := range records {
 		rec := &records[r]
 		row := dst[r*d : (r+1)*d]
 		rec.NumericFeaturesInto(row)
-		proto, flag := int32(-1), int32(-1)
-		if i, ok := e.protoIdx[rec.Protocol]; ok {
-			proto = int32(i)
-		}
-		si, ok := e.svcIndex[rec.Service]
-		if !ok {
-			si = e.svcIndex[e.cfg.OtherService]
-		}
-		if i, ok := e.flagIdx[rec.Flag]; ok {
-			flag = flagBase + int32(i)
-		}
-		if f := s.scaleRow(row, proto, svcBase+int32(si), flag); f != rowOK {
+		if f := s.scaleRow(row, e.offset(0, rec.Protocol), e.offset(1, rec.Service), e.offset(2, rec.Flag)); f != rowOK {
 			return faultError(f, base+r, func(c int) string {
 				if c == 0 {
 					return rec.Protocol
