@@ -34,50 +34,28 @@ func testPipelineAndRecords(t *testing.T) (*Pipeline, []Record) {
 	return ctxTestPipe.pipe, ctxTestPipe.recs
 }
 
-// TestDetectBatchCtxMatchesDetectBatch pins that the ctx-aware entry
-// with a never-canceled (and nil) context is byte-identical to
-// DetectBatch at serial and parallel settings.
-func TestDetectBatchCtxMatchesDetectBatch(t *testing.T) {
-	pipe, recs := testPipelineAndRecords(t)
-	eval := recs[:500]
-	want, err := pipe.DetectBatch(eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 3, 0} {
-		pipe.SetParallelism(par)
-		for _, ctx := range []context.Context{nil, context.Background()} {
-			got, err := pipe.DetectBatchCtx(ctx, eval, nil)
-			if err != nil {
-				t.Fatalf("par=%d: %v", par, err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("par=%d record %d: ctx %+v, plain %+v", par, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	pipe.SetParallelism(0)
-}
-
-// TestDetectBatchCtxCanceledStopsAndDoesNotLeak drives canceled calls —
-// pre-canceled and canceled mid-flight — through the batch dataplane at
-// several parallelism settings and verifies ctx.Err() is reported and no
-// worker goroutines outlive the call.
-func TestDetectBatchCtxCanceledStopsAndDoesNotLeak(t *testing.T) {
+// TestDetectMergedCtxCanceledStopsAndDoesNotLeak drives canceled
+// merged passes — pre-canceled and canceled mid-flight — over NDJSON and
+// frame batches at several parallelism settings and verifies ctx.Err()
+// is reported and no worker goroutines outlive the call.
+func TestDetectMergedCtxCanceledStopsAndDoesNotLeak(t *testing.T) {
 	leakcheck.Check(t)
 	pipe, recs := testPipelineAndRecords(t)
-	big := make([]Record, 0, 8*len(recs))
-	for len(big) < 8*len(recs) {
-		big = append(big, recs...)
+	batches := make([]*ColumnarBatch, 8)
+	for i := range batches {
+		if i%2 == 0 {
+			batches[i] = ndjsonBatch(t, recs)
+		} else {
+			batches[i] = frameBatch(t, recs)
+		}
 	}
+	errs := make([]error, len(batches))
 	for _, par := range []int{1, 4, 0} {
 		pipe.SetParallelism(par)
 		// Pre-canceled: no chunk may run; the canonical error comes back.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pipe.DetectBatchCtx(ctx, big, nil); !errors.Is(err, context.Canceled) {
+		if _, err := pipe.DetectMergedCtx(ctx, batches, nil, errs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d pre-canceled err = %v, want context.Canceled", par, err)
 		}
 		// Cancel mid-flight: the call must return promptly, either whole
@@ -85,7 +63,7 @@ func TestDetectBatchCtxCanceledStopsAndDoesNotLeak(t *testing.T) {
 		ctx2, cancel2 := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := pipe.DetectBatchCtx(ctx2, big, nil)
+			_, err := pipe.DetectMergedCtx(ctx2, batches, nil, errs)
 			done <- err
 		}()
 		cancel2()
@@ -121,8 +99,6 @@ func TestDetectBatchRejectsNaNPoison(t *testing.T) {
 	}
 	_, err = pipe.Detect(&eval[4])
 	nonFinite("Detect", err)
-	_, err = pipe.Score(&eval[4])
-	nonFinite("Score", err)
 	_, err = pipe.Explain(&eval[4], 3)
 	nonFinite("Explain", err)
 	if _, err := pipe.Detect(&eval[3]); err != nil {

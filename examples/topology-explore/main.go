@@ -27,13 +27,22 @@ func main() {
 		log.Fatal(err)
 	}
 	enc := kdd.NewEncoder(records, kdd.EncoderConfig{LogTransform: true})
-	raw, err := enc.EncodeAll(records)
-	if err != nil {
+	d := enc.Dim()
+	flat := make([]float64, len(records)*d)
+	if err := enc.EncodeBatch(records, flat); err != nil {
 		log.Fatal(err)
 	}
+	// Row views over the flat matrix: the scaler fits on them, and the
+	// in-place batch transform rescales them.
+	data := make([][]float64, len(records))
+	for i := range data {
+		data[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
 	scaler := &preprocess.MinMaxScaler{}
-	data, err := preprocess.FitTransform(scaler, raw)
-	if err != nil {
+	if err := scaler.Fit(data); err != nil {
+		log.Fatal(err)
+	}
+	if err := scaler.TransformBatch(flat, d); err != nil {
 		log.Fatal(err)
 	}
 	labels := kdd.Labels(records)

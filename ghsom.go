@@ -28,10 +28,10 @@
 //
 // Inference runs on a flat, buffer-reusing batch dataplane: DetectBatch
 // classifies a batch into a caller-owned prediction slice with zero
-// per-record heap allocation in steady state, and Detect/DetectAll are
-// thin wrappers over the same path (see the "Batch inference & serving"
-// section of the README and cmd/ghsom-serve for the micro-batching
-// NDJSON server built on top).
+// per-record heap allocation in steady state, DetectAll wraps it, and
+// Detect runs one record through the same encode kernel and verdict (see
+// the "Batch inference & serving" section of the README and
+// cmd/ghsom-serve for the micro-batching NDJSON server built on top).
 package ghsom
 
 import (
@@ -101,15 +101,6 @@ type Placement = core.Placement
 
 // Prediction is a detector verdict for one record.
 type Prediction = anomaly.Prediction
-
-// CellQE is the quantization result for one row of a flat batch.
-type CellQE = anomaly.CellQE
-
-// BatchQuantizer is a vector quantizer with a flat-batch fast path; the
-// detector's batch classification uses it when available. The trained
-// GHSOM adapter implements it with cached cell names, which is what makes
-// steady-state batch inference allocation-free.
-type BatchQuantizer = anomaly.BatchQuantizer
 
 // DetectorConfig controls unit labeling and novelty thresholds.
 type DetectorConfig = anomaly.Config

@@ -93,7 +93,7 @@ func padSentinel(out []CellQE, rows, n int, cell string) {
 
 // QuantizeBatch routes the flat batch down the hierarchy via the
 // compiled batch descent (RouteTrainedFlat, serial within the batch —
-// ClassifyBatch parallelizes across chunks), writing cells and
+// ClassifyBatchAt parallelizes across chunks), writing cells and
 // quantization errors into out. The steady state performs no per-row
 // allocation; the Placement scratch is pooled. Rows whose width d does
 // not match the model get Quantize's dimension-mismatch sentinel, and a
@@ -182,11 +182,12 @@ type bmuScratch struct {
 }
 
 // QuantizeBatch assigns the flat batch through the map's batch BMU
-// kernel (AssignFlat, pinned serial — ClassifyBatch already parallelizes
-// across chunks). Effective-codebook maps (UnitCounts set) and rows
-// whose width d does not match the map fall back to per-row Quantize; a
-// truncated flat yields sentinels for the missing tail. Cell names are
-// formatted per row (the flat-SOM baseline path does not cache them).
+// kernel (AssignFlat, pinned serial — ClassifyBatchAt already
+// parallelizes across chunks). Effective-codebook maps (UnitCounts set)
+// and rows whose width d does not match the map fall back to per-row
+// Quantize; a truncated flat yields sentinels for the missing tail. Cell
+// names are formatted per row (the flat-SOM baseline path does not cache
+// them).
 func (s SOMQuantizer) QuantizeBatch(flat []float64, n, d int, out []CellQE) {
 	rows := completeRows(flat, n, d)
 	defer padSentinel(out, rows, n, "")

@@ -24,7 +24,7 @@ func flatten(rows [][]float64) ([]float64, int) {
 }
 
 // gridBatchQuantizer wraps gridQuantizer with a batch path, to exercise
-// ClassifyBatch's BatchQuantizer branch against the per-row fallback.
+// ClassifyBatchAt's BatchQuantizer branch against the per-row fallback.
 type gridBatchQuantizer struct{ gridQuantizer }
 
 func (g gridBatchQuantizer) QuantizeBatch(flat []float64, n, d int, out []CellQE) {
@@ -35,7 +35,7 @@ func (g gridBatchQuantizer) QuantizeBatch(flat []float64, n, d int, out []CellQE
 
 var _ BatchQuantizer = gridBatchQuantizer{}
 
-// TestClassifyBatchMatchesClassify verifies both ClassifyBatch branches
+// TestClassifyBatchMatchesClassify verifies both ClassifyBatchAt branches
 // (batch quantizer and per-row fallback) are byte-identical to Classify,
 // at every worker count and across the chunking boundary.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
@@ -71,9 +71,8 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			want[i] = det.Classify(rows[i])
 		}
 		for _, p := range []int{1, 2, 8, 0} {
-			det.SetParallelism(p)
 			out := make([]Prediction, n)
-			if err := det.ClassifyBatch(flat, n, d, out); err != nil {
+			if err := det.ClassifyBatchAt(flat, n, d, out, p); err != nil {
 				t.Fatal(err)
 			}
 			for i := range out {
@@ -89,17 +88,17 @@ func TestClassifyBatchValidation(t *testing.T) {
 	det := fitTestDetector(t, Config{})
 	flat := make([]float64, 4)
 	out := make([]Prediction, 4)
-	if err := det.ClassifyBatch(flat, 4, 0, out); err == nil {
+	if err := det.ClassifyBatchAt(flat, 4, 0, out, 1); err == nil {
 		t.Error("dim 0 accepted")
 	}
-	if err := det.ClassifyBatch(flat, 5, 1, out); err == nil {
+	if err := det.ClassifyBatchAt(flat, 5, 1, out, 1); err == nil {
 		t.Error("short flat accepted")
 	}
-	if err := det.ClassifyBatch(flat, 4, 1, out[:2]); err == nil {
+	if err := det.ClassifyBatchAt(flat, 4, 1, out[:2], 1); err == nil {
 		t.Error("short out accepted")
 	}
 	var unfitted Detector
-	if err := unfitted.ClassifyBatch(flat, 4, 1, out); err == nil {
+	if err := unfitted.ClassifyBatchAt(flat, 4, 1, out, 1); err == nil {
 		t.Error("unfitted detector accepted")
 	}
 }

@@ -48,10 +48,10 @@ type CellQE struct {
 	QE float64
 }
 
-// BatchQuantizer is a Quantizer with a flat-batch fast path. ClassifyBatch
-// uses it when available, so quantizers that can amortize work across a
-// batch (or avoid per-row allocation, like the GHSOM adapter's cached cell
-// names) should implement it.
+// BatchQuantizer is a Quantizer with a flat-batch fast path. Fit and
+// ClassifyBatchAt use it when available, so quantizers that can amortize
+// work across a batch (or avoid per-row allocation, like the GHSOM
+// adapter's cached cell names) should implement it.
 type BatchQuantizer interface {
 	Quantizer
 	// QuantizeBatch quantizes the n d-wide rows of the flat row-major
@@ -61,7 +61,7 @@ type BatchQuantizer interface {
 	// degrades to sentinel cells for the missing tail rather than
 	// panicking. Implementations should keep steady-state allocation
 	// bounded per batch (not per row) and avoid spawning unbounded
-	// concurrency of their own — ClassifyBatch already parallelizes
+	// concurrency of their own — their callers already parallelize
 	// across row ranges.
 	QuantizeBatch(flat []float64, n, d int, out []CellQE)
 }
@@ -82,14 +82,14 @@ type Config struct {
 	// above 1 absorb distribution shift between training and deployment
 	// traffic, trading novelty sensitivity for false-positive rate.
 	NoveltyMargin float64
-	// Parallelism bounds the workers used by Fit's quantization pass and
-	// by ClassifyAll: 0 means GOMAXPROCS, 1 forces serial execution.
-	// Fitted thresholds and predictions are bit-for-bit identical for
-	// every setting (per-record quantization is embarrassingly parallel;
-	// threshold accumulation stays in data order). Requires the quantizer
-	// to be safe for concurrent Quantize calls, which all adapters over
-	// trained models in this repository are. The knob is an execution
-	// detail, not fitted state, and is excluded from serialized detectors.
+	// Parallelism bounds the workers used by Fit's quantization pass: 0
+	// means GOMAXPROCS, 1 forces serial execution. Fitted thresholds are
+	// bit-for-bit identical for every setting (per-record quantization is
+	// embarrassingly parallel; threshold accumulation stays in data
+	// order). Requires the quantizer to be safe for concurrent Quantize
+	// calls, which all adapters over trained models in this repository
+	// are. The knob is an execution detail, not fitted state, and is
+	// excluded from serialized detectors.
 	Parallelism int `json:"-"`
 }
 
@@ -186,7 +186,7 @@ func Fit(q Quantizer, data [][]float64, labels []string, cfg Config) (*Detector,
 	// counts are exact integers and every per-cell QE list comes out in
 	// data order, exactly as the retired serial fold produced it.
 	// Quantizers with a flat-batch fast path run it over gathered row
-	// chunks — the same blocked BMU descent ClassifyBatch uses — which is
+	// chunks — the same blocked BMU descent ClassifyBatchAt uses — which is
 	// what keeps detector fitting on the batched engine inside
 	// TrainPipeline; QuantizeBatch is contractually identical to Quantize
 	// per row, so the fitted state does not depend on the path taken.
@@ -394,8 +394,8 @@ func (d *Detector) Classify(x []float64) Prediction {
 }
 
 // verdict turns a quantization result into a prediction — the single
-// decision kernel shared by Classify, ClassifyAll, and ClassifyBatch. It
-// performs no allocation.
+// decision kernel shared by Classify and ClassifyBatchAt. It performs no
+// allocation.
 func (d *Detector) verdict(cell string, qe float64) Prediction {
 	info, seen := d.cells[cell]
 	p := Prediction{Cell: cell, QE: qe}
@@ -435,21 +435,7 @@ func noveltyRatio(qe, threshold float64) float64 {
 	return r / (1 + r)
 }
 
-// ClassifyAll classifies every row. Records are classified concurrently on
-// the detector's configured Parallelism; predictions are positionally
-// stable and identical to serial classification.
-func (d *Detector) ClassifyAll(data [][]float64) []Prediction {
-	out := make([]Prediction, len(data))
-	parallel.ForEachChunk(nil, d.cfg.Parallelism, len(data), classifyGrain(d.cfg.Parallelism, len(data)), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = d.Classify(data[i])
-		}
-		return nil
-	})
-	return out
-}
-
-// classifyChunk is the largest number of rows one ClassifyBatch worker
+// classifyChunk is the largest number of rows one ClassifyBatchAt worker
 // quantizes per pooled CellQE scratch buffer; the chunk size shrinks
 // below it so a batch always splits across the configured workers.
 const classifyChunk = 256
@@ -462,31 +448,25 @@ func classifyGrain(parallelism, n int) int {
 }
 
 // cellScratch is the pooled per-worker quantization scratch of
-// ClassifyBatch.
+// ClassifyBatchAt.
 var cellScratchPool = sync.Pool{
 	New: func() any { return &cellScratch{buf: make([]CellQE, classifyChunk)} },
 }
 
 type cellScratch struct{ buf []CellQE }
 
-// ClassifyBatch classifies the n d-wide rows of the flat row-major matrix
-// into out, which must have length at least n. Rows are processed in
-// chunks, concurrently on the detector's configured Parallelism, each
-// chunk quantized through the quantizer's batch path (BatchQuantizer)
-// when it has one and per row otherwise. Predictions are positionally
-// stable and byte-identical to calling Classify on each row. In steady
-// state the call performs no per-record heap allocation: quantization
-// scratch comes from an internal pool and verdicts are written straight
-// into out.
-func (d *Detector) ClassifyBatch(flat []float64, n, dim int, out []Prediction) error {
-	return d.ClassifyBatchAt(flat, n, dim, out, d.cfg.Parallelism)
-}
-
-// ClassifyBatchAt is ClassifyBatch with an explicit worker bound (0 =
-// GOMAXPROCS, 1 = serial) instead of the detector's knob. Callers that
-// already fan out across row ranges themselves (Pipeline.DetectBatch)
-// pin it to 1 so the layers do not multiply their worker counts — the
-// same convention the batch quantizers follow one layer down.
+// ClassifyBatchAt classifies the n d-wide rows of the flat row-major
+// matrix into out, which must have length at least n. Rows are processed
+// in chunks, concurrently on up to parallelism workers (0 = GOMAXPROCS,
+// 1 = serial), each chunk quantized through the quantizer's batch path
+// (BatchQuantizer) when it has one and per row otherwise. Callers that
+// already fan out across row ranges themselves (Pipeline.DetectBatch and
+// the merged pass) pin it to 1 so the layers do not multiply their
+// worker counts — the same convention the batch quantizers follow one
+// layer down. Predictions are positionally stable and byte-identical to
+// calling Classify on each row. Verdicts are written straight into out
+// and quantization scratch comes from an internal pool, so the call
+// allocates per batch, never per record.
 func (d *Detector) ClassifyBatchAt(flat []float64, n, dim int, out []Prediction, parallelism int) error {
 	if d.q == nil {
 		return ErrNotFitted
@@ -537,16 +517,9 @@ func (d *Detector) ClassifyBatchAt(flat []float64, n, dim int, out []Prediction,
 	return nil
 }
 
-// SetParallelism adjusts the worker bound used by ClassifyAll after
-// fitting (or loading from state): 0 means GOMAXPROCS, 1 forces serial
-// execution. Predictions are identical at every setting.
-func (d *Detector) SetParallelism(p int) { d.cfg.Parallelism = p }
-
-// Parallelism returns the configured worker bound.
+// Parallelism returns the worker bound the detector was fitted with
+// (Config.Parallelism).
 func (d *Detector) Parallelism() int { return d.cfg.Parallelism }
-
-// Score returns the anomaly score of x (higher = more anomalous).
-func (d *Detector) Score(x []float64) float64 { return d.Classify(x).Score }
 
 // Cells returns the number of distinct cells seen in training.
 func (d *Detector) Cells() int { return len(d.cells) }
@@ -579,19 +552,11 @@ func (d *Detector) LabelDistribution() map[string]int {
 // streaming paths that must not crash on malformed input.
 func NaNGuard(x []float64) []float64 {
 	out := make([]float64, len(x))
-	NaNGuardInto(out, x)
-	return out
-}
-
-// NaNGuardInto writes the NaN/Inf-guarded copy of x into dst, which must
-// have length len(x) — the allocation-free form used by the batch
-// streaming path.
-func NaNGuardInto(dst, x []float64) {
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			dst[i] = 0
 			continue
 		}
-		dst[i] = v
+		out[i] = v
 	}
+	return out
 }

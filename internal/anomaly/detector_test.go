@@ -99,8 +99,8 @@ func TestUnseenCellIsNovel(t *testing.T) {
 
 func TestScoreMonotoneInAttackFraction(t *testing.T) {
 	d := fitTestDetector(t, Config{})
-	normalScore := d.Score([]float64{0.5})
-	attackScore := d.Score([]float64{1.5})
+	normalScore := d.Classify([]float64{0.5}).Score
+	attackScore := d.Classify([]float64{1.5}).Score
 	if attackScore <= normalScore {
 		t.Errorf("attack cell score %v <= normal cell score %v", attackScore, normalScore)
 	}
@@ -108,8 +108,8 @@ func TestScoreMonotoneInAttackFraction(t *testing.T) {
 
 func TestScoreMonotoneInQE(t *testing.T) {
 	d := fitTestDetector(t, Config{})
-	near := d.Score([]float64{0.5}) // at center
-	far := d.Score([]float64{0.02}) // far from center, same cell
+	near := d.Classify([]float64{0.5}).Score // at center
+	far := d.Classify([]float64{0.02}).Score // far from center, same cell
 	if far <= near {
 		t.Errorf("far score %v <= near score %v", far, near)
 	}
@@ -198,14 +198,6 @@ func TestCellLabelAndDistribution(t *testing.T) {
 	dist := d.LabelDistribution()
 	if dist["normal"] != 1 || dist["neptune"] != 1 {
 		t.Errorf("LabelDistribution = %v", dist)
-	}
-}
-
-func TestClassifyAll(t *testing.T) {
-	d := fitTestDetector(t, Config{})
-	ps := d.ClassifyAll([][]float64{{0.5}, {1.5}})
-	if len(ps) != 2 || ps[0].Attack == ps[1].Attack {
-		t.Errorf("ClassifyAll = %+v", ps)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // TestFitAndClassifyIdenticalAcrossParallelism verifies the determinism
-// contract of the parallel quantization pass and ClassifyAll: fitted state
-// and predictions are identical at every worker count.
+// contract of the parallel quantization pass and ClassifyBatchAt: fitted
+// state and predictions are identical at every worker count.
 func TestFitAndClassifyIdenticalAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var data [][]float64
@@ -34,8 +34,16 @@ func TestFitAndClassifyIdenticalAcrossParallelism(t *testing.T) {
 		}
 		return d
 	}
+	flat, dim := flatten(test)
+	classify := func(d *Detector, p int) []Prediction {
+		out := make([]Prediction, len(test))
+		if err := d.ClassifyBatchAt(flat, len(test), dim, out, p); err != nil {
+			t.Fatalf("classify at parallelism %d: %v", p, err)
+		}
+		return out
+	}
 	ref := fit(1)
-	refPreds := ref.ClassifyAll(test)
+	refPreds := classify(ref, 1)
 	for _, p := range []int{2, 8, 0} {
 		d := fit(p)
 		if d.GlobalThreshold() != ref.GlobalThreshold() {
@@ -53,10 +61,12 @@ func TestFitAndClassifyIdenticalAcrossParallelism(t *testing.T) {
 					p, cell, gotInfo, gotOK, wantInfo, wantOK)
 			}
 		}
-		preds := d.ClassifyAll(test)
-		for i := range preds {
-			if preds[i] != refPreds[i] {
-				t.Fatalf("p=%d: prediction %d = %+v, want %+v", p, i, preds[i], refPreds[i])
+		for _, cp := range []int{1, 4, 0} {
+			preds := classify(d, cp)
+			for i := range preds {
+				if preds[i] != refPreds[i] {
+					t.Fatalf("fit p=%d classify p=%d: prediction %d = %+v, want %+v", p, cp, i, preds[i], refPreds[i])
+				}
 			}
 		}
 	}

@@ -24,9 +24,6 @@ type Stream struct {
 	alarms     int
 	inAlarm    bool
 	lastLabels map[string]int
-
-	// batchBuf is the reusable flat encode arena of ObserveBatch.
-	batchBuf []float64
 }
 
 // StreamConfig controls the sliding-window alarm.
@@ -70,14 +67,6 @@ func NewStream(det *Detector, cfg StreamConfig) (*Stream, error) {
 // edge-triggered signal: true only on the transition into alarm).
 func (s *Stream) Observe(x []float64) (Prediction, bool) {
 	p := s.det.Classify(NaNGuard(x))
-	return p, s.observeVerdict(p)
-}
-
-// observeVerdict folds one prediction into the stream state — counters,
-// rolling window, and alarm edge detection — and reports whether it
-// newly triggered the burst alarm. It is the single state-update kernel
-// shared by Observe and ObserveBatch, so the two paths cannot diverge.
-func (s *Stream) observeVerdict(p Prediction) bool {
 	s.total++
 	if p.Attack {
 		s.attacks++
@@ -112,62 +101,7 @@ func (s *Stream) observeVerdict(p Prediction) bool {
 	} else {
 		s.inAlarm = false
 	}
-	return newAlarm
-}
-
-// ObserveBatch classifies a batch of records through the detector's flat
-// batch path (DetectBatch's dataplane) and folds every verdict into the
-// stream state in input order, returning the predictions in out (grown
-// when under capacity) and the number of observations that newly
-// triggered the burst alarm. Predictions, counters, window state, and
-// alarm edges are identical to calling Observe on each record in order —
-// only the classification work is batched. Like Observe, ObserveBatch
-// NaN-guards every record, so malformed streaming input cannot crash the
-// detector. The Stream itself is single-goroutine state; concurrent
-// ObserveBatch calls require external synchronization, exactly like
-// Observe.
-func (s *Stream) ObserveBatch(xs [][]float64, out []Prediction) ([]Prediction, int) {
-	n := len(xs)
-	if cap(out) < n {
-		out = make([]Prediction, n)
-	}
-	out = out[:n]
-	if n == 0 {
-		return out, 0
-	}
-	d := len(xs[0])
-	uniform := d > 0
-	for _, x := range xs {
-		if len(x) != d {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		if cap(s.batchBuf) < n*d {
-			s.batchBuf = make([]float64, n*d)
-		}
-		flat := s.batchBuf[:n*d]
-		for i, x := range xs {
-			NaNGuardInto(flat[i*d:(i+1)*d], x)
-		}
-		// The flat buffer holds exactly n complete d-wide rows, so the
-		// batch classification cannot fail.
-		_ = s.det.ClassifyBatch(flat, n, d, out)
-	} else {
-		// Ragged input (or zero-width rows): classify per record, exactly
-		// like Observe would.
-		for i, x := range xs {
-			out[i] = s.det.Classify(NaNGuard(x))
-		}
-	}
-	newAlarms := 0
-	for i := range out {
-		if s.observeVerdict(out[i]) {
-			newAlarms++
-		}
-	}
-	return out, newAlarms
+	return p, newAlarm
 }
 
 // Total returns the number of records observed.

@@ -144,102 +144,3 @@ func TestStreamEmptyRates(t *testing.T) {
 		t.Error("empty stream rates should be 0")
 	}
 }
-
-// TestObserveBatchMatchesSequentialObserve pins the ObserveBatch
-// satellite guarantee: batching the classification changes nothing — the
-// predictions, counters, window state, and alarm edges are identical to
-// calling Observe per record in order, including NaN/Inf guarding and
-// ragged rows.
-func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
-	d := fitTestDetector(t, Config{})
-	mkStream := func() *Stream {
-		s, err := NewStream(d, StreamConfig{WindowSize: 8, AlarmRate: 0.4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	seq, bat := mkStream(), mkStream()
-
-	// Mixed traffic: normals, attacks, novelty, malformed (NaN/Inf), and
-	// a ragged short row to exercise the per-record fallback.
-	var records [][]float64
-	for i := 0; i < 120; i++ {
-		switch i % 6 {
-		case 0, 1:
-			records = append(records, []float64{0.45})
-		case 2, 3:
-			records = append(records, []float64{1.5})
-		case 4:
-			records = append(records, []float64{math.NaN()})
-		default:
-			records = append(records, []float64{9.9})
-		}
-	}
-	records = append(records, []float64{0.5, 0.6}) // ragged row
-	records = append(records, []float64{math.Inf(1)})
-
-	var wantPreds []Prediction
-	wantAlarms := 0
-	for _, x := range records {
-		p, newAlarm := seq.Observe(x)
-		wantPreds = append(wantPreds, p)
-		if newAlarm {
-			wantAlarms++
-		}
-	}
-
-	// Feed the same records through ObserveBatch in uneven batch sizes,
-	// reusing the output buffer across calls.
-	gotAlarms := 0
-	var got []Prediction
-	var out []Prediction
-	for lo := 0; lo < len(records); {
-		hi := lo + 7
-		if hi > len(records) {
-			hi = len(records)
-		}
-		var n int
-		out, n = bat.ObserveBatch(records[lo:hi], out)
-		got = append(got, out...)
-		gotAlarms += n
-		lo = hi
-	}
-
-	if len(got) != len(wantPreds) {
-		t.Fatalf("got %d predictions, want %d", len(got), len(wantPreds))
-	}
-	for i := range got {
-		if got[i] != wantPreds[i] {
-			t.Fatalf("record %d: batch %+v, sequential %+v", i, got[i], wantPreds[i])
-		}
-	}
-	if gotAlarms != wantAlarms {
-		t.Fatalf("batch alarms = %d, sequential %d", gotAlarms, wantAlarms)
-	}
-	if seq.Total() != bat.Total() || seq.AttackRate() != bat.AttackRate() ||
-		seq.NoveltyRate() != bat.NoveltyRate() || seq.WindowRate() != bat.WindowRate() ||
-		seq.Alarms() != bat.Alarms() || seq.InAlarm() != bat.InAlarm() {
-		t.Fatalf("stream state diverged: seq total=%d rate=%v window=%v alarms=%d inAlarm=%v; "+
-			"batch total=%d rate=%v window=%v alarms=%d inAlarm=%v",
-			seq.Total(), seq.AttackRate(), seq.WindowRate(), seq.Alarms(), seq.InAlarm(),
-			bat.Total(), bat.AttackRate(), bat.WindowRate(), bat.Alarms(), bat.InAlarm())
-	}
-	sc, bc := seq.LabelCounts(), bat.LabelCounts()
-	if len(sc) != len(bc) {
-		t.Fatalf("label counts diverged: %v vs %v", sc, bc)
-	}
-	for k, v := range sc {
-		if bc[k] != v {
-			t.Fatalf("label %q count: seq %d, batch %d", k, v, bc[k])
-		}
-	}
-
-	// Empty batch is a no-op.
-	if _, n := bat.ObserveBatch(nil, nil); n != 0 {
-		t.Fatalf("empty batch raised %d alarms", n)
-	}
-	if bat.Total() != seq.Total() {
-		t.Fatal("empty batch changed stream state")
-	}
-}

@@ -180,7 +180,7 @@ func ROCCurves(enc *Encoded, seed int64) ([]ROCResult, error) {
 	scoreCurve := func(name string, det *anomaly.Detector) (ROCResult, error) {
 		scores := make([]float64, len(enc.TestX))
 		for i, x := range enc.TestX {
-			scores[i] = det.Score(x)
+			scores[i] = det.Classify(x).Score
 		}
 		curve, err := metrics.ROC(scores, truth)
 		if err != nil {

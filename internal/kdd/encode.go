@@ -141,21 +141,10 @@ func (e *Encoder) FeatureNames() []string {
 	return out
 }
 
-// Encode converts one record into a dense vector. Unknown protocols or
-// flags return an error (they indicate corrupted input); unknown services
-// fall into the other bucket.
-func (e *Encoder) Encode(r *Record) ([]float64, error) {
-	out := make([]float64, e.Dim())
-	if err := e.EncodeInto(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // EncodeInto encodes one record into dst, which must have length exactly
-// Dim(). It is the allocation-free kernel under Encode and EncodeBatch:
-// every element of dst is overwritten (the one-hot blocks are zeroed
-// first), so dst may be reused across calls without clearing. Unknown
+// Dim(). It is the allocation-free kernel under EncodeBatch: every
+// element of dst is overwritten (the one-hot blocks are zeroed first),
+// so dst may be reused across calls without clearing. Unknown
 // protocols or flags return an error and leave dst in an unspecified
 // state; unknown services fall into the other bucket.
 func (e *Encoder) EncodeInto(r *Record, dst []float64) error {
@@ -230,19 +219,6 @@ func (e *Encoder) EncodeBatch(records []Record, dst []float64) error {
 		}
 	}
 	return nil
-}
-
-// EncodeAll encodes all records, aborting on the first failure.
-func (e *Encoder) EncodeAll(records []Record) ([][]float64, error) {
-	out := make([][]float64, len(records))
-	for i := range records {
-		v, err := e.Encode(&records[i])
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // Labels extracts the label of every record.

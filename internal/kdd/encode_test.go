@@ -38,7 +38,7 @@ func TestEncoderDimAndNames(t *testing.T) {
 func TestEncodeOneHot(t *testing.T) {
 	e := NewEncoder(nil, EncoderConfig{})
 	r := validRecord()
-	v, err := e.Encode(&r)
+	v, err := encodeRow(e, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEncodeUnknownServiceFallsToOther(t *testing.T) {
 	e := NewEncoder(nil, EncoderConfig{})
 	r := validRecord()
 	r.Service = "never_seen_service"
-	v, err := e.Encode(&r)
+	v, err := encodeRow(e, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEncodeVocabularyFromRecords(t *testing.T) {
 	if !found {
 		t.Error("observed service missing from vocabulary")
 	}
-	v, err := e.Encode(&r)
+	v, err := encodeRow(e, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,12 @@ func TestEncodeRejectsUnknownProtocolAndFlag(t *testing.T) {
 	e := NewEncoder(nil, EncoderConfig{})
 	r := validRecord()
 	r.Protocol = "gre"
-	if _, err := e.Encode(&r); err == nil {
+	if _, err := encodeRow(e, &r); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 	r = validRecord()
 	r.Flag = "??"
-	if _, err := e.Encode(&r); err == nil {
+	if _, err := encodeRow(e, &r); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }
@@ -133,11 +133,11 @@ func TestEncodeLogTransform(t *testing.T) {
 	r.SrcBytes = math.E - 1 // log1p = 1
 	plain := NewEncoder(nil, EncoderConfig{})
 	logged := NewEncoder(nil, EncoderConfig{LogTransform: true})
-	vp, err := plain.Encode(&r)
+	vp, err := encodeRow(plain, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vl, err := logged.Encode(&r)
+	vl, err := encodeRow(logged, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +153,13 @@ func TestEncodeLogTransform(t *testing.T) {
 	}
 }
 
-func TestEncodeAll(t *testing.T) {
-	e := NewEncoder(nil, EncoderConfig{})
-	r1 := validRecord()
-	r2 := validRecord()
-	r2.Protocol = "udp"
-	r2.Service = "domain_u"
-	vs, err := e.EncodeAll([]Record{r1, r2})
-	if err != nil {
-		t.Fatal(err)
+// encodeRow encodes one record into a fresh row.
+func encodeRow(e *Encoder, r *Record) ([]float64, error) {
+	out := make([]float64, e.Dim())
+	if err := e.EncodeInto(r, out); err != nil {
+		return nil, err
 	}
-	if len(vs) != 2 {
-		t.Fatalf("EncodeAll returned %d vectors", len(vs))
-	}
-	bad := validRecord()
-	bad.Flag = "NOPE"
-	if _, err := e.EncodeAll([]Record{r1, bad}); err == nil {
-		t.Error("EncodeAll accepted bad record")
-	}
+	return out, nil
 }
 
 // batchTestRecords returns a varied set of encodable records: every
@@ -195,9 +184,9 @@ func batchTestRecords() []Record {
 	return out
 }
 
-// TestEncodeIntoAndBatchMatchEncode verifies the allocation-free kernels
-// are byte-identical to Encode: EncodeInto on a dirty buffer, and
-// EncodeBatch rows of a shared flat matrix.
+// TestEncodeIntoAndBatchMatchEncode verifies the kernels are
+// byte-identical to encoding into a fresh zeroed row: EncodeInto on a
+// dirty buffer, and EncodeBatch rows of a dirty shared flat matrix.
 func TestEncodeIntoAndBatchMatchEncode(t *testing.T) {
 	records := batchTestRecords()
 	for _, logT := range []bool{false, true} {
@@ -212,7 +201,7 @@ func TestEncodeIntoAndBatchMatchEncode(t *testing.T) {
 		}
 		dst := make([]float64, d)
 		for i := range records {
-			want, err := e.Encode(&records[i])
+			want, err := encodeRow(e, &records[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,10 +214,10 @@ func TestEncodeIntoAndBatchMatchEncode(t *testing.T) {
 			row := flat[i*d : (i+1)*d]
 			for j := range want {
 				if dst[j] != want[j] {
-					t.Fatalf("logT=%v record %d dim %d: EncodeInto %v, Encode %v", logT, i, j, dst[j], want[j])
+					t.Fatalf("logT=%v record %d dim %d: EncodeInto %v, fresh %v", logT, i, j, dst[j], want[j])
 				}
 				if row[j] != want[j] {
-					t.Fatalf("logT=%v record %d dim %d: EncodeBatch %v, Encode %v", logT, i, j, row[j], want[j])
+					t.Fatalf("logT=%v record %d dim %d: EncodeBatch %v, fresh %v", logT, i, j, row[j], want[j])
 				}
 			}
 		}

@@ -74,76 +74,6 @@ func TestScalerErrors(t *testing.T) {
 	if _, err := mm.Transform([]float64{1}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("wrong-dim Transform err = %v", err)
 	}
-
-	var z ZScoreScaler
-	if _, err := z.Transform([]float64{1}); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("unfitted z Transform err = %v", err)
-	}
-	if err := z.Fit(nil); !errors.Is(err, ErrNoData) {
-		t.Errorf("z Fit(nil) err = %v", err)
-	}
-	if err := z.Fit([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("z ragged Fit err = %v", err)
-	}
-}
-
-func TestZScoreScaler(t *testing.T) {
-	var s ZScoreScaler
-	data := [][]float64{{2}, {4}, {4}, {4}, {5}, {5}, {7}, {9}} // mean 5, sd 2
-	if err := s.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Transform([]float64{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out[0]-2) > 1e-12 {
-		t.Errorf("Transform(9) = %v, want 2", out[0])
-	}
-	out, _ = s.Transform([]float64{5})
-	if math.Abs(out[0]) > 1e-12 {
-		t.Errorf("Transform(mean) = %v, want 0", out[0])
-	}
-}
-
-func TestZScoreConstantDim(t *testing.T) {
-	var s ZScoreScaler
-	if err := s.Fit([][]float64{{3, 1}, {3, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := s.Transform([]float64{3, 1})
-	if out[0] != 0 {
-		t.Errorf("constant dim z-transform = %v, want 0", out[0])
-	}
-}
-
-func TestPropZScoreStandardizesTrainingData(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(100)
-		data := make([][]float64, n)
-		for i := range data {
-			data[i] = []float64{rng.NormFloat64()*5 + 10}
-		}
-		var s ZScoreScaler
-		scaled, err := FitTransform(&s, data)
-		if err != nil {
-			return false
-		}
-		var mean, varsum float64
-		for _, r := range scaled {
-			mean += r[0]
-		}
-		mean /= float64(n)
-		for _, r := range scaled {
-			varsum += (r[0] - mean) * (r[0] - mean)
-		}
-		variance := varsum / float64(n)
-		return math.Abs(mean) < 1e-9 && math.Abs(variance-1) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPropMinMaxInUnitRange(t *testing.T) {
@@ -159,12 +89,15 @@ func TestPropMinMaxInUnitRange(t *testing.T) {
 			}
 		}
 		var s MinMaxScaler
-		scaled, err := FitTransform(&s, data)
-		if err != nil {
+		if s.Fit(data) != nil {
 			return false
 		}
-		for _, r := range scaled {
-			for _, v := range r {
+		for _, r := range data {
+			scaled, err := s.Transform(r)
+			if err != nil {
+				return false
+			}
+			for _, v := range scaled {
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -177,89 +110,71 @@ func TestPropMinMaxInUnitRange(t *testing.T) {
 	}
 }
 
-func TestTransformAllErrorPropagation(t *testing.T) {
-	var s MinMaxScaler
-	if err := s.Fit([][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TransformAll(&s, [][]float64{{1, 2}, {1}}); err == nil {
-		t.Error("TransformAll accepted ragged data")
-	}
-}
-
 // TestInPlaceAndBatchMatchTransform verifies TransformInPlace and
-// TransformBatch are byte-identical to Transform for both scalers.
+// TransformBatch are byte-identical to Transform.
 func TestInPlaceAndBatchMatchTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	train := make([][]float64, 80)
 	for i := range train {
 		train[i] = []float64{rng.NormFloat64() * 5, rng.Float64() * 100, 3} // last dim constant
 	}
-	for name, s := range map[string]Scaler{
-		"minmax": &MinMaxScaler{},
-		"zscore": &ZScoreScaler{},
-	} {
-		if err := s.Fit(train); err != nil {
+	s := &MinMaxScaler{}
+	if err := s.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	n, d := 50, 3
+	flat := make([]float64, n*d)
+	want := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		row := []float64{rng.NormFloat64() * 20, rng.Float64() * 300, float64(i)}
+		copy(flat[i*d:(i+1)*d], row)
+		w, err := s.Transform(row)
+		if err != nil {
 			t.Fatal(err)
 		}
-		n, d := 50, 3
-		flat := make([]float64, n*d)
-		want := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			row := []float64{rng.NormFloat64() * 20, rng.Float64() * 300, float64(i)}
-			copy(flat[i*d:(i+1)*d], row)
-			w, err := s.Transform(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = w
+		want[i] = w
 
-			inPlace := append([]float64(nil), row...)
-			if err := s.TransformInPlace(inPlace); err != nil {
-				t.Fatal(err)
-			}
-			for j := range w {
-				if inPlace[j] != w[j] {
-					t.Fatalf("%s row %d dim %d: in-place %v, copy %v", name, i, j, inPlace[j], w[j])
-				}
-			}
-		}
-		if err := s.TransformBatch(flat, d); err != nil {
+		inPlace := append([]float64(nil), row...)
+		if err := s.TransformInPlace(inPlace); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				if flat[i*d+j] != want[i][j] {
-					t.Fatalf("%s row %d dim %d: batch %v, copy %v", name, i, j, flat[i*d+j], want[i][j])
-				}
+		for j := range w {
+			if inPlace[j] != w[j] {
+				t.Fatalf("row %d dim %d: in-place %v, copy %v", i, j, inPlace[j], w[j])
+			}
+		}
+	}
+	if err := s.TransformBatch(flat, d); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			if flat[i*d+j] != want[i][j] {
+				t.Fatalf("row %d dim %d: batch %v, copy %v", i, j, flat[i*d+j], want[i][j])
 			}
 		}
 	}
 }
 
 func TestInPlaceAndBatchValidation(t *testing.T) {
-	for name, s := range map[string]Scaler{
-		"minmax": &MinMaxScaler{},
-		"zscore": &ZScoreScaler{},
-	} {
-		if err := s.TransformInPlace([]float64{1}); !errors.Is(err, ErrNotFitted) {
-			t.Errorf("%s unfitted in-place err = %v", name, err)
-		}
-		if err := s.TransformBatch([]float64{1}, 1); !errors.Is(err, ErrNotFitted) {
-			t.Errorf("%s unfitted batch err = %v", name, err)
-		}
-		if err := s.Fit([][]float64{{1, 2}, {3, 4}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.TransformInPlace([]float64{1}); !errors.Is(err, ErrDimMismatch) {
-			t.Errorf("%s dim mismatch in-place err = %v", name, err)
-		}
-		if err := s.TransformBatch(make([]float64, 4), 3); !errors.Is(err, ErrDimMismatch) {
-			t.Errorf("%s wrong batch dim err = %v", name, err)
-		}
-		if err := s.TransformBatch(make([]float64, 5), 2); !errors.Is(err, ErrDimMismatch) {
-			t.Errorf("%s ragged batch err = %v", name, err)
-		}
+	s := &MinMaxScaler{}
+	if err := s.TransformInPlace([]float64{1}); !errors.Is(err, ErrNotFitted) {
+		t.Errorf("unfitted in-place err = %v", err)
+	}
+	if err := s.TransformBatch([]float64{1}, 1); !errors.Is(err, ErrNotFitted) {
+		t.Errorf("unfitted batch err = %v", err)
+	}
+	if err := s.Fit([][]float64{{1, 2}, {3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TransformInPlace([]float64{1}); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("dim mismatch in-place err = %v", err)
+	}
+	if err := s.TransformBatch(make([]float64, 4), 3); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("wrong batch dim err = %v", err)
+	}
+	if err := s.TransformBatch(make([]float64, 5), 2); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("ragged batch err = %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package preprocess provides the feature scaling and data-splitting
-// utilities of the detection pipeline: min-max and z-score scalers fit on
-// training data and applied to all splits, plus stratified train/test
-// splitting and per-class sampling.
+// utilities of the detection pipeline: a min-max scaler fit on training
+// data and applied to all splits, plus stratified train/test splitting
+// and per-class sampling.
 package preprocess
 
 import (
@@ -19,30 +19,6 @@ var (
 	ErrDimMismatch = errors.New("preprocess: dimension mismatch")
 	// ErrNotFitted is returned when transform is called before fit.
 	ErrNotFitted = errors.New("preprocess: scaler not fitted")
-)
-
-// Scaler transforms feature vectors using statistics learned from a
-// training set.
-type Scaler interface {
-	// Fit learns the scaling statistics from data.
-	Fit(data [][]float64) error
-	// Transform returns a scaled copy of x.
-	Transform(x []float64) ([]float64, error)
-	// TransformInPlace scales x in place without allocating. On error
-	// (not fitted, dimension mismatch) x is left unmodified.
-	TransformInPlace(x []float64) error
-	// TransformBatch scales every d-wide row of the flat row-major matrix
-	// in place. len(flat) must be a multiple of d and d must equal the
-	// fitted dimension.
-	TransformBatch(flat []float64, d int) error
-	// Dim returns the fitted dimension, or 0 if not fitted.
-	Dim() int
-}
-
-// Compile-time interface checks.
-var (
-	_ Scaler = (*MinMaxScaler)(nil)
-	_ Scaler = (*ZScoreScaler)(nil)
 )
 
 // MinMaxScaler maps each dimension linearly to [0, 1] using the min and
@@ -140,26 +116,17 @@ func MinMax(v, min, span float64) float64 {
 // place. The batch is processed serially; parallelize across row ranges at
 // a higher layer when needed.
 func (s *MinMaxScaler) TransformBatch(flat []float64, d int) error {
-	if err := checkFlatBatch(len(s.min), flat, d); err != nil {
-		return err
-	}
-	for off := 0; off < len(flat); off += d {
-		s.transformRow(flat[off : off+d])
-	}
-	return nil
-}
-
-// checkFlatBatch validates a flat row-major batch of d-wide rows against
-// the fitted dimension dim.
-func checkFlatBatch(dim int, flat []float64, d int) error {
-	if dim == 0 {
+	if len(s.min) == 0 {
 		return ErrNotFitted
 	}
-	if d != dim {
-		return fmt.Errorf("batch dim %d, fitted %d: %w", d, dim, ErrDimMismatch)
+	if d != len(s.min) {
+		return fmt.Errorf("batch dim %d, fitted %d: %w", d, len(s.min), ErrDimMismatch)
 	}
 	if len(flat)%d != 0 {
 		return fmt.Errorf("flat batch length %d not a multiple of dim %d: %w", len(flat), d, ErrDimMismatch)
+	}
+	for off := 0; off < len(flat); off += d {
+		s.transformRow(flat[off : off+d])
 	}
 	return nil
 }
@@ -186,116 +153,4 @@ func NewMinMaxScalerFromState(min, span []float64) (*MinMaxScaler, error) {
 	copy(s.min, min)
 	copy(s.span, span)
 	return s, nil
-}
-
-// ZScoreScaler standardizes each dimension to zero mean and unit variance
-// using statistics from fit time. Constant dimensions map to 0.
-type ZScoreScaler struct {
-	mean, invStd []float64
-}
-
-// Fit learns per-dimension means and standard deviations.
-func (s *ZScoreScaler) Fit(data [][]float64) error {
-	if len(data) == 0 {
-		return ErrNoData
-	}
-	dim := len(data[0])
-	mean := make([]float64, dim)
-	for i, row := range data {
-		if len(row) != dim {
-			return fmt.Errorf("row %d has dim %d, want %d: %w", i, len(row), dim, ErrDimMismatch)
-		}
-		for d, v := range row {
-			mean[d] += v
-		}
-	}
-	n := float64(len(data))
-	for d := range mean {
-		mean[d] /= n
-	}
-	variance := make([]float64, dim)
-	for _, row := range data {
-		for d, v := range row {
-			dv := v - mean[d]
-			variance[d] += dv * dv
-		}
-	}
-	invStd := make([]float64, dim)
-	for d := range variance {
-		sd := math.Sqrt(variance[d] / n)
-		if sd > 0 {
-			invStd[d] = 1 / sd
-		}
-	}
-	s.mean, s.invStd = mean, invStd
-	return nil
-}
-
-// Transform standardizes x.
-func (s *ZScoreScaler) Transform(x []float64) ([]float64, error) {
-	if s.mean == nil {
-		return nil, ErrNotFitted
-	}
-	if len(x) != len(s.mean) {
-		return nil, fmt.Errorf("vector dim %d, fitted %d: %w", len(x), len(s.mean), ErrDimMismatch)
-	}
-	out := make([]float64, len(x))
-	copy(out, x)
-	s.transformRow(out)
-	return out, nil
-}
-
-// TransformInPlace standardizes x in place without allocating.
-func (s *ZScoreScaler) TransformInPlace(x []float64) error {
-	if s.mean == nil {
-		return ErrNotFitted
-	}
-	if len(x) != len(s.mean) {
-		return fmt.Errorf("vector dim %d, fitted %d: %w", len(x), len(s.mean), ErrDimMismatch)
-	}
-	s.transformRow(x)
-	return nil
-}
-
-// transformRow is the validated z-score kernel: len(x) == len(s.mean).
-func (s *ZScoreScaler) transformRow(x []float64) {
-	for d, v := range x {
-		x[d] = (v - s.mean[d]) * s.invStd[d]
-	}
-}
-
-// TransformBatch standardizes every d-wide row of the flat row-major
-// matrix in place.
-func (s *ZScoreScaler) TransformBatch(flat []float64, d int) error {
-	if err := checkFlatBatch(len(s.mean), flat, d); err != nil {
-		return err
-	}
-	for off := 0; off < len(flat); off += d {
-		s.transformRow(flat[off : off+d])
-	}
-	return nil
-}
-
-// Dim returns the fitted dimension.
-func (s *ZScoreScaler) Dim() int { return len(s.mean) }
-
-// TransformAll applies a fitted scaler to every row.
-func TransformAll(s Scaler, data [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(data))
-	for i, row := range data {
-		t, err := s.Transform(row)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// FitTransform fits the scaler on data and returns the transformed rows.
-func FitTransform(s Scaler, data [][]float64) ([][]float64, error) {
-	if err := s.Fit(data); err != nil {
-		return nil, err
-	}
-	return TransformAll(s, data)
 }

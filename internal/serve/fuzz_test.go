@@ -76,3 +76,72 @@ func FuzzLoadModelHTTP(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDetectHTTP sends each input as a POST /detect body twice, once as
+// NDJSON and once as GHSOMWB1 frames, to a registry serving the frozen
+// v3 fixture. The handler must never panic and must answer 200 or 4xx:
+// fault injection is off, so a 5xx is a server fault. A 200 NDJSON
+// answer carries one verdict line per record that
+// RecordParser.AppendColumnar decodes from the body. As in
+// FuzzLoadModelHTTP, the seed-corpus run checks for goroutine leaks.
+func FuzzDetectHTTP(f *testing.F) {
+	if fuzzing := flag.Lookup("test.fuzz"); fuzzing == nil || fuzzing.Value.String() == "" {
+		leakcheck.Check(f)
+	}
+	v3, err := os.ReadFile("../../testdata/pipeline_v3.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	pipe, err := ghsom.LoadPipeline(bytes.NewReader(v3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg := NewRegistry(testConfig(64, 1))
+	f.Cleanup(reg.Close)
+	if _, _, err := reg.Swap(DefaultModelName, pipe); err != nil {
+		f.Fatal(err)
+	}
+	mux := reg.Mux()
+	recs, err := ghsom.GenerateTraffic(ghsom.SmallScenario(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs = recs[:16]
+	var frames bytes.Buffer
+	for _, part := range [][]kdd.Record{recs[:9], recs[9:]} {
+		if err := kdd.WriteColumnarBatch(&frames, part, kdd.ColumnarWriteOptions{}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	bad := recs[0]
+	bad.Protocol = "bogus"
+
+	f.Add(ndjson(f, recs))
+	f.Add(frames.Bytes())
+	f.Add(frames.Bytes()[:frames.Len()/3])
+	f.Add(ndjson(f, []kdd.Record{bad}))
+	f.Add([]byte("{}"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ct := range []string{"application/x-ndjson", kdd.ColumnarContentType} {
+			req := httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
+				t.Fatalf("%s /detect answered %d, want 200 or 4xx: %s", ct, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusOK || ct == kdd.ColumnarContentType {
+				continue
+			}
+			var cb kdd.ColumnarBatch
+			if err := kdd.NewRecordParser(bytes.NewReader(body)).AppendColumnar(&cb, maxRequestRecords); err != nil {
+				t.Fatalf("/detect answered 200 to a body the parser rejects: %v", err)
+			}
+			if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != cb.Rows() {
+				t.Fatalf("/detect answered %d verdict lines for %d decoded records", lines, cb.Rows())
+			}
+		}
+	})
+}

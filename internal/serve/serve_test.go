@@ -67,7 +67,7 @@ func testConfig(maxBatch, par int) Config {
 }
 
 // ndjson renders records as one JSON document per line.
-func ndjson(t *testing.T, recs []kdd.Record) []byte {
+func ndjson(t testing.TB, recs []kdd.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

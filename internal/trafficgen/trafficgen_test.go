@@ -389,18 +389,14 @@ func TestRecordsEncodable(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := kdd.NewEncoder(recs, kdd.EncoderConfig{LogTransform: true})
-	vecs, err := enc.EncodeAll(recs)
-	if err != nil {
+	d := enc.Dim()
+	flat := make([]float64, len(recs)*d)
+	if err := enc.EncodeBatch(recs, flat); err != nil {
 		t.Fatal(err)
 	}
-	if len(vecs) != len(recs) {
-		t.Fatalf("encoded %d of %d", len(vecs), len(recs))
-	}
-	for i, v := range vecs {
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				t.Fatalf("record %d encodes to non-finite value", i)
-			}
+	for i, x := range flat {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("record %d encodes to non-finite value", i/d)
 		}
 	}
 }

@@ -37,7 +37,7 @@ type PipelineConfig struct {
 	// in Model.Seed).
 	Seed int64
 	// Parallelism bounds the workers used by the pipeline's own batch
-	// stages — training-set encoding/scaling and DetectAll — with 0
+	// stages — training-set encoding/scaling and batch inference — with 0
 	// meaning GOMAXPROCS and 1 forcing serial execution. Model training
 	// and detector fitting read their own knobs (Model.Parallelism,
 	// Detector.Parallelism), which default to GOMAXPROCS too. Results are
@@ -261,8 +261,8 @@ func (p *Pipeline) Encode(rec *Record) ([]float64, error) {
 }
 
 // encodeOne encodes and scales one record into row with the batch
-// kernel, so every single-record entry point (Detect, Encode, Score,
-// Explain) rejects a record exactly as DetectBatch does.
+// kernel, so every single-record entry point (Detect, Encode, Explain)
+// rejects a record exactly as DetectBatch does.
 func (p *Pipeline) encodeOne(rec *Record, row []float64) error {
 	if err := p.rows.EncodeRecords(unsafe.Slice(rec, 1), 0, row); err != nil {
 		return fmt.Errorf("ghsom: %w", err)
@@ -311,16 +311,6 @@ func (p *Pipeline) DetectAll(records []Record) ([]Prediction, error) {
 // are unspecified; each record is checked for an unknown protocol, then
 // an unknown flag, then a non-finite feature.
 func (p *Pipeline) DetectBatch(records []Record, out []Prediction) ([]Prediction, error) {
-	return p.DetectBatchCtx(nil, records, out)
-}
-
-// DetectBatchCtx is DetectBatch with cancellation: ctx is checked only
-// between chunks (see parallel.ForEachChunk), so an uncanceled
-// call executes the identical chunked computation tree as DetectBatch —
-// the bit-identity contract holds — while a canceled call stops
-// mid-fan-out without waiting for the tail chunks and returns ctx.Err()
-// (outputs are then unspecified). A nil ctx never cancels.
-func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []Prediction) ([]Prediction, error) {
 	n := len(records)
 	if cap(out) < n {
 		out = make([]Prediction, n)
@@ -328,7 +318,7 @@ func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []P
 	out = out[:n]
 	d := p.encoder.Dim()
 	chunk := batchChunk(p.cfg.Parallelism, n)
-	err := parallel.ForEachChunk(ctx, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
+	err := parallel.ForEachChunk(nil, p.cfg.Parallelism, n, chunk, func(w, lo, hi int) error {
 		buf := p.getBuf((hi - lo) * d)
 		defer p.putBuf(buf)
 		flat := buf.flat[:(hi-lo)*d]
@@ -357,23 +347,14 @@ func (p *Pipeline) DetectBatchCtx(ctx context.Context, records []Record, out []P
 // Parallelism setting, and steady state performs no per-record heap
 // allocation. On failure the error of the lowest-index bad record is
 // returned, with DetectBatch's message, and out's contents are
-// unspecified.
+// unspecified. It rejects non-finite feature values like DetectBatch: a
+// frame carries raw float64 columns, and a NaN smuggled through would
+// poison the verdict and break the NDJSON response encoding downstream.
 func (p *Pipeline) DetectColumnar(cb *ColumnarBatch, out []Prediction) ([]Prediction, error) {
-	return p.DetectColumnarCtx(nil, cb, out)
-}
-
-// DetectColumnarCtx is DetectColumnar with cancellation checkpoints
-// between chunks, under the same contract as DetectBatchCtx. It rejects
-// non-finite feature values like DetectBatch: a frame carries raw
-// float64 columns, and a NaN smuggled through would poison the verdict
-// and break the NDJSON response encoding downstream. The failing
-// record's index is named so the serving layer can quarantine exactly
-// that job.
-func (p *Pipeline) DetectColumnarCtx(ctx context.Context, cb *ColumnarBatch, out []Prediction) ([]Prediction, error) {
 	m := p.getPass()
 	defer p.putPass(m)
 	m.one[0] = cb
-	out, err := p.detectMerged(ctx, m, m.one[:], out, m.oneErr[:])
+	out, err := p.detectMerged(nil, m, m.one[:], out, m.oneErr[:])
 	if err == nil {
 		err = m.oneErr[0]
 	}
@@ -390,8 +371,12 @@ var errAllFailed = errors.New("ghsom: every batch failed")
 // pass, as if their rows were one batch: out[:total] receives the
 // verdicts of batches[0]'s rows, then batches[1]'s, and so on, with
 // total the sum of their Rows. Chunks of the merged rows run on the
-// pipeline's Parallelism exactly as in DetectColumnarCtx, so each
-// verdict is byte-identical to DetectColumnar over its own batch.
+// pipeline's Parallelism exactly as in DetectColumnar, so each verdict
+// is byte-identical to DetectColumnar over its own batch. ctx is checked
+// only between chunks (see parallel.ForEachChunk), so an uncanceled pass
+// runs the identical chunked computation, while a canceled one stops
+// without waiting for the tail chunks and returns ctx.Err(). A nil ctx
+// never cancels.
 //
 // A batch whose rows fail to encode fails alone: errs[i] (errs must be
 // at least as long as batches) receives DetectColumnar's error for
@@ -518,15 +503,6 @@ func (m *mergedPass) fail(i, at int, err error) error {
 	return nil
 }
 
-// Score returns the anomaly score of a record (higher = more anomalous).
-func (p *Pipeline) Score(rec *Record) (float64, error) {
-	x, err := p.Encode(rec)
-	if err != nil {
-		return 0, err
-	}
-	return p.detector.Score(x), nil
-}
-
 // FeatureContribution explains one feature's share of a verdict: how far
 // the record sits from its matched prototype along that feature.
 type FeatureContribution struct {
@@ -618,14 +594,11 @@ func (p *Pipeline) Detector() *anomaly.Detector { return p.detector }
 // Config returns the pipeline's training configuration.
 func (p *Pipeline) Config() PipelineConfig { return p.cfg }
 
-// SetParallelism adjusts the worker bound used by the pipeline's batch
-// inference (DetectAll and the detector's ClassifyAll) on an already
-// trained or loaded pipeline: 0 means GOMAXPROCS, 1 forces serial
-// execution. Predictions are identical at every setting.
-func (p *Pipeline) SetParallelism(par int) {
-	p.cfg.Parallelism = par
-	p.detector.SetParallelism(par)
-}
+// SetParallelism adjusts the worker bound of the pipeline's batch
+// inference (DetectAll, DetectBatch, DetectColumnar and DetectMergedCtx)
+// on an already trained or loaded pipeline: 0 means GOMAXPROCS, 1 forces
+// serial execution. Predictions are identical at every setting.
+func (p *Pipeline) SetParallelism(par int) { p.cfg.Parallelism = par }
 
 // SetBMUPrecision does nothing.
 //

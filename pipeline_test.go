@@ -78,10 +78,11 @@ func TestPipelineScoreOrdering(t *testing.T) {
 	var attackSum, normalSum float64
 	var attackN, normalN int
 	for i := range recs {
-		s, err := pipe.Score(&recs[i])
+		v, err := pipe.Detect(&recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := v.Score
 		if recs[i].IsAttack() {
 			attackSum += s
 			attackN++
@@ -249,15 +250,12 @@ func TestPipelineConfigAccessorAndEncodeErrors(t *testing.T) {
 	if got := pipe.Config(); got.TrainCapPerLabel != cfg.TrainCapPerLabel {
 		t.Errorf("Config() = %+v", got)
 	}
-	// Un-encodable record (unknown flag) must error through Detect,
-	// Score, and Explain.
+	// Un-encodable record (unknown flag) must error through Detect and
+	// Explain.
 	bad := recs[0]
 	bad.Flag = "BOGUS"
 	if _, err := pipe.Detect(&bad); err == nil {
 		t.Error("Detect accepted bad record")
-	}
-	if _, err := pipe.Score(&bad); err == nil {
-		t.Error("Score accepted bad record")
 	}
 	if _, err := pipe.Explain(&bad, 3); err == nil {
 		t.Error("Explain accepted bad record")
