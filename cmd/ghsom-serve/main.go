@@ -3,10 +3,9 @@
 // are coalesced into micro-batches — each model runs up to -parallelism
 // flush loops at once, each flushing as soon as it is free, up to -batch
 // records, so requests that arrive while every loop is busy share the
-// next flush — and each micro-batch runs through the pipeline's
-// zero-allocation DetectBatch dataplane on the parallel worker pool, so
-// many small requests cost close to what one large request does and
-// small requests use every core.
+// next flush — and each micro-batch runs as one merged DetectMergedCtx
+// pass on the parallel worker pool, so many small requests cost close
+// to what one large request does and small requests use every core.
 //
 // The server hosts a registry of named models with atomic hot-swap:
 // POST /model loads a new envelope (binary v3) under a name without
@@ -20,10 +19,10 @@
 //	               Content-Type: application/x-ghsom-columnar — a stream
 //	               of columnar batch frames (see internal/kdd, GHSOMWB1).
 //	               The response is one JSON prediction per line, in
-//	               order. Columnar frames are pre-formed batches, so they
-//	               bypass the micro-batcher and run straight through the
-//	               zero-copy columnar dataplane. ?model=NAME selects a
-//	               registry entry.
+//	               order. Each columnar frame is one micro-batcher job,
+//	               admitted, shed and counted like an NDJSON body, and
+//	               its verdicts stream out before the next frame is
+//	               read. ?model=NAME selects a registry entry.
 //	POST /model    body: a pipeline envelope; loads (or hot-swaps)
 //	               ?name=NAME (default "default") atomically.
 //	DELETE /model  unloads ?name=NAME (the default model cannot be
@@ -52,7 +51,9 @@
 // context, or the -default-timeout flag — and is rejected up front with
 // 429 + Retry-After when the admission queue is full or the deadline has
 // already passed; jobs whose deadline expires while queued are dropped
-// before any dataplane work is spent on them. The Retry-After hint is
+// before any dataplane work is spent on them. Both wire formats go
+// through this one queue: a columnar frame sheds like an NDJSON body,
+// and a frame shed mid-stream ends the response. The Retry-After hint is
 // derived from observed queue pressure (estimated backlog drain time,
 // clamped to [1, 30] seconds), so clients — and the gateway's backoff —
 // wait proportionally to real load. One malformed or poisoned record

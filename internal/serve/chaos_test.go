@@ -58,20 +58,48 @@ func fetchStats(t *testing.T, url string) StatsView {
 
 // TestChaosOverloadShedsCleanly throttles the dataplane with injected
 // latency, shrinks the admission queue, and hammers the server at 2×
-// what it can absorb: every 200 must carry verdicts byte-identical to
-// the unloaded server's, every shed must be a clean 429 with Retry-After,
-// nothing else may come back, and the shed/deadline counters must show
-// up on /stats. With CHAOS_OUT set, the final counter snapshot is
-// written there as a CI artifact.
+// what it can absorb, once with NDJSON bodies and once with columnar
+// frames, which go through the same admission queue: every 200 must
+// carry verdicts byte-identical to the unloaded server's, every shed
+// must be a clean 429 with Retry-After, nothing else may come back, and
+// the shed/deadline counters must show up on /stats. With CHAOS_OUT set,
+// each format's final counter snapshot is written there as a CI
+// artifact.
 func TestChaosOverloadShedsCleanly(t *testing.T) {
-	leakcheck.CheckSlack(t, 2)
 	pipe, recs := testPipeline(t)
 	eval := recs[:24]
 	want, err := pipe.DetectAll(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps := map[string]StatsView{}
+	for _, tc := range []struct {
+		name, ct string
+		body     []byte
+	}{
+		{"ndjson", "application/x-ndjson", ndjson(t, eval)},
+		{"columnar", kdd.ColumnarContentType, columnarBody(t, eval)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snaps[tc.name] = chaosOverload(t, pipe, tc.ct, tc.body, want)
+		})
+	}
+	if out := os.Getenv("CHAOS_OUT"); out != "" {
+		raw, err := json.MarshalIndent(snaps, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
+// chaosOverload runs both phases of TestChaosOverloadShedsCleanly on a
+// fresh server with bodies of one content type, and returns its final
+// /stats snapshot.
+func chaosOverload(t *testing.T, pipe *ghsom.Pipeline, ct string, body []byte, want []ghsom.Prediction) StatsView {
+	leakcheck.CheckSlack(t, 2)
 	cfg := testConfig(64, 0)
 	cfg.QueueCap = 2 // tiny: overload must shed, not queue
 	cfg.DefaultTimeout = 5 * time.Second
@@ -88,7 +116,6 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := ndjson(t, eval)
 	const workers, reqs = 12, 6
 	var (
 		mu     sync.Mutex
@@ -101,7 +128,7 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < reqs; r++ {
-				resp, err := http.Post(srv.URL+"/detect", "application/x-ndjson", bytes.NewReader(body))
+				resp, err := http.Post(srv.URL+"/detect", ct, bytes.NewReader(body))
 				if err != nil {
 					mu.Lock()
 					fails = append(fails, err.Error())
@@ -154,6 +181,7 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		req.Header.Set("Content-Type", ct)
 		req.Header.Set(DeadlineHeader, "1")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -177,15 +205,7 @@ func TestChaosOverloadShedsCleanly(t *testing.T) {
 	if snap.ShedDeadline+snap.DroppedDeadline == 0 {
 		t.Errorf("stats show no deadline misses: %+v", snap)
 	}
-	if out := os.Getenv("CHAOS_OUT"); out != "" {
-		raw, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return snap
 }
 
 // TestSwapUnderDrain begins the SIGTERM drain sequence under live load
@@ -350,11 +370,13 @@ func TestSwapUnderDrain(t *testing.T) {
 
 // TestPoisonStormIsolation co-batches poison requests (undecodable
 // symbols on the NDJSON path, NaN payloads on the columnar path) with
-// valid ones: each round queues two valid and one poison request behind
-// a held flush, so all three share the next flush (the batcher runs one
-// flush loop, Parallelism 1, so nothing else can pick them up). Valid
-// clients always get their exact verdicts, poison clients get a 422
-// naming their own record, and the quarantine counter records the storm.
+// valid ones: each round queues two valid NDJSON requests and one poison
+// request behind a held flush, so all three share the next flush (the
+// batcher runs one flush loop, Parallelism 1, so nothing else can pick
+// them up), and the columnar round merges both wire formats into that
+// one pass. Valid clients always get their exact verdicts, poison
+// clients get a 422 naming their own record, and the quarantine counter
+// records the storm.
 func TestPoisonStormIsolation(t *testing.T) {
 	leakcheck.CheckSlack(t, 2)
 	pipe, recs := testPipeline(t)
@@ -373,16 +395,17 @@ func TestPoisonStormIsolation(t *testing.T) {
 
 	poison := append([]kdd.Record(nil), recs[20:30]...)
 	poison[7].Flag = "BOGUS"
+	// A raw NaN is inexpressible in JSON but trivial on the wire.
+	nan := append([]kdd.Record(nil), recs[:8]...)
+	nan[5].SameSrvRate = math.NaN()
 	goodBody := ndjson(t, good)
-	poisonBody := ndjson(t, poison)
 
-	const rounds = 5
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var fails []string
-	post := func(body []byte, check func(status int, raw []byte) string) {
+	post := func(ct string, body []byte, check func(status int, raw []byte) string) {
 		defer wg.Done()
-		resp, err := http.Post(srv.URL+"/detect", "application/x-ndjson", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/detect", ct, bytes.NewReader(body))
 		if err != nil {
 			mu.Lock()
 			fails = append(fails, err.Error())
@@ -397,27 +420,23 @@ func TestPoisonStormIsolation(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	for r := 0; r < rounds; r++ {
+	valid := func(status int, raw []byte) string {
+		if status != http.StatusOK {
+			return fmt.Sprintf("valid job: status %d: %s", status, raw)
+		}
+		if !predsEqual(decodePreds(t, bytes.NewReader(raw)), want) {
+			return "valid job served wrong verdicts next to poison"
+		}
+		return ""
+	}
+	round := func(r int, poisonCT string, poisonBody []byte, poisonRecord string) {
 		lead := holdFlush(t, b, good[:1])
 		wg.Add(3)
-		go post(goodBody, func(status int, raw []byte) string {
-			if status != http.StatusOK {
-				return fmt.Sprintf("valid job: status %d: %s", status, raw)
-			}
-			if !predsEqual(decodePreds(t, bytes.NewReader(raw)), want) {
-				return "valid job served wrong verdicts next to poison"
-			}
-			return ""
-		})
-		go post(goodBody, func(status int, raw []byte) string {
-			if status != http.StatusOK {
-				return fmt.Sprintf("valid job: status %d: %s", status, raw)
-			}
-			return ""
-		})
-		go post(poisonBody, func(status int, raw []byte) string {
-			if status != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "record 7") {
-				return fmt.Sprintf("poison job: status %d body %q, want 422 naming record 7", status, raw)
+		go post("application/x-ndjson", goodBody, valid)
+		go post("application/x-ndjson", goodBody, valid)
+		go post(poisonCT, poisonBody, func(status int, raw []byte) string {
+			if status != http.StatusUnprocessableEntity || !strings.Contains(string(raw), poisonRecord) {
+				return fmt.Sprintf("%s poison job: status %d body %q, want 422 naming %s", poisonCT, status, raw, poisonRecord)
 			}
 			return ""
 		})
@@ -427,26 +446,16 @@ func TestPoisonStormIsolation(t *testing.T) {
 		}
 		wg.Wait()
 	}
+	const rounds = 5
+	for r := 0; r < rounds; r++ {
+		round(r, "application/x-ndjson", ndjson(t, poison), "record 7")
+	}
+	round(rounds, kdd.ColumnarContentType, columnarBody(t, nan), "record 5")
 	for _, f := range fails {
 		t.Error(f)
 	}
-	if q := b.stats.snapshot().Quarantined; q != rounds {
-		t.Errorf("quarantined = %d, want %d", q, rounds)
-	}
-
-	// Columnar storm: a frame with a raw NaN (inexpressible in JSON,
-	// trivial on the wire) fails with its record named, not a truncated
-	// 200 stream.
-	nan := append([]kdd.Record(nil), recs[:8]...)
-	nan[5].SameSrvRate = math.NaN()
-	resp, err := http.Post(srv.URL+"/detect", kdd.ColumnarContentType, bytes.NewReader(columnarBody(t, nan)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "record 5") {
-		t.Errorf("NaN frame: status %d body %q, want 422 naming record 5", resp.StatusCode, raw)
+	if q := b.stats.snapshot().Quarantined; q != rounds+1 {
+		t.Errorf("quarantined = %d, want %d", q, rounds+1)
 	}
 }
 

@@ -82,8 +82,10 @@ func FuzzLoadModelHTTP(f *testing.F) {
 // v3 fixture. The handler must never panic and must answer 200 or 4xx:
 // fault injection is off, so a 5xx is a server fault. A 200 NDJSON
 // answer carries one verdict line per record that
-// RecordParser.AppendColumnar decodes from the body. As in
-// FuzzLoadModelHTTP, the seed-corpus run checks for goroutine leaks.
+// RecordParser.AppendColumnar decodes from the body, a 200 columnar
+// answer one per row of the leading frames that scoredFrameRows counts.
+// As in FuzzLoadModelHTTP, the seed-corpus run checks for goroutine
+// leaks.
 func FuzzDetectHTTP(f *testing.F) {
 	if fuzzing := flag.Lookup("test.fuzz"); fuzzing == nil || fuzzing.Value.String() == "" {
 		leakcheck.Check(f)
@@ -132,16 +134,40 @@ func FuzzDetectHTTP(f *testing.F) {
 			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
 				t.Fatalf("%s /detect answered %d, want 200 or 4xx: %s", ct, rec.Code, rec.Body)
 			}
-			if rec.Code != http.StatusOK || ct == kdd.ColumnarContentType {
+			if rec.Code != http.StatusOK {
 				continue
 			}
-			var cb kdd.ColumnarBatch
-			if err := kdd.NewRecordParser(bytes.NewReader(body)).AppendColumnar(&cb, maxRequestRecords); err != nil {
-				t.Fatalf("/detect answered 200 to a body the parser rejects: %v", err)
+			var rows int
+			if ct == kdd.ColumnarContentType {
+				rows = scoredFrameRows(pipe, body)
+			} else {
+				var cb kdd.ColumnarBatch
+				if err := kdd.NewRecordParser(bytes.NewReader(body)).AppendColumnar(&cb, maxRequestRecords); err != nil {
+					t.Fatalf("/detect answered 200 to a body the parser rejects: %v", err)
+				}
+				rows = cb.Rows()
 			}
-			if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != cb.Rows() {
-				t.Fatalf("/detect answered %d verdict lines for %d decoded records", lines, cb.Rows())
+			if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != rows {
+				t.Fatalf("%s /detect answered %d verdict lines for %d scored records", ct, lines, rows)
 			}
 		}
 	})
+}
+
+// scoredFrameRows counts the rows of body's leading GHSOMWB1 frames that
+// kdd.ReadColumnarBatch reads and pipe.DetectColumnar scores, up to the
+// first frame that fails or would take the request past
+// maxRequestRecords: the verdict lines of a columnar 200, which ends at
+// that frame.
+func scoredFrameRows(pipe *ghsom.Pipeline, body []byte) int {
+	rd := bytes.NewReader(body)
+	var cb kdd.ColumnarBatch
+	total := 0
+	for kdd.ReadColumnarBatch(rd, &cb, kdd.DefaultColumnarLimits) == nil && total+cb.Rows() <= maxRequestRecords {
+		if _, err := pipe.DetectColumnar(&cb, nil); err != nil {
+			break
+		}
+		total += cb.Rows()
+	}
+	return total
 }

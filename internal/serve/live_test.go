@@ -26,7 +26,8 @@ import (
 // records. The client of the held job cancels, a second request decodes
 // into a pooled batch and is served by the other flush loop, and after
 // the hold both flushes' verdicts must equal DetectAll. The steps are
-// handleDetect's: decode, run, release.
+// handleDetect's: decode, run, release. A second phase abandons a
+// columnar request mid-flush through handleDetectColumnar itself.
 func TestBatchPoolSafeWhenClientCancels(t *testing.T) {
 	pipe, recs := testPipeline(t)
 	first, second := recs[:16], recs[16:32]
@@ -65,7 +66,7 @@ func TestBatchPoolSafeWhenClientCancels(t *testing.T) {
 	}
 	// Release on this goroutine, so a wrongly pooled batch most likely
 	// sits in the per-P pool the next decode draws from.
-	b.release(held)
+	held.release()
 	if held.batch == nil {
 		t.Fatal("release pooled the batch of a job still in a flush")
 	}
@@ -80,7 +81,7 @@ func TestBatchPoolSafeWhenClientCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := b.run(context.Background(), next)
-	b.release(next)
+	next.release()
 	if err != nil {
 		t.Fatalf("second request: %v", err)
 	}
@@ -95,6 +96,53 @@ func TestBatchPoolSafeWhenClientCancels(t *testing.T) {
 	if !predsEqual(held.preds, wantFirst) {
 		t.Fatal("held flush: verdicts differ from DetectAll (its records were reused while it ran)")
 	}
+
+	// The columnar handler reads every frame of a request into one pooled
+	// batch. Its client abandons a two-frame request while the first
+	// frame is held in a flush; the handler runs, and releases, on this
+	// goroutine, and the next body decodes here too. Had the handler
+	// pooled the batch, that body would most likely decode into it and
+	// the held flush would score its 24 records instead of the frame's
+	// 16, which /stats would count.
+	before := b.stats.snapshot()
+	base = faultinject.Hits(faultinject.DataplaneLatency)
+	if err := faultinject.Arm(fmt.Sprintf("%s=latency:%v:1", faultinject.DataplaneLatency, flushHold)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		for stop := time.Now().Add(10 * time.Second); faultinject.Hits(faultinject.DataplaneLatency) == base && time.Now().Before(stop); {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	req := httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(append(columnarBody(t, first), columnarBody(t, second)...)))
+	req.Header.Set("Content-Type", kdd.ColumnarContentType)
+	w := httptest.NewRecorder()
+	b.handleDetectColumnar(w, req.WithContext(ctx))
+	if w.Body.Len() != 0 {
+		t.Fatalf("abandoned columnar request answered %d: %q", w.Code, w.Body)
+	}
+	third := recs[32:56]
+	wantThird, err := pipe.DetectAll(third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next = &job{}
+	if err := next.decode(bytes.NewReader(ndjson(t, third))); err != nil {
+		t.Fatal(err)
+	}
+	got, err = b.run(context.Background(), next)
+	next.release()
+	if err != nil || !predsEqual(got, wantThird) {
+		t.Fatalf("request after the abandoned frame: err %v, or verdicts differ from DetectAll", err)
+	}
+	waitUntil(t, "the held frame's flush to end", func() bool {
+		return b.stats.snapshot().Batches == before.Batches+2
+	})
+	if scored := b.stats.snapshot().Records - before.Records; scored != int64(len(first)+len(third)) {
+		t.Fatalf("flushes scored %d records, want %d: the held frame's batch was reused while it ran", scored, len(first)+len(third))
+	}
 }
 
 // TestDecodePooledBodyAllocs pins the live decode at zero allocations:
@@ -108,7 +156,6 @@ func TestDecodePooledBodyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &batcher{maxBatch: 64}
 	body := ndjson(t, recs[:16])
 	rd := bytes.NewReader(body)
 	var j job
@@ -118,7 +165,7 @@ func TestDecodePooledBodyAllocs(t *testing.T) {
 		if err := j.decode(rd); err != nil || j.batch.Rows() != 16 {
 			t.Fatalf("decoded %d records, err %v", j.batch.Rows(), err)
 		}
-		b.release(&j)
+		j.release()
 	}
 	decode() // warm the parser, the intern table and the batch pool
 	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {

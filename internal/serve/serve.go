@@ -15,6 +15,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -459,12 +460,13 @@ func (reg *Registry) handleModels(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(views)
 }
 
-// job is one client request moving through the batcher: its decoded
-// records, the absolute deadline it must finish by (zero = none), the
-// predictions written back by the flush, and a done signal. Once done
-// has closed no flush touches the job again.
+// job is one NDJSON body, or one frame of a columnar body, moving
+// through the batcher: its decoded records, the absolute deadline it
+// must finish by (zero = none), the predictions written back by the
+// flush, and a done signal. Once done has closed no flush touches the
+// job again.
 type job struct {
-	// batch holds the request's decoded records; release returns it to
+	// batch holds the decoded records; release returns it to
 	// columnarPool.
 	batch      *kdd.ColumnarBatch
 	deadline   time.Time
@@ -566,10 +568,10 @@ type StatsView struct {
 	// WorkerBound is the resolved per-batch worker count (the
 	// -parallelism knob, 0 resolved to GOMAXPROCS).
 	WorkerBound int `json:"workerBound"`
-	// BusyWorkers counts the detection passes executing right now (flush
-	// loops mid-flush plus columnar requests), clamped to WorkerBound, so
-	// one busy loop reads 1 and every loop busy reads the bound;
-	// IdleWorkers is the remainder of the bound.
+	// BusyWorkers counts the flush loops mid-flush right now, the only
+	// place a detection pass runs, so one busy loop reads 1 and every
+	// loop busy reads the bound; IdleWorkers is the remainder of the
+	// bound.
 	BusyWorkers int64 `json:"busyWorkers"`
 	IdleWorkers int64 `json:"idleWorkers"`
 	// QueueDepth is the number of jobs waiting in the admission queue,
@@ -624,12 +626,13 @@ func (s *serveStats) snapshot() StatsView {
 	return out
 }
 
-// batcher coalesces jobs into micro-batches, each flushed through one
-// DetectMergedCtx pass by up to loops concurrent flush loops (the
-// resolved Parallelism), each flushing as soon as it is free, up to
-// maxBatch records: jobs that
-// arrive while every loop is busy share the next free loop's flush, so
-// batches grow with load and an idle server adds no linger. Rows are
+// batcher coalesces jobs, NDJSON bodies and columnar frames alike, into
+// micro-batches, each flushed through one DetectMergedCtx pass by up to
+// loops concurrent flush loops (the resolved Parallelism), each flushing
+// as soon as it is free, up to maxBatch records: jobs that arrive while
+// every loop is busy share the next free loop's flush, so batches grow
+// with load and an idle server adds no linger. A flush is the only place
+// a detection pass runs, so at most loops passes run at once. Rows are
 // independent, so concurrent flushes return the same verdicts as one
 // loop would. The pipeline pointer is atomic: a model hot-swap stores a
 // new pipeline, each flush loads the pointer exactly once, so every
@@ -775,21 +778,6 @@ func detectSafe(ctx context.Context, pipe *ghsom.Pipeline, batches []*kdd.Column
 	return pipe.DetectMergedCtx(ctx, batches, out, errs)
 }
 
-// detectOne is detectSafe over a single batch: its verdicts, or the
-// pass's error or the batch's own.
-func detectOne(ctx context.Context, pipe *ghsom.Pipeline, cb *kdd.ColumnarBatch, out []ghsom.Prediction) ([]ghsom.Prediction, error) {
-	batches := [1]*kdd.ColumnarBatch{cb}
-	var errs [1]error
-	preds, err := detectSafe(ctx, pipe, batches[:], out, errs[:])
-	if err == nil {
-		err = errs[0]
-	}
-	if err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
 // batchContext bounds a merged flush by the latest deadline among its
 // jobs — but only when every job has one; a single no-deadline job means
 // the batch must be allowed to run to completion.
@@ -863,7 +851,7 @@ func (b *batcher) flush(pending []*job, size int, scratch *flushScratch) {
 		// count toward /stats; the failed merged attempt is discarded.
 		// Each job retries under its own deadline, so one slow or poisoned
 		// neighbor cannot condemn the rest.
-		for _, j := range pending {
+		for i, j := range pending {
 			if !b.q.Alive(j, time.Now()) {
 				j.err = errDeadline
 				close(j.done)
@@ -871,9 +859,10 @@ func (b *batcher) flush(pending []*job, size int, scratch *flushScratch) {
 			}
 			jctx, jcancel := j.context()
 			start := time.Now()
-			j.preds, j.err = detectOne(jctx, pipe, j.batch, nil)
+			jpreds, jerr := detectSafe(jctx, pipe, batches[i:i+1], nil, errs[i:i+1])
 			jcancel()
-			if j.err == nil {
+			if j.err = cmp.Or(jerr, errs[i]); j.err == nil {
+				j.preds = jpreds
 				b.stats.record(j.batch.Rows(), time.Since(start))
 			} else if errors.Is(j.err, context.DeadlineExceeded) {
 				b.stats.noteError(j.err, false)
@@ -959,7 +948,7 @@ func putVerdictBuf(buf *[]byte) {
 }
 
 // decode parses an NDJSON body into j.batch, a pooled batch that
-// batcher.release returns, with the pooled allocation-lean parser. A
+// job.release returns, with the pooled allocation-lean parser. A
 // malformed record is named by its 1-based index; accept/reject behavior
 // matches the json.Decoder loop the parser replaced.
 func (j *job) decode(body io.Reader) error {
@@ -976,12 +965,18 @@ func (j *job) decode(body io.Reader) error {
 	return err
 }
 
+// maxPooledBatchRows bounds the batches columnarPool keeps, about 1.3 MB
+// of decoded rows, so one bulk NDJSON body does not pin its records for
+// later requests while a bulk columnar request's frame-sized batch is
+// still reused.
+const maxPooledBatchRows = 4096
+
 // release returns j's pooled batch, but only once no flush can read it
 // again: after j.done has closed, or when j never ran. A job its client
 // abandoned may still be queued or mid-flush, so its batch is left to
-// the garbage collector. Batches of more than one flush's MaxBatch
-// records are not pooled either.
-func (b *batcher) release(j *job) {
+// the garbage collector. Batches of more than maxPooledBatchRows records
+// are not pooled either.
+func (j *job) release() {
 	if j.batch == nil {
 		return
 	}
@@ -992,7 +987,7 @@ func (b *batcher) release(j *job) {
 			return
 		}
 	}
-	if j.batch.Rows() <= b.maxBatch {
+	if j.batch.Rows() <= maxPooledBatchRows {
 		columnarPool.Put(j.batch)
 	}
 	j.batch = nil
@@ -1144,7 +1139,7 @@ func (b *batcher) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{deadline: deadline}
-	defer b.release(j)
+	defer j.release()
 	if err := j.decode(http.MaxBytesReader(w, r.Body, b.maxBody)); err != nil {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
@@ -1179,18 +1174,17 @@ func (b *batcher) writeVerdicts(w http.ResponseWriter, preds []ghsom.Prediction)
 	w.Write(out) // a client gone mid-response has no one to tell
 }
 
-// handleDetectColumnar is the wire-format fast path: each GHSOMWB1 frame
-// in the body is already a formed batch — the same kdd.ColumnarBatch
-// type NDJSON jobs carry — so it skips the micro-batcher and runs whole,
-// on the handler goroutine, through the same dataplane pass as a flush
-// (detectOne: the encode kernel writes the column runs straight into the
-// pipeline's pooled flat matrix, no intermediate Record structs) against
-// one atomically-loaded pipeline per frame. Predictions stream out as
-// NDJSON in record order, frame by frame. Errors on the first frame map
-// to a status code (400/413/422, a bad record named by its 0-based index
-// in the frame, the lowest bad one); once output has begun a malformed
-// trailing frame just ends the response, and a verdict that cannot be
-// encoded aborts it (writeVerdictChunks).
+// handleDetectColumnar serves a GHSOMWB1 body. Each frame is already a
+// formed batch, the kdd.ColumnarBatch type NDJSON jobs carry, so it is
+// read straight into the request's one pooled batch and submitted as a
+// job through the same admission queue and flush loops as an NDJSON body
+// (b.run): it sheds, is quarantined and is counted exactly like one.
+// Frames go through one at a time, so a frame's verdicts stream out as
+// NDJSON before the next frame is read. Errors before any output map to
+// a status code (400/413 for a broken frame, 422 naming a bad record by
+// its 0-based index in the frame, 429/503 for a shed); once output has
+// begun any failure just ends the response, and a verdict that cannot
+// be encoded aborts it (writeVerdictChunks).
 func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 	// The HTTP/1 server closes the request body on the first response
 	// write; a multi-frame body interleaves reads with prediction writes,
@@ -1207,18 +1201,11 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	frameCtx := context.Context(nil)
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		frameCtx, cancel = context.WithDeadline(r.Context(), deadline)
-		defer cancel()
-	}
 	body := http.MaxBytesReader(w, r.Body, b.maxBody)
-	cb := columnarPool.Get().(*kdd.ColumnarBatch)
-	defer columnarPool.Put(cb)
+	j := &job{deadline: deadline, batch: columnarPool.Get().(*kdd.ColumnarBatch)}
+	defer j.release()
 	buf := verdictPool.Get().(*[]byte)
 	defer putVerdictBuf(buf)
-	var preds []ghsom.Prediction
 	frames, total := 0, 0
 	fail := func(msg string, code int) {
 		if frames == 0 {
@@ -1226,15 +1213,7 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			// Out of budget: shed remaining frames. Before any output this
-			// is a clean 429; mid-stream the truncated NDJSON ends here.
-			if frames == 0 {
-				writeDetectError(w, errDeadline, b.retryAfterSeconds())
-			}
-			return
-		}
-		err := kdd.ReadColumnarBatch(body, cb, kdd.DefaultColumnarLimits)
+		err := kdd.ReadColumnarBatch(body, j.batch, kdd.DefaultColumnarLimits)
 		if err == io.EOF {
 			break
 		}
@@ -1242,30 +1221,17 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 			fail(fmt.Sprintf("frame %d: %v", frames+1, err), errorStatus(err))
 			return
 		}
-		if total += cb.Rows(); total > maxRequestRecords {
+		if total += j.batch.Rows(); total > maxRequestRecords {
 			fail(fmt.Sprintf("request exceeds %d records", maxRequestRecords), http.StatusBadRequest)
 			return
 		}
-		pipe := b.pipe.Load()
-		b.inflight.Add(1)
-		start := time.Now()
-		preds, err = detectOne(frameCtx, pipe, cb, preds)
-		b.inflight.Add(-1)
+		preds, err := b.run(r.Context(), j)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				b.stats.noteError(err, false)
-				if frames == 0 {
-					writeDetectError(w, errDeadline, b.retryAfterSeconds())
-				}
-				return
-			}
-			b.stats.noteError(err, true)
 			if frames == 0 {
 				writeDetectError(w, err, b.retryAfterSeconds())
 			}
 			return
 		}
-		b.stats.record(cb.Rows(), time.Since(start))
 		if frames == 0 {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
@@ -1288,11 +1254,10 @@ func (b *batcher) handleDetectColumnar(w http.ResponseWriter, r *http.Request) {
 // worker-pool gauges.
 func (b *batcher) statsSnapshot() StatsView {
 	out := b.stats.snapshot()
-	bound := int64(b.loops)
-	busy := min(b.inflight.Load(), bound)
-	out.WorkerBound = int(bound)
+	busy := b.inflight.Load()
+	out.WorkerBound = b.loops
 	out.BusyWorkers = busy
-	out.IdleWorkers = bound - busy
+	out.IdleWorkers = int64(b.loops) - busy
 	out.QueueDepth = b.q.Depth()
 	out.QueueCap = b.q.Cap()
 	waits := b.q.TakeWaitStats()
