@@ -68,9 +68,6 @@ type Model = core.GHSOM
 // placements byte-identical to the tree walk (see core.Compile).
 type CompiledModel = core.Compiled
 
-// CompileModel packs a trained model into its compiled serving form.
-func CompileModel(m *Model) *CompiledModel { return core.Compile(m) }
-
 // ModelConfig controls GHSOM training (tau1, tau2, depth caps, ...).
 type ModelConfig = core.Config
 

@@ -53,9 +53,6 @@ func NewGHSOMQuantizer(compiled *core.Compiled) GHSOMQuantizer {
 	return GHSOMQuantizer{compiled: compiled, names: names}
 }
 
-// Compiled returns the compiled model the adapter routes on.
-func (g GHSOMQuantizer) Compiled() *core.Compiled { return g.compiled }
-
 // Quantize routes x down the hierarchy.
 func (g GHSOMQuantizer) Quantize(x []float64) (string, float64) {
 	p := g.compiled.RouteTrained(x)

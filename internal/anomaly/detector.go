@@ -524,19 +524,6 @@ func (d *Detector) Parallelism() int { return d.cfg.Parallelism }
 // Cells returns the number of distinct cells seen in training.
 func (d *Detector) Cells() int { return len(d.cells) }
 
-// GlobalThreshold returns the fitted global novelty threshold.
-func (d *Detector) GlobalThreshold() float64 { return d.globalQE }
-
-// CellLabel returns the majority label of a cell and whether the cell was
-// seen in training.
-func (d *Detector) CellLabel(cell string) (string, bool) {
-	info, ok := d.cells[cell]
-	if !ok {
-		return "", false
-	}
-	return info.label, true
-}
-
 // LabelDistribution returns, per predicted label, the number of cells
 // carrying it — a compact summary of how the quantizer partitioned the
 // classes.

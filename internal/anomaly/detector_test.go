@@ -188,11 +188,10 @@ func TestSparseCellFallsBackToGlobalThreshold(t *testing.T) {
 
 func TestCellLabelAndDistribution(t *testing.T) {
 	d := fitTestDetector(t, Config{})
-	label, ok := d.CellLabel("0")
-	if !ok || label != "normal" {
-		t.Errorf("CellLabel(0) = %q, %v", label, ok)
+	if info, ok := d.cells["0"]; !ok || info.label != "normal" {
+		t.Errorf("cell 0 = %+v, %v, want majority label normal", info, ok)
 	}
-	if _, ok := d.CellLabel("999"); ok {
+	if _, ok := d.cells["999"]; ok {
 		t.Error("unknown cell reported as known")
 	}
 	dist := d.LabelDistribution()
@@ -303,9 +302,9 @@ func TestFitBatchedScratchReshaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cells() != want.Cells() || got.GlobalThreshold() != want.GlobalThreshold() {
+	if got.Cells() != want.Cells() || got.globalQE != want.globalQE {
 		t.Fatalf("batched fit differs from per-row fit: cells %d/%d, global %v/%v",
-			got.Cells(), want.Cells(), got.GlobalThreshold(), want.GlobalThreshold())
+			got.Cells(), want.Cells(), got.globalQE, want.globalQE)
 	}
 	for _, x := range [][]float64{{0.4, 0}, {1.7, 0}, {7.2, 0}} {
 		a, b := got.Classify(x), want.Classify(x)

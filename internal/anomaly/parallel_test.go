@@ -46,8 +46,8 @@ func TestFitAndClassifyIdenticalAcrossParallelism(t *testing.T) {
 	refPreds := classify(ref, 1)
 	for _, p := range []int{2, 8, 0} {
 		d := fit(p)
-		if d.GlobalThreshold() != ref.GlobalThreshold() {
-			t.Errorf("p=%d: global threshold %v, want %v", p, d.GlobalThreshold(), ref.GlobalThreshold())
+		if d.globalQE != ref.globalQE {
+			t.Errorf("p=%d: global threshold %v, want %v", p, d.globalQE, ref.globalQE)
 		}
 		if d.Cells() != ref.Cells() {
 			t.Fatalf("p=%d: %d cells, want %d", p, d.Cells(), ref.Cells())

@@ -10,8 +10,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if len(st.Cells) != d.Cells() {
 		t.Fatalf("state has %d cells, detector %d", len(st.Cells), d.Cells())
 	}
-	if st.GlobalQE != d.GlobalThreshold() {
-		t.Errorf("state globalQE %v != %v", st.GlobalQE, d.GlobalThreshold())
+	if st.GlobalQE != d.globalQE {
+		t.Errorf("state globalQE %v != %v", st.GlobalQE, d.globalQE)
 	}
 	restored, err := FromState(gridQuantizer{}, st)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestFromStateZeroGlobalQEFloored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.GlobalThreshold() <= 0 {
+	if restored.globalQE <= 0 {
 		t.Error("restored global threshold not floored above zero")
 	}
 }

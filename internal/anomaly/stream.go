@@ -134,9 +134,6 @@ func (s *Stream) WindowRate() float64 {
 // Alarms returns the number of distinct alarm episodes raised.
 func (s *Stream) Alarms() int { return s.alarms }
 
-// InAlarm reports whether the stream is currently in an alarm episode.
-func (s *Stream) InAlarm() bool { return s.inAlarm }
-
 // LabelCounts returns a copy of the lifetime predicted-label tally.
 func (s *Stream) LabelCounts() map[string]int {
 	out := make(map[string]int, len(s.lastLabels))

@@ -56,7 +56,7 @@ func TestStreamAlarmEdgeTriggered(t *testing.T) {
 	if edges != 1 {
 		t.Errorf("alarm edges during burst = %d, want 1", edges)
 	}
-	if !s.InAlarm() {
+	if !s.inAlarm {
 		t.Error("stream should be in alarm after burst")
 	}
 	if s.Alarms() != 1 {
@@ -66,7 +66,7 @@ func TestStreamAlarmEdgeTriggered(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.Observe([]float64{0.5})
 	}
-	if s.InAlarm() {
+	if s.inAlarm {
 		t.Error("alarm did not clear after recovery")
 	}
 	for i := 0; i < 16; i++ {

@@ -16,7 +16,6 @@ import (
 // the other codebook baselines.
 type Agglo struct {
 	centroids [][]float64
-	sizes     []int
 }
 
 // AggloConfig controls training.
@@ -149,7 +148,6 @@ func TrainAgglo(data [][]float64, cfg AggloConfig) (*Agglo, error) {
 	for i := 0; i < n; i++ {
 		if alive[i] {
 			model.centroids = append(model.centroids, centroid(i))
-			model.sizes = append(model.sizes, sizes[i])
 		}
 	}
 	return model, nil
@@ -157,12 +155,6 @@ func TrainAgglo(data [][]float64, cfg AggloConfig) (*Agglo, error) {
 
 // K returns the number of clusters in the cut.
 func (m *Agglo) K() int { return len(m.centroids) }
-
-// ClusterSize returns the training population of cluster c.
-func (m *Agglo) ClusterSize(c int) int { return m.sizes[c] }
-
-// Centroid returns the c-th cluster centroid, aliasing model storage.
-func (m *Agglo) Centroid(c int) []float64 { return m.centroids[c] }
 
 // Assign returns the nearest centroid index for x and the Euclidean
 // distance to it.

@@ -2,10 +2,10 @@ package baseline
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"ghsom/internal/vecmath"
 )
 
 func TestAggloRecoversClusters(t *testing.T) {
@@ -31,14 +31,6 @@ func TestAggloRecoversClusters(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("centers collapse onto %d clusters", len(seen))
 	}
-	// Sizes sum to the dataset.
-	var total int
-	for c := 0; c < m.K(); c++ {
-		total += m.ClusterSize(c)
-	}
-	if total != len(data) {
-		t.Errorf("cluster sizes sum to %d, want %d", total, len(data))
-	}
 }
 
 func TestAggloK1(t *testing.T) {
@@ -51,8 +43,8 @@ func TestAggloK1(t *testing.T) {
 		t.Fatalf("K = %d", m.K())
 	}
 	// Single cluster centroid is the mean.
-	if !vecmath.Equal(m.Centroid(0), []float64{2}, 1e-12) {
-		t.Errorf("centroid = %v, want [2]", m.Centroid(0))
+	if c := m.centroids[0]; len(c) != 1 || !(math.Abs(c[0]-2) <= 1e-12) {
+		t.Errorf("centroid = %v, want [2]", c)
 	}
 }
 
@@ -119,7 +111,7 @@ func TestAggloDeterministic(t *testing.T) {
 		t.Fatal("cluster counts differ")
 	}
 	for c := 0; c < m1.K(); c++ {
-		if !vecmath.Equal(m1.Centroid(c), m2.Centroid(c), 0) {
+		if !slices.Equal(m1.centroids[c], m2.centroids[c]) {
 			t.Fatal("centroids differ across identical runs")
 		}
 	}

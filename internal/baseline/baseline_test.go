@@ -4,10 +4,22 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ghsom/internal/vecmath"
 )
+
+// inertia is the k-means objective of m on data: the total squared
+// distance of every point to its nearest centroid.
+func inertia(m *KMeans, data [][]float64) float64 {
+	var sum float64
+	for _, x := range data {
+		_, d := m.Assign(x)
+		sum += d * d
+	}
+	return sum
+}
 
 func clusters(rng *rand.Rand, nPer int, centers ...[]float64) [][]float64 {
 	var data [][]float64
@@ -38,7 +50,7 @@ func TestKMeansRecoversCenters(t *testing.T) {
 	for _, c := range centers {
 		best := math.Inf(1)
 		for i := 0; i < m.K(); i++ {
-			if d := vecmath.Distance(c, m.Centroid(i)); d < best {
+			if d := vecmath.Distance(c, m.centroids[i]); d < best {
 				best = d
 			}
 		}
@@ -102,8 +114,8 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Inertia() > 1e-9 {
-		t.Errorf("inertia on identical points = %v", m.Inertia())
+	if got := inertia(m, data); got > 1e-9 {
+		t.Errorf("inertia on identical points = %v", got)
 	}
 }
 
@@ -119,7 +131,7 @@ func TestKMeansDeterministicWithSeed(t *testing.T) {
 	}
 	m1, m2 := mk(), mk()
 	for c := 0; c < m1.K(); c++ {
-		if !vecmath.Equal(m1.Centroid(c), m2.Centroid(c), 0) {
+		if !slices.Equal(m1.centroids[c], m2.centroids[c]) {
 			t.Fatal("same-seed training differs")
 		}
 	}
@@ -134,10 +146,11 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Inertia() > prev*1.05 { // small tolerance: k-means is not globally optimal
-			t.Errorf("inertia rose from %v to %v at k=%d", prev, m.Inertia(), k)
+		got := inertia(m, data)
+		if got > prev*1.05 { // small tolerance: k-means is not globally optimal
+			t.Errorf("inertia rose from %v to %v at k=%d", prev, got, k)
 		}
-		prev = m.Inertia()
+		prev = got
 	}
 }
 
@@ -147,8 +160,8 @@ func TestVolumeThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vt.Threshold() < 8 || vt.Threshold() > 10 {
-		t.Errorf("threshold = %v", vt.Threshold())
+	if vt.threshold < 8 || vt.threshold > 10 {
+		t.Errorf("threshold = %v", vt.threshold)
 	}
 	if vt.IsAttack([]float64{5}) {
 		t.Error("median flagged as attack")
@@ -177,15 +190,15 @@ func TestVolumeThresholdQuantileClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo.Threshold() != 1 {
-		t.Errorf("q=-1 threshold = %v, want min", lo.Threshold())
+	if lo.threshold != 1 {
+		t.Errorf("q=-1 threshold = %v, want min", lo.threshold)
 	}
 	hi, err := TrainVolumeThreshold(normal, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hi.Threshold() != 3 {
-		t.Errorf("q=2 threshold = %v, want max", hi.Threshold())
+	if hi.threshold != 3 {
+		t.Errorf("q=2 threshold = %v, want max", hi.threshold)
 	}
 }
 

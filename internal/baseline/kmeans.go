@@ -24,8 +24,6 @@ var (
 // KMeans is a trained k-means model.
 type KMeans struct {
 	centroids [][]float64
-	inertia   float64
-	iters     int
 }
 
 // KMeansConfig controls training.
@@ -80,7 +78,6 @@ func TrainKMeans(data [][]float64, cfg KMeansConfig) (*KMeans, error) {
 		sums[i] = make([]float64, dim)
 	}
 
-	model := &KMeans{}
 	prevInertia := math.Inf(1)
 	for iter := 0; iter < maxIters; iter++ {
 		// Assignment step.
@@ -119,15 +116,12 @@ func TrainKMeans(data [][]float64, cfg KMeansConfig) (*KMeans, error) {
 				centroids[c][d] = sums[c][d] * inv
 			}
 		}
-		model.iters = iter + 1
-		model.inertia = inertia
 		if prevInertia-inertia < tol*prevInertia {
 			break
 		}
 		prevInertia = inertia
 	}
-	model.centroids = centroids
-	return model, nil
+	return &KMeans{centroids: centroids}, nil
 }
 
 // kmeansPlusPlus seeds k centroids with the k-means++ distribution:
@@ -168,15 +162,6 @@ func kmeansPlusPlus(data [][]float64, k int, rng *rand.Rand) [][]float64 {
 
 // K returns the number of centroids.
 func (m *KMeans) K() int { return len(m.centroids) }
-
-// Iters returns the number of Lloyd iterations run.
-func (m *KMeans) Iters() int { return m.iters }
-
-// Inertia returns the final total within-cluster squared distance.
-func (m *KMeans) Inertia() float64 { return m.inertia }
-
-// Centroid returns the c-th centroid, aliasing model storage.
-func (m *KMeans) Centroid(c int) []float64 { return m.centroids[c] }
 
 // Assign returns the nearest centroid index for x and the Euclidean
 // distance to it.

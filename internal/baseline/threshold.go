@@ -48,9 +48,6 @@ func TrainVolumeThreshold(normalData [][]float64, featureIdx int, q float64) (*V
 	return &VolumeThreshold{feature: featureIdx, threshold: thr}, nil
 }
 
-// Threshold returns the learned cutoff.
-func (v *VolumeThreshold) Threshold() float64 { return v.threshold }
-
 // Score returns the feature value (higher = more anomalous).
 func (v *VolumeThreshold) Score(x []float64) float64 {
 	if v.feature < 0 || v.feature >= len(x) {

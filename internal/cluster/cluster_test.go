@@ -23,6 +23,10 @@ import (
 	"ghsom/internal/serve"
 )
 
+// CheckNow runs one synchronous health sweep, so a test can classify the
+// fleet before it sends traffic.
+func (g *Gateway) CheckNow() { g.checkAll() }
+
 func testReplicas(n int) []*replica {
 	reps := make([]*replica, n)
 	for i := range reps {

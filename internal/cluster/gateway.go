@@ -173,10 +173,6 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// CheckNow runs one synchronous health sweep, for tests and startup
-// scripts that need the fleet classified before traffic.
-func (g *Gateway) CheckNow() { g.checkAll() }
-
 // Handler builds the gateway's HTTP surface.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -202,18 +202,8 @@ func (c *Compiled) Dim() int { return c.dim }
 // Config returns the configuration the model was trained with.
 func (c *Compiled) Config() Config { return c.cfg }
 
-// MQE0 returns the layer-0 quantization error.
-func (c *Compiled) MQE0() float64 { return c.mqe0 }
-
-// Mean returns a copy of the layer-0 mean vector.
-func (c *Compiled) Mean() []float64 { return append([]float64(nil), c.mean...) }
-
 // NumNodes returns the number of maps in the hierarchy.
 func (c *Compiled) NumNodes() int { return len(c.nodes) }
-
-// TotalUnits returns the number of units across all maps — the length of
-// the per-unit tables and the arena row count.
-func (c *Compiled) TotalUnits() int { return len(c.childIndex) }
 
 // NodeUnits returns the unit count of node id, or 0 when out of range.
 func (c *Compiled) NodeUnits(id int) int {

@@ -126,8 +126,8 @@ func TestCompiledStatsMatchTree(t *testing.T) {
 			t.Fatalf("depth %d structure differs: tree %+v, compiled %+v", d, ts, cs)
 		}
 	}
-	if c.NumNodes() != ts.Maps || c.TotalUnits() != ts.Units {
-		t.Fatalf("NumNodes/TotalUnits = %d/%d, want %d/%d", c.NumNodes(), c.TotalUnits(), ts.Maps, ts.Units)
+	if c.NumNodes() != ts.Maps || len(c.childIndex) != ts.Units {
+		t.Fatalf("NumNodes/units = %d/%d, want %d/%d", c.NumNodes(), len(c.childIndex), ts.Maps, ts.Units)
 	}
 	if c.ArenaBytes() != ts.Units*c.Dim()*8 {
 		t.Fatalf("ArenaBytes = %d", c.ArenaBytes())
@@ -202,7 +202,7 @@ func TestCompiledBinaryRoundTrip(t *testing.T) {
 	if cfg := loaded.Config(); cfg.Tau1 != c.Config().Tau1 || cfg.Seed != c.Config().Seed {
 		t.Fatalf("reloaded config differs: %+v", cfg)
 	}
-	if loaded.MQE0() != c.MQE0() {
+	if loaded.mqe0 != c.mqe0 {
 		t.Fatal("reloaded mqe0 differs")
 	}
 }
@@ -300,7 +300,7 @@ func benchRouteSetup(b *testing.B) (*GHSOM, *Compiled, []float64, int) {
 
 func BenchmarkRouteTree(b *testing.B) {
 	g, _, flat, n := benchRouteSetup(b)
-	dim := g.Dim()
+	dim := g.dim
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < n; r++ {

@@ -201,20 +201,6 @@ type GHSOM struct {
 // Config returns the configuration the model was trained with.
 func (g *GHSOM) Config() Config { return g.cfg }
 
-// Dim returns the input dimension.
-func (g *GHSOM) Dim() int { return g.dim }
-
-// MQE0 returns the layer-0 quantization error (mean distance of the
-// training data to its global mean) that anchors the tau2 criterion.
-func (g *GHSOM) MQE0() float64 { return g.mqe0 }
-
-// Mean returns a copy of the layer-0 mean vector.
-func (g *GHSOM) Mean() []float64 {
-	out := make([]float64, len(g.mean))
-	copy(out, g.mean)
-	return out
-}
-
 // Root returns the layer-1 node.
 func (g *GHSOM) Root() *Node { return g.root }
 

@@ -4,11 +4,25 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ghsom/internal/som"
-	"ghsom/internal/vecmath"
 )
+
+// approxEqual reports whether a and b have the same length and every pair
+// of elements differs by at most tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !(math.Abs(a[i]-b[i]) <= tol) {
+			return false
+		}
+	}
+	return true
+}
 
 // blobs generates n points per center from tight gaussian blobs.
 func blobs(rng *rand.Rand, nPer int, spread float64, centers ...[]float64) [][]float64 {
@@ -107,11 +121,11 @@ func TestTrainBasicStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dim() != 2 {
-		t.Errorf("Dim = %d", g.Dim())
+	if g.dim != 2 {
+		t.Errorf("dim = %d", g.dim)
 	}
-	if g.MQE0() <= 0 {
-		t.Errorf("MQE0 = %v, want > 0", g.MQE0())
+	if g.mqe0 <= 0 {
+		t.Errorf("mqe0 = %v, want > 0", g.mqe0)
 	}
 	if g.Root() == nil {
 		t.Fatal("no root")
@@ -274,7 +288,7 @@ func TestTrainDeterministic(t *testing.T) {
 			t.Fatalf("node %d shapes differ", i)
 		}
 		for u := 0; u < n1.Map.Units(); u++ {
-			if !vecmath.Equal(n1.Map.Weight(u), n2.Map.Weight(u), 0) {
+			if !slices.Equal(n1.Map.Weight(u), n2.Map.Weight(u)) {
 				t.Fatalf("node %d unit %d weights differ", i, u)
 			}
 		}
@@ -296,7 +310,7 @@ func TestTrainSeedChangesModel(t *testing.T) {
 				break
 			}
 			for u := 0; same && u < n1.Map.Units(); u++ {
-				if !vecmath.Equal(n1.Map.Weight(u), n2.Map.Weight(u), 0) {
+				if !slices.Equal(n1.Map.Weight(u), n2.Map.Weight(u)) {
 					same = false
 				}
 			}
@@ -318,8 +332,8 @@ func TestTrainConstantData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.MQE0() != 0 {
-		t.Errorf("MQE0 = %v, want 0", g.MQE0())
+	if g.mqe0 != 0 {
+		t.Errorf("mqe0 = %v, want 0", g.mqe0)
 	}
 	st := g.Stats()
 	if st.Maps != 1 || st.MaxDepth != 1 {
@@ -409,17 +423,17 @@ func TestOrientationCorners(t *testing.T) {
 		{-0.5, -0.5}, {-0.5, 0.5}, {0.5, -0.5}, {0.5, 0.5},
 	}
 	for i := range want {
-		if !vecmath.Equal(corners[i], want[i], 1e-12) {
+		if !approxEqual(corners[i], want[i], 1e-12) {
 			t.Errorf("corner %d = %v, want %v", i, corners[i], want[i])
 		}
 	}
 	// Corner unit (0,0): out-of-grid directions contribute zero.
 	corners = orientationCorners(m, m.Index(0, 0))
 	// up and left are zero; up-left mix = (0,0); down-right = ((1,0)+(0,1))/2.
-	if !vecmath.Equal(corners[0], []float64{0, 0}, 1e-12) {
+	if !approxEqual(corners[0], []float64{0, 0}, 1e-12) {
 		t.Errorf("corner-unit up-left = %v, want origin", corners[0])
 	}
-	if !vecmath.Equal(corners[3], []float64{0.5, 0.5}, 1e-12) {
+	if !approxEqual(corners[3], []float64{0.5, 0.5}, 1e-12) {
 		t.Errorf("corner-unit down-right = %v", corners[3])
 	}
 }

@@ -22,10 +22,6 @@ func (m *Mapping) Len() int {
 	return len(m.data)
 }
 
-// IsMmap reports whether the mapping is a real page-cache-shared mmap
-// (false on platforms where OpenMapping degrades to a heap read).
-func (m *Mapping) IsMmap() bool { return m != nil && m.mmap }
-
 // hostLittleEndian reports whether the host stores multi-byte integers
 // little-endian. The wire and envelope formats are little-endian, so
 // zero-copy views over serialized tables are only valid on such hosts;

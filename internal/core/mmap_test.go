@@ -32,7 +32,7 @@ func TestOpenMappingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.IsMmap() && loaded.MappedBytes() == 0 {
+	if m.mmap && loaded.MappedBytes() == 0 {
 		t.Fatal("aligned blob over a real mmap did not zero-copy")
 	}
 	routesIdentical(t, c, loaded, 61)

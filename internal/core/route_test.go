@@ -3,10 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"ghsom/internal/vecmath"
 )
 
 func trainedModel(t *testing.T) *GHSOM {
@@ -153,13 +152,13 @@ func TestRouteTrainedFlatMatchesPerRow(t *testing.T) {
 	c := Compile(g)
 	rng := rand.New(rand.NewSource(44))
 	n := 400
-	flat := make([]float64, n*g.Dim())
+	flat := make([]float64, n*g.dim)
 	for i := range flat {
 		flat[i] = rng.NormFloat64() * 15
 	}
 	want := make([]Placement, n)
 	for i := 0; i < n; i++ {
-		want[i] = g.RouteTrained(flat[i*g.Dim() : (i+1)*g.Dim()])
+		want[i] = g.RouteTrained(flat[i*g.dim : (i+1)*g.dim])
 	}
 	for _, p := range []int{1, 2, 8, 0} {
 		out := make([]Placement, n)
@@ -197,7 +196,7 @@ func TestCompiledUnitWeight(t *testing.T) {
 	if w == nil {
 		t.Fatal("nil weight for valid key")
 	}
-	if !vecmath.Equal(w, g.Node(p.NodeID).Map.Weight(p.Unit), 0) {
+	if !slices.Equal(w, g.Node(p.NodeID).Map.Weight(p.Unit)) {
 		t.Errorf("UnitWeight = %v, tree weight %v", w, g.Node(p.NodeID).Map.Weight(p.Unit))
 	}
 	// Mutating the returned slice must not affect the model.
@@ -217,15 +216,6 @@ func TestUnitKeyString(t *testing.T) {
 	k := UnitKey{NodeID: 3, Unit: 7}
 	if k.String() != "3/7" {
 		t.Errorf("String = %q", k.String())
-	}
-}
-
-func TestMeanReturnsCopy(t *testing.T) {
-	g := trainedModel(t)
-	m := g.Mean()
-	m[0] = 1e9
-	if g.Mean()[0] == 1e9 {
-		t.Error("Mean exposes internal storage")
 	}
 }
 

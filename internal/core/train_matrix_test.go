@@ -77,7 +77,7 @@ func TestTrainMatrixValidation(t *testing.T) {
 	if _, err := TrainMatrix(mat, []int{}, cfg); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty idx err = %v", err)
 	}
-	empty, err := vecmath.NewMatrix(0, 2)
+	empty, err := vecmath.MatrixOver(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,12 +298,3 @@ func hostFeatures(ring *hostRing, c *Conn, d *Derived) {
 		d.DstHostSrvRerrorRate = float64(srvRerror) / fs
 	}
 }
-
-// Reset clears all tracker state.
-func (t *Tracker) Reset() {
-	t.lastTime = 0
-	t.started = false
-	t.recent = t.recent[:0]
-	t.head = 0
-	t.hostWin = make(map[int]*hostRing)
-}

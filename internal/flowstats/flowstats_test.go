@@ -175,17 +175,6 @@ func TestOutOfOrderRejected(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := NewTracker()
-	mustObserve(t, tr, Conn{Time: 10, SrcHost: 1, DstHost: 2, Service: "http", Flag: "SF"})
-	tr.Reset()
-	// After reset, earlier timestamps are fine and windows are empty.
-	d := mustObserve(t, tr, Conn{Time: 0, SrcHost: 1, DstHost: 2, Service: "http", Flag: "SF"})
-	if d.Count != 1 || d.DstHostCount != 1 {
-		t.Errorf("after Reset counts = %v/%v, want 1/1", d.Count, d.DstHostCount)
-	}
-}
-
 func TestFlagClassifiers(t *testing.T) {
 	for _, f := range []string{"S0", "S1", "S2", "S3"} {
 		if !IsSynError(f) {

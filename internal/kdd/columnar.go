@@ -173,10 +173,6 @@ func (cb *ColumnarBatch) addSymbol(t int, s string) uint32 {
 // Rows returns the batch's record count.
 func (cb *ColumnarBatch) Rows() int { return cb.rows }
 
-// Float32 reports whether the batch carries float32 numeric values
-// (only a frame written with ColumnarWriteOptions.Float32 does).
-func (cb *ColumnarBatch) Float32() bool { return cb.f32 }
-
 // HasLabels reports whether the batch carries a ground-truth label
 // column (training and evaluation traffic; the serving path ignores it).
 // A batch decoded from NDJSON always does.

@@ -162,8 +162,8 @@ func TestColumnarFloat32Mode(t *testing.T) {
 	if err := ReadColumnarBatch(bytes.NewReader(frame), &cb, ColumnarLimits{}); err != nil {
 		t.Fatalf("ReadColumnarBatch: %v", err)
 	}
-	if !cb.Float32() {
-		t.Fatal("Float32 = false, want true")
+	if !cb.f32 {
+		t.Fatal("f32 = false, want true")
 	}
 	// f32 mode must equal EncodeBatch over the float32-rounded records.
 	rounded := make([]Record, len(records))

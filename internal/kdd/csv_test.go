@@ -2,7 +2,9 @@ package kdd
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,7 +123,7 @@ func TestPropFieldsParseRoundTrip(t *testing.T) {
 	// volume features are integral, as in the real dataset.
 	rng := rand.New(rand.NewSource(90))
 	services := CommonServices
-	labels := append(KnownLabels(), "normal")
+	labels := slices.Sorted(maps.Keys(labelCategory))
 	rate := func() float64 { return float64(rng.Intn(101)) / 100 }
 	vol := func(max int) float64 { return float64(rng.Intn(max)) }
 	for trial := 0; trial < 300; trial++ {

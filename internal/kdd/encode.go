@@ -229,12 +229,3 @@ func Labels(records []Record) []string {
 	}
 	return out
 }
-
-// CategoryCounts tallies records per category.
-func CategoryCounts(records []Record) map[Category]int {
-	out := make(map[Category]int)
-	for i := range records {
-		out[records[i].Category()]++
-	}
-	return out
-}

@@ -10,8 +10,6 @@
 // traffic produced by internal/trafficgen.
 package kdd
 
-import "fmt"
-
 // Category is the coarse attack taxonomy of KDD-99.
 type Category int
 
@@ -78,25 +76,6 @@ var labelCategory = map[string]Category{
 	"xterm": U2R, "ps": U2R, "sqlattack": U2R,
 }
 
-// trainSetLabels is the set of labels present in the KDD-99 training
-// data; everything else in labelCategory is test-set-only.
-var trainSetLabels = map[string]bool{
-	"normal": true,
-	"back":   true, "land": true, "neptune": true, "pod": true, "smurf": true, "teardrop": true,
-	"ipsweep": true, "nmap": true, "portsweep": true, "satan": true,
-	"ftp_write": true, "guess_passwd": true, "imap": true, "multihop": true,
-	"phf": true, "spy": true, "warezclient": true, "warezmaster": true,
-	"buffer_overflow": true, "loadmodule": true, "perl": true, "rootkit": true,
-}
-
-// IsNovelLabel reports whether a label belongs to the KDD-99 corrected
-// test set only (an attack never present in training data).
-func IsNovelLabel(label string) bool {
-	label = TrimLabel(label)
-	_, known := labelCategory[label]
-	return known && !trainSetLabels[label]
-}
-
 // CategoryOf returns the category for a KDD label (with or without the
 // trailing '.' the original files carry). Labels outside the taxonomy map
 // to Unknown.
@@ -114,20 +93,6 @@ func TrimLabel(label string) string {
 		return label[:n-1]
 	}
 	return label
-}
-
-// KnownLabels returns all labels in the standard taxonomy, sorted by
-// category then name (deterministic but unspecified order within category).
-func KnownLabels() []string {
-	out := make([]string, 0, len(labelCategory))
-	for _, cat := range Categories() {
-		for l, c := range labelCategory {
-			if c == cat {
-				out = append(out, l)
-			}
-		}
-	}
-	return out
 }
 
 // Protocols lists the protocol_type vocabulary of KDD-99.
@@ -268,55 +233,6 @@ func (r *Record) IsAttack() bool {
 	return c != Normal && c != Unknown
 }
 
-// Validate checks categorical vocabulary membership and value ranges of
-// the rate features.
-func (r *Record) Validate() error {
-	if !contains(Protocols, r.Protocol) {
-		return fmt.Errorf("kdd: unknown protocol %q", r.Protocol)
-	}
-	if !contains(Flags, r.Flag) {
-		return fmt.Errorf("kdd: unknown flag %q", r.Flag)
-	}
-	if r.Service == "" {
-		return fmt.Errorf("kdd: empty service")
-	}
-	if r.Duration < 0 || r.SrcBytes < 0 || r.DstBytes < 0 {
-		return fmt.Errorf("kdd: negative volume feature")
-	}
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"serror_rate", r.SerrorRate}, {"srv_serror_rate", r.SrvSerrorRate},
-		{"rerror_rate", r.RerrorRate}, {"srv_rerror_rate", r.SrvRerrorRate},
-		{"same_srv_rate", r.SameSrvRate}, {"diff_srv_rate", r.DiffSrvRate},
-		{"srv_diff_host_rate", r.SrvDiffHostRate},
-		{"dst_host_same_srv_rate", r.DstHostSameSrvRate},
-		{"dst_host_diff_srv_rate", r.DstHostDiffSrvRate},
-		{"dst_host_same_src_port_rate", r.DstHostSameSrcPortRate},
-		{"dst_host_srv_diff_host_rate", r.DstHostSrvDiffHostRate},
-		{"dst_host_serror_rate", r.DstHostSerrorRate},
-		{"dst_host_srv_serror_rate", r.DstHostSrvSerrorRate},
-		{"dst_host_rerror_rate", r.DstHostRerrorRate},
-		{"dst_host_srv_rerror_rate", r.DstHostSrvRerrorRate},
-	}
-	for _, rate := range rates {
-		if rate.v < 0 || rate.v > 1 {
-			return fmt.Errorf("kdd: %s = %v outside [0, 1]", rate.name, rate.v)
-		}
-	}
-	return nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // NumericFeatureNames lists the 38 numeric/boolean features in encoding
 // order (the 41 features minus the three categorical ones).
 var NumericFeatureNames = []string{
@@ -332,18 +248,10 @@ var NumericFeatureNames = []string{
 	"dst_host_srv_serror_rate", "dst_host_rerror_rate", "dst_host_srv_rerror_rate",
 }
 
-// NumericFeatures returns the record's 38 numeric/boolean features in the
-// order of NumericFeatureNames.
-func (r *Record) NumericFeatures() []float64 {
-	out := make([]float64, len(NumericFeatureNames))
-	r.NumericFeaturesInto(out)
-	return out
-}
-
 // NumericFeaturesInto writes the record's 38 numeric/boolean features into
 // dst in the order of NumericFeatureNames, without allocating. It is the
-// hot-path kernel under NumericFeatures and Encoder.EncodeInto: the caller
-// must guarantee len(dst) >= len(NumericFeatureNames); it panics otherwise.
+// hot-path kernel under Encoder.EncodeInto: the caller must guarantee
+// len(dst) >= len(NumericFeatureNames); it panics otherwise.
 func (r *Record) NumericFeaturesInto(dst []float64) {
 	_ = dst[len(NumericFeatureNames)-1]
 	dst[0], dst[1], dst[2] = r.Duration, r.SrcBytes, r.DstBytes

@@ -1,7 +1,7 @@
 // Package metrics implements the detection-quality measures reported by
 // the experiments: confusion matrices over arbitrary label sets, the
 // binary detection measures of the IDS literature (detection rate, false
-// positive rate, precision, F1), and ROC curves with AUC.
+// positive rate, precision, F1, MCC), and ROC curves with AUC.
 package metrics
 
 import (
@@ -58,26 +58,12 @@ func (c *Confusion) Add(truth, predicted string) {
 	c.total++
 }
 
-// AddAll records a batch of observations.
-func (c *Confusion) AddAll(truth, predicted []string) error {
-	if len(truth) != len(predicted) {
-		return fmt.Errorf("%d truths vs %d predictions: %w", len(truth), len(predicted), ErrLengthMismatch)
-	}
-	for i := range truth {
-		c.Add(truth[i], predicted[i])
-	}
-	return nil
-}
-
 // Labels returns the label set in first-use order.
 func (c *Confusion) Labels() []string {
 	out := make([]string, len(c.labels))
 	copy(out, c.labels)
 	return out
 }
-
-// Total returns the number of observations.
-func (c *Confusion) Total() int { return c.total }
 
 // Count returns counts[truth][predicted]; unknown labels yield 0.
 func (c *Confusion) Count(truth, predicted string) int {
@@ -105,31 +91,6 @@ func (c *Confusion) TruthTotal(label string) int {
 	return n
 }
 
-// PredictedTotal returns the number of observations predicted as label.
-func (c *Confusion) PredictedTotal(label string) int {
-	p, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	var n int
-	for t := range c.counts {
-		n += c.counts[t][p]
-	}
-	return n
-}
-
-// Accuracy returns the fraction of observations on the diagonal.
-func (c *Confusion) Accuracy() float64 {
-	if c.total == 0 {
-		return math.NaN()
-	}
-	var correct int
-	for i := range c.labels {
-		correct += c.counts[i][i]
-	}
-	return float64(correct) / float64(c.total)
-}
-
 // Recall returns the per-class recall (diagonal / truth total) for label,
 // NaN when the label never occurs as truth.
 func (c *Confusion) Recall(label string) float64 {
@@ -138,25 +99,6 @@ func (c *Confusion) Recall(label string) float64 {
 		return math.NaN()
 	}
 	return float64(c.Count(label, label)) / float64(tt)
-}
-
-// Precision returns the per-class precision (diagonal / predicted total)
-// for label, NaN when the label is never predicted.
-func (c *Confusion) Precision(label string) float64 {
-	pt := c.PredictedTotal(label)
-	if pt == 0 {
-		return math.NaN()
-	}
-	return float64(c.Count(label, label)) / float64(pt)
-}
-
-// F1 returns the harmonic mean of precision and recall for label.
-func (c *Confusion) F1(label string) float64 {
-	p, r := c.Precision(label), c.Recall(label)
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
 }
 
 // String renders the matrix as an aligned table (truth rows, predicted
@@ -251,4 +193,17 @@ func (o BinaryOutcome) String() string {
 	return fmt.Sprintf("acc=%.4f dr=%.4f fpr=%.4f prec=%.4f f1=%.4f (tp=%d fp=%d tn=%d fn=%d)",
 		o.Accuracy(), o.DetectionRate(), o.FalsePositiveRate(), o.Precision(), o.F1(),
 		o.TP, o.FP, o.TN, o.FN)
+}
+
+// MCC returns the Matthews correlation coefficient of a binary outcome —
+// the balanced single-number summary that stays meaningful under the
+// heavy class skew of intrusion data. Returns 0 when any marginal is
+// empty (the conventional limit).
+func MCC(o BinaryOutcome) float64 {
+	tp, fp, tn, fn := float64(o.TP), float64(o.FP), float64(o.TN), float64(o.FN)
+	denom := math.Sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+	if denom == 0 {
+		return 0
+	}
+	return (tp*tn - fp*fn) / denom
 }

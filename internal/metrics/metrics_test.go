@@ -15,14 +15,11 @@ func TestConfusionBasic(t *testing.T) {
 	c.Add("dos", "dos")
 	c.Add("probe", "normal")
 
-	if c.Total() != 5 {
-		t.Errorf("Total = %d", c.Total())
+	if c.total != 5 {
+		t.Errorf("total = %d", c.total)
 	}
 	if got := c.Count("normal", "dos"); got != 1 {
 		t.Errorf("Count(normal,dos) = %d", got)
-	}
-	if got := c.Accuracy(); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("Accuracy = %v, want 0.6", got)
 	}
 	if got := c.Recall("dos"); got != 1 {
 		t.Errorf("Recall(dos) = %v", got)
@@ -30,14 +27,8 @@ func TestConfusionBasic(t *testing.T) {
 	if got := c.Recall("normal"); got != 0.5 {
 		t.Errorf("Recall(normal) = %v", got)
 	}
-	if got := c.Precision("dos"); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Precision(dos) = %v", got)
-	}
 	if got := c.TruthTotal("probe"); got != 1 {
 		t.Errorf("TruthTotal(probe) = %d", got)
-	}
-	if got := c.PredictedTotal("normal"); got != 2 {
-		t.Errorf("PredictedTotal(normal) = %d", got)
 	}
 }
 
@@ -50,44 +41,10 @@ func TestConfusionUnknownLabels(t *testing.T) {
 	if !math.IsNaN(c.Recall("zzz")) {
 		t.Error("Recall of unseen truth should be NaN")
 	}
-	if !math.IsNaN(c.Precision("zzz")) {
-		t.Error("Precision of unpredicted label should be NaN")
-	}
-}
-
-func TestConfusionEmptyAccuracy(t *testing.T) {
-	if !math.IsNaN(NewConfusion().Accuracy()) {
-		t.Error("empty matrix Accuracy should be NaN")
-	}
-}
-
-func TestConfusionAddAll(t *testing.T) {
-	c := NewConfusion()
-	if err := c.AddAll([]string{"a", "b"}, []string{"a", "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Total() != 2 {
-		t.Errorf("Total = %d", c.Total())
-	}
-	if err := c.AddAll([]string{"a"}, []string{"a", "b"}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("mismatch err = %v", err)
-	}
-}
-
-func TestConfusionF1(t *testing.T) {
-	c := NewConfusion()
-	// precision 0.5 (1 of 2 predicted), recall 1 (1 of 1 truth)
-	c.Add("a", "a")
-	c.Add("b", "a")
-	f1 := c.F1("a")
-	want := 2 * 0.5 * 1 / 1.5
-	if math.Abs(f1-want) > 1e-12 {
-		t.Errorf("F1 = %v, want %v", f1, want)
-	}
 }
 
 func TestConfusionMarginalsProperty(t *testing.T) {
-	// Sum of truth totals == sum of predicted totals == total.
+	// Truth marginals and predicted-label columns both sum to the total.
 	c := NewConfusion()
 	pairs := [][2]string{{"a", "b"}, {"b", "b"}, {"c", "a"}, {"a", "a"}, {"c", "c"}, {"b", "a"}}
 	for _, p := range pairs {
@@ -96,10 +53,12 @@ func TestConfusionMarginalsProperty(t *testing.T) {
 	var tSum, pSum int
 	for _, l := range c.Labels() {
 		tSum += c.TruthTotal(l)
-		pSum += c.PredictedTotal(l)
+		for _, p := range c.Labels() {
+			pSum += c.Count(p, l)
+		}
 	}
-	if tSum != c.Total() || pSum != c.Total() {
-		t.Errorf("marginals %d/%d != total %d", tSum, pSum, c.Total())
+	if tSum != c.total || pSum != c.total {
+		t.Errorf("marginals %d/%d != total %d", tSum, pSum, c.total)
 	}
 }
 
@@ -253,19 +212,37 @@ func TestAUCDegenerate(t *testing.T) {
 	}
 }
 
-func TestOperatingPoint(t *testing.T) {
-	curve := []ROCPoint{
-		{Threshold: math.Inf(1), FPR: 0, TPR: 0},
-		{Threshold: 0.9, FPR: 0.01, TPR: 0.6},
-		{Threshold: 0.5, FPR: 0.05, TPR: 0.9},
-		{Threshold: 0.1, FPR: 0.5, TPR: 0.99},
+func TestMCC(t *testing.T) {
+	tests := []struct {
+		name string
+		o    BinaryOutcome
+		want float64
+		tol  float64
+	}{
+		{"perfect", BinaryOutcome{TP: 50, TN: 50}, 1, 0},
+		{"inverted", BinaryOutcome{FP: 50, FN: 50}, -1, 0},
+		{"balanced random", BinaryOutcome{TP: 25, FP: 25, TN: 25, FN: 25}, 0, 0},
+		{"empty", BinaryOutcome{}, 0, 0},
+		{"one marginal empty", BinaryOutcome{TP: 10, FN: 5}, 0, 0},
 	}
-	p := OperatingPoint(curve, 0.1)
-	if p.TPR != 0.9 || p.Threshold != 0.5 {
-		t.Errorf("OperatingPoint(0.1) = %+v", p)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := MCC(tt.o); math.Abs(got-tt.want) > tt.tol {
+				t.Errorf("MCC = %v, want %v", got, tt.want)
+			}
+		})
 	}
-	p = OperatingPoint(curve, 0.001)
-	if p.TPR != 0 {
-		t.Errorf("OperatingPoint(0.001) = %+v, want origin", p)
+}
+
+func TestMCCKnownValue(t *testing.T) {
+	o := BinaryOutcome{TP: 90, FN: 10, FP: 5, TN: 95}
+	got := MCC(o)
+	// Direct computation.
+	want := (90.0*95 - 5.0*10) / math.Sqrt(95*100*100*105)
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("MCC = %v, want %v", got, want)
+	}
+	if got < 0.8 {
+		t.Errorf("strong detector MCC = %v, want high", got)
 	}
 }

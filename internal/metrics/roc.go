@@ -83,17 +83,3 @@ func AUC(curve []ROCPoint) float64 {
 	}
 	return area
 }
-
-// OperatingPoint returns the curve point with the largest TPR subject to
-// FPR <= maxFPR, which is how the experiments pick a threshold for a
-// target false-alarm budget. Returns the (0,0) point if nothing
-// qualifies.
-func OperatingPoint(curve []ROCPoint, maxFPR float64) ROCPoint {
-	best := ROCPoint{Threshold: math.Inf(1)}
-	for _, p := range curve {
-		if p.FPR <= maxFPR && p.TPR >= best.TPR {
-			best = p
-		}
-	}
-	return best
-}

@@ -61,20 +61,6 @@ func (s *MinMaxScaler) Fit(data [][]float64) error {
 	return nil
 }
 
-// Transform scales x into [0, 1] per dimension, clamping outliers.
-func (s *MinMaxScaler) Transform(x []float64) ([]float64, error) {
-	if s.min == nil {
-		return nil, ErrNotFitted
-	}
-	if len(x) != len(s.min) {
-		return nil, fmt.Errorf("vector dim %d, fitted %d: %w", len(x), len(s.min), ErrDimMismatch)
-	}
-	out := make([]float64, len(x))
-	copy(out, x)
-	s.transformRow(out)
-	return out, nil
-}
-
 // TransformInPlace scales x into [0, 1] per dimension in place, clamping
 // outliers, without allocating.
 func (s *MinMaxScaler) TransformInPlace(x []float64) error {

@@ -57,15 +57,6 @@ func Gather(data [][]float64, idx []int) [][]float64 {
 	return out
 }
 
-// GatherStrings returns the elements of s selected by idx.
-func GatherStrings(s []string, idx []int) []string {
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = s[j]
-	}
-	return out
-}
-
 // CapPerKey limits the number of indices per key to at most cap,
 // preserving relative order within each key. It is used to downsample the
 // dominant DoS classes so low-volume classes are not drowned during

@@ -175,9 +175,6 @@ func (q *Queue[T]) TakeWaitStats() WaitStats {
 // Safe to call more than once.
 func (q *Queue[T]) CloseAdmission() { q.closed.Store(true) }
 
-// Closed reports whether admission has been closed.
-func (q *Queue[T]) Closed() bool { return q.closed.Load() }
-
 // Depth is the number of jobs currently waiting in the queue.
 func (q *Queue[T]) Depth() int { return len(q.c) }
 

@@ -7,6 +7,9 @@ import (
 	"time"
 )
 
+// Closed reports whether admission has been closed.
+func (q *Queue[T]) Closed() bool { return q.closed.Load() }
+
 // tj is the test job: a value with an optional deadline.
 type tj struct {
 	id int

@@ -16,9 +16,8 @@ import (
 // BMUMasked returns the best-matching unit of x among units u with
 // counts[u] > 0 (units at or beyond len(counts) are excluded), with its
 // squared distance. ok is false when no unit passes the mask. It is the
-// allocation-free equivalent of BMUWhere with a unit-count predicate —
-// the kernel under effective-codebook routing — and resolves ties to the
-// lowest unit index, exactly like BMU.
+// kernel under effective-codebook routing, allocates nothing, and resolves
+// ties to the lowest unit index, exactly like BMU.
 func (m *Map) BMUMasked(x []float64, counts []int) (bmu int, dist2 float64, ok bool) {
 	bmu, dist2 = -1, math.Inf(1)
 	limit := len(counts)
@@ -42,10 +41,10 @@ func (m *Map) BMUMasked(x []float64, counts []int) (bmu int, dist2 float64, ok b
 // AssignFlat computes the BMU index and squared distance of every row of
 // the flat row-major matrix (n rows of Dim() values) into bmus and d2s,
 // which must both have length at least n. Unlike the map-level batch ops
-// (AssignView, UnitErrorsView) it takes the worker bound explicitly — 0 = GOMAXPROCS,
-// 1 = serial — so callers embedding it under an outer parallel loop (the
-// anomaly batch quantizer) can pin it to 1 instead of inheriting the
-// map's knob. The search runs on the blocked BMU engine (norm-cached
+// (AssignView, UnitErrorsSet) it takes the worker bound explicitly — 0 =
+// GOMAXPROCS, 1 = serial — so callers embedding it under an outer
+// parallel loop (the anomaly batch quantizer) can pin it to 1 instead of
+// inheriting the map's knob. The search runs on the blocked BMU engine (norm-cached
 // expanded-distance candidates, exact settle); results are positionally
 // stable and bit-for-bit identical to calling BMU per row at every
 // setting. Either output slice may be nil to skip that result.

@@ -1,8 +1,11 @@
 package som
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"ghsom/internal/vecmath"
 )
 
 // randomMap builds a trained-looking map with gaussian weights.
@@ -25,8 +28,27 @@ func randomMap(t *testing.T, rows, cols, dim int, seed int64) *Map {
 	return m
 }
 
+// bmuWhere is the predicate-driven scalar scan BMUMasked is checked
+// against: the best-matching unit among units accepted by allowed, with
+// its squared distance. ok is false when no unit is allowed.
+func bmuWhere(m *Map, x []float64, allowed func(int) bool) (bmu int, dist2 float64, ok bool) {
+	bmu, dist2 = -1, math.Inf(1)
+	for i, units := 0, m.Units(); i < units; i++ {
+		if !allowed(i) {
+			continue
+		}
+		if d := vecmath.SquaredDistanceFlat(x, m.flat, i*m.dim); d < dist2 {
+			bmu, dist2 = i, d
+		}
+	}
+	if bmu < 0 {
+		return 0, 0, false
+	}
+	return bmu, dist2, true
+}
+
 // TestBMUMaskedMatchesBMUWhere verifies the closure-free masked kernel is
-// bit-identical to BMUWhere with the equivalent unit-count predicate,
+// bit-identical to bmuWhere with the equivalent unit-count predicate,
 // including tie-breaking and the no-allowed-unit case.
 func TestBMUMaskedMatchesBMUWhere(t *testing.T) {
 	m := randomMap(t, 4, 5, 3, 1)
@@ -41,12 +63,12 @@ func TestBMUMaskedMatchesBMUWhere(t *testing.T) {
 	for _, c := range [][]int{counts, counts[:7], make([]int, m.Units()), nil} {
 		for i := 0; i < 200; i++ {
 			x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			wantBMU, wantD2, wantOK := m.BMUWhere(x, func(u int) bool {
+			wantBMU, wantD2, wantOK := bmuWhere(m, x, func(u int) bool {
 				return u < len(c) && c[u] > 0
 			})
 			gotBMU, gotD2, gotOK := m.BMUMasked(x, c)
 			if gotBMU != wantBMU || gotD2 != wantD2 || gotOK != wantOK {
-				t.Fatalf("BMUMasked = (%d, %v, %v), BMUWhere = (%d, %v, %v)",
+				t.Fatalf("BMUMasked = (%d, %v, %v), bmuWhere = (%d, %v, %v)",
 					gotBMU, gotD2, gotOK, wantBMU, wantD2, wantOK)
 			}
 		}

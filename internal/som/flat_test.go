@@ -107,9 +107,8 @@ func TestBMUShortQueryStaysInRange(t *testing.T) {
 }
 
 // TestBatchOpsIdenticalAcrossParallelism verifies the determinism contract
-// of the parallel batch operations: AssignView, the view MQE, UnitErrorsView,
-// TrainBatchView and TopographicError produce bit-identical results for
-// every worker count.
+// of the parallel batch operations: AssignView, the view MQE, UnitErrorsSet
+// and TrainBatchSet produce bit-identical results for every worker count.
 func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([][]float64, 500)
@@ -129,16 +128,15 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 		cfg := DefaultTrainConfig(nil)
 		cfg.Shuffle = false
 		cfg.Parallelism = p
-		if _, err := m.TrainBatchView(v, cfg); err != nil {
+		if _, err := m.TrainBatchSet(NewTrainSet(v), cfg); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	ref := build(1)
 	refAssign := ref.AssignView(v)
-	refMQE := ref.mqeView(v, nil, ref.Parallelism(), nil)
-	refSum, refCounts := ref.UnitErrorsView(v)
-	refTE := ref.TopographicError(data)
+	refMQE := ref.mqeView(v, nil, ref.parallelism, nil)
+	refSum, refCounts := ref.UnitErrorsSet(NewTrainSet(v), make([]int, v.Rows()))
 	for _, p := range []int{2, 4, 8, 0} {
 		m := build(p)
 		for i, w := range m.Weights() {
@@ -152,18 +150,15 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 				t.Fatalf("p=%d: AssignView[%d] = %d, want %d", p, i, assign[i], refAssign[i])
 			}
 		}
-		if mqe := m.mqeView(v, nil, m.Parallelism(), nil); mqe != refMQE {
+		if mqe := m.mqeView(v, nil, m.parallelism, nil); mqe != refMQE {
 			t.Errorf("p=%d: mqeView = %v, want %v", p, mqe, refMQE)
 		}
-		sum, counts := m.UnitErrorsView(v)
+		sum, counts := m.UnitErrorsSet(NewTrainSet(v), make([]int, v.Rows()))
 		for u := range sum {
 			if sum[u] != refSum[u] || counts[u] != refCounts[u] {
-				t.Fatalf("p=%d: UnitErrorsView[%d] = (%v, %d), want (%v, %d)",
+				t.Fatalf("p=%d: UnitErrorsSet[%d] = (%v, %d), want (%v, %d)",
 					p, u, sum[u], counts[u], refSum[u], refCounts[u])
 			}
-		}
-		if te := m.TopographicError(data); te != refTE {
-			t.Errorf("p=%d: TopographicError = %v, want %v", p, te, refTE)
 		}
 	}
 }

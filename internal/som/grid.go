@@ -1,7 +1,7 @@
 // Package som implements the classic Kohonen Self-Organizing Map on a
 // rectangular grid: online and batch training, neighborhood kernels,
-// parameter decay schedules, and the standard map-quality measures
-// (quantization error, topographic error, U-matrix).
+// parameter decay schedules, and the map-quality measures the GHSOM uses
+// (quantization error, U-matrix).
 //
 // The package is the substrate under the GHSOM in internal/core: a GHSOM is
 // a hierarchy of these maps, grown row/column-wise. It is also usable as a
@@ -39,15 +39,19 @@ type Map struct {
 	flat            []float64 // rows*cols*dim, unit-major then dimension
 	parallelism     int       // batch-op worker knob; <= 0 means GOMAXPROCS
 
-	// version counts weight-arena mutations: every mutating method
-	// (SetWeight, the Init* family, training updates, and the growth
-	// operations, which also reallocate the arena) bumps it. It is the
-	// staleness token of the norm cache below — see Version.
+	// version counts weight-arena mutations: every mutation made through
+	// the map's API — SetWeight, the Init* initializers, training updates
+	// (batch rank-1 updates and online MoveToward steps), and the growth
+	// operations, which also reallocate the arena — bumps it. It is the
+	// staleness token of the norm cache below, which recomputes whenever
+	// the version it sees differs from the one it cached, so a stale norm
+	// table is impossible. Writes through slices returned by
+	// Weight/WeightAt/Weights bypass the counter; mutate via SetWeight.
 	version uint64
 	// norms caches the per-unit squared weight norms for the blocked BMU
 	// engine, keyed by version. The cache is an atomic snapshot
 	// (lock-free reads, copy-on-invalidate), so concurrent read-only
-	// batch operations (AssignView, AssignFlat, UnitErrorsView) on a
+	// batch operations (AssignView, AssignFlat, UnitErrorsSet) on a
 	// trained map never serialize on it. Weight mutation itself requires
 	// exclusive access, exactly as it always has.
 	norms vecmath.NormCache
@@ -62,17 +66,6 @@ func New(rows, cols, dim int) (*Map, error) {
 	}
 	return &Map{rows: rows, cols: cols, dim: dim, flat: make([]float64, rows*cols*dim), version: 1}, nil
 }
-
-// Version returns the weight-arena mutation counter. Every mutation made
-// through the map's API — SetWeight, the Init* initializers, training
-// updates (batch rank-1 updates and online MoveToward steps), and the
-// reallocating growth operations — increments it, which is what makes a
-// stale norm cache impossible: the blocked BMU engine's NormCache
-// recomputes whenever the version it sees differs from the one it cached
-// (see internal/vecmath). Writes through slices returned by
-// Weight/WeightAt/Weights bypass the counter — the documented contract
-// has always been to mutate via SetWeight only.
-func (m *Map) Version() uint64 { return m.version }
 
 // touch records a weight mutation.
 func (m *Map) touch() { m.version++ }
@@ -144,25 +137,11 @@ func (m *Map) SetWeight(i int, w []float64) error {
 }
 
 // SetParallelism sets the worker bound used by the map's batch operations
-// (AssignView, UnitErrorsView, UnitErrorsSet, TopographicError;
-// training reads TrainConfig.Parallelism instead): 0 (the default) means
-// runtime.GOMAXPROCS, 1 forces serial execution, n > 1 caps the fan-out at
-// n goroutines. Results are bit-for-bit identical for every setting; see
+// (AssignView, UnitErrorsSet; training reads TrainConfig.Parallelism
+// instead): 0 (the default) means runtime.GOMAXPROCS, 1 forces serial
+// execution, n > 1 caps the fan-out at n goroutines. Results are bit-for-bit identical for every setting; see
 // internal/parallel.
 func (m *Map) SetParallelism(p int) { m.parallelism = p }
-
-// Parallelism returns the configured batch-operation worker bound.
-func (m *Map) Parallelism() int { return m.parallelism }
-
-// GridDistance2 returns the squared Euclidean distance between units i and
-// j measured on the grid lattice (not in weight space).
-func (m *Map) GridDistance2(i, j int) float64 {
-	ri, ci := m.Coords(i)
-	rj, cj := m.Coords(j)
-	dr := float64(ri - rj)
-	dc := float64(ci - cj)
-	return dr*dr + dc*dc
-}
 
 // AreGridNeighbors reports whether units i and j are direct 4-neighbors on
 // the lattice.
@@ -197,15 +176,6 @@ func (m *Map) Neighbors(i int, dst []int) []int {
 		dst = append(dst, m.Index(r, c+1))
 	}
 	return dst
-}
-
-// Clone returns a deep copy of the map. The clone starts with a fresh
-// version counter and an empty norm cache of its own.
-func (m *Map) Clone() *Map {
-	out := &Map{rows: m.rows, cols: m.cols, dim: m.dim, parallelism: m.parallelism, version: 1}
-	out.flat = make([]float64, len(m.flat))
-	copy(out.flat, m.flat)
-	return out
 }
 
 // checkData validates a data set against the map dimension.

@@ -63,11 +63,11 @@ func TestGridDistance2(t *testing.T) {
 	m, _ := New(4, 4, 1)
 	a := m.Index(0, 0)
 	b := m.Index(3, 4-1)
-	if got := m.GridDistance2(a, b); got != 9+9 {
-		t.Errorf("GridDistance2 corner to corner = %v, want 18", got)
+	if got := gridDistance2(m, a, b); got != 9+9 {
+		t.Errorf("gridDistance2 corner to corner = %v, want 18", got)
 	}
-	if got := m.GridDistance2(a, a); got != 0 {
-		t.Errorf("GridDistance2 self = %v", got)
+	if got := gridDistance2(m, a, a); got != 0 {
+		t.Errorf("gridDistance2 self = %v", got)
 	}
 }
 
@@ -130,19 +130,6 @@ func TestSetWeightAndAliasing(t *testing.T) {
 	}
 	if err := m.SetWeight(0, []float64{1}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("SetWeight wrong dim err = %v", err)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	m, _ := New(2, 2, 2)
-	_ = m.SetWeight(0, []float64{5, 5})
-	c := m.Clone()
-	_ = c.SetWeight(0, []float64{9, 9})
-	if m.Weight(0)[0] != 5 {
-		t.Error("Clone shares weight storage")
-	}
-	if c.Rows() != m.Rows() || c.Cols() != m.Cols() || c.Dim() != m.Dim() {
-		t.Error("Clone shape mismatch")
 	}
 }
 

@@ -46,7 +46,7 @@ func TestMQE(t *testing.T) {
 func TestUnitErrorsAndCounts(t *testing.T) {
 	m := lineMap(t)
 	data := [][]float64{{0}, {1}, {6}} // units 0,0,1
-	sum, counts := m.UnitErrorsView(rowsView(t, data))
+	sum, counts := m.UnitErrorsSet(NewTrainSet(rowsView(t, data)), make([]int, len(data)))
 	if counts[0] != 2 || counts[1] != 1 || counts[2] != 0 {
 		t.Errorf("counts = %v", counts)
 	}
@@ -62,29 +62,6 @@ func TestUnitErrorsAndCounts(t *testing.T) {
 	}
 	if mean[2] != 0 {
 		t.Errorf("meanQE of empty unit = %v, want 0", mean[2])
-	}
-}
-
-func TestTopographicError(t *testing.T) {
-	m := lineMap(t)
-	// x=1: BMU 0, second 1 — neighbors, no error.
-	if got := m.TopographicError([][]float64{{1}}); got != 0 {
-		t.Errorf("TE for adjacent BMUs = %v, want 0", got)
-	}
-	// Build a map where first and second BMU are non-adjacent.
-	m2, _ := New(1, 3, 1)
-	_ = m2.SetWeight(0, []float64{0})
-	_ = m2.SetWeight(1, []float64{100})
-	_ = m2.SetWeight(2, []float64{1})
-	if got := m2.TopographicError([][]float64{{0.4}}); got != 1 {
-		t.Errorf("TE for split BMUs = %v, want 1", got)
-	}
-	if !math.IsNaN(m.TopographicError(nil)) {
-		t.Error("TE of empty data should be NaN")
-	}
-	single, _ := New(1, 1, 1)
-	if got := single.TopographicError([][]float64{{1}}); got != 0 {
-		t.Errorf("TE of single-unit map = %v, want 0", got)
 	}
 }
 
@@ -125,22 +102,6 @@ func TestUMatrixMarksBoundary(t *testing.T) {
 	}
 }
 
-func TestComponentPlane(t *testing.T) {
-	m, _ := New(2, 2, 2)
-	_ = m.SetWeight(0, []float64{1, 10})
-	_ = m.SetWeight(1, []float64{2, 20})
-	_ = m.SetWeight(2, []float64{3, 30})
-	_ = m.SetWeight(3, []float64{4, 40})
-	p0 := m.ComponentPlane(0)
-	p1 := m.ComponentPlane(1)
-	if p0[0][0] != 1 || p0[1][1] != 4 {
-		t.Errorf("ComponentPlane(0) = %v", p0)
-	}
-	if p1[0][1] != 20 || p1[1][0] != 30 {
-		t.Errorf("ComponentPlane(1) = %v", p1)
-	}
-}
-
 func TestUMatrixSymmetryProperty(t *testing.T) {
 	// For any map, the U-matrix entry of a unit is the mean of symmetric
 	// pairwise distances, so the total over all units of (value * degree)
@@ -151,7 +112,7 @@ func TestUMatrixSymmetryProperty(t *testing.T) {
 		cols := 1 + rng.Intn(5)
 		m, _ := New(rows, cols, 3)
 		data := [][]float64{{0, 0, 0}, {1, 1, 1}}
-		_ = m.InitRandomUniform([][]float64{{-1, -1, -1}, {1, 1, 1}}, rng)
+		_ = initUniform(m, [][]float64{{-1, -1, -1}, {1, 1, 1}}, rng)
 		_ = data
 		u := m.UMatrix()
 		var weightedTotal float64

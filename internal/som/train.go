@@ -105,45 +105,6 @@ type TrainStats struct {
 	EpochMQE []float64
 }
 
-// FinalMQE returns the last epoch's MQE, or NaN if no epochs ran.
-func (s TrainStats) FinalMQE() float64 {
-	if len(s.EpochMQE) == 0 {
-		return math.NaN()
-	}
-	return s.EpochMQE[len(s.EpochMQE)-1]
-}
-
-// InitRandomUniform initializes each weight uniformly within the
-// per-dimension [min, max] ranges observed in data.
-func (m *Map) InitRandomUniform(data [][]float64, rng *rand.Rand) error {
-	if err := m.checkData(data); err != nil {
-		return err
-	}
-	lo := make([]float64, m.dim)
-	hi := make([]float64, m.dim)
-	for d := 0; d < m.dim; d++ {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
-	}
-	for _, x := range data {
-		for d, v := range x {
-			if v < lo[d] {
-				lo[d] = v
-			}
-			if v > hi[d] {
-				hi[d] = v
-			}
-		}
-	}
-	for i := 0; i < m.Units(); i++ {
-		w := m.Weight(i)
-		for d := range w {
-			w[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
-		}
-	}
-	m.touch()
-	return nil
-}
-
 // InitSample initializes each unit with a uniformly sampled data vector
 // (with replacement).
 func (m *Map) InitSample(data [][]float64, rng *rand.Rand) error {
@@ -152,52 +113,6 @@ func (m *Map) InitSample(data [][]float64, rng *rand.Rand) error {
 	}
 	for i := 0; i < m.Units(); i++ {
 		copy(m.Weight(i), data[rng.Intn(len(data))])
-	}
-	m.touch()
-	return nil
-}
-
-// InitLinear initializes the map on the plane spanned by the data's two
-// principal axes — the SOM-Toolbox "lininit". Unit (r, c) is placed at
-// mean + a·scale1·axis1 + b·scale2·axis2 with a, b spanning [-1, 1]
-// across the grid. Linear initialization gives the map a globally ordered
-// starting state, which speeds convergence and removes most topological
-// defects. For one-dimensional data (or a 1xN map) only the first axis is
-// used.
-func (m *Map) InitLinear(data [][]float64, rng *rand.Rand) error {
-	if err := m.checkData(data); err != nil {
-		return err
-	}
-	k := 2
-	if m.dim < 2 {
-		k = 1
-	}
-	axes, scales, err := vecmath.PrincipalComponents(data, k, rng)
-	if err != nil {
-		return fmt.Errorf("som: linear init: %w", err)
-	}
-	mean, err := vecmath.Mean(data)
-	if err != nil {
-		return fmt.Errorf("som: linear init: %w", err)
-	}
-	// Span ±2 standard deviations across the grid, covering ~95% of the
-	// data along each axis.
-	spread := func(idx, n int) float64 {
-		if n <= 1 {
-			return 0
-		}
-		return 2 * (2*float64(idx)/float64(n-1) - 1)
-	}
-	for r := 0; r < m.rows; r++ {
-		for c := 0; c < m.cols; c++ {
-			w := m.WeightAt(r, c)
-			copy(w, mean)
-			// Rows span the first (dominant) axis, columns the second.
-			vecmath.AXPYInPlace(w, spread(r, m.rows)*scales[0], axes[0])
-			if k > 1 {
-				vecmath.AXPYInPlace(w, spread(c, m.cols)*scales[1], axes[1])
-			}
-		}
 	}
 	m.touch()
 	return nil
@@ -243,45 +158,4 @@ func (m *Map) BMU(x []float64) (int, float64) {
 		}
 	}
 	return best, bestDist
-}
-
-// BMUWhere returns the best-matching unit among units accepted by the
-// allowed predicate, with its squared distance. ok is false when no unit
-// is allowed.
-func (m *Map) BMUWhere(x []float64, allowed func(int) bool) (bmu int, dist2 float64, ok bool) {
-	bmu, dist2 = -1, math.Inf(1)
-	for i, units := 0, m.Units(); i < units; i++ {
-		if !allowed(i) {
-			continue
-		}
-		if d := vecmath.SquaredDistanceFlat(x, m.flat, i*m.dim); d < dist2 {
-			bmu, dist2 = i, d
-		}
-	}
-	if bmu < 0 {
-		return 0, 0, false
-	}
-	return bmu, dist2, true
-}
-
-// BMU2 returns the indices of the best and second-best matching units for
-// x. The map must have at least two units; with a single unit both results
-// are 0.
-func (m *Map) BMU2(x []float64) (first, second int) {
-	firstDist, secondDist := math.Inf(1), math.Inf(1)
-	second = -1
-	for i, units := 0, m.Units(); i < units; i++ {
-		d := vecmath.SquaredDistanceFlat(x, m.flat, i*m.dim)
-		switch {
-		case d < firstDist:
-			second, secondDist = first, firstDist
-			first, firstDist = i, d
-		case d < secondDist:
-			second, secondDist = i, d
-		}
-	}
-	if second < 0 {
-		second = first
-	}
-	return first, second
 }

@@ -233,12 +233,6 @@ func NewTrainSet(v vecmath.View) TrainSet {
 // View returns the set's rows, in the order of the view it was built from.
 func (s TrainSet) View() vecmath.View { return s.rows }
 
-// TrainBatchView trains the map with the deterministic batch rule over a
-// flat data view: TrainBatchSet over NewTrainSet(v).
-func (m *Map) TrainBatchView(v vecmath.View, cfg TrainConfig) (TrainStats, error) {
-	return m.TrainBatchSet(NewTrainSet(v), cfg)
-}
-
 // TrainBatchSet trains the map with the deterministic batch rule over a
 // prepared training set. Each epoch runs one parallel BMU pass, accumulates
 // per-BMU-class sums and counts with a chunked deterministic fold
@@ -441,16 +435,11 @@ func (m *Map) AssignView(v vecmath.View) []int {
 	return out
 }
 
-// UnitErrorsView returns, per unit, the summed quantization error of the
-// view rows mapped to it and the number of rows mapped.
-func (m *Map) UnitErrorsView(v vecmath.View) (sumQE []float64, counts []int) {
-	return m.unitErrors(v, nil, make([]int, v.Rows()))
-}
-
-// UnitErrorsSet is UnitErrorsView over a prepared training set, and it
-// also writes every row's BMU into bmus (length at least the set's row
-// count): one BMU pass yields the per-unit errors, the counts, and the
-// assignment a caller splits the set by.
+// UnitErrorsSet returns, per unit, the summed quantization error of the
+// set's rows mapped to it and the number of rows mapped, and it also
+// writes every row's BMU into bmus (length at least the set's row count):
+// one BMU pass yields the per-unit errors, the counts, and the assignment
+// a caller splits the set by.
 func (m *Map) UnitErrorsSet(s TrainSet, bmus []int) (sumQE []float64, counts []int) {
 	return m.unitErrors(s.rows, s.norms, bmus[:s.rows.Rows()])
 }
@@ -473,7 +462,7 @@ func (m *Map) unitErrors(v vecmath.View, xNorms []float64, bmus []int) (sumQE []
 
 // MeanErrors returns the per-unit mean quantization error (zero for
 // units that won nothing) from the per-unit error sums and counts of
-// UnitErrorsView or UnitErrorsSet.
+// UnitErrorsSet.
 func MeanErrors(sumQE []float64, counts []int) []float64 {
 	out := make([]float64, len(sumQE))
 	for i, c := range counts {

@@ -4,10 +4,46 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ghsom/internal/vecmath"
 )
+
+// initUniform initializes each weight of m uniformly within the
+// per-dimension [min, max] ranges observed in data.
+func initUniform(m *Map, data [][]float64, rng *rand.Rand) error {
+	if err := m.checkData(data); err != nil {
+		return err
+	}
+	lo := make([]float64, m.dim)
+	hi := make([]float64, m.dim)
+	for d := 0; d < m.dim; d++ {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+	for _, x := range data {
+		for d, v := range x {
+			lo[d], hi[d] = math.Min(lo[d], v), math.Max(hi[d], v)
+		}
+	}
+	for i := 0; i < m.Units(); i++ {
+		w := m.Weight(i)
+		for d := range w {
+			w[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
+		}
+	}
+	m.touch()
+	return nil
+}
+
+// finalMQE returns the last epoch's MQE.
+func finalMQE(t *testing.T, s TrainStats) float64 {
+	t.Helper()
+	if len(s.EpochMQE) == 0 {
+		t.Fatal("training reported no epochs")
+	}
+	return s.EpochMQE[len(s.EpochMQE)-1]
+}
 
 // twoClusters returns points drawn from two well-separated gaussian blobs.
 func twoClusters(rng *rand.Rand, nPer int) [][]float64 {
@@ -31,7 +67,7 @@ func TestTrainOnlineReducesMQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InitRandomUniform(data, rng); err != nil {
+	if err := initUniform(m, data, rng); err != nil {
 		t.Fatal(err)
 	}
 	v := rowsView(t, data)
@@ -42,7 +78,7 @@ func TestTrainOnlineReducesMQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := stats.FinalMQE()
+	after := finalMQE(t, stats)
 	if !(after < before) {
 		t.Errorf("training did not reduce MQE: before %v after %v", before, after)
 	}
@@ -70,12 +106,12 @@ func TestTrainBatchReducesMQE(t *testing.T) {
 	before := m.mqeView(v, nil, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 15
-	stats, err := m.TrainBatchView(v, cfg)
+	stats, err := m.TrainBatchSet(NewTrainSet(v), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(stats.FinalMQE() < before/2) {
-		t.Errorf("batch training did not substantially reduce MQE: before %v after %v", before, stats.FinalMQE())
+	if after := finalMQE(t, stats); !(after < before/2) {
+		t.Errorf("batch training did not substantially reduce MQE: before %v after %v", before, after)
 	}
 }
 
@@ -83,7 +119,7 @@ func TestTrainSeparatesClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := twoClusters(rng, 150)
 	m, _ := New(2, 2, 2)
-	if err := m.InitRandomUniform(data, rng); err != nil {
+	if err := initUniform(m, data, rng); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultTrainConfig(rng)
@@ -125,8 +161,8 @@ func TestTrainConfigValidation(t *testing.T) {
 			if _, err := m.TrainOnlineView(rowsView(t, data), cfg); err == nil {
 				t.Error("TrainOnlineView accepted invalid config")
 			}
-			if _, err := m.TrainBatchView(rowsView(t, data), cfg); err == nil {
-				t.Error("TrainBatchView accepted invalid config")
+			if _, err := m.TrainBatchSet(NewTrainSet(rowsView(t, data)), cfg); err == nil {
+				t.Error("TrainBatchSet accepted invalid config")
 			}
 		})
 	}
@@ -156,7 +192,7 @@ func TestTrainDoesNotMutateData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if !vecmath.Equal(v.Row(i), data[i], 0) {
+		if !slices.Equal(v.Row(i), data[i]) {
 			t.Fatalf("TrainOnlineView mutated view row %d", i)
 		}
 	}
@@ -167,7 +203,7 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		data := twoClusters(rng, 50)
 		m, _ := New(3, 3, 2)
-		_ = m.InitRandomUniform(data, rng)
+		_ = initUniform(m, data, rng)
 		cfg := DefaultTrainConfig(rng)
 		cfg.Epochs = 5
 		_, _ = m.TrainOnlineView(rowsView(t, data), cfg)
@@ -175,7 +211,7 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 	}
 	m1, m2 := run(), run()
 	for i := 0; i < m1.Units(); i++ {
-		if !vecmath.Equal(m1.Weight(i), m2.Weight(i), 0) {
+		if !slices.Equal(m1.Weight(i), m2.Weight(i)) {
 			t.Fatalf("same seed produced different weights at unit %d", i)
 		}
 	}
@@ -199,33 +235,18 @@ func TestBMU(t *testing.T) {
 	}
 }
 
-func TestBMU2(t *testing.T) {
-	m, _ := New(1, 3, 1)
-	_ = m.SetWeight(0, []float64{0})
-	_ = m.SetWeight(1, []float64{5})
-	_ = m.SetWeight(2, []float64{10})
-	first, second := m.BMU2([]float64{1})
-	if first != 0 || second != 1 {
-		t.Errorf("BMU2(1) = (%d, %d), want (0, 1)", first, second)
-	}
-	first, second = m.BMU2([]float64{9})
-	if first != 2 || second != 1 {
-		t.Errorf("BMU2(9) = (%d, %d), want (2, 1)", first, second)
-	}
-}
-
 func TestBMUWhere(t *testing.T) {
 	m, _ := New(1, 3, 1)
 	_ = m.SetWeight(0, []float64{0})
 	_ = m.SetWeight(1, []float64{5})
 	_ = m.SetWeight(2, []float64{10})
 	// Unrestricted: same as BMU.
-	bmu, _, ok := m.BMUWhere([]float64{1}, func(int) bool { return true })
+	bmu, _, ok := bmuWhere(m, []float64{1}, func(int) bool { return true })
 	if !ok || bmu != 0 {
 		t.Errorf("BMUWhere unrestricted = %d, %v", bmu, ok)
 	}
 	// Exclude the true BMU: second-best wins.
-	bmu, d2, ok := m.BMUWhere([]float64{1}, func(u int) bool { return u != 0 })
+	bmu, d2, ok := bmuWhere(m, []float64{1}, func(u int) bool { return u != 0 })
 	if !ok || bmu != 1 {
 		t.Errorf("BMUWhere excluding 0 = %d, %v", bmu, ok)
 	}
@@ -233,16 +254,8 @@ func TestBMUWhere(t *testing.T) {
 		t.Errorf("BMUWhere dist2 = %v, want 16", d2)
 	}
 	// Nothing allowed.
-	if _, _, ok := m.BMUWhere([]float64{1}, func(int) bool { return false }); ok {
+	if _, _, ok := bmuWhere(m, []float64{1}, func(int) bool { return false }); ok {
 		t.Error("BMUWhere with empty allow-set reported ok")
-	}
-}
-
-func TestBMU2SingleUnit(t *testing.T) {
-	m, _ := New(1, 1, 1)
-	first, second := m.BMU2([]float64{3})
-	if first != 0 || second != 0 {
-		t.Errorf("BMU2 on single-unit map = (%d, %d), want (0, 0)", first, second)
 	}
 }
 
@@ -260,7 +273,7 @@ func TestPropBMUIsOptimal(t *testing.T) {
 				data[i][d] = rng.NormFloat64()
 			}
 		}
-		_ = m.InitRandomUniform(data, rng)
+		_ = initUniform(m, data, rng)
 		x := data[rng.Intn(len(data))]
 		bmu, d2 := m.BMU(x)
 		for i := 0; i < m.Units(); i++ {
@@ -288,58 +301,6 @@ func TestInitAroundMean(t *testing.T) {
 	}
 }
 
-func TestInitLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	// Data stretched along the x axis: rows of the map must span x.
-	data := make([][]float64, 500)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 1}
-	}
-	m, _ := New(5, 3, 2)
-	if err := m.InitLinear(data, rng); err != nil {
-		t.Fatal(err)
-	}
-	// Weights along the row dimension move mostly in x.
-	top := m.WeightAt(0, 1)
-	bottom := m.WeightAt(4, 1)
-	if math.Abs(top[0]-bottom[0]) < math.Abs(top[1]-bottom[1]) {
-		t.Errorf("rows do not span the dominant axis: top %v bottom %v", top, bottom)
-	}
-	// The map is ordered: row coordinates monotone along x (the PCA axis
-	// sign is arbitrary, so either direction qualifies).
-	xs := make([]float64, 5)
-	for r := 0; r < 5; r++ {
-		xs[r] = m.WeightAt(r, 1)[0]
-	}
-	if !monotone(xs) {
-		t.Fatalf("linear init rows not ordered: %v", xs)
-	}
-	// Center unit near the data mean (0, 0).
-	center := m.WeightAt(2, 1)
-	if math.Abs(center[0]) > 1.5 || math.Abs(center[1]) > 1.5 {
-		t.Errorf("center unit = %v, want near origin", center)
-	}
-}
-
-func TestInitLinearOneDim(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	data := make([][]float64, 100)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64() * 3}
-	}
-	m, _ := New(4, 1, 1)
-	if err := m.InitLinear(data, rng); err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float64, 4)
-	for r := range xs {
-		xs[r] = m.WeightAt(r, 0)[0]
-	}
-	if !monotone(xs) {
-		t.Errorf("1-D linear init not ordered: %v", xs)
-	}
-}
-
 // monotone reports whether xs is strictly increasing or strictly
 // decreasing.
 func monotone(xs []float64) bool {
@@ -355,58 +316,6 @@ func monotone(xs []float64) bool {
 	return inc || dec
 }
 
-func TestInitLinearOrderingAdvantage(t *testing.T) {
-	// Linear init's value is a globally ordered starting state, not raw
-	// quantization. Its initial MQE must be in the same ballpark as
-	// random init, and after brief training the linearly initialized map
-	// must preserve topology at least as well (low topographic error).
-	rng := rand.New(rand.NewSource(19))
-	data := make([][]float64, 400)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 0.5}
-	}
-	lin, _ := New(6, 6, 2)
-	if err := lin.InitLinear(data, rng); err != nil {
-		t.Fatal(err)
-	}
-	v := rowsView(t, data)
-	linMQE := lin.mqeView(v, nil, 0, nil)
-
-	rnd, _ := New(6, 6, 2)
-	if err := rnd.InitRandomUniform(data, rng); err != nil {
-		t.Fatal(err)
-	}
-	rndMQE := rnd.mqeView(v, nil, 0, nil)
-	if linMQE > rndMQE*3 {
-		t.Errorf("linear init MQE %v wildly worse than random %v", linMQE, rndMQE)
-	}
-
-	cfg := DefaultTrainConfig(rng)
-	cfg.Epochs = 3
-	if _, err := lin.TrainOnlineView(v, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rnd.TrainOnlineView(v, cfg); err != nil {
-		t.Fatal(err)
-	}
-	linTE := lin.TopographicError(data)
-	rndTE := rnd.TopographicError(data)
-	if linTE > rndTE+0.15 {
-		t.Errorf("linear init topographic error %v much worse than random %v", linTE, rndTE)
-	}
-}
-
-func TestInitLinearErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	m, _ := New(2, 2, 2)
-	if err := m.InitLinear(nil, rng); !errors.Is(err, ErrNoData) {
-		t.Errorf("InitLinear(nil) err = %v", err)
-	}
-	if err := m.InitLinear([][]float64{{1}}, rng); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("InitLinear wrong-dim err = %v", err)
-	}
-}
-
 func TestBatchTrainingIsDeterministicGivenInit(t *testing.T) {
 	data := twoClusters(rand.New(rand.NewSource(13)), 50)
 	mk := func() *Map {
@@ -420,20 +329,13 @@ func TestBatchTrainingIsDeterministicGivenInit(t *testing.T) {
 			Radius0: 2, RadiusEnd: 0.5,
 			Kernel: KernelGaussian, Decay: DecayLinear,
 		}
-		_, _ = m.TrainBatchView(rowsView(t, data), cfg)
+		_, _ = m.TrainBatchSet(NewTrainSet(rowsView(t, data)), cfg)
 		return m
 	}
 	m1, m2 := mk(), mk()
 	for i := 0; i < m1.Units(); i++ {
-		if !vecmath.Equal(m1.Weight(i), m2.Weight(i), 0) {
+		if !slices.Equal(m1.Weight(i), m2.Weight(i)) {
 			t.Fatal("batch training not deterministic")
 		}
-	}
-}
-
-func TestTrainStatsFinalMQEEmpty(t *testing.T) {
-	var s TrainStats
-	if !math.IsNaN(s.FinalMQE()) {
-		t.Error("FinalMQE of empty stats should be NaN")
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestVersionBumpsOnEveryMutation pins the weight-arena version
-// contract: every mutating API increments Version, which is what the
-// blocked BMU engine's norm cache keys on.
+// contract: every mutating API increments the version counter, which is
+// what the blocked BMU engine's norm cache keys on.
 func TestVersionBumpsOnEveryMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, err := New(2, 2, 3)
@@ -23,15 +23,13 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 		fn   func() error
 	}{
 		{"SetWeight", func() error { return m.SetWeight(1, []float64{9, 8, 7}) }},
-		{"InitRandomUniform", func() error { return m.InitRandomUniform(data, rng) }},
 		{"InitSample", func() error { return m.InitSample(data, rng) }},
-		{"InitLinear", func() error { return m.InitLinear(data, rng) }},
 		{"InitAroundMean", func() error { return m.InitAroundMean([]float64{1, 1, 1}, 0.1, rng) }},
 		{"InsertRowBetween", func() error { return m.InsertRowBetween(0) }},
 		{"InsertColBetween", func() error { return m.InsertColBetween(0) }},
 		{"GrowBetween", func() error { return m.GrowBetween(0, 1) }},
-		{"TrainBatchView", func() error {
-			_, err := m.TrainBatchView(rowsView(t, data), TrainConfig{
+		{"TrainBatchSet", func() error {
+			_, err := m.TrainBatchSet(NewTrainSet(rowsView(t, data)), TrainConfig{
 				Epochs: 2, Alpha0: 0.5, AlphaEnd: 0.01, RadiusEnd: 0.5,
 				Kernel: KernelGaussian, Decay: DecayLinear,
 			})
@@ -46,12 +44,12 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 		}},
 	}
 	for _, s := range steps {
-		before := m.Version()
+		before := m.version
 		if err := s.fn(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		if m.Version() <= before {
-			t.Errorf("%s did not bump Version (%d -> %d)", s.name, before, m.Version())
+		if m.version <= before {
+			t.Errorf("%s did not bump the version (%d -> %d)", s.name, before, m.version)
 		}
 	}
 }
@@ -121,7 +119,7 @@ func TestNormCacheNeverStaleAcrossGrowth(t *testing.T) {
 	check("after column growth")
 	// Training rewrites every weight each epoch; the engine's per-epoch
 	// BMU passes must track it.
-	if _, err := m.TrainBatchView(rowsView(t, data), TrainConfig{
+	if _, err := m.TrainBatchSet(NewTrainSet(rowsView(t, data)), TrainConfig{
 		Epochs: 3, Alpha0: 0.5, AlphaEnd: 0.01, RadiusEnd: 0.5,
 		Kernel: KernelGaussian, Decay: DecayExponential,
 	}); err != nil {

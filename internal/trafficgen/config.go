@@ -159,16 +159,3 @@ func WithoutAttacks(cfg Config, labels ...string) Config {
 	}
 	return out
 }
-
-// OnlyAttacks returns a copy of cfg keeping only the given attack labels
-// (normal traffic is preserved).
-func OnlyAttacks(cfg Config, labels ...string) Config {
-	out := cfg
-	out.AttackEpisodes = make(map[string]int, len(labels))
-	for _, l := range labels {
-		if n, ok := cfg.AttackEpisodes[l]; ok {
-			out.AttackEpisodes[l] = n
-		}
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package vecmath
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -296,11 +295,6 @@ type BMUScratch struct {
 	norms  []float64
 }
 
-// bmuBatchPool recycles scratches for the package-level
-// ArgMinDistanceBatch entry point, whose callers don't manage worker
-// identity themselves.
-var bmuBatchPool = sync.Pool{New: func() any { return &BMUScratch{} }}
-
 // ArgMinDistanceBatch computes, for every row of x, the index of the
 // nearest dim-wide row of the packed row-major matrix flat and the squared
 // distance to it — the batched form of calling ArgMinDistance per row,
@@ -308,7 +302,9 @@ var bmuBatchPool = sync.Pool{New: func() any { return &BMUScratch{} }}
 // ties to the lowest index, (-1, +Inf) for degenerate queries). out
 // receives the indices and outDist the squared distances; either may be
 // nil to skip that output, and both must otherwise have length at least
-// x.Rows().
+// x.Rows(). The score tile, fallback norm table, and tile shape are held
+// by s. One scratch per worker is the contention-free steady state of the
+// parallel dataplanes. Steady-state heap allocation is zero.
 //
 // norms carries the squared norm of every flat row (e.g. from
 // NormCache.Sync); pass nil to have them computed internally. Supplying a
@@ -325,20 +321,8 @@ var bmuBatchPool = sync.Pool{New: func() any { return &BMUScratch{} }}
 // need the descent edge) run in this mode.
 //
 // The call runs serially; callers parallelize by splitting the view
-// (View.Slice) and the output slices across workers, giving each worker
-// its own BMUScratch (see the method form) so no pool or lock is touched
-// per tile. This package-level form services callers without worker
-// identity from an internal pool. Steady-state heap allocation is zero.
-func ArgMinDistanceBatch(x View, flat []float64, norms []float64, out []int, outDist []float64) {
-	sc := bmuBatchPool.Get().(*BMUScratch)
-	sc.ArgMinDistanceBatch(x, nil, flat, norms, out, outDist)
-	bmuBatchPool.Put(sc)
-}
-
-// ArgMinDistanceBatch is the scratch-owning form of the package-level
-// function: identical contract and bit-identical results, with the score
-// tile, fallback norm table, and tile shape held by s. One scratch per
-// worker is the contention-free steady state of the parallel dataplanes.
+// (View.Slice) and the output slices across workers, each with its own
+// scratch, so no pool or lock is touched per tile.
 //
 // xNorms optionally carries SumSquares of every row of x (length at
 // least x.Rows()); nil computes them per row. Callers that search the

@@ -7,14 +7,23 @@ import (
 	"testing"
 )
 
-// naiveDots is the reference for MulBatchT: per-pair Dot in canonical
+// dot is the canonical-order inner product of a and b, len(b) >= len(a).
+func dot(a, b []float64) float64 {
+	var sum float64
+	for i, av := range a {
+		sum += av * b[i]
+	}
+	return sum
+}
+
+// naiveDots is the reference for MulBatchT: per-pair dot in canonical
 // order.
 func naiveDots(x View, flat []float64, dim int) []float64 {
 	units := len(flat) / dim
 	out := make([]float64, x.Rows()*units)
 	for r := 0; r < x.Rows(); r++ {
 		for u := 0; u < units; u++ {
-			out[r*units+u] = Dot(x.Row(r), flat[u*dim:(u+1)*dim])
+			out[r*units+u] = dot(x.Row(r), flat[u*dim:(u+1)*dim])
 		}
 	}
 	return out
@@ -98,6 +107,7 @@ func scalarArgMin(x View, flat []float64) ([]int, []float64) {
 func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64) {
 	t.Helper()
 	wantIdx, wantD2 := scalarArgMin(x, flat)
+	var sc BMUScratch
 	for _, withNorms := range []bool{false, true} {
 		var norms []float64
 		if withNorms {
@@ -105,7 +115,7 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 		}
 		gotIdx := make([]int, x.Rows())
 		gotD2 := make([]float64, x.Rows())
-		ArgMinDistanceBatch(x, flat, norms, gotIdx, gotD2)
+		sc.ArgMinDistanceBatch(x, nil, flat, norms, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] {
 				t.Fatalf("%s (norms=%v): row %d argmin = %d, want %d", name, withNorms, i, gotIdx[i], wantIdx[i])
@@ -117,7 +127,7 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 		}
 		// Index-only mode (nil outDist) must select identical winners.
 		idxOnly := make([]int, x.Rows())
-		ArgMinDistanceBatch(x, flat, norms, idxOnly, nil)
+		sc.ArgMinDistanceBatch(x, nil, flat, norms, idxOnly, nil)
 		for i := range wantIdx {
 			if idxOnly[i] != wantIdx[i] {
 				t.Fatalf("%s (norms=%v, index-only): row %d argmin = %d, want %d",
@@ -125,7 +135,6 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 			}
 		}
 		// Precomputed record norms must not change a bit either.
-		var sc BMUScratch
 		sc.ArgMinDistanceBatch(x, recordNorms(x), flat, norms, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] || math.Float64bits(gotD2[i]) != math.Float64bits(wantD2[i]) {
@@ -353,7 +362,8 @@ func FuzzArgMinDistanceBatch(f *testing.F) {
 		wantIdx, wantD2 := scalarArgMin(x, flat)
 		gotIdx := make([]int, recs)
 		gotD2 := make([]float64, recs)
-		ArgMinDistanceBatch(x, flat, nil, gotIdx, gotD2)
+		var sc BMUScratch
+		sc.ArgMinDistanceBatch(x, nil, flat, nil, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] || math.Float64bits(gotD2[i]) != math.Float64bits(wantD2[i]) {
 				t.Fatalf("row %d: blocked (%d, %x) != scalar (%d, %x)",
@@ -361,7 +371,7 @@ func FuzzArgMinDistanceBatch(f *testing.F) {
 			}
 		}
 		idxOnly := make([]int, recs)
-		ArgMinDistanceBatch(x, flat, nil, idxOnly, nil)
+		sc.ArgMinDistanceBatch(x, nil, flat, nil, idxOnly, nil)
 		for i := range wantIdx {
 			if idxOnly[i] != wantIdx[i] {
 				t.Fatalf("row %d: index-only blocked %d != scalar %d", i, idxOnly[i], wantIdx[i])
@@ -442,9 +452,10 @@ func BenchmarkArgMinDistanceBatch(b *testing.B) {
 			x, flat, norms := benchBMUData(sh.dim, sh.units, n)
 			out := make([]int, n)
 			d2 := make([]float64, n)
+			var sc BMUScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ArgMinDistanceBatch(x, flat, norms, out, d2)
+				sc.ArgMinDistanceBatch(x, nil, flat, norms, out, d2)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 		})

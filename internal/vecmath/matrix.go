@@ -15,14 +15,6 @@ type Matrix struct {
 	rows, cols int
 }
 
-// NewMatrix returns a zero-filled rows x cols matrix.
-func NewMatrix(rows, cols int) (Matrix, error) {
-	if rows < 0 || cols < 1 {
-		return Matrix{}, fmt.Errorf("vecmath: new %dx%d matrix: %w", rows, cols, ErrBadShape)
-	}
-	return Matrix{data: make([]float64, rows*cols), rows: rows, cols: cols}, nil
-}
-
 // MatrixOver wraps an existing flat row-major slice as a rows x cols
 // matrix without copying. The slice must hold at least rows*cols values;
 // the matrix aliases it, so later writes through either view are shared.
@@ -153,21 +145,6 @@ func (v View) Slice(lo, hi int) View {
 	}
 	sub := Matrix{data: v.m.data[lo*v.m.cols : hi*v.m.cols], rows: hi - lo, cols: v.m.cols}
 	return View{m: sub}
-}
-
-// Subview returns the view of the view-relative rows in rows, composing
-// index indirections so the result still points straight into the backing
-// matrix. The rows slice is retained when the view has no indirection of
-// its own.
-func (v View) Subview(rows []int) View {
-	if v.idx == nil {
-		return View{m: v.m, idx: rows}
-	}
-	idx := make([]int, len(rows))
-	for k, i := range rows {
-		idx[k] = v.idx[i]
-	}
-	return View{m: v.m, idx: idx}
 }
 
 // Gather returns the view's rows, in view order, as one contiguous

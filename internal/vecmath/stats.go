@@ -1,119 +1,14 @@
 package vecmath
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Welford accumulates streaming mean and variance using Welford's online
-// algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples observed.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or 0 with no samples.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance, or 0 with fewer than one sample.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the Bessel-corrected sample variance, or 0 with
-// fewer than two samples.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// VectorWelford accumulates per-dimension streaming mean and variance for
-// fixed-dimension vectors. Construct with NewVectorWelford.
-type VectorWelford struct {
-	dims []Welford
-}
-
-// NewVectorWelford returns an accumulator for dim-dimensional vectors.
-func NewVectorWelford(dim int) *VectorWelford {
-	return &VectorWelford{dims: make([]Welford, dim)}
-}
-
-// Dim returns the vector dimension the accumulator was built for.
-func (vw *VectorWelford) Dim() int { return len(vw.dims) }
-
-// Add folds one vector into the accumulator. Extra elements beyond the
-// configured dimension are ignored; missing elements are treated as absent
-// (their dimension statistics do not advance).
-func (vw *VectorWelford) Add(v []float64) {
-	n := len(v)
-	if n > len(vw.dims) {
-		n = len(vw.dims)
-	}
-	for i := 0; i < n; i++ {
-		vw.dims[i].Add(v[i])
-	}
-}
-
-// Means returns the per-dimension means.
-func (vw *VectorWelford) Means() []float64 {
-	out := make([]float64, len(vw.dims))
-	for i := range vw.dims {
-		out[i] = vw.dims[i].Mean()
-	}
-	return out
-}
-
-// StdDevs returns the per-dimension population standard deviations.
-func (vw *VectorWelford) StdDevs() []float64 {
-	out := make([]float64, len(vw.dims))
-	for i := range vw.dims {
-		out[i] = vw.dims[i].StdDev()
-	}
-	return out
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of v using linear
-// interpolation between closest ranks. v is not modified. An empty input
+// QuantileSorted returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted
+// slice using linear interpolation between closest ranks. An empty input
 // returns NaN.
-func Quantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	sorted := Clone(v)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for an already ascending-sorted slice, avoiding
-// the copy and sort.
 func QuantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
 	q = Clamp(q, 0, 1)
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
@@ -123,51 +18,4 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Entropy returns the Shannon entropy, in bits, of the empirical
-// distribution described by the non-negative counts. Zero counts contribute
-// nothing. A zero-total input returns 0.
-func Entropy(counts []float64) float64 {
-	total := Sum(counts)
-	if total <= 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		p := c / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// Histogram buckets the values of v into n equal-width bins spanning
-// [min, max]. Values outside the range clamp to the edge bins. n must be
-// positive; a non-positive n returns nil.
-func Histogram(v []float64, min, max float64, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	bins := make([]int, n)
-	if len(v) == 0 {
-		return bins
-	}
-	width := (max - min) / float64(n)
-	for _, x := range v {
-		var idx int
-		if width > 0 {
-			idx = int((x - min) / width)
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx]++
-	}
-	return bins
 }

@@ -2,115 +2,23 @@ package vecmath
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestWelfordAgainstDirect(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := w.Variance(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := w.StdDev(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if w.N() != len(xs) {
-		t.Errorf("N = %d, want %d", w.N(), len(xs))
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.SampleVariance() != 0 {
-		t.Error("zero-value Welford should report zeros")
-	}
-	w.Add(42)
-	if w.Mean() != 42 {
-		t.Errorf("single-sample mean = %v", w.Mean())
-	}
-	if w.SampleVariance() != 0 {
-		t.Errorf("single-sample SampleVariance = %v, want 0", w.SampleVariance())
-	}
-}
-
-func TestPropWelfordMatchesTwoPass(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(100)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = r.NormFloat64()*5 + 3
-			w.Add(xs[i])
-		}
-		mean := Sum(xs) / float64(n)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.Variance()-ss/float64(n)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVectorWelford(t *testing.T) {
-	vw := NewVectorWelford(2)
-	vw.Add([]float64{1, 10})
-	vw.Add([]float64{3, 30})
-	if got := vw.Means(); !Equal(got, []float64{2, 20}, 1e-12) {
-		t.Errorf("Means = %v", got)
-	}
-	if vw.Dim() != 2 {
-		t.Errorf("Dim = %d", vw.Dim())
-	}
-	sd := vw.StdDevs()
-	if math.Abs(sd[0]-1) > 1e-12 || math.Abs(sd[1]-10) > 1e-12 {
-		t.Errorf("StdDevs = %v", sd)
-	}
-}
-
-func TestVectorWelfordRaggedInput(t *testing.T) {
-	vw := NewVectorWelford(3)
-	vw.Add([]float64{1, 2})          // short: third dim untouched
-	vw.Add([]float64{1, 2, 3, 4, 5}) // long: extras ignored
-	means := vw.Means()
-	if means[0] != 1 || means[1] != 2 || means[2] != 3 {
-		t.Errorf("Means after ragged input = %v", means)
-	}
-}
-
 func TestQuantile(t *testing.T) {
-	v := []float64{4, 1, 3, 2, 5}
+	v := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
 		q, want float64
 	}{
 		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
 	}
 	for _, tt := range tests {
-		if got := Quantile(v, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
+		if got := QuantileSorted(v, tt.q); math.Abs(got-tt.want) > 1e-12 {
+			t.Errorf("QuantileSorted(%v) = %v, want %v", tt.q, got, tt.want)
 		}
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty slice should be NaN")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	v := []float64{3, 1, 2}
-	Quantile(v, 0.5)
-	if v[0] != 3 || v[1] != 1 || v[2] != 2 {
-		t.Errorf("Quantile mutated input: %v", v)
+	if !math.IsNaN(QuantileSorted(nil, 0.5)) {
+		t.Error("QuantileSorted of empty slice should be NaN")
 	}
 }
 
@@ -125,85 +33,5 @@ func TestQuantileSortedInterpolation(t *testing.T) {
 	}
 	if got := QuantileSorted(sorted, 2); got != 10 {
 		t.Errorf("QuantileSorted(q=2) = %v, want 10", got)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	// Uniform over 4 outcomes: 2 bits.
-	if got := Entropy([]float64{1, 1, 1, 1}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("uniform entropy = %v, want 2", got)
-	}
-	// Single outcome: 0 bits.
-	if got := Entropy([]float64{7, 0, 0}); got != 0 {
-		t.Errorf("concentrated entropy = %v, want 0", got)
-	}
-	// Empty / zero total: 0 by convention.
-	if got := Entropy(nil); got != 0 {
-		t.Errorf("empty entropy = %v, want 0", got)
-	}
-}
-
-func TestPropEntropyBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(32)
-		counts := make([]float64, n)
-		for i := range counts {
-			counts[i] = float64(r.Intn(100))
-		}
-		h := Entropy(counts)
-		return h >= -1e-12 && h <= math.Log2(float64(n))+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 0, 2, 2)
-	// Width 1: [0,1) -> bin0 except values >= 1 go to bin1; 2 clamps to last.
-	if bins[0] != 2 || bins[1] != 3 {
-		t.Errorf("Histogram = %v, want [2 3]", bins)
-	}
-	if got := Histogram(nil, 0, 1, 3); len(got) != 3 || got[0]+got[1]+got[2] != 0 {
-		t.Errorf("empty Histogram = %v", got)
-	}
-	if Histogram([]float64{1}, 0, 1, 0) != nil {
-		t.Error("Histogram with n=0 should be nil")
-	}
-}
-
-func TestHistogramClampsOutliers(t *testing.T) {
-	bins := Histogram([]float64{-100, 100}, 0, 10, 4)
-	if bins[0] != 1 || bins[3] != 1 {
-		t.Errorf("Histogram outlier clamp = %v", bins)
-	}
-}
-
-func TestHistogramDegenerateRange(t *testing.T) {
-	// min == max: all values land in bin 0 (width 0 guard).
-	bins := Histogram([]float64{5, 5, 5}, 5, 5, 3)
-	if bins[0] != 3 {
-		t.Errorf("degenerate-range Histogram = %v, want all in bin 0", bins)
-	}
-}
-
-func TestPropHistogramConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(200)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.Float64()*20 - 10
-		}
-		bins := Histogram(v, -5, 5, 8)
-		total := 0
-		for _, b := range bins {
-			total += b
-		}
-		return total == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

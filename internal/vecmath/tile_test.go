@@ -60,15 +60,15 @@ func TestTileConfigZeroDefaults(t *testing.T) {
 	}
 }
 
-// TestBMUScratchMatchesPackageForm verifies the scratch-owning method form
-// is bit-identical to the package-level pooled form at several tile
-// shapes, including extremes of the clamp range.
+// TestBMUScratchMatchesPackageForm verifies a scratch with an explicit
+// tile is bit-identical to a zero-value scratch (the default tile) at
+// several tile shapes, including extremes of the clamp range.
 func TestBMUScratchMatchesPackageForm(t *testing.T) {
 	const n, dim, units = 300, 24, 96
 	x, flat, norms := benchBMUData(dim, units, n)
 	refIdx := make([]int, n)
 	refDist := make([]float64, n)
-	ArgMinDistanceBatch(x, flat, norms, refIdx, refDist)
+	new(BMUScratch).ArgMinDistanceBatch(x, nil, flat, norms, refIdx, refDist)
 	for _, rows := range []int{minTileRows, DefaultTileRows, maxTileRows, 1, n + 7} {
 		sc := &BMUScratch{Tile: TileConfig{RecRows: rows}}
 		idx := make([]int, n)

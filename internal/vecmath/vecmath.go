@@ -1,17 +1,16 @@
-// Package vecmath provides the dense float64 vector and statistics
-// primitives used throughout the GHSOM library.
+// Package vecmath provides the dense float64 kernels under the GHSOM
+// library: distance and in-place update kernels on plain []float64
+// slices, row-major matrices with zero-copy row views, and the blocked
+// BMU engine.
 //
-// All functions operate on plain []float64 slices. Functions that combine
-// two vectors require equal lengths and report a length mismatch through
-// their error return (or, for hot-path kernels documented as such, treat the
-// shorter length as authoritative). The package allocates only where the
-// signature returns a new slice; in-place variants are provided for the
-// training hot paths.
+// The hot-path kernels do not check lengths: each documents the length
+// its caller must guarantee. Only the matrix constructors and views
+// report shape errors. Nothing allocates except where the signature
+// returns a new slice.
 package vecmath
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -87,37 +86,6 @@ func ArgMinDistance(x, flat []float64) (int, float64) {
 	return best, bestVal
 }
 
-// ManhattanDistance returns the L1 distance between a and b. Same contract
-// as SquaredDistance.
-func ManhattanDistance(a, b []float64) float64 {
-	_ = b[len(a)-1]
-	var sum float64
-	for i, av := range a {
-		sum += math.Abs(av - b[i])
-	}
-	return sum
-}
-
-// Dot returns the inner product of a and b. Same contract as
-// SquaredDistance.
-func Dot(a, b []float64) float64 {
-	_ = b[len(a)-1]
-	var sum float64
-	for i, av := range a {
-		sum += av * b[i]
-	}
-	return sum
-}
-
-// Norm returns the Euclidean norm of v.
-func Norm(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x * x
-	}
-	return math.Sqrt(sum)
-}
-
 // Clone returns a copy of v. A nil input yields a nil output.
 func Clone(v []float64) []float64 {
 	if v == nil {
@@ -125,39 +93,6 @@ func Clone(v []float64) []float64 {
 	}
 	out := make([]float64, len(v))
 	copy(out, v)
-	return out
-}
-
-// Add returns a+b as a new vector.
-func Add(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("add %d-vector to %d-vector: %w", len(a), len(b), ErrLengthMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("subtract %d-vector from %d-vector: %w", len(b), len(a), ErrLengthMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
-}
-
-// Scale returns s*v as a new vector.
-func Scale(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
-	}
 	return out
 }
 
@@ -208,65 +143,6 @@ func MoveToward(dst []float64, alpha float64, target []float64) {
 	}
 }
 
-// Lerp returns the linear interpolation (1-t)*a + t*b as a new vector.
-func Lerp(a, b []float64, t float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("lerp %d-vector with %d-vector: %w", len(a), len(b), ErrLengthMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = (1-t)*a[i] + t*b[i]
-	}
-	return out, nil
-}
-
-// Mean returns the element-wise mean of the rows. All rows must share one
-// length.
-func Mean(rows [][]float64) ([]float64, error) {
-	if len(rows) == 0 {
-		return nil, ErrEmpty
-	}
-	dim := len(rows[0])
-	out := make([]float64, dim)
-	for ri, r := range rows {
-		if len(r) != dim {
-			return nil, fmt.Errorf("row %d has length %d, want %d: %w", ri, len(r), dim, ErrLengthMismatch)
-		}
-		for i, x := range r {
-			out[i] += x
-		}
-	}
-	inv := 1 / float64(len(rows))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
-}
-
-// ArgMin returns the index of the smallest element of v, and that element.
-// Ties resolve to the lowest index. An empty slice returns (-1, +Inf).
-func ArgMin(v []float64) (int, float64) {
-	best, bestVal := -1, math.Inf(1)
-	for i, x := range v {
-		if x < bestVal {
-			best, bestVal = i, x
-		}
-	}
-	return best, bestVal
-}
-
-// ArgMax returns the index of the largest element of v, and that element.
-// Ties resolve to the lowest index. An empty slice returns (-1, -Inf).
-func ArgMax(v []float64) (int, float64) {
-	best, bestVal := -1, math.Inf(-1)
-	for i, x := range v {
-		if x > bestVal {
-			best, bestVal = i, x
-		}
-	}
-	return best, bestVal
-}
-
 // Sum returns the sum of the elements of v.
 func Sum(v []float64) float64 {
 	var s float64
@@ -274,21 +150,6 @@ func Sum(v []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// MinMax returns the smallest and largest elements of v. An empty slice
-// returns (+Inf, -Inf).
-func MinMax(v []float64) (min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Clamp limits x to the closed interval [lo, hi].
@@ -307,20 +168,6 @@ func Clamp(x, lo, hi float64) float64 {
 func IsFinite(v []float64) bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether a and b have the same length and every pair of
-// elements differs by at most tol.
-func Equal(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
 			return false
 		}
 	}

@@ -1,12 +1,26 @@
 package vecmath
 
 import (
-	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// approxEqual reports whether a and b have the same length and every pair
+// of elements differs by at most tol.
+func approxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !(math.Abs(a[i]-b[i]) <= tol) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestSquaredDistance(t *testing.T) {
 	tests := []struct {
@@ -37,26 +51,9 @@ func TestDistanceMatchesSquaredDistance(t *testing.T) {
 	}
 }
 
-func TestManhattanDistance(t *testing.T) {
-	a := []float64{1, -1, 2}
-	b := []float64{-1, 1, 0}
-	if got := ManhattanDistance(a, b); got != 6 {
-		t.Errorf("ManhattanDistance = %v, want 6", got)
-	}
-}
-
 func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
-func TestNorm(t *testing.T) {
-	if got := Norm([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
-	if got := Norm(nil); got != 0 {
-		t.Errorf("Norm(nil) = %v, want 0", got)
+	if got := dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+		t.Errorf("dot = %v, want 32", got)
 	}
 }
 
@@ -72,47 +69,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	a := []float64{1, 2}
-	b := []float64{3, 5}
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if !Equal(sum, []float64{4, 7}, 0) {
-		t.Errorf("Add = %v", sum)
-	}
-	diff, err := Sub(b, a)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if !Equal(diff, []float64{2, 3}, 0) {
-		t.Errorf("Sub = %v", diff)
-	}
-}
-
-func TestAddLengthMismatch(t *testing.T) {
-	if _, err := Add([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Add mismatch error = %v, want ErrLengthMismatch", err)
-	}
-	if _, err := Sub([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Sub mismatch error = %v, want ErrLengthMismatch", err)
-	}
-	if _, err := Lerp([]float64{1}, []float64{1, 2}, 0.5); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Lerp mismatch error = %v, want ErrLengthMismatch", err)
-	}
-}
-
-func TestScale(t *testing.T) {
-	if got := Scale([]float64{1, -2}, -3); !Equal(got, []float64{-3, 6}, 0) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestAXPYInPlace(t *testing.T) {
 	dst := []float64{1, 1}
 	AXPYInPlace(dst, 2, []float64{3, 4})
-	if !Equal(dst, []float64{7, 9}, 0) {
+	if !slices.Equal(dst, []float64{7, 9}) {
 		t.Errorf("AXPYInPlace = %v", dst)
 	}
 }
@@ -120,70 +80,32 @@ func TestAXPYInPlace(t *testing.T) {
 func TestMoveToward(t *testing.T) {
 	dst := []float64{0, 0}
 	MoveToward(dst, 0.5, []float64{2, 4})
-	if !Equal(dst, []float64{1, 2}, 1e-12) {
+	if !approxEqual(dst, []float64{1, 2}, 1e-12) {
 		t.Errorf("MoveToward = %v, want [1 2]", dst)
 	}
 	// alpha=1 lands exactly on the target.
 	MoveToward(dst, 1, []float64{5, 5})
-	if !Equal(dst, []float64{5, 5}, 1e-12) {
+	if !approxEqual(dst, []float64{5, 5}, 1e-12) {
 		t.Errorf("MoveToward alpha=1 = %v, want [5 5]", dst)
 	}
 	// alpha=0 is a no-op.
 	MoveToward(dst, 0, []float64{-5, -5})
-	if !Equal(dst, []float64{5, 5}, 0) {
+	if !slices.Equal(dst, []float64{5, 5}) {
 		t.Errorf("MoveToward alpha=0 = %v, want unchanged [5 5]", dst)
 	}
 }
 
-func TestLerp(t *testing.T) {
-	got, err := Lerp([]float64{0, 10}, []float64{10, 0}, 0.25)
-	if err != nil {
-		t.Fatalf("Lerp: %v", err)
-	}
-	if !Equal(got, []float64{2.5, 7.5}, 1e-12) {
-		t.Errorf("Lerp = %v", got)
-	}
-}
-
 func TestMean(t *testing.T) {
-	got, err := Mean([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.View().Mean()
 	if err != nil {
 		t.Fatalf("Mean: %v", err)
 	}
-	if !Equal(got, []float64{3, 4}, 1e-12) {
+	if !approxEqual(got, []float64{3, 4}, 1e-12) {
 		t.Errorf("Mean = %v, want [3 4]", got)
-	}
-}
-
-func TestMeanErrors(t *testing.T) {
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Mean(nil) error = %v, want ErrEmpty", err)
-	}
-	if _, err := Mean([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Mean ragged error = %v, want ErrLengthMismatch", err)
-	}
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	v := []float64{3, 1, 4, 1, 5}
-	if i, val := ArgMin(v); i != 1 || val != 1 {
-		t.Errorf("ArgMin = (%d, %v), want (1, 1)", i, val)
-	}
-	if i, val := ArgMax(v); i != 4 || val != 5 {
-		t.Errorf("ArgMax = (%d, %v), want (4, 5)", i, val)
-	}
-	if i, _ := ArgMin(nil); i != -1 {
-		t.Errorf("ArgMin(nil) index = %d, want -1", i)
-	}
-	if i, _ := ArgMax(nil); i != -1 {
-		t.Errorf("ArgMax(nil) index = %d, want -1", i)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{2, -3, 7, 0})
-	if min != -3 || max != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-3, 7)", min, max)
 	}
 }
 
@@ -213,18 +135,6 @@ func TestIsFinite(t *testing.T) {
 	}
 	if !IsFinite(nil) {
 		t.Error("IsFinite(nil) = false, want true (vacuously finite)")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if !Equal([]float64{1, 2}, []float64{1.0000001, 2}, 1e-3) {
-		t.Error("Equal within tolerance = false")
-	}
-	if Equal([]float64{1}, []float64{1, 2}, 1) {
-		t.Error("Equal different lengths = true")
-	}
-	if Equal([]float64{1}, []float64{2}, 0.5) {
-		t.Error("Equal outside tolerance = true")
 	}
 }
 
@@ -287,7 +197,11 @@ func TestPropMeanIsCentroid(t *testing.T) {
 				rows[i][j] = r.NormFloat64()
 			}
 		}
-		m, err := Mean(rows)
+		mat, err := MatrixFromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mat.View().Mean()
 		if err != nil {
 			t.Fatalf("Mean: %v", err)
 		}
@@ -305,25 +219,6 @@ func TestPropMeanIsCentroid(t *testing.T) {
 			if total(shifted) < base-1e-9 {
 				t.Fatalf("mean is not the centroid: shifting dim %d reduced cost", j)
 			}
-		}
-	}
-}
-
-func TestPropLerpEndpoints(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		dim := 1 + r.Intn(16)
-		a, b := randomVecPair(r, dim)
-		at0, err := Lerp(a, b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at1, err := Lerp(a, b, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(at0, a, 1e-12) || !Equal(at1, b, 1e-12) {
-			t.Fatal("Lerp endpoints do not match inputs")
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package viz renders the textual figures of the reproduction: ASCII
 // heatmaps of U-matrices and component planes, aligned tables for the
-// experiment reports, bar charts, and sparklines for convergence series.
+// experiment reports, and sparklines for convergence series.
 // Everything prints to plain text so results live in terminals, logs, and
 // EXPERIMENTS.md alike.
 package viz
@@ -91,37 +91,6 @@ func Table(headers []string, rows [][]string) string {
 	b.WriteByte('\n')
 	for _, row := range rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// BarChart renders horizontal bars scaled to width characters, one line
-// per (label, value) pair. Negative values render as empty bars.
-func BarChart(labels []string, values []float64, width int) string {
-	if width < 1 {
-		width = 40
-	}
-	maxLabel := 0
-	maxVal := 0.0
-	for i, l := range labels {
-		if len(l) > maxLabel {
-			maxLabel = len(l)
-		}
-		if i < len(values) && values[i] > maxVal {
-			maxVal = values[i]
-		}
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		var v float64
-		if i < len(values) {
-			v = values[i]
-		}
-		n := 0
-		if maxVal > 0 && v > 0 {
-			n = int(v / maxVal * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %g\n", maxLabel, l, strings.Repeat("█", n), v)
 	}
 	return b.String()
 }

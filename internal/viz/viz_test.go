@@ -54,30 +54,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart([]string{"dos", "probe"}, []float64{10, 5}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("chart has %d lines", len(lines))
-	}
-	dosBars := strings.Count(lines[0], "█")
-	probeBars := strings.Count(lines[1], "█")
-	if dosBars != 10 || probeBars != 5 {
-		t.Errorf("bars = %d/%d, want 10/5", dosBars, probeBars)
-	}
-}
-
-func TestBarChartEdgeCases(t *testing.T) {
-	out := BarChart([]string{"neg"}, []float64{-5}, 10)
-	if strings.Count(out, "█") != 0 {
-		t.Error("negative value should render empty bar")
-	}
-	out = BarChart([]string{"z"}, []float64{0}, 0) // width auto-corrects
-	if !strings.Contains(out, "z") {
-		t.Error("zero-width chart missing label")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	out := Sparkline([]float64{0, 1, 2, 3})
 	runes := []rune(out)

@@ -276,8 +276,8 @@ func TestTrainModelDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dim() != 2 {
-		t.Errorf("Dim = %d", m.Dim())
+	if d := m.Root().Map.Dim(); d != 2 {
+		t.Errorf("Dim = %d", d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -360,6 +361,40 @@ func TestDetectLowestBadRecordAcrossFormats(t *testing.T) {
 		check(nanAt)
 	}
 	pipe.SetParallelism(0)
+}
+
+// TestDetectScoresOutOfRangeValues pins the input contract: only an
+// unknown protocol or flag or a non-finite feature after log1p rejects a
+// record. A rate above 1 or a small negative volume is scored, the same
+// on every record source, while a volume of -1 (log1p = -Inf) fails.
+func TestDetectScoresOutOfRangeValues(t *testing.T) {
+	pipe, err := TrainPipeline(testRecords(t), quickPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := append([]Record(nil), wireDetectRecords(t)[:4]...)
+	recs[1].SameSrvRate = 5
+	recs[2].DstBytes = -0.5
+	want, err := pipe.DetectBatch(recs, nil)
+	if err != nil {
+		t.Fatalf("DetectBatch rejected out-of-range values: %v", err)
+	}
+	for i := range recs {
+		got, err := pipe.Detect(&recs[i])
+		if err != nil || got != want[i] {
+			t.Fatalf("Detect record %d = %+v, %v; DetectBatch %+v", i, got, err, want[i])
+		}
+	}
+	for name, cb := range map[string]*ColumnarBatch{"frame": frameBatch(t, recs), "NDJSON": ndjsonBatch(t, recs)} {
+		got, err := pipe.DetectColumnar(cb, nil)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("DetectColumnar over the %s = %+v, %v; DetectBatch %+v", name, got, err, want)
+		}
+	}
+	recs[2].DstBytes = -1
+	if _, err := pipe.DetectBatch(recs, nil); err == nil || !strings.HasPrefix(err.Error(), "record 2: ") {
+		t.Fatalf("dst_bytes -1: err %v, want record 2 rejected", err)
+	}
 }
 
 // TestDetectMergedCtxIsolatesBadBatch checks a merged pass: a batch with
