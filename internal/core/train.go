@@ -60,12 +60,10 @@ type nodeJob struct {
 	corners    [][]float64
 	seed       int64 // RNG seed for this node's private stream
 
-	node      *Node
-	events    []GrowthEvent
-	err       error      // training failure, reported under the parent's ID
-	children  []*nodeJob // expansion jobs in unit order
-	expandErr error      // child-mean failure at unit expandU, reported under this node's ID
-	expandU   int
+	node     *Node
+	events   []GrowthEvent
+	err      error      // training failure, reported under the parent's ID
+	children []*nodeJob // expansion jobs in unit order
 }
 
 // Train builds a GHSOM from data. Every row must have the same dimension.
@@ -174,9 +172,6 @@ func TrainMatrix(mat vecmath.Matrix, idx []int, cfg Config) (*GHSOM, error) {
 			}
 			g.trace.Events = append(g.trace.Events, jb.events...)
 		}
-		if jb.expandErr != nil {
-			return nil, fmt.Errorf("core: child mean for node %d unit %d: %w", n.ID, jb.expandU, jb.expandErr)
-		}
 		order = append(order, jb.children...)
 	}
 	return g, nil
@@ -194,53 +189,53 @@ func (g *GHSOM) trainJob(jb *nodeJob, q *trainQueue) {
 		return
 	}
 	jb.node, jb.events = node, events
-	jb.children, jb.expandU, jb.expandErr = g.expandJobs(jb, bmus, q.mat)
+	jb.children = g.expandJobs(jb, set, bmus, q.mat)
 }
 
 // expandJobs derives the child-map training jobs of a freshly trained
 // node: every unit holding enough data and still exceeding the tau2
 // granularity criterion is queued for vertical expansion. bmus is the
-// node's final BMU assignment of its job's rows; one pass over it
-// buckets the rows of every expanded unit. On a failure it returns the
-// unit it failed on.
-func (g *GHSOM) expandJobs(jb *nodeJob, bmus []int, mat vecmath.Matrix) ([]*nodeJob, int, error) {
+// node's final BMU assignment of the rows of set (the job's training
+// set); one pass over it buckets the rows of every expanded unit, and
+// one pass over the set's nonzeros sums their means.
+func (g *GHSOM) expandJobs(jb *nodeJob, set som.TrainSet, bmus []int, mat vecmath.Matrix) []*nodeJob {
 	cfg := g.cfg
 	n := jb.node
 	if n.Depth >= cfg.MaxDepth {
-		return nil, 0, nil
+		return nil
 	}
 	// A (near-)zero layer-0 error means the data is degenerate (all
 	// records identical); any vertical expansion would be noise-chasing.
 	if g.mqe0 <= 1e-12 {
-		return nil, 0, nil
+		return nil
 	}
 	// The child trains on an index view of the shared matrix: only the
-	// row indices are materialized, never the rows themselves.
+	// row indices are materialized, never the rows themselves. A unit
+	// expands only with at least MinMapData >= 1 rows, so no child is
+	// empty.
 	sub := make([][]int, n.Map.Units())
+	take := make([]bool, len(sub))
 	expand := false
 	for u := range sub {
 		if n.UnitCount[u] >= cfg.MinMapData && n.UnitQE[u] > cfg.Tau2*g.mqe0 {
 			sub[u] = make([]int, 0, n.UnitCount[u])
+			take[u] = true
 			expand = true
 		}
 	}
 	if !expand {
-		return nil, 0, nil
+		return nil
 	}
 	for i, u := range bmus {
 		if sub[u] != nil {
 			sub[u] = append(sub[u], jb.view.Index(i))
 		}
 	}
+	means := set.ClassMeans(bmus, take)
 	var out []*nodeJob
 	for u, rows := range sub {
 		if rows == nil {
 			continue
-		}
-		childView := mat.Subset(rows)
-		childMean, err := childView.Mean()
-		if err != nil {
-			return nil, u, err
 		}
 		var corners [][]float64
 		if cfg.OrientChildren {
@@ -249,15 +244,15 @@ func (g *GHSOM) expandJobs(jb *nodeJob, bmus []int, mat vecmath.Matrix) ([]*node
 		out = append(out, &nodeJob{
 			parent:     jb,
 			parentUnit: u,
-			view:       childView,
-			mean:       childMean,
+			view:       mat.Subset(rows),
+			mean:       means[u],
 			parentQE:   n.UnitQE[u],
 			depth:      n.Depth + 1,
 			corners:    corners,
 			seed:       deriveSeed(jb.seed, u),
 		})
 	}
-	return out, 0, nil
+	return out
 }
 
 // trainNodeMap creates, grows, and fine-tunes a single map on the job's

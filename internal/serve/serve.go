@@ -160,9 +160,6 @@ func (reg *Registry) BeginDrain() {
 	})
 }
 
-// Draining reports whether the drain sequence has begun.
-func (reg *Registry) Draining() bool { return reg.draining.Load() }
-
 // Close shuts every batcher down after its in-flight jobs drain.
 func (reg *Registry) Close() {
 	// Take the entries out of the map before closing them, so a DELETE

@@ -44,8 +44,9 @@ func (m *Map) BMUMasked(x []float64, counts []int) (bmu int, dist2 float64, ok b
 // (AssignView, UnitErrorsSet) it takes the worker bound explicitly — 0 =
 // GOMAXPROCS, 1 = serial — so callers embedding it under an outer
 // parallel loop (the anomaly batch quantizer) can pin it to 1 instead of
-// inheriting the map's knob. The search runs on the blocked BMU engine (norm-cached
-// expanded-distance candidates, exact settle); results are positionally
+// inheriting the map's knob. The search runs on the BMU engine (sparse
+// expanded-distance candidates against the cached codebook, exact
+// settle); results are positionally
 // stable and bit-for-bit identical to calling BMU per row at every
 // setting. Either output slice may be nil to skip that result.
 func (m *Map) AssignFlat(flat []float64, n int, bmus []int, d2s []float64, parallelism int) error {
@@ -63,6 +64,6 @@ func (m *Map) AssignFlat(flat []float64, n int, bmus []int, d2s []float64, paral
 	if err != nil {
 		return fmt.Errorf("assign flat batch: %w", err)
 	}
-	m.bmuView(mat.View(), nil, bmus, d2s, parallelism)
+	m.bmuView(mat.View(), vecmath.Sparse{}, nil, m.codebook(), bmus, d2s, parallelism)
 	return nil
 }

@@ -3,6 +3,8 @@ package som
 import (
 	"math/rand"
 	"testing"
+
+	"ghsom/internal/vecmath"
 )
 
 // TestWeightViewsShareContiguousStorage verifies the flat-layout contract:
@@ -135,7 +137,7 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 	}
 	ref := build(1)
 	refAssign := ref.AssignView(v)
-	refMQE := ref.mqeView(v, nil, ref.parallelism, nil)
+	refMQE := ref.mqeView(v, vecmath.Sparse{}, nil, ref.parallelism, nil)
 	refSum, refCounts := ref.UnitErrorsSet(NewTrainSet(v), make([]int, v.Rows()))
 	for _, p := range []int{2, 4, 8, 0} {
 		m := build(p)
@@ -150,7 +152,7 @@ func TestBatchOpsIdenticalAcrossParallelism(t *testing.T) {
 				t.Fatalf("p=%d: AssignView[%d] = %d, want %d", p, i, assign[i], refAssign[i])
 			}
 		}
-		if mqe := m.mqeView(v, nil, m.parallelism, nil); mqe != refMQE {
+		if mqe := m.mqeView(v, vecmath.Sparse{}, nil, m.parallelism, nil); mqe != refMQE {
 			t.Errorf("p=%d: mqeView = %v, want %v", p, mqe, refMQE)
 		}
 		sum, counts := m.UnitErrorsSet(NewTrainSet(v), make([]int, v.Rows()))

@@ -48,8 +48,10 @@ type Map struct {
 	// table is impossible. Writes through slices returned by
 	// Weight/WeightAt/Weights bypass the counter; mutate via SetWeight.
 	version uint64
-	// norms caches the per-unit squared weight norms for the blocked BMU
-	// engine, keyed by version. The cache is an atomic snapshot
+	// norms caches the codebook of the BMU engine — the per-unit squared
+	// weight norms and the transposed weight block the sparse scores
+	// read — keyed by version: one build per weight state, shared
+	// read-only by every worker. The cache is an atomic snapshot
 	// (lock-free reads, copy-on-invalidate), so concurrent read-only
 	// batch operations (AssignView, AssignFlat, UnitErrorsSet) on a
 	// trained map never serialize on it. Weight mutation itself requires
@@ -70,12 +72,13 @@ func New(rows, cols, dim int) (*Map, error) {
 // touch records a weight mutation.
 func (m *Map) touch() { m.version++ }
 
-// syncedNorms returns the up-to-date per-unit squared-norm table. Safe
-// for concurrent callers on a map that is not being mutated: the cache
-// read is a single atomic snapshot load, so the steady-state BMU hot
-// path acquires no lock (concurrent first-touch callers may redundantly
-// recompute and republish the same table, which is benign).
-func (m *Map) syncedNorms() []float64 {
+// codebook returns the up-to-date search form of the weights (norms and
+// transposed block). Safe for concurrent callers on a map that is not
+// being mutated: the cache read is a single atomic snapshot load, so the
+// steady-state BMU hot path acquires no lock (concurrent first-touch
+// callers may redundantly rebuild and republish the same codebook, which
+// is benign).
+func (m *Map) codebook() *vecmath.Codebook {
 	return m.norms.Sync(m.flat, m.dim, m.version)
 }
 

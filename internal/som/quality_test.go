@@ -35,10 +35,10 @@ func lineMap(t *testing.T) *Map {
 func TestMQE(t *testing.T) {
 	m := lineMap(t)
 	data := [][]float64{{1}, {4}, {11}} // distances 1, 1, 1
-	if got := m.mqeView(rowsView(t, data), nil, 0, nil); math.Abs(got-1) > 1e-12 {
+	if got := m.mqeView(rowsView(t, data), vecmath.Sparse{}, nil, 0, nil); math.Abs(got-1) > 1e-12 {
 		t.Errorf("MQE = %v, want 1", got)
 	}
-	if !math.IsNaN(m.mqeView(vecmath.View{}, nil, 0, nil)) {
+	if !math.IsNaN(m.mqeView(vecmath.View{}, vecmath.Sparse{}, nil, 0, nil)) {
 		t.Error("MQE of empty data should be NaN")
 	}
 }

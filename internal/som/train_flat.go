@@ -21,9 +21,9 @@ import (
 // GHSOM child maps — is computed once per epoch and the inner loops
 // reduce to table lookups. Batch training additionally replaces the
 // per-(record, unit) weighted accumulation with BMU-class accumulation:
-// per-class sums and counts in one O(N·dim) pass, then one rank-1 update
-// per (class, unit) pair — O(N·dim + units²·dim) per epoch instead of
-// O(N·units·dim).
+// per-class sums and counts in one pass over the rows' nonzero entries,
+// then one rank-1 update per (class, unit) pair — O(nnz + units²·dim)
+// per epoch instead of O(N·units·dim).
 //
 // Determinism: the per-record BMU searches write only their own output
 // slots and every floating-point reduction (class sums, MQE) runs on the
@@ -105,28 +105,30 @@ func (m *Map) neighborhoodTable(dst []float64, radius, scale float64, kernel Ker
 var bmuScratchPool = sync.Pool{New: func() any { return new(vecmath.BMUScratch) }}
 
 // bmuView computes the BMU index and squared distance of every view row
-// into bmus and d2s (either may be nil), through the blocked BMU engine:
-// work-stealing workers (parallel.ForEachChunk) take GEMM-tile-sized row
-// chunks and run the norm-cached expanded-distance kernel
-// (vecmath.BMUScratch.ArgMinDistanceBatch) over them, which is
-// bit-for-bit identical to the per-row ArgMinDistance scan. xNorms, when
-// non-nil, holds each row's vecmath.SumSquares (a TrainSet's table), so
-// the engine skips its per-row record-norm pass. The tile
-// shape is resolved per call from the codebook and worker count
+// into bmus and d2s (either may be nil), through the BMU engine against
+// cb, the codebook of the map's current weights (m.codebook(), or the
+// one a training loop rebuilds each epoch): work-stealing workers
+// (parallel.ForEachChunk) take tile-sized row chunks and run the sparse
+// expanded-distance kernel (vecmath.BMUScratch.ArgMinDistanceBatch)
+// over them, which is
+// bit-for-bit identical to the per-row ArgMinDistance scan. nz, when it
+// has rows, holds the view rows' nonzero entries and xNorms, when
+// non-nil, each row's vecmath.SumSquares (a TrainSet's forms), so the
+// engine builds no nonzero lists and skips its per-row record-norm pass.
+// The tile shape is resolved per call from the codebook and worker count
 // (vecmath.ResolveTile); the worker count is clamped so no worker gets
 // less than one tile (parallel.WorkersGrain); each worker owns a pooled
-// scratch for the whole call, and the norm-cache read is a lock-free
-// atomic snapshot — no mutex or pool sits on the per-chunk path. When
+// scratch for the whole call, and the codebook is read-only — no mutex
+// or pool sits on the per-chunk path. When
 // d2s is nil — the training BMU pass under SkipEpochMQE — the engine
 // skips the canonical distance settle for every unambiguous record.
 // Each chunk writes only its own slots, so results are identical at
 // every worker count.
-func (m *Map) bmuView(v vecmath.View, xNorms []float64, bmus []int, d2s []float64, p int) {
+func (m *Map) bmuView(v vecmath.View, nz vecmath.Sparse, xNorms []float64, cb *vecmath.Codebook, bmus []int, d2s []float64, p int) {
 	n := v.Rows()
 	if n == 0 || (bmus == nil && d2s == nil) {
 		return
 	}
-	norms := m.syncedNorms()
 	tile := vecmath.ResolveTile(m.dim, m.Units(), parallel.Workers(p, n))
 	grain := tile.RecRows
 	w := parallel.WorkersGrain(p, n, grain)
@@ -139,6 +141,7 @@ func (m *Map) bmuView(v vecmath.View, xNorms []float64, bmus []int, d2s []float6
 	parallel.ForEachChunk(nil, p, n, grain, func(wk, lo, hi int) error {
 		var ob []int
 		var od, xn []float64
+		var cnz vecmath.Sparse
 		if bmus != nil {
 			ob = bmus[lo:hi]
 		}
@@ -148,7 +151,10 @@ func (m *Map) bmuView(v vecmath.View, xNorms []float64, bmus []int, d2s []float6
 		if xNorms != nil {
 			xn = xNorms[lo:hi]
 		}
-		scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), xn, m.flat, norms, ob, od)
+		if nz.Rows() > 0 {
+			cnz = nz.Slice(lo, hi)
+		}
+		scratches[wk].ArgMinDistanceBatch(v.Slice(lo, hi), cnz, xn, m.flat, cb, ob, od)
 		for i := range ob {
 			if ob[i] < 0 {
 				ob[i] = 0 // degenerate query: keep the BMU contract of unit 0
@@ -210,22 +216,26 @@ func classFoldGrain(n int) int {
 const mqeFoldGrain = 8192
 
 // TrainSet is a training data set prepared for the many BMU passes a
-// growing map runs over it: the rows gathered into one contiguous matrix,
-// so every pass streams them in memory order, and the squared norm of
-// each row (the ‖x‖² term of the blocked BMU engine), computed once
-// instead of once per pass. A TrainSet is read-only and may be shared by
-// concurrent passes.
+// growing map runs over it. It keeps its rows in two forms: gathered into
+// one contiguous matrix, so every pass streams them in memory order (the
+// exact canonical settle reads these), and as each row's nonzero entries
+// in CSR form, which the BMU scores and the batch rule's class sums
+// read. Beside them it keeps the squared norm of each row (the ‖x‖² term
+// of the BMU engine), computed once instead of once per pass. A TrainSet
+// is read-only and may be shared by concurrent passes.
 type TrainSet struct {
 	rows  vecmath.View
+	nz    vecmath.Sparse
 	norms []float64
 }
 
 // NewTrainSet gathers v's rows (no copy when v is a whole matrix) and
-// computes their squared norms.
+// their nonzero entries in one pass, and computes their squared norms.
 func NewTrainSet(v vecmath.View) TrainSet {
-	mat := v.Gather()
+	mat, nz := v.GatherSparse()
 	return TrainSet{
 		rows:  mat.View(),
+		nz:    nz,
 		norms: vecmath.SquaredNorms(mat.Data(), mat.Cols(), make([]float64, 0, mat.Rows())),
 	}
 }
@@ -233,9 +243,45 @@ func NewTrainSet(v vecmath.View) TrainSet {
 // View returns the set's rows, in the order of the view it was built from.
 func (s TrainSet) View() vecmath.View { return s.rows }
 
+// ClassMeans returns, for every unit u with take[u] set, the element-wise
+// mean of the set's rows whose entry in bmus (one per row) is u, and nil
+// for the other units. The sums run in row order over each row's
+// nonzeros from +0 (vecmath.Sparse.AddRow), so each mean has the bits of
+// vecmath.View.Mean over the same rows; every taken unit must own at
+// least one row.
+func (s TrainSet) ClassMeans(bmus []int, take []bool) [][]float64 {
+	dim := s.rows.Dim()
+	means := make([][]float64, len(take))
+	counts := make([]int, len(take))
+	for u, t := range take {
+		if t {
+			means[u] = make([]float64, dim)
+		}
+	}
+	for i, u := range bmus[:s.rows.Rows()] {
+		sum := means[u]
+		if sum == nil {
+			continue
+		}
+		counts[u]++
+		s.nz.AddRow(sum, i)
+	}
+	for u, sum := range means {
+		if sum == nil {
+			continue
+		}
+		inv := 1 / float64(counts[u])
+		for j := range sum {
+			sum[j] *= inv
+		}
+	}
+	return means
+}
+
 // TrainBatchSet trains the map with the deterministic batch rule over a
 // prepared training set. Each epoch runs one parallel BMU pass, accumulates
-// per-BMU-class sums and counts with a chunked deterministic fold
+// per-BMU-class sums (over each row's nonzeros, vecmath.Sparse.AddRow)
+// and counts with a chunked deterministic fold
 // (parallel.MapReduceChunk: fixed row-count-only chunk layout, partials
 // folded in ascending chunk order), and moves every unit to its
 // neighborhood-weighted class mean via one rank-1 update per (class,
@@ -249,7 +295,7 @@ func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 	if err := cfg.validate(); err != nil {
 		return TrainStats{}, err
 	}
-	v := s.rows
+	v, nz := s.rows, s.nz
 	if err := m.checkView(v); err != nil {
 		return TrainStats{}, err
 	}
@@ -260,6 +306,10 @@ func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 		numer = make([]float64, dim)
 		bmus  = make([]int, n)
 		d2s   []float64
+		// cb is the codebook of this epoch's weights, rebuilt in place:
+		// the call owns the map and rewrites every weight each epoch, so
+		// a cached snapshot per epoch would only be garbage.
+		cb vecmath.Codebook
 	)
 	foldGrain := classFoldGrain(n)
 	stats := TrainStats{}
@@ -271,7 +321,8 @@ func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 		radius := cfg.Decay.Interp(radius0, cfg.RadiusEnd, cfg.scheduleFrac(epoch))
 		m.neighborhoodTable(h, radius, 1, cfg.Kernel, false)
 
-		m.bmuView(v, s.norms, bmus, d2s, cfg.Parallelism)
+		cb.Build(m.flat, dim)
+		m.bmuView(v, nz, s.norms, &cb, bmus, d2s, cfg.Parallelism)
 		acc := parallel.MapReduceChunk(cfg.Parallelism, n, foldGrain, (*classAccum)(nil),
 			func(lo, hi int) *classAccum {
 				a := classAccumPool.Get().(*classAccum)
@@ -279,7 +330,7 @@ func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 				for i := lo; i < hi; i++ {
 					c := bmus[i]
 					a.cnt[c]++
-					vecmath.AddInPlace(a.sum[c*dim:(c+1)*dim], v.Row(i))
+					nz.AddRow(a.sum[c*dim:(c+1)*dim], i)
 				}
 				return a
 			},
@@ -338,12 +389,12 @@ func (m *Map) TrainBatchSet(s TrainSet, cfg TrainConfig) (TrainStats, error) {
 		}
 		classAccumPool.Put(acc)
 		// The rank-1 updates above rewrote the weight arena: bump the
-		// version so the next epoch's blocked BMU pass resyncs its norm
-		// cache.
+		// version so the map's cached codebook is rebuilt before its next
+		// use.
 		m.touch()
 	}
 	if !cfg.SkipEpochMQE {
-		stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, s.norms, cfg.Parallelism, d2s))
+		stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, nz, s.norms, cfg.Parallelism, d2s))
 	}
 	return stats, nil
 }
@@ -396,17 +447,17 @@ func (m *Map) TrainOnlineView(v vecmath.View, cfg TrainConfig) (TrainStats, erro
 			m.touch() // MoveToward mutated the arena: invalidate norms
 		}
 		if !cfg.SkipEpochMQE {
-			stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, nil, cfg.Parallelism, d2scratch))
+			stats.EpochMQE = append(stats.EpochMQE, m.mqeView(v, vecmath.Sparse{}, nil, cfg.Parallelism, d2scratch))
 		}
 	}
 	return stats, nil
 }
 
 // mqeView returns the mean quantization error of the view on p workers
-// (xNorms as in bmuView), reusing d2s (length >= v.Rows(), or nil to allocate) as distance
+// (nz and xNorms as in bmuView), reusing d2s (length >= v.Rows(), or nil to allocate) as distance
 // scratch. The sum folds on the chunked deterministic scheduler: the
 // result is bit-identical at every worker count.
-func (m *Map) mqeView(v vecmath.View, xNorms []float64, p int, d2s []float64) float64 {
+func (m *Map) mqeView(v vecmath.View, nz vecmath.Sparse, xNorms []float64, p int, d2s []float64) float64 {
 	n := v.Rows()
 	if n == 0 {
 		return math.NaN()
@@ -414,7 +465,7 @@ func (m *Map) mqeView(v vecmath.View, xNorms []float64, p int, d2s []float64) fl
 	if len(d2s) < n {
 		d2s = make([]float64, n)
 	}
-	m.bmuView(v, xNorms, nil, d2s, p)
+	m.bmuView(v, nz, xNorms, m.codebook(), nil, d2s, p)
 	sum := parallel.MapReduceChunk(p, n, mqeFoldGrain, 0.0,
 		func(lo, hi int) float64 {
 			var s float64
@@ -431,7 +482,7 @@ func (m *Map) mqeView(v vecmath.View, xNorms []float64, p int, d2s []float64) fl
 // configured Parallelism.
 func (m *Map) AssignView(v vecmath.View) []int {
 	out := make([]int, v.Rows())
-	m.bmuView(v, nil, out, nil, m.parallelism)
+	m.bmuView(v, vecmath.Sparse{}, nil, m.codebook(), out, nil, m.parallelism)
 	return out
 }
 
@@ -441,18 +492,18 @@ func (m *Map) AssignView(v vecmath.View) []int {
 // one BMU pass yields the per-unit errors, the counts, and the assignment
 // a caller splits the set by.
 func (m *Map) UnitErrorsSet(s TrainSet, bmus []int) (sumQE []float64, counts []int) {
-	return m.unitErrors(s.rows, s.norms, bmus[:s.rows.Rows()])
+	return m.unitErrors(s, bmus[:s.rows.Rows()])
 }
 
-// unitErrors runs one BMU pass over v at the map's Parallelism, writing
-// the BMUs into bmus, and folds the per-unit error sums and counts in row
-// order.
-func (m *Map) unitErrors(v vecmath.View, xNorms []float64, bmus []int) (sumQE []float64, counts []int) {
+// unitErrors runs one BMU pass over the set at the map's Parallelism,
+// writing the BMUs into bmus, and folds the per-unit error sums and
+// counts in row order.
+func (m *Map) unitErrors(s TrainSet, bmus []int) (sumQE []float64, counts []int) {
 	sumQE = make([]float64, m.Units())
 	counts = make([]int, m.Units())
-	n := v.Rows()
+	n := s.rows.Rows()
 	d2s := make([]float64, n)
-	m.bmuView(v, xNorms, bmus, d2s, m.parallelism)
+	m.bmuView(s.rows, s.nz, s.norms, m.codebook(), bmus, d2s, m.parallelism)
 	for i := 0; i < n; i++ {
 		sumQE[bmus[i]] += math.Sqrt(d2s[i])
 		counts[bmus[i]]++

@@ -422,3 +422,198 @@ func BenchmarkTrainOnlineView(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(n*epochs*b.N)/b.Elapsed().Seconds(), "rec·epochs/sec")
 }
+
+// oneHotTrainData builds n rows shaped like encoded traffic: ten numeric
+// columns that are mostly exact zeros, with some −0, negative values and
+// denormals among them, then three one-hot groups (3, 7 and 5 columns).
+// Column 8 holds only ±0 and column 9 only ±0 and ±denormals, so their
+// sums and weights stay at the scale where a dropped or mis-signed entry
+// shows.
+func oneHotTrainData(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	tiny := math.SmallestNonzeroFloat64
+	groups := []int{3, 7, 5}
+	data := make([][]float64, n)
+	for i := range data {
+		row := make([]float64, 0, 25)
+		for j := 0; j < 10; j++ {
+			var v float64
+			switch r := rng.Float64(); {
+			case r < 0.45:
+				v = 0
+			case r < 0.55 || j == 8:
+				v = math.Copysign(0, -1)
+			case r < 0.62:
+				v = tiny
+			case r < 0.66 || j == 9:
+				v = -tiny * float64(1+rng.Intn(3))
+			default:
+				v = rng.NormFloat64() + float64(i%3)
+			}
+			row = append(row, v)
+		}
+		for _, g := range groups {
+			hot := rng.Intn(g)
+			for j := 0; j < g; j++ {
+				v := 0.0
+				if j == hot {
+					v = 1
+				}
+				row = append(row, v)
+			}
+		}
+		data[i] = row
+	}
+	return data
+}
+
+// denseTrainBatchRef is the dense reference of TrainBatchSet: BMUs from
+// vecmath.ArgMinDistance, class sums from dense adds of every entry in
+// row order, the same update loop (scalar AXPY), and the epoch MQE summed
+// in row order. On at most classFoldGrain rows — one fold chunk — every
+// result must have the bits of the sparse training path.
+func denseTrainBatchRef(m *Map, data [][]float64, cfg TrainConfig) TrainStats {
+	radius0 := cfg.effectiveRadius0(m)
+	units, dim, n := m.Units(), m.dim, len(data)
+	h := make([]float64, units*units)
+	bmus := make([]int, n)
+	d2s := make([]float64, n)
+	assign := func() {
+		for i, x := range data {
+			b, d := vecmath.ArgMinDistance(x, m.flat)
+			bmus[i], d2s[i] = max(b, 0), d
+		}
+	}
+	mqe := func() float64 {
+		var s float64
+		for _, d := range d2s {
+			s += math.Sqrt(d)
+		}
+		return s / float64(n)
+	}
+	stats := TrainStats{}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		radius := cfg.Decay.Interp(radius0, cfg.RadiusEnd, cfg.scheduleFrac(epoch))
+		m.neighborhoodTable(h, radius, 1, cfg.Kernel, false)
+		assign()
+		sum := make([]float64, units*dim)
+		cnt := make([]int, units)
+		for i, x := range data {
+			c := bmus[i]
+			cnt[c]++
+			for j, v := range x {
+				sum[c*dim+j] += v
+			}
+		}
+		if epoch > 0 {
+			stats.EpochMQE = append(stats.EpochMQE, mqe())
+		}
+		numer := make([]float64, dim)
+		for u := 0; u < units; u++ {
+			var denom float64
+			clear(numer)
+			for c := 0; c < units; c++ {
+				hc := h[c*units+u]
+				if cnt[c] == 0 || hc <= 0 {
+					continue
+				}
+				denom += hc * float64(cnt[c])
+				for j := range numer {
+					numer[j] += hc * sum[c*dim+j]
+				}
+			}
+			if denom <= 0 {
+				continue
+			}
+			inv := 1 / denom
+			for j, w := range numer {
+				m.flat[u*dim+j] = w * inv
+			}
+		}
+	}
+	assign()
+	stats.EpochMQE = append(stats.EpochMQE, mqe())
+	return stats
+}
+
+// TestTrainBatchSparseRowsBitIdentical pins the sparse training path —
+// BMU scores and class sums over each row's nonzeros — to the dense
+// reference bit for bit, on one-hot-shaped rows with exact zeros, −0,
+// negative values and denormals, for every kernel at Parallelism 1, 2
+// and 0. The 3x4 map engages the expanded-form engine (units·dim ≥ 128);
+// the 2x2 map takes the scalar scan.
+func TestTrainBatchSparseRowsBitIdentical(t *testing.T) {
+	const n = 1500
+	if n > classFoldGrain(n) {
+		t.Fatalf("%d rows fold in more than one chunk", n)
+	}
+	data := oneHotTrainData(n, 61)
+	for _, shape := range [][2]int{{3, 4}, {2, 2}} {
+		for _, kernel := range []Kernel{KernelGaussian, KernelBubble, KernelMexicanHat} {
+			ref, _ := New(shape[0], shape[1], 25)
+			initDeterministic(ref, data[7:])
+			cfg := batchCfg(6, kernel)
+			refStats := denseTrainBatchRef(ref, data, cfg)
+			for _, p := range []int{1, 2, 0} {
+				m, _ := New(shape[0], shape[1], 25)
+				initDeterministic(m, data[7:])
+				cfg.Parallelism = p
+				stats, err := m.TrainBatchSet(NewTrainSet(rowsView(t, data)), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref.flat {
+					if math.Float64bits(m.flat[i]) != math.Float64bits(ref.flat[i]) {
+						t.Fatalf("%dx%d %s P=%d: weight value %d = %v, dense reference %v",
+							shape[0], shape[1], kernel, p, i, m.flat[i], ref.flat[i])
+					}
+				}
+				if len(stats.EpochMQE) != len(refStats.EpochMQE) {
+					t.Fatalf("EpochMQE length %d, reference %d", len(stats.EpochMQE), len(refStats.EpochMQE))
+				}
+				for e := range refStats.EpochMQE {
+					if math.Float64bits(stats.EpochMQE[e]) != math.Float64bits(refStats.EpochMQE[e]) {
+						t.Fatalf("%dx%d %s P=%d: epoch %d MQE %v, dense reference %v",
+							shape[0], shape[1], kernel, p, e, stats.EpochMQE[e], refStats.EpochMQE[e])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassMeansMatchViewMean checks TrainSet.ClassMeans bit for bit
+// against vecmath.View.Mean over the same rows, on rows with exact
+// zeros, −0 and denormals.
+func TestClassMeansMatchViewMean(t *testing.T) {
+	data := oneHotTrainData(400, 62)
+	mat, err := vecmath.MatrixFromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bmus := make([]int, len(data))
+	rows := make([][]int, 5)
+	for i := range bmus {
+		bmus[i] = (i * 7 / 3) % 5
+		rows[bmus[i]] = append(rows[bmus[i]], i)
+	}
+	take := []bool{true, false, true, true, true}
+	means := NewTrainSet(mat.View()).ClassMeans(bmus, take)
+	for u, want := range take {
+		if !want {
+			if means[u] != nil {
+				t.Fatalf("unit %d: mean %v, want nil", u, means[u])
+			}
+			continue
+		}
+		ref, err := mat.Subset(rows[u]).Mean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range ref {
+			if math.Float64bits(means[u][j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("unit %d column %d: %v, View.Mean %v", u, j, means[u][j], ref[j])
+			}
+		}
+	}
+}

@@ -71,7 +71,7 @@ func TestTrainOnlineReducesMQE(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := rowsView(t, data)
-	before := m.mqeView(v, nil, 0, nil)
+	before := m.mqeView(v, vecmath.Sparse{}, nil, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 20
 	stats, err := m.TrainOnlineView(v, cfg)
@@ -103,7 +103,7 @@ func TestTrainBatchReducesMQE(t *testing.T) {
 		_ = m.SetWeight(i, []float64{5, 5})
 	}
 	v := rowsView(t, data)
-	before := m.mqeView(v, nil, 0, nil)
+	before := m.mqeView(v, vecmath.Sparse{}, nil, 0, nil)
 	cfg := DefaultTrainConfig(rng)
 	cfg.Epochs = 15
 	stats, err := m.TrainBatchSet(NewTrainSet(v), cfg)

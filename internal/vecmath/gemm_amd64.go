@@ -1,9 +1,9 @@
 package vecmath
 
-// amd64 dispatch of the blocked BMU engine: the micro-kernels in
-// gemm_amd64.s are used when the CPU reports AVX2 + FMA and the OS has
-// enabled YMM state. Everything else — including the exact settle — runs
-// the portable code in gemm.go, so kernel selection can never change
+// amd64 dispatch of the BMU engines and the element-wise kernels: the
+// kernels in gemm_amd64.s are used when the CPU reports AVX2 + FMA and
+// the OS has enabled YMM state. Everything else — including the exact
+// settle — runs the portable code, so kernel selection can never change
 // results, only speed.
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -21,6 +21,12 @@ func sumSquaresAVX(x *float64, n int) float64
 
 //go:noescape
 func addAVX(dst, x *float64, n int)
+
+//go:noescape
+func axpyAVX(dst, x *float64, alpha float64, n int)
+
+//go:noescape
+func scoreSparseAVX(wt *float64, ld int, cols *int32, vals *float64, nnz int, bias *float64, xn float64, d *float64) (min1, min2 float64, arg int)
 
 // useAVX gates the assembly micro-kernels. It is a variable (not a
 // constant) so tests can force the portable path and assert both produce
@@ -68,6 +74,31 @@ func addInPlace(dst, x []float64) {
 		dst, x = dst[n:], x[n:]
 	}
 	addGeneric(dst, x)
+}
+
+// axpyInPlace is AXPYInPlace's kernel: the AVX path multiplies, then
+// adds, in every lane — no FMA — so it rounds like the portable loop.
+func axpyInPlace(dst []float64, alpha float64, x []float64) {
+	if n := len(dst) &^ 3; useAVX && n > 0 {
+		axpyAVX(&dst[0], &x[0], alpha, n)
+		dst, x = dst[n:], x[n:]
+	}
+	axpyGeneric(dst, alpha, x)
+}
+
+// scoreSparse dispatches one record's sparse expanded-distance row (see
+// scoreSparseGeneric) to the AVX or the portable kernel.
+func scoreSparse(cb *Codebook, cols []int32, vals []float64, xn float64, d []float64) (float64, float64, int) {
+	if !useAVX {
+		return scoreSparseGeneric(cb, cols, vals, xn, d)
+	}
+	var c *int32
+	var v *float64
+	if len(cols) > 0 {
+		c, v = &cols[0], &vals[0]
+	}
+	_ = d[cb.ld-1]
+	return scoreSparseAVX(&cb.wt[0], cb.ld, c, v, len(cols), &cb.bias[0], xn, &d[0])
 }
 
 // mulBatchT dispatches the records×units dot block to the AVX or the

@@ -1,10 +1,13 @@
-// AVX2+FMA micro-kernels of the blocked BMU engine. Plan 9 assembler,
-// operand order src..dst: VFMADD231PD a, b, c computes c += b*a.
+// AVX2+FMA kernels of the BMU engines and the element-wise updates. Plan
+// 9 assembler, operand order src..dst: VFMADD231PD a, b, c computes
+// c += b*a. Only VEX-encoded vector instructions appear, and every kernel
+// ends with VZEROUPPER, so no AVX/SSE transition penalty is paid.
 //
-// All kernels require n > 0 and n ≡ 0 (mod 4); the Go wrappers round
-// the dimension down and add the scalar tail themselves. The dot-product
-// kernels' accumulation order differs from the canonical scalar kernels
-// by design — they feed the candidate generator only (see gemm.go).
+// The kernels taking n require n > 0 and n ≡ 0 (mod 4); the Go wrappers
+// round the dimension down and add the scalar tail themselves. The
+// dot-product kernels' accumulation order differs from the canonical
+// scalar kernels by design — they feed the candidate generator only (see
+// gemm.go).
 
 #include "textflag.h"
 
@@ -239,5 +242,308 @@ addloop:
 	ADDQ $32, AX
 	SUBQ $4, CX
 	JNZ  addloop
+	VZEROUPPER
+	RET
+
+// func axpyAVX(dst, x *float64, alpha float64, n int)
+// dst[i] += alpha*x[i] for i < n: a multiply, then an add, each rounded
+// — no FMA — so every lane rounds exactly like the scalar AXPYInPlace.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	VBROADCASTSD alpha+16(FP), Y0
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+
+axpyloop:
+	VMULPD  (SI)(AX*1), Y0, Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VADDPD  Y1, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+	JNZ     axpyloop
+	VZEROUPPER
+	RET
+
+DATA posInf<>+0(SB)/8, $0x7ff0000000000000
+GLOBL posInf<>(SB), RODATA|NOPTR, $8
+
+// DIST turns the dot-product vector acc of lanes [off, off+32) of the
+// current group into expanded distances d = (xn + bias) − 2·dot, stores
+// them, and folds them into the per-lane smallest (Y10) and runner-up
+// (Y11). NaN distances are first mapped to +Inf (VMINPD returns its
+// second source when either is NaN), so they never compare.
+// Registers: R9 bias, R10 d, BX group byte offset, Y12 xn, Y13 +Inf.
+#define DIST(acc, off) \
+	VADDPD  off(R9)(BX*1), Y12, Y14; \
+	VADDPD  acc, acc, Y15; \
+	VSUBPD  Y15, Y14, Y14; \
+	VMOVUPD Y14, off(R10)(BX*1); \
+	VMINPD  Y13, Y14, Y14; \
+	VMAXPD  Y10, Y14, Y15; \
+	VMINPD  Y10, Y14, Y10; \
+	VMINPD  Y11, Y15, Y11
+
+// ROWADDR loads column index k (+disp bytes) of the nonzero list and
+// leaves the byte address of that transposed weight row in reg.
+#define ROWADDR(disp, reg) \
+	MOVLQSX disp(SI)(R13*4), reg; \
+	IMULQ   R8, reg; \
+	ADDQ    DI, reg
+
+// PAIR loads nonzeros k and k+1 with one load of their two column
+// indices and one of their two values: AX and R14 get the byte addresses
+// of the two transposed weight rows, Y8 and Y9 the two broadcast values.
+#define PAIR \
+	MOVQ         (SI)(R13*4), AX; \
+	MOVLQSX      AX, R14; \
+	SARQ         $32, AX; \
+	IMULQ        R8, R14; \
+	IMULQ        R8, AX; \
+	ADDQ         DI, R14; \
+	ADDQ         DI, AX; \
+	VMOVUPD      (DX)(R13*8), X8; \
+	VPERMPD      $0x55, Y8, Y9; \
+	VBROADCASTSD X8, Y8
+
+// func scoreSparseAVX(wt *float64, ld int, cols *int32, vals *float64, nnz int, bias *float64, xn float64, d *float64) (min1, min2 float64, arg int)
+//
+// The sparse expanded-distance row of one record: for every lane u < ld,
+// dot_u = Σ_k vals[k]·wt[cols[k]*ld + u] and d[u] = (xn + bias[u]) −
+// 2·dot_u; returns the smallest and second-smallest d (NaN never
+// compares; a tie at the minimum makes the runner-up equal to it) and
+// the lowest lane holding the smallest (meaningful when it is below
+// +Inf; -1 when no lane holds it). Lanes
+// go 16 at a time (four vectors), then 8, then 4. In a 16-lane group the
+// nonzeros alternate between two accumulator sets, so every vector has
+// two independent FMA chains and the group keeps both FMA ports busy;
+// the narrower groups, which have fewer vectors to overlap, take the
+// nonzeros four at a time into four sets. ld must be a positive
+// multiple of 4.
+TEXT ·scoreSparseAVX(SB), NOSPLIT, $0-88
+	MOVQ         wt+0(FP), DI
+	MOVQ         ld+8(FP), R11
+	MOVQ         cols+16(FP), SI
+	MOVQ         vals+24(FP), DX
+	MOVQ         nnz+32(FP), CX
+	MOVQ         bias+40(FP), R9
+	VBROADCASTSD xn+48(FP), Y12
+	MOVQ         d+56(FP), R10
+	MOVQ         R11, R8
+	SHLQ         $3, R8                // transposed row stride in bytes
+	VBROADCASTSD posInf<>(SB), Y13
+	VMOVAPD      Y13, Y10
+	VMOVAPD      Y13, Y11
+	XORQ         BX, BX                // byte offset of the lane group
+
+g16:
+	CMPQ   R11, $16
+	JLT    g8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   R13, R13
+	MOVQ   CX, R12
+
+pair16:
+	CMPQ         R12, $2
+	JLT          tail16
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y0
+	VFMADD231PD  32(R14)(BX*1), Y8, Y1
+	VFMADD231PD  64(R14)(BX*1), Y8, Y2
+	VFMADD231PD  96(R14)(BX*1), Y8, Y3
+	VFMADD231PD  (AX)(BX*1), Y9, Y4
+	VFMADD231PD  32(AX)(BX*1), Y9, Y5
+	VFMADD231PD  64(AX)(BX*1), Y9, Y6
+	VFMADD231PD  96(AX)(BX*1), Y9, Y7
+	ADDQ         $2, R13
+	SUBQ         $2, R12
+	JMP          pair16
+
+tail16:
+	TESTQ        R12, R12
+	JZ           sum16
+	ROWADDR(0, AX)
+	VBROADCASTSD (DX)(R13*8), Y8
+	VFMADD231PD  (AX)(BX*1), Y8, Y0
+	VFMADD231PD  32(AX)(BX*1), Y8, Y1
+	VFMADD231PD  64(AX)(BX*1), Y8, Y2
+	VFMADD231PD  96(AX)(BX*1), Y8, Y3
+
+sum16:
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	DIST(Y0, 0)
+	DIST(Y1, 32)
+	DIST(Y2, 64)
+	DIST(Y3, 96)
+	ADDQ   $128, BX
+	SUBQ   $16, R11
+	JMP    g16
+
+g8:
+	CMPQ   R11, $8
+	JLT    g4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   R13, R13
+	MOVQ   CX, R12
+
+quad8:
+	CMPQ         R12, $4
+	JLT          pair8
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y0
+	VFMADD231PD  32(R14)(BX*1), Y8, Y1
+	VFMADD231PD  (AX)(BX*1), Y9, Y4
+	VFMADD231PD  32(AX)(BX*1), Y9, Y5
+	ADDQ         $2, R13
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y2
+	VFMADD231PD  32(R14)(BX*1), Y8, Y3
+	VFMADD231PD  (AX)(BX*1), Y9, Y6
+	VFMADD231PD  32(AX)(BX*1), Y9, Y7
+	ADDQ         $2, R13
+	SUBQ         $4, R12
+	JMP          quad8
+
+pair8:
+	CMPQ         R12, $2
+	JLT          tail8
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y0
+	VFMADD231PD  32(R14)(BX*1), Y8, Y1
+	VFMADD231PD  (AX)(BX*1), Y9, Y4
+	VFMADD231PD  32(AX)(BX*1), Y9, Y5
+	ADDQ         $2, R13
+	SUBQ         $2, R12
+	JMP          pair8
+
+tail8:
+	TESTQ        R12, R12
+	JZ           sum8
+	ROWADDR(0, AX)
+	VBROADCASTSD (DX)(R13*8), Y8
+	VFMADD231PD  (AX)(BX*1), Y8, Y0
+	VFMADD231PD  32(AX)(BX*1), Y8, Y1
+
+sum8:
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	VADDPD Y6, Y4, Y4
+	VADDPD Y7, Y5, Y5
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	DIST(Y0, 0)
+	DIST(Y1, 32)
+	ADDQ   $64, BX
+	SUBQ   $8, R11
+
+g4:
+	CMPQ   R11, $4
+	JLT    reduce
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	XORQ   R13, R13
+	MOVQ   CX, R12
+
+quad4:
+	CMPQ         R12, $4
+	JLT          pair4
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y0
+	VFMADD231PD  (AX)(BX*1), Y9, Y4
+	ADDQ         $2, R13
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y1
+	VFMADD231PD  (AX)(BX*1), Y9, Y5
+	ADDQ         $2, R13
+	SUBQ         $4, R12
+	JMP          quad4
+
+pair4:
+	CMPQ         R12, $2
+	JLT          tail4
+	PAIR
+	VFMADD231PD  (R14)(BX*1), Y8, Y0
+	VFMADD231PD  (AX)(BX*1), Y9, Y4
+	ADDQ         $2, R13
+	SUBQ         $2, R12
+	JMP          pair4
+
+tail4:
+	TESTQ        R12, R12
+	JZ           sum4
+	ROWADDR(0, AX)
+	VBROADCASTSD (DX)(R13*8), Y8
+	VFMADD231PD  (AX)(BX*1), Y8, Y0
+
+sum4:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y5, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	DIST(Y0, 0)
+
+reduce:
+	// Merge the per-lane (smallest, runner-up) pairs: for sorted pairs
+	// (a1, a2) and (b1, b2) the merged pair is (min(a1, b1),
+	// min(max(a1, b1), a2, b2)). High half into low, then lane 1 into 0.
+	VEXTRACTF128 $1, Y10, X14
+	VEXTRACTF128 $1, Y11, X15
+	VMAXPD       X14, X10, X8
+	VMINPD       X14, X10, X10
+	VMINPD       X15, X11, X11
+	VMINPD       X11, X8, X11
+	VPERMILPD    $1, X10, X14
+	VPERMILPD    $1, X11, X15
+	VMAXPD       X14, X10, X8
+	VMINPD       X14, X10, X10
+	VMINPD       X15, X11, X11
+	VMINPD       X11, X8, X11
+	VMOVSD       X10, min1+64(FP)
+	VMOVSD       X11, min2+72(FP)
+
+	// The lowest lane whose distance equals the smallest, four lanes at
+	// a time.
+	VBROADCASTSD X10, Y12
+	MOVQ         ld+8(FP), R11
+	XORQ         AX, AX
+
+argscan:
+	CMPQ      AX, R11
+	JGE       argnone
+	VCMPPD    $0, (R10)(AX*8), Y12, Y14 // d == min1 (ordered)
+	VMOVMSKPD Y14, CX
+	TESTL     CX, CX
+	JNZ       argfound
+	ADDQ      $4, AX
+	JMP       argscan
+
+argfound:
+	BSFL       CX, CX
+	ADDQ       CX, AX
+	MOVQ       AX, arg+80(FP)
+	VZEROUPPER
+	RET
+
+argnone:
+	MOVQ       $-1, arg+80(FP)
 	VZEROUPPER
 	RET

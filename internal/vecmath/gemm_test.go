@@ -109,13 +109,13 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 	wantIdx, wantD2 := scalarArgMin(x, flat)
 	var sc BMUScratch
 	for _, withNorms := range []bool{false, true} {
-		var norms []float64
+		var cb *Codebook
 		if withNorms {
-			norms = SquaredNorms(flat, x.Dim(), nil)
+			cb = NewCodebook(flat, x.Dim())
 		}
 		gotIdx := make([]int, x.Rows())
 		gotD2 := make([]float64, x.Rows())
-		sc.ArgMinDistanceBatch(x, nil, flat, norms, gotIdx, gotD2)
+		sc.ArgMinDistanceBatch(x, Sparse{}, nil, flat, cb, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] {
 				t.Fatalf("%s (norms=%v): row %d argmin = %d, want %d", name, withNorms, i, gotIdx[i], wantIdx[i])
@@ -127,7 +127,7 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 		}
 		// Index-only mode (nil outDist) must select identical winners.
 		idxOnly := make([]int, x.Rows())
-		sc.ArgMinDistanceBatch(x, nil, flat, norms, idxOnly, nil)
+		sc.ArgMinDistanceBatch(x, Sparse{}, nil, flat, cb, idxOnly, nil)
 		for i := range wantIdx {
 			if idxOnly[i] != wantIdx[i] {
 				t.Fatalf("%s (norms=%v, index-only): row %d argmin = %d, want %d",
@@ -135,7 +135,7 @@ func assertBatchMatchesScalar(t *testing.T, name string, x View, flat []float64)
 			}
 		}
 		// Precomputed record norms must not change a bit either.
-		sc.ArgMinDistanceBatch(x, recordNorms(x), flat, norms, gotIdx, gotD2)
+		sc.ArgMinDistanceBatch(x, Sparse{}, recordNorms(x), flat, cb, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] || math.Float64bits(gotD2[i]) != math.Float64bits(wantD2[i]) {
 				t.Fatalf("%s (norms=%v, record norms): row %d = (%d, %v), want (%d, %v)",
@@ -335,6 +335,26 @@ func FuzzArgMinDistanceBatch(f *testing.F) {
 	f.Add(pack(3, 1, 2, 3, 3, 2, 1, 1.0000000001, 2, 3))
 	f.Add(pack(2, math.NaN(), 1, math.Inf(1), -1, 5, 6))
 	f.Add(pack(4, 1e308, -1e308, 1e-308, 0, 1e154, 1e154, -1e154, 2))
+	// Zero-heavy rows (runs of 0 and −0 around one-hot entries and a
+	// denormal) over a codebook large enough (16 units × 8) to engage the
+	// sparse scores.
+	zeroHeavy := make([]float64, 0, 256)
+	for k := 0; k < 256; k++ {
+		switch {
+		case k%9 == 0:
+			zeroHeavy = append(zeroHeavy, 1)
+		case k%11 == 3:
+			zeroHeavy = append(zeroHeavy, float64(k)/64)
+		case k%13 == 5:
+			zeroHeavy = append(zeroHeavy, tiny)
+		case k%3 == 1:
+			zeroHeavy = append(zeroHeavy, math.Copysign(0, -1))
+		default:
+			zeroHeavy = append(zeroHeavy, 0)
+		}
+	}
+	f.Add(pack(7, zeroHeavy...))
+	f.Add(pack(7, append(make([]float64, 128), zeroHeavy[:128]...)...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 1+8 {
 			return
@@ -363,7 +383,7 @@ func FuzzArgMinDistanceBatch(f *testing.F) {
 		gotIdx := make([]int, recs)
 		gotD2 := make([]float64, recs)
 		var sc BMUScratch
-		sc.ArgMinDistanceBatch(x, nil, flat, nil, gotIdx, gotD2)
+		sc.ArgMinDistanceBatch(x, Sparse{}, nil, flat, nil, gotIdx, gotD2)
 		for i := range wantIdx {
 			if gotIdx[i] != wantIdx[i] || math.Float64bits(gotD2[i]) != math.Float64bits(wantD2[i]) {
 				t.Fatalf("row %d: blocked (%d, %x) != scalar (%d, %x)",
@@ -371,7 +391,7 @@ func FuzzArgMinDistanceBatch(f *testing.F) {
 			}
 		}
 		idxOnly := make([]int, recs)
-		sc.ArgMinDistanceBatch(x, nil, flat, nil, idxOnly, nil)
+		sc.ArgMinDistanceBatch(x, Sparse{}, nil, flat, nil, idxOnly, nil)
 		for i := range wantIdx {
 			if idxOnly[i] != wantIdx[i] {
 				t.Fatalf("row %d: index-only blocked %d != scalar %d", i, idxOnly[i], wantIdx[i])
@@ -392,6 +412,78 @@ func TestArgMinDistanceBatchPortableKernel(t *testing.T) {
 	defer func() { useAVX = true }()
 	TestArgMinDistanceBatchMatchesScalar(t)
 	TestMulBatchTMatchesDot(t)
+	TestScoreSparseMatchesScan(t)
+}
+
+// TestScoreSparseMatchesScan checks the active sparse scoring kernel
+// (AVX or portable) against a plain scan: its expanded distances match
+// the dense expanded form to rounding, and the smallest and runner-up it
+// returns are exactly those of a scan over the distances it wrote —
+// NaN never comparing, a tie at the minimum counting twice — and, for a
+// finite smallest, the lowest lane holding it. Unit counts
+// 1–40 cover every lane-group path (16, 8 and 4 lanes); the codebooks
+// carry NaN units and duplicated units.
+func TestScoreSparseMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const dim = 11
+	for units := 1; units <= 40; units++ {
+		flat := make([]float64, units*dim)
+		for i := range flat {
+			flat[i] = rng.NormFloat64()
+		}
+		if units > 2 {
+			copy(flat[dim:2*dim], flat[:dim]) // an exact tie
+		}
+		if units > 5 {
+			flat[5*dim+3] = math.NaN() // a unit that never compares
+		}
+		cb := NewCodebook(flat, dim)
+		d := make([]float64, cb.ld)
+		for trial := 0; trial < 20; trial++ {
+			x := make([]float64, dim)
+			for j := range x {
+				if rng.Intn(3) == 0 {
+					x[j] = rng.NormFloat64()
+				}
+			}
+			var s Sparse
+			s.reset()
+			s.appendRow(x)
+			cols, vals := s.Row(0)
+			xn := SumSquares(x)
+			min1, min2, arg := scoreSparse(cb, cols, vals, xn, d)
+			want1, want2, wantArg := math.Inf(1), math.Inf(1), -1
+			for u, e := range d {
+				if u >= units {
+					if !(e == math.Inf(1) || math.IsNaN(e)) {
+						t.Fatalf("units=%d: padding lane %d = %v, want +Inf or NaN", units, u, e)
+					}
+					continue
+				}
+				if e < want2 {
+					if e < want1 {
+						want1, want2, wantArg = e, want1, u
+					} else {
+						want2 = e
+					}
+				}
+				dot := 0.0
+				for j := range x {
+					dot += x[j] * flat[u*dim+j]
+				}
+				ref := xn + cb.norms[u] - 2*dot
+				if math.IsNaN(ref) != math.IsNaN(e) || math.Abs(ref-e) > 1e-12*(1+math.Abs(ref)) {
+					t.Fatalf("units=%d unit %d: expanded distance %v, dense form %v", units, u, e, ref)
+				}
+			}
+			if math.Float64bits(min1) != math.Float64bits(want1) || math.Float64bits(min2) != math.Float64bits(want2) {
+				t.Fatalf("units=%d: kernel (min, runner-up) = (%v, %v), scan (%v, %v)", units, min1, min2, want1, want2)
+			}
+			if want1 < math.Inf(1) && arg != wantArg {
+				t.Fatalf("units=%d: kernel argmin lane %d, scan %d", units, arg, wantArg)
+			}
+		}
+	}
 }
 
 // TestNormCacheSyncSemantics pins the version-keyed recompute contract:
@@ -401,21 +493,21 @@ func TestArgMinDistanceBatchPortableKernel(t *testing.T) {
 func TestNormCacheSyncSemantics(t *testing.T) {
 	var c NormCache
 	flat := []float64{1, 2, 3, 4, 5, 6}
-	n1 := c.Sync(flat, 2, 1)
+	n1 := c.Sync(flat, 2, 1).norms
 	if len(n1) != 3 || n1[0] != 5 || n1[1] != 25 || n1[2] != 61 {
 		t.Fatalf("norms = %v", n1)
 	}
 	flat[0] = 100
-	if got := c.Sync(flat, 2, 1); got[0] != 5 {
+	if got := c.Sync(flat, 2, 1).norms; got[0] != 5 {
 		t.Fatalf("same version recomputed: %v", got[0])
 	}
-	if got := c.Sync(flat, 2, 2); got[0] != 100*100+2*2 {
+	if got := c.Sync(flat, 2, 2).norms; got[0] != 100*100+2*2 {
 		t.Fatalf("bumped version did not recompute: %v", got[0])
 	}
-	if got := c.Sync(flat, 3, 2); len(got) != 2 {
+	if got := c.Sync(flat, 3, 2).norms; len(got) != 2 {
 		t.Fatalf("dim change did not recompute: %v", got)
 	}
-	if got := c.Sync(flat[:4], 2, 2); len(got) != 2 {
+	if got := c.Sync(flat[:4], 2, 2).norms; len(got) != 2 {
 		t.Fatalf("shrunk arena did not recompute: %v", got)
 	}
 }
@@ -429,7 +521,7 @@ var benchBMUShapes = []struct{ dim, units int }{
 	{118, 4}, {118, 64}, {118, 256},
 }
 
-func benchBMUData(dim, units, n int) (View, []float64, []float64) {
+func benchBMUData(dim, units, n int) (View, []float64, *Codebook) {
 	rng := rand.New(rand.NewSource(42))
 	flat := make([]float64, units*dim)
 	data := make([]float64, n*dim)
@@ -440,24 +532,71 @@ func benchBMUData(dim, units, n int) (View, []float64, []float64) {
 		data[i] = rng.Float64()
 	}
 	mat, _ := MatrixOver(data, n, dim)
-	return mat.View(), flat, SquaredNorms(flat, dim, nil)
+	return mat.View(), flat, NewCodebook(flat, dim)
 }
 
-// BenchmarkArgMinDistanceBatch measures the blocked engine across the
-// dim×units sweep, reporting rows/sec.
+// benchOneHotUnits are the unit counts of the production-shape cases:
+// the root map of the production model and a wide child map.
+var benchOneHotUnits = []int{14, 48}
+
+// oneHotRows returns n rows shaped like the traffic encoder's output at
+// dim 68: 38 numeric columns, each nonzero with probability 1/3 and
+// otherwise an exact 0, then one-hot protocol (3), service (16) and flag
+// (11) groups — about 15 nonzeros per row.
+func oneHotRows(rng *rand.Rand, n int) []float64 {
+	const numeric = 38
+	groups := []int{3, 16, 11}
+	data := make([]float64, 0, n*68)
+	for i := 0; i < n; i++ {
+		for j := 0; j < numeric; j++ {
+			v := 0.0
+			if rng.Intn(3) == 0 {
+				v = rng.Float64()
+			}
+			data = append(data, v)
+		}
+		for _, g := range groups {
+			hot := rng.Intn(g)
+			for j := 0; j < g; j++ {
+				v := 0.0
+				if j == hot {
+					v = 1
+				}
+				data = append(data, v)
+			}
+		}
+	}
+	return data
+}
+
+// BenchmarkArgMinDistanceBatch measures the BMU engine across the
+// dim×units sweep of dense random rows and at the production shape
+// (one-hot-encoded rows, dim 68), reporting rows/sec. The rows' nonzeros
+// are built once outside the timed loop, as a training set holds them.
 func BenchmarkArgMinDistanceBatch(b *testing.B) {
 	const n = 1024
+	run := func(b *testing.B, x View, flat []float64, cb *Codebook) {
+		_, nz := x.GatherSparse()
+		out := make([]int, n)
+		d2 := make([]float64, n)
+		var sc BMUScratch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.ArgMinDistanceBatch(x, nz, nil, flat, cb, out, d2)
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+	}
 	for _, sh := range benchBMUShapes {
 		b.Run(shapeName(sh.dim, sh.units), func(b *testing.B) {
-			x, flat, norms := benchBMUData(sh.dim, sh.units, n)
-			out := make([]int, n)
-			d2 := make([]float64, n)
-			var sc BMUScratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.ArgMinDistanceBatch(x, nil, flat, norms, out, d2)
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+			x, flat, cb := benchBMUData(sh.dim, sh.units, n)
+			run(b, x, flat, cb)
+		})
+	}
+	for _, units := range benchOneHotUnits {
+		b.Run(shapeName(68, units)+"_onehot", func(b *testing.B) {
+			_, flat, cb := benchBMUData(68, units, 0)
+			mat, _ := MatrixOver(oneHotRows(rand.New(rand.NewSource(43)), n), n, 68)
+			run(b, mat.View(), flat, cb)
 		})
 	}
 }

@@ -147,23 +147,6 @@ func (v View) Slice(lo, hi int) View {
 	return View{m: sub}
 }
 
-// Gather returns the view's rows, in view order, as one contiguous
-// matrix: the backing matrix itself for a whole-matrix view, otherwise a
-// fresh copy. Code that passes over the same subset many times gathers
-// it once, so every later pass streams rows in memory order instead of
-// chasing the index.
-func (v View) Gather() Matrix {
-	if v.idx == nil {
-		return v.m
-	}
-	cols := v.m.cols
-	out := Matrix{data: make([]float64, len(v.idx)*cols), rows: len(v.idx), cols: cols}
-	for k, i := range v.idx {
-		copy(out.data[k*cols:(k+1)*cols], v.m.data[i*cols:(i+1)*cols])
-	}
-	return out
-}
-
 // Mean returns the element-wise mean of the view's rows.
 func (v View) Mean() ([]float64, error) {
 	n := v.Rows()

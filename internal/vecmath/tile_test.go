@@ -65,16 +65,16 @@ func TestTileConfigZeroDefaults(t *testing.T) {
 // several tile shapes, including extremes of the clamp range.
 func TestBMUScratchMatchesPackageForm(t *testing.T) {
 	const n, dim, units = 300, 24, 96
-	x, flat, norms := benchBMUData(dim, units, n)
+	x, flat, cb := benchBMUData(dim, units, n)
 	refIdx := make([]int, n)
 	refDist := make([]float64, n)
-	new(BMUScratch).ArgMinDistanceBatch(x, nil, flat, norms, refIdx, refDist)
+	new(BMUScratch).ArgMinDistanceBatch(x, Sparse{}, nil, flat, cb, refIdx, refDist)
 	for _, rows := range []int{minTileRows, DefaultTileRows, maxTileRows, 1, n + 7} {
 		sc := &BMUScratch{Tile: TileConfig{RecRows: rows}}
 		idx := make([]int, n)
 		dist := make([]float64, n)
 		for _, xNorms := range [][]float64{nil, recordNorms(x)} {
-			sc.ArgMinDistanceBatch(x, xNorms, flat, norms, idx, dist)
+			sc.ArgMinDistanceBatch(x, Sparse{}, xNorms, flat, cb, idx, dist)
 			for i := range idx {
 				if idx[i] != refIdx[i] || dist[i] != refDist[i] {
 					t.Fatalf("rows=%d recordNorms=%v row %d: (%d, %v) != ref (%d, %v)",
@@ -108,7 +108,7 @@ func TestNormCacheConcurrentSync(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				v := rng.Intn(len(arenas))
-				norms := c.Sync(arenas[v], dim, uint64(v))
+				norms := c.Sync(arenas[v], dim, uint64(v)).norms
 				want := float64(dim) * float64(v+1) * float64(v+1)
 				for u := 0; u < units; u++ {
 					if norms[u] != want {
@@ -150,8 +150,8 @@ func TestBMUHotPathMutexFree(t *testing.T) {
 			idx := make([]int, n)
 			dist := make([]float64, n)
 			for i := 0; i < iters; i++ {
-				norms := cache.Sync(flat, dim, 1)
-				sc.ArgMinDistanceBatch(x, nil, flat, norms, idx, dist)
+				cb := cache.Sync(flat, dim, 1)
+				sc.ArgMinDistanceBatch(x, Sparse{}, nil, flat, cb, idx, dist)
 			}
 		}()
 	}
@@ -179,7 +179,7 @@ func BenchmarkNormCacheSyncParallel(b *testing.B) {
 	c.Sync(flat, dim, 1)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if norms := c.Sync(flat, dim, 1); len(norms) != units {
+			if norms := c.Sync(flat, dim, 1).norms; len(norms) != units {
 				b.Fatal("bad norms")
 			}
 		}

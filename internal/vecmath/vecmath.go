@@ -97,9 +97,13 @@ func Clone(v []float64) []float64 {
 }
 
 // AXPYInPlace computes dst += alpha * x in place, four independent
-// elements per step. The caller must guarantee len(dst) == len(x).
-func AXPYInPlace(dst []float64, alpha float64, x []float64) {
-	x = x[:len(dst)]
+// elements per step (one AVX multiply and one add where the CPU has
+// them; each rounds like the scalar expression). The caller must
+// guarantee len(dst) == len(x).
+func AXPYInPlace(dst []float64, alpha float64, x []float64) { axpyInPlace(dst, alpha, x[:len(dst)]) }
+
+// axpyGeneric is the portable AXPYInPlace kernel; len(x) == len(dst).
+func axpyGeneric(dst []float64, alpha float64, x []float64) {
 	for len(dst) >= 4 && len(x) >= 4 {
 		dst[0] += alpha * x[0]
 		dst[1] += alpha * x[1]

@@ -275,3 +275,42 @@ func testAddInPlaceMatchesAXPYOne(t *testing.T) {
 		}
 	}
 }
+
+// TestAXPYInPlaceMatchesScalar pins AXPYInPlace to the scalar expression
+// dst[i] += alpha*x[i] — a rounded multiply, then a rounded add — bit for
+// bit at every tail length, on the AVX kernel (where the CPU has it) and
+// on the portable one.
+func TestAXPYInPlaceMatchesScalar(t *testing.T) {
+	t.Run("dispatch", testAXPYInPlaceMatchesScalar)
+	if useAVX {
+		useAVX = false
+		defer func() { useAVX = true }()
+		t.Run("portable", testAXPYInPlaceMatchesScalar)
+	}
+}
+
+func testAXPYInPlaceMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, alpha := range []float64{0.37, -2.5, 1e-300, 1.0 / 3} {
+		for n := 1; n <= 19; n++ {
+			dst, x := make([]float64, n), make([]float64, n)
+			// Sums of like magnitude cancel, which exposes the product's
+			// rounding: a fused multiply-add would differ.
+			for i := range dst {
+				dst[i] = rng.NormFloat64()
+				x[i] = rng.NormFloat64() / alpha
+			}
+			want := append([]float64(nil), dst...)
+			for i := range want {
+				p := alpha * x[i]
+				want[i] += p
+			}
+			AXPYInPlace(dst, alpha, x)
+			for i := range dst {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("alpha=%v n=%d element %d: %v, want %v", alpha, n, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}
